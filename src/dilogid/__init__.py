@@ -11,7 +11,6 @@ from .exactnum import (
     RadicandMismatchError,
     Rational,
     exact_sqrt,
-    quad_mul,
     quad_pow,
     quad_to_real,
 )
@@ -28,7 +27,7 @@ from .lucas import (
 )
 from .rogers import abel_residual, li2, reflection_residual, rogers_l
 from .series import (
-    CATALOG_NAMES,
+    IDENTITIES,
     IdentityReport,
     PellLucasCorrespondence,
     PellSolution,
@@ -53,9 +52,9 @@ from .series import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CATALOG_NAMES",
     "DomainError",
     "ErrorBoundedValue",
+    "IDENTITIES",
     "IdentityReport",
     "LucasPair",
     "LucasParams",
@@ -85,7 +84,6 @@ __all__ = [
     "lucas_uv_naive",
     "neg_from_pos_split_check",
     "pell_to_lucas",
-    "quad_mul",
     "quad_pow",
     "quad_to_real",
     "reflection_residual",

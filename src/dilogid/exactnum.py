@@ -214,11 +214,6 @@ class QuadraticElement:
         return f"QuadraticElement({self.rat_part!r}, {self.rad_part!r}, {self.radicand!r})"
 
 
-def quad_mul(x: QuadraticElement, y: QuadraticElement) -> QuadraticElement:
-    """Exact product in a shared quadratic field."""
-    return x * y
-
-
 def quad_pow(x: QuadraticElement, n: int) -> QuadraticElement:
     """Exact n-th power by binary exponentiation, n >= 0."""
     if not isinstance(n, int) or n < 0:

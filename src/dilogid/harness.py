@@ -21,37 +21,26 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Optional
 
-from mpmath import iv
-
-from .enclosure import (
-    DomainError,
-    ErrorBoundedValue,
-    PrecisionBudget,
-    interval_precision,
-    mpf_to_fraction,
-)
-from .exactnum import QuadraticElement, quad_pow, quad_to_real
+from .enclosure import DomainError, ErrorBoundedValue, PrecisionBudget, PrecisionError, mpf_to_fraction
+from .exactnum import QuadraticElement, quad_to_real
 from .lucas import LucasParams, PreconditionError, lucas_uv, lucas_uv_naive
 from .rogers import abel_residual, reflection_residual, rogers_l
 from .series import (
+    IDENTITIES,
     IdentityReport,
-    PellSolution,
     TwoParamInstance,
     UsageError,
-    bridgeman_verify,
-    catalog_verify,
-    corollary_verify,
+    _integer,
+    _pi2_over,
     d_seq,
-    lucas_neg_verify,
-    lucas_pos_verify,
+    identity_spec,
     tail_bound,
-    theorem_main_verify,
     xy_seq,
 )
 
@@ -172,10 +161,6 @@ class RunConfig:
     parameters: dict = field(default_factory=dict)
     digits: int = DEFAULT_DIGITS
     max_terms: int = DEFAULT_MAX_TERMS
-    seed: int = DEFAULT_SEED
-    output: Optional[str] = None
-    fmt: str = "json"
-    trace_path: Optional[str] = None
 
     def __post_init__(self):
         if self.digits < 10:
@@ -201,73 +186,19 @@ def default_digits() -> int:
 # identity dispatch
 # ---------------------------------------------------------------------------
 
-_IDENTITY_PARAMS = {
-    "theorem-main": {"a", "b"},
-    "corollary": {"t"},
-    "lucas-pos": {"P", "Q", "k"},
-    "lucas-neg": {"P", "Q", "k"},
-    "bridgeman": {"pell_a", "pell_b", "pell_n"},
-    "richmond-szekeres": set(),
-    "sinh-theta": {"theta"},
-    "chebyshev-x": {"x", "k"},
-    "repunit-x": {"x", "k"},
-    "fib-even": {"k"},
-    "fib-lucas-neg": {"k"},
-    "pell": {"k"},
-    "q-minus-3": {"k"},
-    "sqrt5-k-odd": {"k"},
-    "sqrt5-k-even": {"k"},
-}
-
 
 def known_identities() -> tuple:
-    return tuple(_IDENTITY_PARAMS)
+    return tuple(IDENTITIES)
 
 
 def run_identity(config: RunConfig, trace: Optional[list] = None) -> IdentityReport:
-    """Dispatch one RunConfig to the matching verifier."""
-    name = config.identity_id
-    if name not in _IDENTITY_PARAMS:
-        raise UsageError(f"unknown identity {name!r}; known: {', '.join(known_identities())}")
-    allowed = _IDENTITY_PARAMS[name]
-    given = dict(config.parameters)
-    unknown = set(given) - allowed
-    if unknown:
-        raise UsageError(f"unknown parameter keys for {name}: {sorted(unknown)}")
-    budget = config.budget()
-    max_terms = config.max_terms
+    """Run one RunConfig through the identity table."""
     try:
-        if name == "theorem-main":
-            inst = TwoParamInstance(parse_decimal(given["a"]), parse_decimal(given["b"]))
-            return theorem_main_verify(inst, budget, max_terms, trace)
-        if name == "corollary":
-            return corollary_verify(parse_decimal(given["t"]), budget, max_terms, trace)
-        if name == "lucas-pos":
-            params = LucasParams(parse_decimal(given["P"]), parse_decimal(given["Q"]))
-            return lucas_pos_verify(params, int(given.get("k", "1")), budget, max_terms, trace)
-        if name == "lucas-neg":
-            params = LucasParams(parse_decimal(given["P"]), parse_decimal(given["Q"]))
-            return lucas_neg_verify(params, int(given.get("k", "1")), budget, max_terms, trace)
-        if name == "bridgeman":
-            sol = PellSolution(
-                parse_decimal(given["pell_a"]),
-                parse_decimal(given["pell_b"]),
-                int(given["pell_n"]),
-            )
-            return bridgeman_verify(sol, budget, max_terms, trace)
-        overrides = {}
-        if "k" in given:
-            overrides["k"] = int(given["k"])
-        if "x" in given:
-            overrides["x"] = parse_decimal(given["x"])
-        if "theta" in given:
-            overrides["theta"] = parse_decimal(given["theta"])
-        return catalog_verify(name, budget, max_terms, trace, **overrides)
-    except KeyError as exc:
-        raise UsageError(f"identity {name} requires parameter {exc.args[0]!r}") from exc
+        spec = identity_spec(config.identity_id)
+        return spec.run(config.budget(), config.max_terms, trace, config.parameters)
     except UsageError:
         raise
-    except (PreconditionError, DomainError, ValueError, ZeroDivisionError) as exc:
+    except (PreconditionError, PrecisionError, DomainError, ValueError, ZeroDivisionError) as exc:
         raise UsageError(str(exc)) from exc
 
 
@@ -284,110 +215,12 @@ class RegistryEntry:
     cited_value: str
 
 
-def _pi2_over(divisor: int, budget: PrecisionBudget) -> ErrorBoundedValue:
-    with interval_precision(budget.working_bits):
-        return ErrorBoundedValue.from_interval(iv.pi ** 2 / divisor)
-
-
-def _rogers_of_quad(element: QuadraticElement, budget: PrecisionBudget) -> ErrorBoundedValue:
-    return rogers_l(quad_to_real(element, budget.working_bits), budget)
-
-
-def _phi_inverse_power(power: int) -> QuadraticElement:
-    phi = QuadraticElement(Fraction(1, 2), Fraction(1, 2), Fraction(5))
-    return QuadraticElement.from_rational(1, Fraction(5)) / quad_pow(phi, power)
-
-
 def registry() -> tuple:
     """The paper's example instances with their cited closed-form values."""
-    mk = lambda name, params, digits=None: RunConfig(
-        name, params, digits or default_digits()
-    )
-    return (
-        RegistryEntry(
-            "theorem-main(2/3,1/3)",
-            mk("theorem-main", {"a": "2/3", "b": "1/3"}),
-            lambda b: _pi2_over(12, b),
-            "pi^2/12",
-        ),
-        RegistryEntry(
-            "corollary(1/3)",
-            mk("corollary", {"t": "1/3"}),
-            lambda b: _pi2_over(12, b),
-            "pi^2/12",
-        ),
-        RegistryEntry(
-            "fib-even",
-            mk("fib-even", {"k": "1"}),
-            lambda b: _rogers_of_quad(_phi_inverse_power(4), b),
-            "L(1/phi^4) = L(2/(7+3*sqrt(5)))",
-        ),
-        RegistryEntry(
-            "chebyshev-x(2)",
-            mk("chebyshev-x", {"x": "2", "k": "1"}),
-            lambda b: _rogers_of_quad(QuadraticElement(7, -4, 3), b),
-            "L(7-4*sqrt(3))",
-        ),
-        RegistryEntry(
-            "repunit-x(2)",
-            mk("repunit-x", {"x": "2", "k": "1"}),
-            lambda b: _pi2_over(12, b),
-            "L(1/2) = pi^2/12",
-        ),
-        RegistryEntry(
-            "fib-lucas-neg",
-            mk("fib-lucas-neg", {"k": "1"}),
-            lambda b: _pi2_over(15, b),
-            "pi^2/15",
-        ),
-        RegistryEntry(
-            "pell",
-            mk("pell", {"k": "1"}),
-            lambda b: _rogers_of_quad(QuadraticElement(3, -2, 2), b),
-            "L(1/(3+2*sqrt(2)))",
-        ),
-        RegistryEntry(
-            "q-minus-3",
-            mk("q-minus-3", {"k": "1"}),
-            lambda b: _rogers_of_quad(QuadraticElement(Fraction(7, 6), Fraction(-1, 6), 13), b),
-            "L(6/(7+sqrt(13)))",
-        ),
-        RegistryEntry(
-            "sqrt5-k-odd",
-            mk("sqrt5-k-odd", {"k": "1"}),
-            lambda b: _pi2_over(15, b),
-            "L(1/phi^2) = pi^2/15",
-        ),
-        RegistryEntry(
-            "sqrt5-k-even",
-            mk("sqrt5-k-even", {"k": "2"}),
-            lambda b: _rogers_of_quad(_phi_inverse_power(4), b),
-            "L(1/phi^4)",
-        ),
-        RegistryEntry(
-            "sinh-theta(1)",
-            mk("sinh-theta", {"theta": "1"}),
-            None,
-            "L(e^-2)",
-        ),
-        RegistryEntry(
-            "richmond-szekeres",
-            mk("richmond-szekeres", {}),
-            lambda b: _pi2_over(6, b),
-            "pi^2/6",
-        ),
-        RegistryEntry(
-            "bridgeman(3,2,2)",
-            mk("bridgeman", {"pell_a": "3", "pell_b": "2", "pell_n": "2"}),
-            lambda b: _rogers_of_quad(QuadraticElement(17, -12, 2), b),
-            "L(1/u^2) = L(17-12*sqrt(2))",
-        ),
-        RegistryEntry(
-            "bridgeman(1,1,2)",
-            mk("bridgeman", {"pell_a": "1", "pell_b": "1", "pell_n": "2"}),
-            lambda b: _rogers_of_quad(QuadraticElement(3, -2, 2), b),
-            "L(1/u^2) = L(3-2*sqrt(2))",
-        ),
+    return tuple(
+        RegistryEntry(name, RunConfig(spec.name, dict(params), default_digits()), expected, cited_value)
+        for spec in IDENTITIES.values()
+        for name, params, expected, cited_value in spec.examples
     )
 
 
@@ -395,12 +228,7 @@ def run_suite(digits: int, max_terms: int, stream) -> bool:
     """Run every registry entry; print one line per identity."""
     all_ok = True
     for entry in registry():
-        config = RunConfig(
-            entry.config.identity_id,
-            entry.config.parameters,
-            digits,
-            max_terms,
-        )
+        config = replace(entry.config, digits=digits, max_terms=max_terms)
         report = run_identity(config)
         ok = report.verdict == "pass"
         agree = ""
@@ -611,19 +439,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    verify = sub.add_parser("verify", help="verify a single identity")
+    verify = sub.add_parser(
+        "verify",
+        help="verify a single identity",
+        epilog=_identity_list(),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
     verify.add_argument("--identity", required=True, help=", ".join(known_identities()))
-    verify.add_argument("--a", help="rational parameter a (p/q or decimal)")
-    verify.add_argument("--b", help="rational parameter b")
-    verify.add_argument("--t", help="rational parameter t of the one-parameter form")
-    verify.add_argument("--P", help="Lucas parameter P")
-    verify.add_argument("--Q", help="Lucas parameter Q")
-    verify.add_argument("--k", help="series index k")
-    verify.add_argument("--x", help="catalog family parameter x")
-    verify.add_argument("--theta", help="positive real theta (decimal, exact)")
-    verify.add_argument("--pell-a", dest="pell_a", help="Pell solution component a")
-    verify.add_argument("--pell-b", dest="pell_b", help="Pell solution component b")
-    verify.add_argument("--pell-n", dest="pell_n", help="Pell radicand n (nonsquare integer)")
+    for key, (parse, names) in _verify_flags().items():
+        kind = "integer" if parse is _integer else "rational (p/q or decimal)"
+        verify.add_argument(f"--{key.replace('_', '-')}", dest=key, help=f"{kind}; for {', '.join(names)}")
     verify.add_argument("--digits", type=int, default=None)
     verify.add_argument("--max-terms", type=int, default=DEFAULT_MAX_TERMS)
     verify.add_argument("--output", help="path for the JSON report (default stdout)")
@@ -647,23 +472,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _collect_params(args) -> dict:
-    params = {}
-    for key in ("a", "b", "t", "P", "Q", "k", "x", "theta", "pell_a", "pell_b", "pell_n"):
-        value = getattr(args, key, None)
-        if value is not None:
-            params[key] = value
-    return params
+def _verify_flags() -> dict:
+    """Parameter key -> (parser, identities that take it), in table order."""
+    flags: dict = {}
+    for spec in IDENTITIES.values():
+        for key, (parse, _) in spec.params.items():
+            flags.setdefault(key, (parse, []))[1].append(spec.name)
+    return flags
+
+
+def _identity_list() -> str:
+    lines = ["identities (parameters, defaults):"]
+    for spec in IDENTITIES.values():
+        flags = ", ".join(k.replace("_", "-") + ("" if d is None else f"={d}") for k, (_, d) in spec.params.items())
+        lines.append(f"  {spec.name} ({flags or 'none'})\n      {spec.description}")
+    return "\n".join(lines)
 
 
 def _cmd_verify(args) -> int:
     config = RunConfig(
         args.identity,
-        _collect_params(args),
-        args.digits if args.digits is not None else default_digits(),
+        {key: getattr(args, key) for key in _verify_flags() if getattr(args, key) is not None},
+        args.digits,
         args.max_terms,
-        output=args.output,
-        trace_path=args.trace,
     )
     trace_rows: Optional[list] = [] if args.trace else None
     report = run_identity(config, trace_rows)
@@ -692,19 +523,17 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    digits = args.digits if args.digits is not None else default_digits()
-    ok = run_suite(digits, args.max_terms, sys.stdout)
+    ok = run_suite(args.digits, args.max_terms, sys.stdout)
     return 0 if ok else 1
 
 
 def _cmd_properties(args) -> int:
-    digits = args.digits if args.digits is not None else default_digits()
-    ok = run_properties(args.seed, digits, args.points, sys.stdout)
+    ok = run_properties(args.seed, args.digits, args.points, sys.stdout)
     return 0 if ok else 1
 
 
 def _cmd_special_values(args) -> int:
-    digits = args.digits if args.digits is not None else default_digits()
+    digits = args.digits
     rows = special_values_table(digits)
     all_ok = True
     for label, value, closed, ok in rows:
@@ -729,6 +558,8 @@ def run_cli(argv: Optional[list] = None) -> int:
         "special-values": _cmd_special_values,
     }
     try:
+        if args.digits is None:
+            args.digits = default_digits()
         return handlers[args.command](args)
     except (UsageError, PreconditionError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

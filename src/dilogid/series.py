@@ -9,7 +9,9 @@ The verdict convention is
     pass  iff  |residual.midpoint| <= residual.radius + tail_bound + 10^-digits,
 
 with an explicit fail when precision escalation cannot push the residual
-radius below 10^-digits.
+radius below 10^-digits.  Every verifier runs through one summation driver,
+``_evaluate_series_report``; ``IDENTITIES`` at the end of the module is the
+one table of named identities, with their parameters and registry instances.
 
 Tail bounds use L(x) <= x*(pi^2/6 + log(1/x)) on (0, 1/2] together with a
 geometric dominating sequence certified by the caller:
@@ -25,7 +27,7 @@ geometric dominating sequence certified by the caller:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd
 from typing import Callable, Iterable, Iterator, Optional
@@ -42,8 +44,8 @@ from .enclosure import (
     mpf_to_fraction,
 )
 from .exactnum import QuadraticElement, exact_sqrt, quad_pow, quad_to_real
-from .lucas import Coefficient, LucasParams, PreconditionError, lucas_uv
-from .rogers import _pi_squared_over, _rogers_eval, default_budget
+from .lucas import Coefficient, LucasParams, PreconditionError, _coeff_sign, lucas_uv
+from .rogers import _MAX_ESCALATIONS, _pi_squared_over, _rogers_eval, default_budget, rogers_l
 
 _HALF = Fraction(1, 2)
 
@@ -294,111 +296,116 @@ def _term_rogers(term, guard: int, bits: int):
     return _rogers_eval(term, guard)
 
 
-def _mpf_sum_upper(*values):
-    """Exact upper bound (as mpf) of a sum of mpf values."""
-    total = Fraction(0)
-    for v in values:
-        total += mpf_to_fraction(v)
-    return ErrorBoundedValue.from_fraction_pair(total, total).upper
-
-
-def _effective_digits(digits: int, n_terms: int) -> int:
-    return digits + max(4, len(str(max(n_terms, 1))) + 3)
+def _exact_series(budget: PrecisionBudget, terms: list, tail, ratio_cap) -> tuple:
+    """Start budget and ``series`` callback for a truncated series of exact
+    terms; the working precision absorbs the rounding of len(terms) conversions."""
+    for t in terms:
+        _assert_unit_open(t)
+    digits_eff = budget.target_digits + max(4, len(str(max(len(terms), 1))) + 3)
+    bits = max(budget.working_bits, PrecisionBudget.min_working_bits(digits_eff) + 64)
+    return replace(budget, working_bits=bits), lambda: (terms, tail, ratio_cap)
 
 
 def _evaluate_series_report(
     identity_id: str,
     parameters: dict,
     budget: PrecisionBudget,
-    terms: list,
-    tail,
+    series: Callable[[], tuple],
     rhs_fn: Callable[[int, int], object],
     trace: Optional[list] = None,
-    ratio_cap=None,
 ) -> IdentityReport:
-    """Sum enclosures of L over ``terms``, evaluate the closed form, report.
+    """Sum enclosures of L over a truncated series, evaluate the closed form, report.
 
-    ``rhs_fn(guard, bits)`` must return an interval for the right-hand side
-    under the ambient precision context.
+    Each pass runs in one interval context, starting at
+    ``budget.working_bits`` and doubling while the residual radius misses
+    the tolerance, with ``budget.guard_terms`` guard terms per evaluation.
+    ``series()`` is called inside that context and returns
+    ``(terms, tail, ratio_cap)``: an iterable of exact or enclosed summands
+    (enclosures are regenerated at the pass's precision), the bound on the
+    omitted tail, and the geometric ratio cap behind the running tails of
+    a trace (None: every trace row shows ``tail``).  A ``PrecisionError``
+    from ``series()`` moves on to the next pass.  ``rhs_fn(guard, bits)``
+    must return an interval for the right-hand side under the ambient
+    precision context.
     """
-    digits = budget.target_digits
-    tolerance = budget.tolerance
-    for t in terms:
-        _assert_unit_open(t)
-    digits_eff = _effective_digits(digits, len(terms))
-    bits = max(budget.working_bits, PrecisionBudget.min_working_bits(digits_eff) + 64)
+    bits = budget.working_bits
     guard = budget.guard_terms
-    force_fail = False
-    rows: list = []
-    for attempt in range(4):
-        rows = []
+    for attempt in range(_MAX_ESCALATIONS + 1):
         with interval_precision(bits):
+            try:
+                terms, tail, ratio_cap = series()
+            except PrecisionError:
+                if attempt == _MAX_ESCALATIONS:
+                    raise
+                bits *= 2
+                continue
+            rows: list = []
+            n_terms = 0
             acc = iv.mpf(0)
-            for idx, t in enumerate(terms):
-                acc = acc + _term_rogers(t, guard, bits)
+            for term in terms:
+                acc = acc + _term_rogers(term, guard, bits)
+                n_terms += 1
                 if trace is not None:
-                    rows.append((idx, t, ErrorBoundedValue.from_interval(acc)))
+                    rows.append((term, ErrorBoundedValue.from_interval(acc)))
             rhs_iv = rhs_fn(guard, bits)
             res_iv = acc - rhs_iv
             lhs = ErrorBoundedValue.from_interval(acc)
             rhs = ErrorBoundedValue.from_interval(rhs_iv)
             residual = ErrorBoundedValue.from_interval(res_iv)
-        if residual.radius <= tolerance:
+        if residual.radius <= budget.tolerance:
             break
         bits *= 2
-    else:
-        force_fail = True
     if trace is not None:
-        trace.extend(_trace_rows(rows, terms, tail, ratio_cap))
+        trace.extend(_trace_rows(rows, tail, ratio_cap))
     return IdentityReport.build(
         identity_id,
         parameters,
-        digits,
-        len(terms),
+        budget.target_digits,
+        n_terms,
         lhs,
         rhs,
         tail,
         residual,
-        force_fail=force_fail,
+        force_fail=residual.radius > budget.tolerance,
     )
 
 
-def _trace_rows(rows, terms, final_tail, ratio_cap):
+def _trace_rows(rows, final_tail, ratio_cap):
     out = []
-    for idx, term, partial in rows:
-        if idx + 1 < len(terms) and ratio_cap is not None:
+    for n, (term, partial) in enumerate(rows):
+        running = final_tail
+        if ratio_cap is not None and n + 1 < len(rows):
             try:
-                running = tail_bound(terms[idx + 1], ratio_cap)
+                running = tail_bound(rows[n + 1][0], ratio_cap)
             except DomainError:
                 running = None
-        else:
-            running = final_tail
-        out.append({"n": idx, "term": term, "lhs_partial": partial, "tail_bound": running})
+        out.append({"n": n, "term": term, "lhs_partial": partial, "tail_bound": running})
     return out
 
 
-def _choose_truncation(
-    term_iter: Iterable,
-    ratio_cap,
-    budget: PrecisionBudget,
-    max_terms: int,
-    min_terms: int = 1,
-) -> tuple[list, object]:
+def _choose_truncation(term_iter: Iterable, ratio_cap, budget: PrecisionBudget, max_terms: int) -> tuple[list, object]:
     """Collect terms until the certified tail fits in half the tolerance.
 
-    Returns (terms, first_omitted).
+    An item of ``term_iter`` is one term, or a tuple holding the next term
+    of each of several sub-series that share ``ratio_cap``; each member
+    then gets an equal share of the tolerance, ``max_terms`` counts items,
+    and the terms come back flattened.  Returns (terms, tail bound).
     """
     if max_terms < 1:
         raise UsageError("max_terms must be positive")
     tol_half = budget.tolerance / 2
     digits = budget.target_digits
-    terms = []
-    for t in term_iter:
-        if len(terms) >= max_terms:
-            return terms, t
-        if len(terms) >= min_terms and _tail_small_enough(t, ratio_cap, tol_half, digits):
-            return terms, t
-        terms.append(t)
+    terms: list = []
+    for count, item in enumerate(term_iter):
+        group = item if isinstance(item, tuple) else (item,)
+        if count >= max_terms or (
+            count and all(_tail_small_enough(t, ratio_cap, tol_half / len(group), digits) for t in group)
+        ):
+            if len(group) == 1:
+                return terms, tail_bound(item, ratio_cap)
+            total = sum(mpf_to_fraction(tail_bound(t, ratio_cap)) for t in group)
+            return terms, ErrorBoundedValue.from_fraction_pair(total, total).upper  # exact sum, rounded up
+        terms.extend(group)
     raise AssertionError("term iterator exhausted unexpectedly")
 
 
@@ -422,27 +429,14 @@ def theorem_main_verify(
     budget = budget or default_budget()
     a, b = inst.a, inst.b
     cap = _two_param_ratio_cap(inst)
-    terms, first_omitted = _choose_truncation(_theorem_terms(inst), cap, budget, max_terms)
-    tail = tail_bound(first_omitted, cap)
+    terms, tail = _choose_truncation(_theorem_terms(inst), cap, budget, max_terms)
     third = abs(a - b) / (1 - min(a, b))
 
     def rhs_fn(guard, bits):
-        return (
-            _rogers_eval(a, guard)
-            + _rogers_eval(b, guard)
-            - _rogers_eval(third, guard)
-        )
+        return _rogers_eval(a, guard) + _rogers_eval(b, guard) - _rogers_eval(third, guard)
 
-    return _evaluate_series_report(
-        "theorem-main",
-        {"a": str(a), "b": str(b)},
-        budget,
-        terms,
-        tail,
-        rhs_fn,
-        trace,
-        ratio_cap=cap,
-    )
+    start, series = _exact_series(budget, terms, tail, cap)
+    return _evaluate_series_report("theorem-main", {"a": str(a), "b": str(b)}, start, series, rhs_fn, trace)
 
 
 def corollary_remark_term(t: Fraction, m: int) -> Fraction:
@@ -468,8 +462,7 @@ def corollary_verify(
         raise DomainError("parameter must lie in (0, 1)")
     inst = TwoParamInstance((1 + t) / 2, (1 - t) / 2)
     cap = _two_param_ratio_cap(inst)
-    terms, first_omitted = _choose_truncation(_theorem_terms(inst), cap, budget, max_terms)
-    tail = tail_bound(first_omitted, cap)
+    terms, tail = _choose_truncation(_theorem_terms(inst), cap, budget, max_terms)
     # incremental powers: recomputing corollary_remark_term per index would
     # redo three large exponentiations for every term
     sq = 1 - t * t
@@ -488,16 +481,8 @@ def corollary_verify(
     def rhs_fn(guard, bits):
         return _rogers_eval(target, guard)
 
-    return _evaluate_series_report(
-        "corollary",
-        {"t": str(t)},
-        budget,
-        terms,
-        tail,
-        rhs_fn,
-        trace,
-        ratio_cap=cap,
-    )
+    start, series = _exact_series(budget, terms, tail, cap)
+    return _evaluate_series_report("corollary", {"t": str(t)}, start, series, rhs_fn, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -534,12 +519,8 @@ def _ratio_cap_sup(params: LucasParams, k: int, power: int) -> Fraction:
 
 
 def _coeff_str(value: Coefficient) -> str:
-    if isinstance(value, QuadraticElement):
-        rv = value.rational_value()
-        if rv is not None:
-            return str(rv)
-        return str(value)
-    return str(value)
+    rv = value.rational_value() if isinstance(value, QuadraticElement) else None
+    return str(value if rv is None else rv)
 
 
 def _lucas_pos_terms(params: LucasParams, k: int) -> Iterator:
@@ -555,71 +536,6 @@ def _lucas_pos_terms(params: LucasParams, k: int) -> Iterator:
             u_lo, u_hi = u_hi, p * u_hi - q * u_lo
         yield numer * qpow / (u_lo * u_lo)
         qpow = qpow * qk
-
-
-def lucas_pos_verify(
-    params: LucasParams,
-    k: int,
-    budget: Optional[PrecisionBudget] = None,
-    max_terms: int = 10000,
-    trace: Optional[list] = None,
-    identity_id: str = "lucas-pos",
-) -> IdentityReport:
-    """Verify sum_{n>=1} L(U_k^2 Q^(kn) / U_{k(n+1)}^2) = L(Q^k / alpha^(2k))."""
-    budget = budget or default_budget()
-    if not isinstance(k, int) or k < 1:
-        raise PreconditionError("k must be a positive integer")
-    if _sign_of(params.q) <= 0:
-        raise PreconditionError("this branch requires Q > 0")
-    cap = _ratio_cap_sup(params, k, power=1)
-    terms, first_omitted = _choose_truncation(_lucas_pos_terms(params, k), cap, budget, max_terms)
-    tail = tail_bound(first_omitted, cap)
-    rhs_arg = _pos_rhs_arg(params, k)
-
-    def rhs_fn(guard, bits):
-        return _term_rogers(rhs_arg, guard, bits)
-
-    return _evaluate_series_report(
-        identity_id,
-        {"P": _coeff_str(params.p), "Q": _coeff_str(params.q), "k": str(k)},
-        budget,
-        terms,
-        tail,
-        rhs_fn,
-        trace,
-        ratio_cap=cap,
-    )
-
-
-def _sign_of(value: Coefficient) -> int:
-    if isinstance(value, QuadraticElement):
-        return value.sign()
-    return (value > 0) - (value < 0)
-
-
-def _pos_rhs_arg(params: LucasParams, k: int):
-    """Exact Q^k / alpha^(2k), in the coefficient ring when possible."""
-    alpha = params.alpha_exact()
-    if alpha is None:
-        raise PreconditionError("exact closed form requires sqrt(D) in the ring")
-    qk = params.q ** k
-    if isinstance(alpha, QuadraticElement) and not isinstance(qk, QuadraticElement):
-        qk = QuadraticElement.from_rational(qk, alpha.radicand)
-    arg = qk / quad_pow(alpha, 2 * k)
-    _assert_unit_open(arg)
-    return arg
-
-
-def _neg_rhs_arg(params: LucasParams, k: int):
-    alpha = params.alpha_exact()
-    if alpha is None:
-        raise PreconditionError("exact closed form requires sqrt(D) in the ring")
-    qk = -(params.q ** k)
-    if isinstance(alpha, QuadraticElement) and not isinstance(qk, QuadraticElement):
-        qk = QuadraticElement.from_rational(qk, alpha.radicand)
-    arg = qk / quad_pow(alpha, 2 * k)
-    _assert_unit_open(arg)
-    return arg
 
 
 def _lucas_neg_terms(params: LucasParams, k: int) -> Iterator:
@@ -645,6 +561,53 @@ def _lucas_neg_terms(params: LucasParams, k: int) -> Iterator:
         qpow_b = qpow_b * q2k
 
 
+def _lucas_rhs_arg(params: LucasParams, k: int, sign: int):
+    """Exact |Q|^k / alpha^(2k) for Q of the given sign, in the coefficient
+    ring when possible."""
+    alpha = params.alpha_exact()
+    if alpha is None:
+        raise PreconditionError("exact closed form requires sqrt(D) in the ring")
+    qk = params.q ** k if sign > 0 else -(params.q ** k)
+    if isinstance(alpha, QuadraticElement) and not isinstance(qk, QuadraticElement):
+        qk = QuadraticElement.from_rational(qk, alpha.radicand)
+    arg = qk / quad_pow(alpha, 2 * k)
+    _assert_unit_open(arg)
+    return arg
+
+
+def _lucas_verify(params, k, budget, max_terms, trace, identity_id, sign) -> IdentityReport:
+    """Both Lucas branches: the Q > 0 series (sign +1), or the two parity
+    sub-series of the Q < 0, odd-k identity summed pairwise (sign -1)."""
+    budget = budget or default_budget()
+    cap = _ratio_cap_sup(params, k, power=1 if sign > 0 else 2)
+    term_iter = _lucas_pos_terms(params, k) if sign > 0 else _lucas_neg_terms(params, k)
+    terms, tail = _choose_truncation(term_iter, cap, budget, max_terms)
+    rhs_arg = _lucas_rhs_arg(params, k, sign)
+
+    def rhs_fn(guard, bits):
+        return _term_rogers(rhs_arg, guard, bits)
+
+    parameters = {"P": _coeff_str(params.p), "Q": _coeff_str(params.q), "k": str(k)}
+    start, series = _exact_series(budget, terms, tail, cap)
+    return _evaluate_series_report(identity_id, parameters, start, series, rhs_fn, trace)
+
+
+def lucas_pos_verify(
+    params: LucasParams,
+    k: int,
+    budget: Optional[PrecisionBudget] = None,
+    max_terms: int = 10000,
+    trace: Optional[list] = None,
+    identity_id: str = "lucas-pos",
+) -> IdentityReport:
+    """Verify sum_{n>=1} L(U_k^2 Q^(kn) / U_{k(n+1)}^2) = L(Q^k / alpha^(2k))."""
+    if not isinstance(k, int) or k < 1:
+        raise PreconditionError("k must be a positive integer")
+    if _coeff_sign(params.q) <= 0:
+        raise PreconditionError("this branch requires Q > 0")
+    return _lucas_verify(params, k, budget, max_terms, trace, identity_id, 1)
+
+
 def lucas_neg_verify(
     params: LucasParams,
     k: int,
@@ -658,46 +621,11 @@ def lucas_neg_verify(
     sum L(-V_k^2 Q^(k(2n-1)) / (D U_{2kn}^2)) + sum L(V_k^2 Q^(2kn) / V_{k(2n+1)}^2)
         = L(-Q^k / alpha^(2k)).
     """
-    budget = budget or default_budget()
     if not isinstance(k, int) or k < 1 or k % 2 == 0:
         raise PreconditionError("k must be a positive odd integer")
-    if _sign_of(params.q) >= 0:
+    if _coeff_sign(params.q) >= 0:
         raise PreconditionError("this branch requires Q < 0")
-    cap = _ratio_cap_sup(params, k, power=2)
-    tol_half = budget.tolerance / 2
-    digits = budget.target_digits
-    pairs: list = []
-    first_omitted_pair = None
-    for a_term, b_term in _lucas_neg_terms(params, k):
-        if len(pairs) >= max_terms:
-            first_omitted_pair = (a_term, b_term)
-            break
-        if pairs and _tail_small_enough(a_term, cap, tol_half / 2, digits) and _tail_small_enough(
-            b_term, cap, tol_half / 2, digits
-        ):
-            first_omitted_pair = (a_term, b_term)
-            break
-        pairs.append((a_term, b_term))
-    tail = _mpf_sum_upper(
-        tail_bound(first_omitted_pair[0], cap),
-        tail_bound(first_omitted_pair[1], cap),
-    )
-    terms = [t for pair in pairs for t in pair]
-    rhs_arg = _neg_rhs_arg(params, k)
-
-    def rhs_fn(guard, bits):
-        return _term_rogers(rhs_arg, guard, bits)
-
-    return _evaluate_series_report(
-        identity_id,
-        {"P": _coeff_str(params.p), "Q": _coeff_str(params.q), "k": str(k)},
-        budget,
-        terms,
-        tail,
-        rhs_fn,
-        trace,
-        ratio_cap=cap,
-    )
+    return _lucas_verify(params, k, budget, max_terms, trace, identity_id, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -713,7 +641,7 @@ def neg_from_pos_split_check(params: LucasParams, k: int, n_terms: int) -> bool:
 
     if not params.is_rational:
         raise PreconditionError("split check requires rational parameters")
-    if _sign_of(params.q) >= 0:
+    if _coeff_sign(params.q) >= 0:
         raise PreconditionError("split check requires Q < 0")
     if not isinstance(k, int) or k < 1:
         raise PreconditionError("k must be a positive integer")
@@ -829,8 +757,7 @@ def bridgeman_verify(
 
     # closed-form argument 1/u^2 agrees exactly with the Lucas-side argument
     inv_u_sq = QuadraticElement.from_rational(1, Fraction(sol.n)) / quad_pow(sol.unit(), 2)
-    lucas_arg = _pos_rhs_arg(params, 1) if sol.sign > 0 else _neg_rhs_arg(params, 1)
-    if inv_u_sq != lucas_arg:
+    if inv_u_sq != _lucas_rhs_arg(params, 1, sol.sign):
         raise AssertionError("1/u^2 does not match the Lucas closed-form argument")
 
     if sol.sign > 0:
@@ -843,244 +770,211 @@ def bridgeman_verify(
         "n": str(n),
         "sign": "+1" if sol.sign > 0 else "-1",
     }
-    return IdentityReport(
-        "bridgeman",
-        parameters,
-        report.digits,
-        report.terms_used,
-        report.lhs,
-        report.rhs,
-        report.tail_bound,
-        report.residual,
-        report.verdict,
-    )
+    return replace(report, identity_id="bridgeman", parameters=parameters)
 
 
 # ---------------------------------------------------------------------------
-# catalog of worked examples
+# worked examples with their own series
 # ---------------------------------------------------------------------------
 
 
-def _richmond_szekeres_verify(
-    budget: PrecisionBudget,
-    max_terms: int,
-    trace: Optional[list] = None,
-) -> IdentityReport:
-    """Partial sum of L(1/n^2) from n = 2 plus an integral-style tail bound,
-    bracketing pi^2/6."""
-    digits = budget.target_digits
-    last = max_terms + 1  # include n = 2 .. max_terms+1
-    bits = budget.working_bits
-    rows = []
-    with interval_precision(bits):
-        acc = iv.mpf(0)
-        for m in range(2, last + 1):
-            acc = acc + _rogers_eval(Fraction(1, m * m), 2)
-            if trace is not None:
-                rows.append((m, Fraction(1, m * m), ErrorBoundedValue.from_interval(acc)))
-        rhs_iv = _pi_squared_over(6)
-        res_iv = acc - rhs_iv
-        lhs = ErrorBoundedValue.from_interval(acc)
-        rhs = ErrorBoundedValue.from_interval(rhs_iv)
-        residual = ErrorBoundedValue.from_interval(res_iv)
-    # tail over n > last: sum (pi^2/6 + 2 log n)/n^2 <= (pi^2/6 + 2 log N + 2)/N
+def _richmond_szekeres(budget: PrecisionBudget, max_terms: int, trace: Optional[list] = None) -> IdentityReport:
+    """Partial sum of L(1/n^2) over 2 <= n <= N = max_terms + 1 plus the
+    integral-style tail bound (pi^2/6 + 2 log N + 2)/N, bracketing pi^2/6."""
+    last = max_terms + 1
     with interval_precision(96):
         n_iv = iv.mpf(last)
         bound = (_pi_squared_over(6) + 2 * iv.log(n_iv) + 2) / n_iv
         tail = mp.make_mpf(bound._mpi_[1])
-    if trace is not None:
-        trace.extend(
-            {"n": m, "term": t, "lhs_partial": p, "tail_bound": None} for m, t, p in rows
-        )
-    return IdentityReport.build(
-        "richmond-szekeres",
-        {"terms": str(max_terms)},
-        digits,
-        max_terms,
-        lhs,
-        rhs,
-        tail,
-        residual,
-    )
+
+    def series():
+        # a generator, so that tens of thousands of terms are never held
+        return (Fraction(1, m * m) for m in range(2, last + 1)), tail, None
+
+    def rhs_fn(guard, bits):
+        return _pi_squared_over(6)
+
+    guard_2 = replace(budget, guard_terms=2)
+    return _evaluate_series_report("richmond-szekeres", {"terms": str(max_terms)}, guard_2, series, rhs_fn, trace)
 
 
-def _sinh_theta_verify(
-    theta: Fraction,
-    budget: PrecisionBudget,
-    max_terms: int,
-    trace: Optional[list] = None,
+def _sinh_theta_terms(p_iv) -> Iterator[ErrorBoundedValue]:
+    """Enclosures of U_1^2 / U_{n+1}^2, n >= 1, for (P, Q) = (p_iv, 1)."""
+    u_lo, u_hi = iv.mpf(1), p_iv
+    while True:
+        yield ErrorBoundedValue.from_interval(1 / (u_hi * u_hi))
+        u_lo, u_hi = u_hi, p_iv * u_hi - u_lo
+
+
+def _sinh_theta(
+    theta: Fraction, budget: PrecisionBudget, max_terms: int, trace: Optional[list] = None
 ) -> IdentityReport:
     """Numeric-parameter instance P = 2cosh(theta), Q = 1, k = 1:
-    sum_{n>=2} L(sinh^2(theta)/sinh^2(n theta)) = L(e^(-2 theta))."""
-    theta = Fraction(theta)
+    sum_{n>=2} L(sinh^2(theta)/sinh^2(n theta)) = L(e^(-2 theta)).
+    The terms are enclosures, so every pass regenerates them."""
     if theta <= 0:
         raise DomainError("theta must be positive")
-    digits = budget.target_digits
-    tolerance = budget.tolerance
-    bits = budget.working_bits
-    force_fail = False
-    for attempt in range(4):
-        with interval_precision(bits):
-            th = iv_from_fraction(theta)
-            growth = iv.exp(th)
-            decay = 1 / growth
-            p_iv = growth + decay  # 2 cosh(theta)
-            cap_iv = (decay * decay)  # 1/alpha^2 with alpha = e^theta
-            cap = mpf_to_fraction(mp.make_mpf(cap_iv._mpi_[1]))
-            if not (0 < cap < 1):
-                bits *= 2
-                continue
-            terms: list[ErrorBoundedValue] = []
-            first_omitted = None
-            u_lo, u_hi = iv.mpf(1), p_iv  # U_1, U_2 for (P, 1)
-            while True:
-                term_iv = 1 / (u_hi * u_hi)  # U_1^2 Q^n / U_{n+1}^2
-                term = ErrorBoundedValue.from_interval(term_iv)
-                if len(terms) >= max_terms:
-                    first_omitted = term
-                    break
-                if terms and _tail_small_enough(term, cap, tolerance / 2, digits):
-                    first_omitted = term
-                    break
-                terms.append(term)
-                u_lo, u_hi = u_hi, p_iv * u_hi - u_lo
-            tail = tail_bound(first_omitted, cap)
-            acc = iv.mpf(0)
-            rows = []
-            for idx, term in enumerate(terms):
-                acc = acc + _rogers_eval(term, budget.guard_terms)
-                if trace is not None:
-                    rows.append((idx, term, ErrorBoundedValue.from_interval(acc)))
-            rhs_arg = ErrorBoundedValue.from_interval(decay * decay)
-            rhs_iv = _rogers_eval(rhs_arg, budget.guard_terms)
-            res_iv = acc - rhs_iv
-            lhs = ErrorBoundedValue.from_interval(acc)
-            rhs = ErrorBoundedValue.from_interval(rhs_iv)
-            residual = ErrorBoundedValue.from_interval(res_iv)
-        if residual.radius <= tolerance:
-            break
-        bits *= 2
-    else:
-        force_fail = True
-    if trace is not None:
-        trace.extend(
-            {"n": i, "term": t, "lhs_partial": p, "tail_bound": None} for i, t, p in rows
-        )
-    return IdentityReport.build(
-        "sinh-theta",
-        {"theta": str(theta)},
-        digits,
-        len(terms),
-        lhs,
-        rhs,
-        tail,
-        residual,
-        force_fail=force_fail,
-    )
+
+    def p_and_decay_squared():
+        growth = iv.exp(iv_from_fraction(theta))
+        decay = 1 / growth
+        return growth + decay, decay * decay  # 2 cosh(theta), 1/alpha^2
+
+    def series():
+        p_iv, cap_iv = p_and_decay_squared()
+        cap = mpf_to_fraction(mp.make_mpf(cap_iv._mpi_[1]))
+        if not (0 < cap < 1):
+            raise PrecisionError("could not certify the geometric ratio below 1")
+        terms, tail = _choose_truncation(_sinh_theta_terms(p_iv), cap, budget, max_terms)
+        return terms, tail, cap
+
+    def rhs_fn(guard, bits):
+        return _rogers_eval(ErrorBoundedValue.from_interval(p_and_decay_squared()[1]), guard)
+
+    return _evaluate_series_report("sinh-theta", {"theta": str(theta)}, budget, series, rhs_fn, trace)
 
 
-def _sqrt5_params() -> LucasParams:
-    return LucasParams(QuadraticElement.sqrt_of(5), 1)
+def _sqrt5(k: int, odd: bool, budget, max_terms, trace=None) -> IdentityReport:
+    if k < 1 or (k % 2 == 1) != odd:
+        raise UsageError(f"this catalog entry requires a positive {'odd' if odd else 'even'} k")
+    return lucas_pos_verify(LucasParams(QuadraticElement.sqrt_of(5), 1), k, budget, max_terms, trace)
+
+
+# ---------------------------------------------------------------------------
+# the identity table
+# ---------------------------------------------------------------------------
+
+
+def _integer(value) -> int:
+    """Exact integer from an int or a decimal string."""
+    return value if isinstance(value, int) else int(str(value))
+
+
+def _pi2_over(divisor: int, budget: PrecisionBudget) -> ErrorBoundedValue:
+    with interval_precision(budget.working_bits):
+        return ErrorBoundedValue.from_interval(iv.pi ** 2 / divisor)
+
+
+def _cited_pi2(divisor: int):
+    return lambda budget: _pi2_over(divisor, budget)
+
+
+def _cited_rogers(element: QuadraticElement):
+    return lambda budget: rogers_l(quad_to_real(element, budget.working_bits), budget)
+
+
+_PHI_INV4 = QuadraticElement.from_rational(1, Fraction(5)) / quad_pow(
+    QuadraticElement(Fraction(1, 2), Fraction(1, 2), Fraction(5)), 4
+)
+
+
+def _verifier(verify, instance):
+    """Table verifier calling ``verify(*instance(**values), budget, max_terms, trace)``."""
+    return lambda budget, max_terms, trace, **values: verify(*instance(**values), budget, max_terms, trace)
 
 
 @dataclass(frozen=True)
-class CatalogEntry:
+class IdentitySpec:
+    """One identity: parameter schema, verifier, summary and registry instances.
+
+    ``params`` maps each key to (parser, default), a default of None marking
+    a required key; ``verify(budget, max_terms, trace, **values)`` receives
+    every key, parsed.  Each of ``examples`` is a registry instance
+    (name, parameter strings, expected, cited value), where
+    ``expected(budget)`` encloses the cited value, or is None.
+    """
+
     name: str
-    run: Callable
-    defaults: dict
+    params: dict
+    verify: Callable[..., IdentityReport]
     description: str
+    examples: tuple = ()
+
+    def run(self, budget: PrecisionBudget, max_terms: int, trace: Optional[list], given: dict) -> IdentityReport:
+        unknown = set(given) - set(self.params)
+        if unknown:
+            raise UsageError(f"unknown parameter keys for {self.name}: {sorted(unknown)}")
+        values = {}
+        for key, (parse, default) in self.params.items():
+            if key in given:
+                values[key] = parse(given[key])
+            elif default is None:
+                raise UsageError(f"identity {self.name} requires parameter {key!r}")
+            else:
+                values[key] = default
+        return self.verify(budget, max_terms, trace, **values)
 
 
-def _catalog() -> dict:
-    return {
-        "richmond-szekeres": CatalogEntry(
-            "richmond-szekeres",
-            lambda budget, max_terms, trace, **kw: _richmond_szekeres_verify(budget, max_terms, trace),
-            {},
-            "sum of L(1/n^2) from n=2 brackets pi^2/6",
-        ),
-        "sinh-theta": CatalogEntry(
-            "sinh-theta",
-            lambda budget, max_terms, trace, theta=Fraction(1), **kw: _sinh_theta_verify(
-                Fraction(theta), budget, max_terms, trace
-            ),
-            {"theta": Fraction(1)},
-            "sum of L(sinh^2(theta)/sinh^2(n theta)) = L(e^(-2 theta))",
-        ),
-        "chebyshev-x": CatalogEntry(
-            "chebyshev-x",
-            lambda budget, max_terms, trace, x=Fraction(2), k=1, **kw: lucas_pos_verify(
-                LucasParams(2 * Fraction(x), 1), k, budget, max_terms, trace
-            ),
-            {"x": Fraction(2), "k": 1},
-            "Chebyshev-denominator series for rational x > 1",
-        ),
-        "repunit-x": CatalogEntry(
-            "repunit-x",
-            lambda budget, max_terms, trace, x=Fraction(2), k=1, **kw: lucas_pos_verify(
-                LucasParams(Fraction(x) + 1, Fraction(x)), k, budget, max_terms, trace
-            ),
-            {"x": Fraction(2), "k": 1},
-            "base-x repunit series summing to L(1/x^k)",
-        ),
-        "fib-even": CatalogEntry(
-            "fib-even",
-            lambda budget, max_terms, trace, k=1, **kw: lucas_pos_verify(
-                LucasParams(3, 1), k, budget, max_terms, trace
-            ),
-            {"k": 1},
-            "even-indexed Fibonacci series summing to L(1/phi^(4k))",
-        ),
-        "fib-lucas-neg": CatalogEntry(
-            "fib-lucas-neg",
-            lambda budget, max_terms, trace, k=1, **kw: lucas_neg_verify(
-                LucasParams(1, -1), k, budget, max_terms, trace
-            ),
-            {"k": 1},
-            "Fibonacci/Lucas two-series identity summing to L(1/phi^(2k))",
-        ),
-        "pell": CatalogEntry(
-            "pell",
-            lambda budget, max_terms, trace, k=1, **kw: lucas_neg_verify(
-                LucasParams(2, -1), k, budget, max_terms, trace
-            ),
-            {"k": 1},
-            "Pell/Pell-Lucas two-series identity",
-        ),
-        "q-minus-3": CatalogEntry(
-            "q-minus-3",
-            lambda budget, max_terms, trace, k=1, **kw: lucas_neg_verify(
-                LucasParams(1, -3), k, budget, max_terms, trace
-            ),
-            {"k": 1},
-            "(P,Q) = (1,-3) two-series identity",
-        ),
-        "sqrt5-k-odd": CatalogEntry(
-            "sqrt5-k-odd",
-            lambda budget, max_terms, trace, k=1, **kw: _sqrt5_catalog(k, budget, max_terms, trace, want_odd=True),
-            {"k": 1},
-            "(P,Q) = (sqrt(5),1) series, odd k, recovering the Q<0 Fibonacci case",
-        ),
-        "sqrt5-k-even": CatalogEntry(
-            "sqrt5-k-even",
-            lambda budget, max_terms, trace, k=2, **kw: _sqrt5_catalog(k, budget, max_terms, trace, want_odd=False),
-            {"k": 2},
-            "(P,Q) = (sqrt(5),1) series, even k, recovering the Fibonacci case",
-        ),
-    }
+_RATIONAL = (Fraction, None)
+_K = {"k": (_integer, 1)}
+_X_K = {"x": (Fraction, Fraction(2)), "k": (_integer, 1)}
+_P_Q_K = {"P": _RATIONAL, "Q": _RATIONAL, "k": (_integer, 1)}
+_PELL = {"pell_a": _RATIONAL, "pell_b": _RATIONAL, "pell_n": (_integer, None)}
+
+# one row per identity: name, parameters, verifier / description / registry
+# instances, in the order of `dilogid suite` and `dilogid verify --help`
+IDENTITIES = {
+    spec.name: spec
+    for spec in (
+        IdentitySpec("theorem-main", {"a": _RATIONAL, "b": _RATIONAL},
+                     _verifier(theorem_main_verify, lambda a, b: (TwoParamInstance(a, b),)),
+                     "two-parameter series: sum of L(x_n y_n) = L(a) + L(b) - L(|a-b|/(1-min(a,b)))",
+                     (("theorem-main(2/3,1/3)", {"a": "2/3", "b": "1/3"}, _cited_pi2(12), "pi^2/12"),)),
+        IdentitySpec("corollary", {"t": _RATIONAL}, _verifier(corollary_verify, lambda t: (t,)),
+                     "one-parameter specialization summing to L((1-t)/(1+t))",
+                     (("corollary(1/3)", {"t": "1/3"}, _cited_pi2(12), "pi^2/12"),)),
+        IdentitySpec("lucas-pos", _P_Q_K, _verifier(lucas_pos_verify, lambda P, Q, k: (LucasParams(P, Q), k)),
+                     "Lucas series for Q > 0 summing to L(Q^k/alpha^(2k))"),
+        IdentitySpec("lucas-neg", _P_Q_K, _verifier(lucas_neg_verify, lambda P, Q, k: (LucasParams(P, Q), k)),
+                     "Lucas two-series identity for Q < 0 and odd k, summing to L(-Q^k/alpha^(2k))"),
+        IdentitySpec("fib-even", _K, _verifier(lucas_pos_verify, lambda k: (LucasParams(3, 1), k)),
+                     "even-indexed Fibonacci series summing to L(1/phi^(4k))",
+                     (("fib-even", {"k": "1"}, _cited_rogers(_PHI_INV4), "L(1/phi^4) = L(2/(7+3*sqrt(5)))"),)),
+        IdentitySpec("chebyshev-x", _X_K, _verifier(lucas_pos_verify, lambda x, k: (LucasParams(2 * x, 1), k)),
+                     "Chebyshev-denominator series for rational x > 1",
+                     (("chebyshev-x(2)", {"x": "2", "k": "1"}, _cited_rogers(QuadraticElement(7, -4, 3)),
+                       "L(7-4*sqrt(3))"),)),
+        IdentitySpec("repunit-x", _X_K, _verifier(lucas_pos_verify, lambda x, k: (LucasParams(x + 1, x), k)),
+                     "base-x repunit series summing to L(1/x^k)",
+                     (("repunit-x(2)", {"x": "2", "k": "1"}, _cited_pi2(12), "L(1/2) = pi^2/12"),)),
+        IdentitySpec("fib-lucas-neg", _K, _verifier(lucas_neg_verify, lambda k: (LucasParams(1, -1), k)),
+                     "Fibonacci/Lucas two-series identity summing to L(1/phi^(2k))",
+                     (("fib-lucas-neg", {"k": "1"}, _cited_pi2(15), "pi^2/15"),)),
+        IdentitySpec("pell", _K, _verifier(lucas_neg_verify, lambda k: (LucasParams(2, -1), k)),
+                     "Pell/Pell-Lucas two-series identity",
+                     (("pell", {"k": "1"}, _cited_rogers(QuadraticElement(3, -2, 2)), "L(1/(3+2*sqrt(2)))"),)),
+        IdentitySpec("q-minus-3", _K, _verifier(lucas_neg_verify, lambda k: (LucasParams(1, -3), k)),
+                     "(P,Q) = (1,-3) two-series identity",
+                     (("q-minus-3", {"k": "1"}, _cited_rogers(QuadraticElement(Fraction(7, 6), Fraction(-1, 6), 13)),
+                       "L(6/(7+sqrt(13)))"),)),
+        IdentitySpec("sqrt5-k-odd", _K, _verifier(_sqrt5, lambda k: (k, True)),
+                     "(P,Q) = (sqrt(5),1) series, odd k, recovering the Q<0 Fibonacci case",
+                     (("sqrt5-k-odd", {"k": "1"}, _cited_pi2(15), "L(1/phi^2) = pi^2/15"),)),
+        IdentitySpec("sqrt5-k-even", {"k": (_integer, 2)}, _verifier(_sqrt5, lambda k: (k, False)),
+                     "(P,Q) = (sqrt(5),1) series, even k, recovering the Fibonacci case",
+                     (("sqrt5-k-even", {"k": "2"}, _cited_rogers(_PHI_INV4), "L(1/phi^4)"),)),
+        IdentitySpec("sinh-theta", {"theta": (Fraction, Fraction(1))}, _verifier(_sinh_theta, lambda theta: (theta,)),
+                     "sum of L(sinh^2(theta)/sinh^2(n theta)) = L(e^(-2 theta))",
+                     (("sinh-theta(1)", {"theta": "1"}, None, "L(e^-2)"),)),
+        IdentitySpec("richmond-szekeres", {}, _richmond_szekeres,
+                     "sum of L(1/n^2) from n=2 brackets pi^2/6",
+                     (("richmond-szekeres", {}, _cited_pi2(6), "pi^2/6"),)),
+        IdentitySpec("bridgeman", _PELL,
+                     _verifier(bridgeman_verify,
+                               lambda pell_a, pell_b, pell_n: (PellSolution(pell_a, pell_b, pell_n),)),
+                     "Bridgeman's series for L(1/u^2), u = a + b sqrt(n) a Pell solution, in Lucas form",
+                     (("bridgeman(3,2,2)", {"pell_a": "3", "pell_b": "2", "pell_n": "2"},
+                       _cited_rogers(QuadraticElement(17, -12, 2)), "L(1/u^2) = L(17-12*sqrt(2))"),
+                      ("bridgeman(1,1,2)", {"pell_a": "1", "pell_b": "1", "pell_n": "2"},
+                       _cited_rogers(QuadraticElement(3, -2, 2)), "L(1/u^2) = L(3-2*sqrt(2))"))),
+    )
+}
 
 
-def _sqrt5_catalog(k, budget, max_terms, trace, want_odd):
-    if not isinstance(k, int) or k < 1:
-        raise UsageError("k must be a positive integer")
-    if want_odd and k % 2 == 0:
-        raise UsageError("this catalog entry requires odd k")
-    if not want_odd and k % 2 == 1:
-        raise UsageError("this catalog entry requires even k")
-    return lucas_pos_verify(_sqrt5_params(), k, budget, max_terms, trace)
-
-
-CATALOG_NAMES = tuple(_catalog().keys())
+def identity_spec(name: str) -> IdentitySpec:
+    if name not in IDENTITIES:
+        raise UsageError(f"unknown identity {name!r}; known: {', '.join(IDENTITIES)}")
+    return IDENTITIES[name]
 
 
 def catalog_verify(
@@ -1088,17 +982,8 @@ def catalog_verify(
     budget: Optional[PrecisionBudget] = None,
     max_terms: int = 10000,
     trace: Optional[list] = None,
-    **overrides,
+    **params,
 ) -> IdentityReport:
-    """Run a named worked-example instance from the registry."""
-    budget = budget or default_budget()
-    entries = _catalog()
-    if name not in entries:
-        raise UsageError(f"unknown identity {name!r}; known: {', '.join(CATALOG_NAMES)}")
-    entry = entries[name]
-    unknown = set(overrides) - set(entry.defaults)
-    if unknown:
-        raise UsageError(f"unknown parameter keys for {name}: {sorted(unknown)}")
-    kwargs = dict(entry.defaults)
-    kwargs.update(overrides)
-    return entry.run(budget, max_terms, trace, **kwargs)
+    """Verify a named identity of the table; parameters are parsed by its
+    schema (strings or exact values) and missing ones take their defaults."""
+    return identity_spec(name).run(budget or default_budget(), max_terms, trace, params)

@@ -212,6 +212,22 @@ class TestCliVerify:
         assert code == 0
         assert json.loads(out.read_text())["digits"] == 22
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--identity", "sinh-theta", "--theta", f"1/{2 ** 3000}"],
+            ["--identity", "lucas-pos", "--P", "2", "--Q", "0." + "9" * 4000],
+        ],
+        ids=["sinh-theta-tiny-theta", "lucas-pos-ratio-near-one"],
+    )
+    def test_uncertifiable_ratio_exits_2(self, capsys, args):
+        code = run_cli(["verify", *args, "--max-terms", "5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
     def test_stdout_default(self, capsys):
         code = run_cli(["verify", "--identity", "repunit-x", "--digits", "20"])
         captured = capsys.readouterr()
