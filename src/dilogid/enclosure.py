@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Union
 
 from mpmath import iv, mp
-from mpmath.libmp import from_man_exp, from_rational, mpf_neg, round_ceiling, round_floor
+from mpmath.libmp import MPZ, from_man_exp, fzero, mpf_neg, normalize, round_ceiling, round_floor
 
 LOG2_10 = math.log2(10)
 
@@ -43,12 +43,57 @@ def interval_precision(bits: int):
         iv.prec = saved
 
 
-def iv_from_fraction(value: Fraction):
-    """Tightest interval containing an exact rational at the current precision."""
-    p, q = value.numerator, value.denominator
-    lo = from_rational(p, q, iv.prec, round_floor)
-    hi = from_rational(p, q, iv.prec, round_ceiling)
-    return iv.make_mpf((lo, hi))
+class RationalPair:
+    """Positive rational numerator/denominator, not reduced to lowest terms.
+
+    Series terms whose exact size grows with the index travel as this pair,
+    so that no gcd is ever taken.  It is a class rather than a tuple because
+    a tuple of terms reads as a group of sub-series terms.
+    """
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, numerator: int, denominator: int):
+        self.numerator = numerator
+        self.denominator = denominator
+
+    def fraction(self) -> Fraction:
+        return Fraction(self.numerator, self.denominator)
+
+
+def rational_bounds(p: int, q: int, prec: int) -> tuple:
+    """Raw mpf values of p/q, q > 0, rounded down and up to ``prec`` bits.
+
+    p/q need not be in lowest terms.  One division to prec+3 or more
+    quotient bits plus a sticky bit for a nonzero remainder decides both
+    directed roundings (Brent & Zimmermann, Modern Computer Arithmetic,
+    sections 1.4 and 3.1).  A directed rounding of a value is unique, so
+    the result equals mpmath's from_rational bit for bit.
+    """
+    if not p:
+        return fzero, fzero
+    sign = int(p < 0)
+    p = abs(p)
+    # p/q lies in [2^(s-1), 2^(s+1)) with s = bits(p) - bits(q), so the
+    # quotient of p*2^shift by q has prec+3 or prec+4 bits
+    shift = prec + 3 - p.bit_length() + q.bit_length()
+    if shift >= 0:
+        quot, rem = divmod(p << shift, q)
+    else:
+        quot, rem = divmod(p, q << -shift)
+    man = MPZ((quot << 1) | (rem != 0))
+    bc = man.bit_length()
+    exp = -shift - 1
+    return (
+        normalize(sign, man, exp, bc, prec, round_floor),
+        normalize(sign, man, exp, bc, prec, round_ceiling),
+    )
+
+
+def iv_from_fraction(value):
+    """Tightest interval containing an exact rational (a Fraction or a
+    RationalPair) at the current precision."""
+    return iv.make_mpf(rational_bounds(value.numerator, value.denominator, iv.prec))
 
 
 def mpf_to_fraction(x) -> Fraction:
@@ -90,9 +135,7 @@ class ErrorBoundedValue:
     @classmethod
     def from_fraction(cls, value, bits: int = 128) -> "ErrorBoundedValue":
         value = Fraction(value)
-        p, q = value.numerator, value.denominator
-        lo = from_rational(p, q, bits, round_floor)
-        hi = from_rational(p, q, bits, round_ceiling)
+        lo, hi = rational_bounds(value.numerator, value.denominator, bits)
         return cls(mp.make_mpf(lo), mp.make_mpf(hi))
 
     @classmethod
@@ -148,8 +191,8 @@ class ErrorBoundedValue:
     def from_fraction_pair(cls, lo: Fraction, hi: Fraction, bits: int = 0) -> "ErrorBoundedValue":
         """Enclosure of [lo, hi]; endpoints rounded outward if not dyadic."""
         bits = bits or max(lo.numerator.bit_length(), hi.numerator.bit_length(), 64) + 8
-        lo_m = from_rational(lo.numerator, lo.denominator, bits, round_floor)
-        hi_m = from_rational(hi.numerator, hi.denominator, bits, round_ceiling)
+        lo_m = rational_bounds(lo.numerator, lo.denominator, bits)[0]
+        hi_m = rational_bounds(hi.numerator, hi.denominator, bits)[1]
         return cls(mp.make_mpf(lo_m), mp.make_mpf(hi_m))
 
     def __neg__(self) -> "ErrorBoundedValue":

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from mpmath import iv
-from mpmath.libmp import from_int, from_rational, fone, fzero, mpf_ge, mpf_le, mpf_lt, round_ceiling, round_floor
+from mpmath.libmp import from_int, fone, fzero, mpf_ge, mpf_le, mpf_lt
 from mpmath.libmp.libmpi import mpi_add, mpi_div, mpi_log, mpi_mul, mpi_sub
 
 from .enclosure import (
@@ -36,12 +36,16 @@ from .enclosure import (
     ErrorBoundedValue,
     PrecisionBudget,
     PrecisionError,
+    RationalPair,
     interval_precision,
+    rational_bounds,
 )
 
 Argument = Union[int, Fraction, ErrorBoundedValue]
 
 _HALF = Fraction(1, 2)
+# exact rationals: reduced, or unreduced series terms
+_EXACT = (Fraction, RationalPair)
 _DEFAULT_BUDGET_DIGITS = 40
 _MAX_ESCALATIONS = 3
 _MPI_ZERO = (fzero, fzero)
@@ -74,13 +78,13 @@ def _validate_unit_arg(x: Argument, open_interval: bool = False):
     raise TypeError(f"unsupported argument type {type(x).__name__}")
 
 
-def _raw_from_fraction(value: Fraction, prec: int):
-    p, q = value.numerator, value.denominator
-    return (from_rational(p, q, prec, round_floor), from_rational(p, q, prec, round_ceiling))
+def _raw_from_fraction(value, prec: int):
+    """Raw interval of a Fraction or RationalPair, rounded outward."""
+    return rational_bounds(value.numerator, value.denominator, prec)
 
 
 def _raw(x, prec: int):
-    if isinstance(x, Fraction):
+    if isinstance(x, _EXACT):
         return _raw_from_fraction(x, prec)
     return (x.lower._mpf_, x.upper._mpf_)
 
@@ -160,8 +164,8 @@ def _log_product_raw(x_raw, omx_raw, prec: int):
 
 
 def _branch_is_low(x) -> bool:
-    if isinstance(x, Fraction):
-        return x <= _HALF
+    if isinstance(x, _EXACT):
+        return 2 * x.numerator <= x.denominator
     lo, hi = x.endpoints()
     return (lo + hi) / 2 <= _HALF
 
@@ -169,6 +173,8 @@ def _branch_is_low(x) -> bool:
 def _one_minus(x):
     if isinstance(x, Fraction):
         return 1 - x
+    if isinstance(x, RationalPair):
+        return RationalPair(x.denominator - x.numerator, x.denominator)
     lo, hi = x.endpoints()
     return ErrorBoundedValue.from_fraction_pair(1 - hi, 1 - lo)
 

@@ -29,7 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import gcd
+from itertools import islice, tee
+from math import lcm
 from typing import Callable, Iterable, Iterator, Optional
 
 from mpmath import iv, mp
@@ -39,6 +40,7 @@ from .enclosure import (
     ErrorBoundedValue,
     PrecisionBudget,
     PrecisionError,
+    RationalPair,
     interval_precision,
     iv_from_fraction,
     mpf_to_fraction,
@@ -46,8 +48,6 @@ from .enclosure import (
 from .exactnum import QuadraticElement, exact_sqrt, quad_pow, quad_to_real
 from .lucas import Coefficient, LucasParams, PreconditionError, _coeff_sign, lucas_uv
 from .rogers import _MAX_ESCALATIONS, _pi_squared_over, _rogers_eval, default_budget, rogers_l
-
-_HALF = Fraction(1, 2)
 
 
 class UsageError(ValueError):
@@ -182,13 +182,13 @@ def theorem_main_term(inst: TwoParamInstance, n: int) -> Fraction:
     return a * b * (1 - a) ** n * (1 - b) ** n / (dn * dn)
 
 
-def _theorem_terms(inst: TwoParamInstance) -> Iterator[Fraction]:
+def _theorem_terms(inst: TwoParamInstance) -> Iterator[RationalPair]:
     # integer core: with a = A/q, b = B/q over a common denominator q and
     # C = q - A, D = q - B, the summand reduces to
     #     A B (A-B)^2 (C D)^n / (A D^(n+1) - B C^(n+1))^2,
-    # so each term costs integer multiplies plus one Fraction reduction
+    # so each term costs integer multiplies only; it is never reduced
     a, b = inst.a, inst.b
-    q = a.denominator * b.denominator // gcd(a.denominator, b.denominator)
+    q = lcm(a.denominator, b.denominator)
     big_a = a.numerator * (q // a.denominator)
     big_b = b.numerator * (q // b.denominator)
     c, d = q - big_a, q - big_b
@@ -197,7 +197,7 @@ def _theorem_terms(inst: TwoParamInstance) -> Iterator[Fraction]:
     d_pow, c_pow = d, c
     while True:
         n_n = big_a * d_pow - big_b * c_pow
-        yield Fraction(numer_scale * cd_pow, n_n * n_n)
+        yield RationalPair(numer_scale * cd_pow, n_n * n_n)
         cd_pow *= c * d
         d_pow *= d
         c_pow *= c
@@ -208,8 +208,10 @@ def _theorem_terms(inst: TwoParamInstance) -> Iterator[Fraction]:
 # ---------------------------------------------------------------------------
 
 
-def _as_sup_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
+def _as_sup_fraction(value):
+    """An exact rational (a Fraction, or a RationalPair as it is) at or
+    above the value."""
+    if isinstance(value, (Fraction, RationalPair)):
         return value
     if isinstance(value, int):
         return Fraction(value)
@@ -233,11 +235,11 @@ def tail_bound(first_omitted, ratio_cap):
     """
     t = _as_sup_fraction(first_omitted)
     r = _as_sup_fraction(ratio_cap)
-    if t < 0:
+    if t.numerator < 0:
         raise DomainError("first omitted term must be nonnegative")
-    if t == 0:
+    if t.numerator == 0:
         return mp.mpf(0)
-    if t > _HALF:
+    if 2 * t.numerator > t.denominator:
         raise DomainError("first omitted term above 1/2: lower the truncation point")
     if not (0 < r < 1):
         raise DomainError("ratio cap must lie in (0, 1)")
@@ -252,15 +254,23 @@ def tail_bound(first_omitted, ratio_cap):
         return mp.make_mpf(bound._mpi_[1])
 
 
-def _log10_upper(value: Fraction) -> float:
+def _log10_upper(value) -> float:
+    # An upper bound on log10(num/den) for any positive integers, reduced or
+    # not: num < 2^bits(num) and den >= 2^(bits(den)-1).  A common factor
+    # moves bits(num) - bits(den) by at most one, so on an unreduced pair
+    # the pre-filter of _tail_small_enough can decide otherwise than on the
+    # reduced one only for a term t within a bit of its threshold, where
+    # 10^-(digits+1.61) < t < 10^-(digits+1).  tail_bound is at least
+    # t (pi^2/6 + log(1/t)), above 10^-digits / 2 there for digits >= 7, so
+    # it refuses every such t and the truncation index does not change.
     return (value.numerator.bit_length() - value.denominator.bit_length() + 1) * 0.30103
 
 
 def _tail_small_enough(term, cap, tolerance_half: Fraction, digits: int) -> bool:
     t = _as_sup_fraction(term)
-    if t > _HALF:
+    if 2 * t.numerator > t.denominator:
         return False
-    if t > 0 and _log10_upper(t) > -(digits + 1):
+    if t.numerator > 0 and _log10_upper(t) > -(digits + 1):
         return False
     try:
         bound = tail_bound(t, cap)
@@ -275,9 +285,9 @@ def _tail_small_enough(term, cap, tolerance_half: Fraction, digits: int) -> bool
 
 
 def _assert_unit_open(value) -> None:
-    if isinstance(value, Fraction):
-        if not (0 < value < 1):
-            raise AssertionError(f"series argument {value} outside (0, 1)")
+    if isinstance(value, (Fraction, RationalPair)):
+        if not (0 < value.numerator < value.denominator):
+            raise AssertionError(f"series argument {value.numerator}/{value.denominator} outside (0, 1)")
         return
     if isinstance(value, QuadraticElement):
         if not (value.sign() > 0 and (value - 1).sign() < 0):
@@ -296,14 +306,19 @@ def _term_rogers(term, guard: int, bits: int):
     return _rogers_eval(term, guard)
 
 
-def _exact_series(budget: PrecisionBudget, terms: list, tail, ratio_cap) -> tuple:
-    """Start budget and ``series`` callback for a truncated series of exact
-    terms; the working precision absorbs the rounding of len(terms) conversions."""
+def _unit_open_terms(terms: Iterable) -> Iterator:
     for t in terms:
         _assert_unit_open(t)
-    digits_eff = budget.target_digits + max(4, len(str(max(len(terms), 1))) + 3)
+        yield t
+
+
+def _exact_series(budget: PrecisionBudget, n_terms: int, terms: Callable[[], Iterable], tail, ratio_cap) -> tuple:
+    """Start budget and ``series`` callback for the first ``n_terms`` exact
+    terms of ``terms()``, which every pass calls afresh; the working
+    precision absorbs the rounding of n_terms conversions."""
+    digits_eff = budget.target_digits + max(4, len(str(max(n_terms, 1))) + 3)
     bits = max(budget.working_bits, PrecisionBudget.min_working_bits(digits_eff) + 64)
-    return replace(budget, working_bits=bits), lambda: (terms, tail, ratio_cap)
+    return replace(budget, working_bits=bits), lambda: (_unit_open_terms(islice(terms(), n_terms)), tail, ratio_cap)
 
 
 def _evaluate_series_report(
@@ -346,7 +361,8 @@ def _evaluate_series_report(
                 acc = acc + _term_rogers(term, guard, bits)
                 n_terms += 1
                 if trace is not None:
-                    rows.append((term, ErrorBoundedValue.from_interval(acc)))
+                    exact = term.fraction() if isinstance(term, RationalPair) else term
+                    rows.append((exact, ErrorBoundedValue.from_interval(acc)))
             rhs_iv = rhs_fn(guard, bits)
             res_iv = acc - rhs_iv
             lhs = ErrorBoundedValue.from_interval(acc)
@@ -383,30 +399,36 @@ def _trace_rows(rows, final_tail, ratio_cap):
     return out
 
 
-def _choose_truncation(term_iter: Iterable, ratio_cap, budget: PrecisionBudget, max_terms: int) -> tuple[list, object]:
-    """Collect terms until the certified tail fits in half the tolerance.
+def _choose_truncation(term_iter: Iterable, ratio_cap, budget: PrecisionBudget, max_terms: int) -> tuple[int, object]:
+    """Read terms until the certified tail fits in half the tolerance.
 
     An item of ``term_iter`` is one term, or a tuple holding the next term
     of each of several sub-series that share ``ratio_cap``; each member
-    then gets an equal share of the tolerance, ``max_terms`` counts items,
-    and the terms come back flattened.  Returns (terms, tail bound).
+    then gets an equal share of the tolerance, and ``max_terms`` counts
+    items.  Returns (N, tail bound): the first N items are kept.
     """
     if max_terms < 1:
         raise UsageError("max_terms must be positive")
     tol_half = budget.tolerance / 2
     digits = budget.target_digits
-    terms: list = []
     for count, item in enumerate(term_iter):
         group = item if isinstance(item, tuple) else (item,)
         if count >= max_terms or (
             count and all(_tail_small_enough(t, ratio_cap, tol_half / len(group), digits) for t in group)
         ):
             if len(group) == 1:
-                return terms, tail_bound(item, ratio_cap)
+                return count, tail_bound(item, ratio_cap)
             total = sum(mpf_to_fraction(tail_bound(t, ratio_cap)) for t in group)
-            return terms, ErrorBoundedValue.from_fraction_pair(total, total).upper  # exact sum, rounded up
-        terms.extend(group)
+            return count, ErrorBoundedValue.from_fraction_pair(total, total).upper  # exact sum, rounded up
     raise AssertionError("term iterator exhausted unexpectedly")
+
+
+def _held_truncation(term_iter: Iterable, ratio_cap, budget: PrecisionBudget, max_terms: int) -> tuple[list, object]:
+    """``_choose_truncation`` that holds the kept terms: (terms, tail bound),
+    the terms flattened."""
+    term_iter, held = tee(term_iter)
+    count, tail = _choose_truncation(term_iter, ratio_cap, budget, max_terms)
+    return [t for item in islice(held, count) for t in (item if isinstance(item, tuple) else (item,))], tail
 
 
 # ---------------------------------------------------------------------------
@@ -429,19 +451,52 @@ def theorem_main_verify(
     budget = budget or default_budget()
     a, b = inst.a, inst.b
     cap = _two_param_ratio_cap(inst)
-    terms, tail = _choose_truncation(_theorem_terms(inst), cap, budget, max_terms)
+    n_terms, tail = _choose_truncation(_theorem_terms(inst), cap, budget, max_terms)
     third = abs(a - b) / (1 - min(a, b))
 
     def rhs_fn(guard, bits):
         return _rogers_eval(a, guard) + _rogers_eval(b, guard) - _rogers_eval(third, guard)
 
-    start, series = _exact_series(budget, terms, tail, cap)
+    # every pass regenerates the terms: holding thousands of growing exact
+    # terms costs more memory than the integer multiplies that rebuild them
+    start, series = _exact_series(budget, n_terms, lambda: _theorem_terms(inst), tail, cap)
     return _evaluate_series_report("theorem-main", {"a": str(a), "b": str(b)}, start, series, rhs_fn, trace)
 
 
 def corollary_remark_term(t: Fraction, m: int) -> Fraction:
     """Simplified summand 4 t^2 (1-t^2)^m / ((1+t)^(m+1) - (1-t)^(m+1))^2."""
     return 4 * t * t * (1 - t * t) ** m / ((1 + t) ** (m + 1) - (1 - t) ** (m + 1)) ** 2
+
+
+def _corollary_checked(t: Fraction, terms: Iterable[RationalPair]) -> Iterator[RationalPair]:
+    """The terms, each first checked against corollary_remark_term(t, n + 1).
+
+    With t = p/q the simplified form is 4p^2 (q^2-p^2)^(n+1) / diff^2,
+    diff = (q+p)^(n+2) - (q-p)^(n+2), so a term num/den matches iff
+    num * diff^2 == den * 4p^2 (q^2-p^2)^(n+1), in integers.  The
+    generator's pair is exactly that numerator and denominator, which is
+    tested first: it settles the match with one squaring instead of three
+    full-size products.
+    """
+    p, q = t.numerator, t.denominator
+    scale = 4 * p * p
+    sq = q * q - p * p
+    # incremental powers: recomputing them per index would redo three large
+    # exponentiations for every term
+    sq_pow = sq
+    plus_pow = (q + p) ** 2
+    minus_pow = (q - p) ** 2
+    for n, term in enumerate(terms):
+        num, den = term.numerator, term.denominator
+        expected_num = scale * sq_pow
+        diff = plus_pow - minus_pow
+        diff_sq = diff * diff
+        if not (num == expected_num and den == diff_sq) and num * diff_sq != den * expected_num:
+            raise AssertionError(f"summand {n} does not match the simplified form")
+        yield term
+        sq_pow *= sq
+        plus_pow *= q + p
+        minus_pow *= q - p
 
 
 def corollary_verify(
@@ -453,8 +508,8 @@ def corollary_verify(
     """Verify the one-parameter specialization summing to L((1-t)/(1+t)).
 
     The instance is the two-parameter series at (a, b) = ((1+t)/2, (1-t)/2),
-    re-indexed from 1; every generated term is checked exactly against the
-    simplified closed form ``corollary_remark_term``.
+    re-indexed from 1; every term the truncation reads is checked exactly
+    against the simplified closed form ``corollary_remark_term``.
     """
     budget = budget or default_budget()
     t = Fraction(t)
@@ -462,26 +517,13 @@ def corollary_verify(
         raise DomainError("parameter must lie in (0, 1)")
     inst = TwoParamInstance((1 + t) / 2, (1 - t) / 2)
     cap = _two_param_ratio_cap(inst)
-    terms, tail = _choose_truncation(_theorem_terms(inst), cap, budget, max_terms)
-    # incremental powers: recomputing corollary_remark_term per index would
-    # redo three large exponentiations for every term
-    sq = 1 - t * t
-    sq_pow = sq
-    plus_pow = (1 + t) ** 2
-    minus_pow = (1 - t) ** 2
-    for n, term in enumerate(terms):
-        expected = 4 * t * t * sq_pow / (plus_pow - minus_pow) ** 2
-        if term != expected:
-            raise AssertionError(f"summand {n} does not match the simplified form")
-        sq_pow *= sq
-        plus_pow *= 1 + t
-        minus_pow *= 1 - t
+    n_terms, tail = _choose_truncation(_corollary_checked(t, _theorem_terms(inst)), cap, budget, max_terms)
     target = (1 - t) / (1 + t)
 
     def rhs_fn(guard, bits):
         return _rogers_eval(target, guard)
 
-    start, series = _exact_series(budget, terms, tail, cap)
+    start, series = _exact_series(budget, n_terms, lambda: _theorem_terms(inst), tail, cap)
     return _evaluate_series_report("corollary", {"t": str(t)}, start, series, rhs_fn, trace)
 
 
@@ -581,14 +623,14 @@ def _lucas_verify(params, k, budget, max_terms, trace, identity_id, sign) -> Ide
     budget = budget or default_budget()
     cap = _ratio_cap_sup(params, k, power=1 if sign > 0 else 2)
     term_iter = _lucas_pos_terms(params, k) if sign > 0 else _lucas_neg_terms(params, k)
-    terms, tail = _choose_truncation(term_iter, cap, budget, max_terms)
+    terms, tail = _held_truncation(term_iter, cap, budget, max_terms)
     rhs_arg = _lucas_rhs_arg(params, k, sign)
 
     def rhs_fn(guard, bits):
         return _term_rogers(rhs_arg, guard, bits)
 
     parameters = {"P": _coeff_str(params.p), "Q": _coeff_str(params.q), "k": str(k)}
-    start, series = _exact_series(budget, terms, tail, cap)
+    start, series = _exact_series(budget, len(terms), lambda: terms, tail, cap)
     return _evaluate_series_report(identity_id, parameters, start, series, rhs_fn, trace)
 
 
@@ -825,7 +867,7 @@ def _sinh_theta(
         cap = mpf_to_fraction(mp.make_mpf(cap_iv._mpi_[1]))
         if not (0 < cap < 1):
             raise PrecisionError("could not certify the geometric ratio below 1")
-        terms, tail = _choose_truncation(_sinh_theta_terms(p_iv), cap, budget, max_terms)
+        terms, tail = _held_truncation(_sinh_theta_terms(p_iv), cap, budget, max_terms)
         return terms, tail, cap
 
     def rhs_fn(guard, bits):

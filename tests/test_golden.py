@@ -49,3 +49,32 @@ def test_every_golden_report_is_checked():
     names = {f"{_slug(entry.name)}.json" for entry in registry()}
     for digits in (40, 100):
         assert {path.name for path in (GOLDEN / f"registry-d{digits}").iterdir()} == names
+
+
+# Reports of slow two-parameter instances (ratio caps 0.93 and 0.90, 1305
+# and 942 growing exact terms) and of a cut-off case, at 40 digits,
+# and the trace CSV of the cut-off case, under tests/golden/two-parameter/;
+# they were produced by the implementation that reduced every term to a
+# Fraction.
+TWO_PARAMETER = [
+    ("theorem-main-64-157-57-157-d40", "theorem-main", {"a": "64/157", "b": "57/157"}, 10000),
+    ("corollary-6-119-d40", "corollary", {"t": "6/119"}, 10000),
+    ("theorem-main-1-50-3-47-d40-max20", "theorem-main", {"a": "1/50", "b": "3/47"}, 20),
+]
+
+
+@pytest.mark.parametrize("stem, identity_id, parameters, max_terms", TWO_PARAMETER, ids=[row[0] for row in TWO_PARAMETER])
+def test_two_parameter_report_matches_golden(stem, identity_id, parameters, max_terms):
+    config = RunConfig(identity_id, parameters, 40, max_terms)
+    expected = (GOLDEN / "two-parameter" / f"{stem}.json").read_text()
+    assert emit_report(run_identity(config)) == expected
+
+
+def test_two_parameter_trace_csv_matches_golden(tmp_path):
+    trace = tmp_path / "trace.csv"
+    args = ["--identity", "theorem-main", "--a", "1/50", "--b", "3/47", "--max-terms", "20"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = run_cli(["verify", *args, "--digits", "40", "--trace", str(trace)])
+    assert code == 0
+    expected = GOLDEN / "two-parameter" / "trace-theorem-main-1-50-3-47-d40-max20.csv"
+    assert trace.read_bytes() == expected.read_bytes()
