@@ -133,9 +133,10 @@ class ErrorBoundedValue:
         return cls(mp.make_mpf(lo), mp.make_mpf(hi))
 
     @classmethod
-    def from_fraction(cls, value, bits: int = 128) -> "ErrorBoundedValue":
+    def from_fraction(cls, value) -> "ErrorBoundedValue":
+        """Enclosure of a rational, endpoints rounded outward to 256 bits."""
         value = Fraction(value)
-        lo, hi = rational_bounds(value.numerator, value.denominator, bits)
+        lo, hi = rational_bounds(value.numerator, value.denominator, 256)
         return cls(mp.make_mpf(lo), mp.make_mpf(hi))
 
     @classmethod
@@ -188,9 +189,9 @@ class ErrorBoundedValue:
         return ErrorBoundedValue.from_fraction_pair(lo - s, hi + s)
 
     @classmethod
-    def from_fraction_pair(cls, lo: Fraction, hi: Fraction, bits: int = 0) -> "ErrorBoundedValue":
+    def from_fraction_pair(cls, lo: Fraction, hi: Fraction) -> "ErrorBoundedValue":
         """Enclosure of [lo, hi]; endpoints rounded outward if not dyadic."""
-        bits = bits or max(lo.numerator.bit_length(), hi.numerator.bit_length(), 64) + 8
+        bits = max(lo.numerator.bit_length(), hi.numerator.bit_length(), 64) + 8
         lo_m = rational_bounds(lo.numerator, lo.denominator, bits)[0]
         hi_m = rational_bounds(hi.numerator, hi.denominator, bits)[1]
         return cls(mp.make_mpf(lo_m), mp.make_mpf(hi_m))
@@ -216,10 +217,6 @@ class ErrorBoundedValue:
 
     __radd__ = __add__
 
-    def abs_sup(self) -> Fraction:
-        lo, hi = self.endpoints()
-        return max(abs(lo), abs(hi))
-
     def abs_inf(self) -> Fraction:
         lo, hi = self.endpoints()
         if lo <= 0 <= hi:
@@ -233,7 +230,7 @@ class ErrorBoundedValue:
 def _as_ebv(value) -> ErrorBoundedValue:
     if isinstance(value, ErrorBoundedValue):
         return value
-    return ErrorBoundedValue.from_fraction(Fraction(value), bits=256)
+    return ErrorBoundedValue.from_fraction(value)
 
 
 @dataclass(frozen=True)
@@ -261,11 +258,8 @@ class PrecisionBudget:
         return math.ceil(digits * LOG2_10) + 32
 
     @classmethod
-    def for_digits(cls, digits: int, extra_bits: int = 64, guard_terms: int = 8) -> "PrecisionBudget":
-        return cls(digits, math.ceil(digits * LOG2_10) + 32 + extra_bits, guard_terms)
-
-    def escalate(self) -> "PrecisionBudget":
-        return PrecisionBudget(self.target_digits, 2 * self.working_bits, self.guard_terms)
+    def for_digits(cls, digits: int) -> "PrecisionBudget":
+        return cls(digits, cls.min_working_bits(digits) + 64)
 
     @property
     def tolerance(self) -> Fraction:

@@ -144,9 +144,6 @@ class QuadraticElement:
             return self.rat_part + self.rad_part * s
         return None
 
-    def is_rational_value(self) -> bool:
-        return self.rational_value() is not None
-
     def sign(self) -> int:
         rv = self.rational_value()
         if rv is not None:

@@ -46,6 +46,7 @@ from .series import (
 
 DIGITS_ENV_VAR = "DILOG_DIGITS"
 DEFAULT_DIGITS = 40
+MIN_DIGITS = 10
 DEFAULT_MAX_TERMS = 10000
 DEFAULT_SEED = 987654321
 
@@ -163,13 +164,17 @@ class RunConfig:
     max_terms: int = DEFAULT_MAX_TERMS
 
     def __post_init__(self):
-        if self.digits < 10:
-            raise UsageError("digits must be at least 10")
+        _check_digits(self.digits)
         if self.max_terms < 1:
             raise UsageError("max_terms must be positive")
 
     def budget(self) -> PrecisionBudget:
         return PrecisionBudget.for_digits(self.digits)
+
+
+def _check_digits(digits: int) -> None:
+    if digits < MIN_DIGITS:
+        raise UsageError(f"digits must be at least {MIN_DIGITS}")
 
 
 def default_digits() -> int:
@@ -490,6 +495,10 @@ def _identity_list() -> str:
 
 
 def _cmd_verify(args) -> int:
+    try:
+        expected = None if args.rhs_expected is None else parse_decimal(args.rhs_expected)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"--rhs-expected must be a rational (p/q or decimal), got {args.rhs_expected!r}") from exc
     config = RunConfig(
         args.identity,
         {key: getattr(args, key) for key in _verify_flags() if getattr(args, key) is not None},
@@ -513,8 +522,7 @@ def _cmd_verify(args) -> int:
         except OSError as exc:
             print(f"error: cannot write trace: {exc}", file=sys.stderr)
             return 1
-    if args.rhs_expected is not None:
-        expected = parse_decimal(args.rhs_expected)
+    if expected is not None:
         tolerance = Fraction(1, 10 ** min(config.digits, 30))
         if not report.rhs.widened(tolerance).contains(expected):
             print("error: right-hand side does not match --rhs-expected", file=sys.stderr)
@@ -528,6 +536,8 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_properties(args) -> int:
+    if args.points < 1:
+        raise UsageError("points must be positive")
     ok = run_properties(args.seed, args.digits, args.points, sys.stdout)
     return 0 if ok else 1
 
@@ -560,6 +570,7 @@ def run_cli(argv: Optional[list] = None) -> int:
     try:
         if args.digits is None:
             args.digits = default_digits()
+        _check_digits(args.digits)
         return handlers[args.command](args)
     except (UsageError, PreconditionError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

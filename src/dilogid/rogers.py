@@ -6,9 +6,11 @@ Euler reflection to 1-x is used.  The Rogers function
 
     L(x) = Li2(x) + log(x) log(1-x) / 2,   L(0) = 0,  L(1) = pi^2/6
 
-is assembled from those pieces; every result is an ErrorBoundedValue whose
-radius is driven below 10^(-target_digits), doubling the working precision
-up to three times before reporting failure.
+is assembled from those pieces by the same kernel that yields Li2, and
+the points 0 and 1 are handled once, for the public entry points.  Every
+result is an ErrorBoundedValue whose radius is driven below
+10^(-target_digits), doubling the working precision up to three times
+before reporting failure.
 
 The product log(x) log(1-x) is nonnegative on (0, 1).  When 1-x (or x)
 cannot be separated from 1 at working precision, the product is enclosed
@@ -28,7 +30,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from mpmath import iv
-from mpmath.libmp import from_int, fone, fzero, mpf_ge, mpf_le, mpf_lt
+from mpmath.libmp import from_int, fone, fzero, mpf_ge, mpf_le, mpf_lt, mpf_shift
 from mpmath.libmp.libmpi import mpi_add, mpi_div, mpi_log, mpi_mul, mpi_sub
 
 from .enclosure import (
@@ -46,14 +48,13 @@ Argument = Union[int, Fraction, ErrorBoundedValue]
 _HALF = Fraction(1, 2)
 # exact rationals: reduced, or unreduced series terms
 _EXACT = (Fraction, RationalPair)
-_DEFAULT_BUDGET_DIGITS = 40
 _MAX_ESCALATIONS = 3
 _MPI_ZERO = (fzero, fzero)
 _MPI_ONE = (fone, fone)
 
 
-def default_budget(digits: int = _DEFAULT_BUDGET_DIGITS) -> PrecisionBudget:
-    return PrecisionBudget.for_digits(digits)
+def default_budget() -> PrecisionBudget:
+    return PrecisionBudget.for_digits(40)
 
 
 def _validate_unit_arg(x: Argument, open_interval: bool = False):
@@ -141,22 +142,12 @@ def _log_product_raw(x_raw, omx_raw, prec: int):
     """Raw enclosure of log(x)*log(1-x) >= 0 for x inside (0, 1)."""
     if mpf_le(x_raw[0], fzero) or mpf_le(omx_raw[0], fzero):
         raise DomainError("log product requires an argument separated inside (0, 1)")
-    if mpf_ge(omx_raw[1], fone):
-        # -log(1-x) <= x/(1-x): product within [0, log(1/x) * x/(1-x)]
-        hi = mpi_mul(
-            mpi_log(mpi_div(_MPI_ONE, x_raw, prec), prec),
-            mpi_div(x_raw, omx_raw, prec),
-            prec,
-        )[1]
-        return (fzero, hi)
-    if mpf_ge(x_raw[1], fone):
-        # symmetric bound with the roles of x and 1-x exchanged
-        hi = mpi_mul(
-            mpi_log(mpi_div(_MPI_ONE, omx_raw, prec), prec),
-            mpi_div(omx_raw, x_raw, prec),
-            prec,
-        )[1]
-        return (fzero, hi)
+    # with u = x, v = 1-x, or the other way round, when v is glued to 1:
+    # -log(v) <= u/v, so the product lies within [0, log(1/u) * u/v]
+    for u, v in ((x_raw, omx_raw), (omx_raw, x_raw)):
+        if mpf_ge(v[1], fone):
+            hi = mpi_mul(mpi_log(mpi_div(_MPI_ONE, u, prec), prec), mpi_div(u, v, prec), prec)[1]
+            return (fzero, hi)
     lo, hi = mpi_mul(mpi_log(x_raw, prec), mpi_log(omx_raw, prec), prec)
     if mpf_lt(lo, fzero):  # the true product is nonnegative
         lo = fzero
@@ -179,59 +170,43 @@ def _one_minus(x):
     return ErrorBoundedValue.from_fraction_pair(1 - hi, 1 - lo)
 
 
-def _raw_pair(x, prec: int):
-    """Raw intervals of (x, 1-x), each as tight as the representation allows."""
-    x_raw = _raw(x, prec)
-    omx_raw = _raw(_one_minus(x), prec)
-    return x_raw, omx_raw
+def _dilog_raw(x, guard: int, rogers: bool):
+    """Raw enclosure of L(x), or of Li2(x) when not ``rogers``, under the
+    current precision context; x inside (0, 1).
 
-
-def _pi26_raw(prec: int):
-    with interval_precision(prec):
-        return _pi_squared_over(6)._mpi_
-
-
-def _li2_eval(x, guard: int):
-    """Interval Li2 under the current precision context; x inside [0, 1]."""
+    Both share the raw pair, the branch test, the log product
+    P = log(x) log(1-x) and, above 1/2, the Euler reflection
+    Li2(x) = pi^2/6 - (Li2(1-x) + P); L = Li2 + P/2.
+    """
     prec = iv.prec
+    # x and 1-x each as tight as the representation allows
+    x_raw, omx_raw = _raw(x, prec), _raw(_one_minus(x), prec)
+    low = _branch_is_low(x)
+    if low and not rogers:
+        return _li2_series_raw(x_raw, omx_raw, prec, guard)
+    prod = _log_product_raw(x_raw, omx_raw, prec)
+    if rogers:  # halving is exact in binary
+        prod = (mpf_shift(prod[0], -1), mpf_shift(prod[1], -1))
+    if low:
+        return mpi_add(_li2_series_raw(x_raw, omx_raw, prec, guard), prod, prec)
+    reflected = _li2_series_raw(omx_raw, x_raw, prec, guard)
+    return mpi_sub(_pi_squared_over(6)._mpi_, mpi_add(reflected, prod, prec), prec)
+
+
+def _rogers_eval(x, guard: int):
+    """Interval Rogers L under the current precision context; x in (0, 1)."""
+    return iv.make_mpf(_dilog_raw(x, guard, True))
+
+
+def _unit_eval(x, guard: int, rogers: bool):
+    """Interval L, or Li2 when not ``rogers``, at a validated argument in
+    [0, 1]: the boundary points 0 and 1 take their closed values."""
     if isinstance(x, Fraction):
         if x == 0:
             return iv.mpf(0)
         if x == 1:
             return _pi_squared_over(6)
-    if _branch_is_low(x):
-        x_raw, omx_raw = _raw_pair(x, prec)
-        return iv.make_mpf(_li2_series_raw(x_raw, omx_raw, prec, guard))
-    x_raw, omx_raw = _raw_pair(x, prec)
-    reflected = _li2_series_raw(omx_raw, x_raw, prec, guard)
-    prod = _log_product_raw(x_raw, omx_raw, prec)
-    out = mpi_sub(_pi26_raw(prec), mpi_add(prod, reflected, prec), prec)
-    return iv.make_mpf(out)
-
-
-def _rogers_eval(x, guard: int):
-    """Interval Rogers L under the current precision context; x in (0, 1)."""
-    prec = iv.prec
-    x_raw, omx_raw = _raw_pair(x, prec)
-    half_prod = _half_raw(_log_product_raw(x_raw, omx_raw, prec))
-    if _branch_is_low(x):
-        series = _li2_series_raw(x_raw, omx_raw, prec, guard)
-        return iv.make_mpf(mpi_add(series, half_prod, prec))
-    series = _li2_series_raw(omx_raw, x_raw, prec, guard)
-    out = mpi_sub(_pi26_raw(prec), mpi_add(series, half_prod, prec), prec)
-    return iv.make_mpf(out)
-
-
-def _halve_mpf(m):
-    sign, man, exp, bc = m
-    if man == 0:
-        return m
-    return (sign, man, exp - 1, bc)
-
-
-def _half_raw(raw):
-    # halving is exact in binary
-    return (_halve_mpf(raw[0]), _halve_mpf(raw[1]))
+    return iv.make_mpf(_dilog_raw(x, guard, rogers))
 
 
 def _with_escalation(budget: PrecisionBudget, evaluator) -> ErrorBoundedValue:
@@ -254,21 +229,14 @@ def li2(x: Argument, budget: Optional[PrecisionBudget] = None) -> ErrorBoundedVa
     """Enclosure of the dilogarithm series sum x^n/n^2 on [0, 1]."""
     budget = budget or default_budget()
     x = _validate_unit_arg(x)
-    if isinstance(x, Fraction) and x == 0:
-        return ErrorBoundedValue.zero()
-    return _with_escalation(budget, lambda: _li2_eval(x, budget.guard_terms))
+    return _with_escalation(budget, lambda: _unit_eval(x, budget.guard_terms, False))
 
 
 def rogers_l(x: Argument, budget: Optional[PrecisionBudget] = None) -> ErrorBoundedValue:
     """Enclosure of the Rogers dilogarithm with its boundary values."""
     budget = budget or default_budget()
     x = _validate_unit_arg(x)
-    if isinstance(x, Fraction):
-        if x == 0:
-            return ErrorBoundedValue.zero()
-        if x == 1:
-            return _with_escalation(budget, lambda: _pi_squared_over(6))
-    return _with_escalation(budget, lambda: _rogers_eval(x, budget.guard_terms))
+    return _with_escalation(budget, lambda: _unit_eval(x, budget.guard_terms, True))
 
 
 def reflection_residual(x: Argument, budget: Optional[PrecisionBudget] = None) -> ErrorBoundedValue:
@@ -276,21 +244,9 @@ def reflection_residual(x: Argument, budget: Optional[PrecisionBudget] = None) -
     budget = budget or default_budget()
     x = _validate_unit_arg(x)
 
-    def boundary_aware(value, guard):
-        if isinstance(value, Fraction):
-            if value == 0:
-                return iv.mpf(0)
-            if value == 1:
-                return _pi_squared_over(6)
-        return _rogers_eval(value, guard)
-
     def evaluate():
         guard = budget.guard_terms
-        return (
-            boundary_aware(x, guard)
-            + boundary_aware(_one_minus(x), guard)
-            - _pi_squared_over(6)
-        )
+        return _unit_eval(x, guard, True) + _unit_eval(_one_minus(x), guard, True) - _pi_squared_over(6)
 
     return _with_escalation(budget, evaluate)
 

@@ -640,14 +640,13 @@ def lucas_pos_verify(
     budget: Optional[PrecisionBudget] = None,
     max_terms: int = 10000,
     trace: Optional[list] = None,
-    identity_id: str = "lucas-pos",
 ) -> IdentityReport:
     """Verify sum_{n>=1} L(U_k^2 Q^(kn) / U_{k(n+1)}^2) = L(Q^k / alpha^(2k))."""
     if not isinstance(k, int) or k < 1:
         raise PreconditionError("k must be a positive integer")
     if _coeff_sign(params.q) <= 0:
         raise PreconditionError("this branch requires Q > 0")
-    return _lucas_verify(params, k, budget, max_terms, trace, identity_id, 1)
+    return _lucas_verify(params, k, budget, max_terms, trace, "lucas-pos", 1)
 
 
 def lucas_neg_verify(
@@ -656,7 +655,6 @@ def lucas_neg_verify(
     budget: Optional[PrecisionBudget] = None,
     max_terms: int = 10000,
     trace: Optional[list] = None,
-    identity_id: str = "lucas-neg",
 ) -> IdentityReport:
     """Verify the two-series identity for Q < 0 and odd k:
 
@@ -667,7 +665,7 @@ def lucas_neg_verify(
         raise PreconditionError("k must be a positive odd integer")
     if _coeff_sign(params.q) >= 0:
         raise PreconditionError("this branch requires Q < 0")
-    return _lucas_verify(params, k, budget, max_terms, trace, identity_id, -1)
+    return _lucas_verify(params, k, budget, max_terms, trace, "lucas-neg", -1)
 
 
 # ---------------------------------------------------------------------------
@@ -761,16 +759,15 @@ def bridgeman_verify(
     budget: Optional[PrecisionBudget] = None,
     max_terms: int = 10000,
     trace: Optional[list] = None,
-    cross_terms: int = 30,
 ) -> IdentityReport:
     """Verify the rewritten orthospectrum-style series for L(1/u^2).
 
     Positive solutions: L(1/u^2) = sum_{k>=2} L(1/U_k(2a,1)^2);
     negative solutions: the two-series form with V_1(2a,-1) = 2a and
     D = 4 b^2 n.  In both cases the series is exactly the k = 1 Lucas
-    series under pell_to_lucas, and the first ``cross_terms`` terms are
-    cross-checked against the original b^2/b_k^2 (resp. a^2/(n b_{2k}^2),
-    a^2/a_{2k+1}^2) forms computed independently from powers of u.
+    series under pell_to_lucas, and the first 30 terms are cross-checked
+    against the original b^2/b_k^2 (resp. a^2/(n b_{2k}^2), a^2/a_{2k+1}^2)
+    forms computed independently from powers of u.
     """
     budget = budget or default_budget()
     corr = pell_to_lucas(sol)
@@ -781,14 +778,14 @@ def bridgeman_verify(
     # with b_k, a_k taken from exact powers of u
     if sol.sign > 0:
         term_stream = _lucas_pos_terms(params, 1)
-        for idx in range(1, cross_terms + 1):
+        for idx in range(1, 31):
             term = next(term_stream)
             b_power = quad_pow(sol.unit(), idx + 1).rad_part
             if term != b * b / (b_power * b_power):
                 raise AssertionError("term mismatch with the b^2/b_k^2 form")
     else:
         pair_stream = _lucas_neg_terms(params, 1)
-        for idx in range(1, cross_terms + 1):
+        for idx in range(1, 31):
             a_term, b_term = next(pair_stream)
             even_power = quad_pow(sol.unit(), 2 * idx)
             odd_power = quad_pow(sol.unit(), 2 * idx + 1)

@@ -9,11 +9,14 @@ change to them is a change of the report format or of a certified value.
 import contextlib
 import io
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from dilogid.harness import RunConfig, emit_report, registry, run_cli, run_identity
+from dilogid.enclosure import ErrorBoundedValue, PrecisionBudget, PrecisionError
+from dilogid.harness import RunConfig, emit_report, exact_decimal, registry, run_cli, run_identity
+from dilogid.rogers import abel_residual, li2, reflection_residual, rogers_l
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -78,3 +81,72 @@ def test_two_parameter_trace_csv_matches_golden(tmp_path):
     assert code == 0
     expected = GOLDEN / "two-parameter" / "trace-theorem-main-1-50-3-47-d40-max20.csv"
     assert trace.read_bytes() == expected.read_bytes()
+
+
+# Single-value enclosures of Li2, L and the reflection residual at the
+# boundary points, on both sides of 1/2, next to 0 and 1 and on input
+# enclosures, plus one five-term residual, at 15, 50 and 300 digits, under
+# tests/golden/enclosures/.  Each line is the point and the exact decimal
+# endpoints, or the error the call raised; the files were produced by the
+# implementation that had separate Li2 and L kernels.
+def _enclosure_points():
+    pair = ErrorBoundedValue.from_fraction_pair
+    tiny = Fraction(1, 10 ** 30)
+    narrow = Fraction(1, 10 ** 320)
+    return [
+        ("0", Fraction(0)),
+        ("1", Fraction(1)),
+        ("1/3", Fraction(1, 3)),
+        ("1/2", Fraction(1, 2)),
+        ("2/3", Fraction(2, 3)),
+        ("999/1000", Fraction(999, 1000)),
+        ("10^-30", tiny),
+        ("1-10^-30", 1 - tiny),
+        # 1-x (or x) rounds to 1 at the working precision below 300 digits
+        ("10^-200", Fraction(1, 10 ** 200)),
+        ("1-10^-200", 1 - Fraction(1, 10 ** 200)),
+        ("[1/4,1/3]", pair(Fraction(1, 4), Fraction(1, 3))),
+        ("[3/5,2/3]", pair(Fraction(3, 5), Fraction(2, 3))),
+        ("[1/3,1/3+10^-320]", pair(Fraction(1, 3), Fraction(1, 3) + narrow)),
+        ("[2/3,2/3+10^-320]", pair(Fraction(2, 3), Fraction(2, 3) + narrow)),
+    ]
+
+
+ENCLOSURE_FUNCTIONS = {"li2": li2, "rogers_l": rogers_l, "reflection_residual": reflection_residual}
+
+
+def _enclosure_line(label, evaluate):
+    try:
+        value = evaluate()
+    except PrecisionError as exc:  # the raised error is part of the golden
+        return f"{label} {type(exc).__name__}: {exc}\n"
+    return f"{label} {exact_decimal(value.lower)} {exact_decimal(value.upper)}\n"
+
+
+def enclosure_golden_text(function: str, digits: int) -> str:
+    budget = PrecisionBudget.for_digits(digits)
+    if function == "abel_residual":
+        x, y = Fraction(1, 3), Fraction(2, 7)
+        return _enclosure_line("1/3,2/7", lambda: abel_residual(x, y, budget))
+    evaluate = ENCLOSURE_FUNCTIONS[function]
+    return "".join(
+        _enclosure_line(label, lambda x=x: evaluate(x, budget)) for label, x in _enclosure_points()
+    )
+
+
+ENCLOSURE_CASES = [
+    (function, digits)
+    for function in (*ENCLOSURE_FUNCTIONS, "abel_residual")
+    for digits in (15, 50, 300)
+]
+
+
+@pytest.mark.parametrize("function, digits", ENCLOSURE_CASES, ids=[f"{f}-d{d}" for f, d in ENCLOSURE_CASES])
+def test_enclosure_matches_golden(function, digits):
+    expected = (GOLDEN / "enclosures" / f"{function}-d{digits}.txt").read_text()
+    assert enclosure_golden_text(function, digits) == expected
+
+
+def test_every_golden_enclosure_is_checked():
+    names = {f"{function}-d{digits}.txt" for function, digits in ENCLOSURE_CASES}
+    assert {path.name for path in (GOLDEN / "enclosures").iterdir()} == names

@@ -289,3 +289,38 @@ class TestCliSubcommands:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["verdict"] == "pass"
+
+
+class TestBadInput:
+    """Bad option values exit 2 with one error line and no traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, env_digits",
+        [
+            (["special-values", "--digits", "0"], None),
+            (["properties", "--digits", "0"], None),
+            (["special-values"], "3"),
+            (["properties", "--points", "-5", "--digits", "15"], None),
+            (["properties", "--points", "0", "--digits", "15"], None),
+            (["verify", "--identity", "corollary", "--t", "1/3", "--rhs-expected", "abc"], None),
+            (["verify", "--identity", "corollary", "--t", "1/3", "--rhs-expected", "1/0"], None),
+        ],
+        ids=[
+            "special-values-digits-0",
+            "properties-digits-0",
+            "env-digits-3",
+            "properties-points-negative",
+            "properties-points-0",
+            "rhs-expected-not-a-number",
+            "rhs-expected-zero-denominator",
+        ],
+    )
+    def test_exits_2_with_one_error_line(self, capsys, monkeypatch, argv, env_digits):
+        if env_digits is not None:
+            monkeypatch.setenv("DILOG_DIGITS", env_digits)
+        code = run_cli(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
