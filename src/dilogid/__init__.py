@@ -9,13 +9,11 @@ from .enclosure import DomainError, ErrorBoundedValue, PrecisionBudget, Precisio
 from .exactnum import (
     QuadraticElement,
     RadicandMismatchError,
-    Rational,
     exact_sqrt,
     quad_pow,
     quad_to_real,
 )
 from .lucas import (
-    LucasPair,
     LucasParams,
     PreconditionError,
     alpha_power_exact,
@@ -29,7 +27,6 @@ from .rogers import abel_residual, li2, reflection_residual, rogers_l
 from .series import (
     IDENTITIES,
     IdentityReport,
-    PellLucasCorrespondence,
     PellSolution,
     TwoParamInstance,
     UsageError,
@@ -56,16 +53,13 @@ __all__ = [
     "ErrorBoundedValue",
     "IDENTITIES",
     "IdentityReport",
-    "LucasPair",
     "LucasParams",
-    "PellLucasCorrespondence",
     "PellSolution",
     "PrecisionBudget",
     "PrecisionError",
     "PreconditionError",
     "QuadraticElement",
     "RadicandMismatchError",
-    "Rational",
     "TwoParamInstance",
     "UsageError",
     "abel_residual",

@@ -266,4 +266,7 @@ class PrecisionBudget:
         return Fraction(1, 10 ** self.target_digits)
 
 
+DEFAULT_BUDGET = PrecisionBudget.for_digits(40)
+
+
 Real = Union[int, Fraction, ErrorBoundedValue]

@@ -26,8 +26,6 @@ from .enclosure import (
 )
 from mpmath import iv
 
-Rational = Fraction
-
 
 class RadicandMismatchError(DomainError):
     """Arithmetic attempted between elements of different quadratic fields."""
@@ -226,26 +224,30 @@ def quad_pow(x: QuadraticElement, n: int) -> QuadraticElement:
     return result
 
 
+def quad_interval(x):
+    """Interval of a rational or of a + b*sqrt(D) at the current precision."""
+    rv = x.rational_value() if isinstance(x, QuadraticElement) else x
+    if rv is not None:
+        return iv_from_fraction(rv)
+    root = iv.sqrt(iv_from_fraction(x.radicand))
+    return iv_from_fraction(x.rat_part) + iv_from_fraction(x.rad_part) * root
+
+
 def quad_to_real(x: QuadraticElement, precision: int) -> ErrorBoundedValue:
     """Enclosure of the real value with radius <= 2^(4-precision) * max(1,|x|)."""
     if precision < 8:
         raise ValueError("precision must be at least 8 bits")
     if x.radicand < 0:
         raise DomainError("negative radicand has no real value")
-    rv = x.rational_value()
-    if rv is not None and rv == 0:
+    if x.rational_value() == 0:
         return ErrorBoundedValue.zero()
     extra = 16
     for _ in range(10):
         with interval_precision(precision + extra):
-            if rv is not None:
-                enc = iv_from_fraction(rv)
-            else:
-                root = iv.sqrt(iv_from_fraction(x.radicand))
-                enc = iv_from_fraction(x.rat_part) + iv_from_fraction(x.rad_part) * root
-            ebv = ErrorBoundedValue.from_interval(enc)
+            ebv = ErrorBoundedValue.from_interval(quad_interval(x))
         bound = Fraction(2) ** (4 - precision) * max(Fraction(1), ebv.abs_inf())
         if ebv.radius <= bound:
             return ebv
         extra *= 2
     raise PrecisionError(f"quad_to_real failed to meet radius bound at {precision} bits")
+

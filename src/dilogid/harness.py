@@ -27,11 +27,12 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Optional
 
-from .enclosure import DomainError, ErrorBoundedValue, PrecisionBudget, PrecisionError, mpf_to_fraction
+from .enclosure import DEFAULT_BUDGET, DomainError, ErrorBoundedValue, PrecisionBudget, PrecisionError, mpf_to_fraction
 from .exactnum import QuadraticElement, quad_to_real
 from .lucas import LucasParams, PreconditionError, lucas_uv, lucas_uv_naive
 from .rogers import abel_residual, reflection_residual, rogers_l
 from .series import (
+    DEFAULT_MAX_TERMS,
     IDENTITIES,
     IdentityReport,
     TwoParamInstance,
@@ -45,9 +46,8 @@ from .series import (
 )
 
 DIGITS_ENV_VAR = "DILOG_DIGITS"
-DEFAULT_DIGITS = 40
+DEFAULT_DIGITS = DEFAULT_BUDGET.target_digits
 MIN_DIGITS = 10
-DEFAULT_MAX_TERMS = 10000
 DEFAULT_SEED = 987654321
 
 
@@ -103,10 +103,8 @@ def _ebv_fields(value: ErrorBoundedValue) -> dict:
     return {"midpoint": exact_decimal(value.midpoint), "radius": exact_decimal(value.radius)}
 
 
-def emit_report(report: IdentityReport, fmt: str = "json") -> str:
-    """Deterministic serialization of one report."""
-    if fmt != "json":
-        raise UsageError(f"unsupported report format {fmt!r}")
+def emit_report(report: IdentityReport) -> str:
+    """Deterministic JSON serialization of one report."""
     doc = {
         "identity_id": report.identity_id,
         "parameters": dict(sorted(report.parameters.items())),
@@ -192,10 +190,6 @@ def default_digits() -> int:
 # ---------------------------------------------------------------------------
 
 
-def known_identities() -> tuple:
-    return tuple(IDENTITIES)
-
-
 def run_identity(config: RunConfig, trace: Optional[list] = None) -> IdentityReport:
     """Run one RunConfig through the identity table."""
     try:
@@ -238,9 +232,8 @@ def run_suite(digits: int, max_terms: int, stream) -> bool:
         ok = report.verdict == "pass"
         agree = ""
         if entry.expected is not None:
-            expected = entry.expected(config.budget())
-            tolerance = Fraction(1, 10 ** digits)
-            matches = report.rhs.widened(tolerance).overlaps(expected)
+            budget = config.budget()
+            matches = report.rhs.widened(budget.tolerance).overlaps(entry.expected(budget))
             ok = ok and matches
             agree = " rhs=cited" if matches else " RHS-MISMATCH"
         all_ok = all_ok and ok
@@ -410,7 +403,6 @@ def special_values_table(digits: int) -> list:
     budget = PrecisionBudget.for_digits(digits)
     inv_phi = QuadraticElement(Fraction(-1, 2), Fraction(1, 2), 5)
     inv_phi_sq = QuadraticElement(Fraction(3, 2), Fraction(-1, 2), 5)
-    tolerance = Fraction(1, 10 ** digits)
     points = (
         ("0", Fraction(0), None),
         ("1/2", Fraction(1, 2), 12),
@@ -427,7 +419,7 @@ def special_values_table(digits: int) -> list:
         closed = (
             ErrorBoundedValue.zero() if divisor is None else _pi2_over(divisor, budget)
         )
-        ok = value.widened(tolerance).overlaps(closed)
+        ok = value.widened(budget.tolerance).overlaps(closed)
         rows.append((label, value, closed, ok))
     return rows
 
@@ -450,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=_identity_list(),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    verify.add_argument("--identity", required=True, help=", ".join(known_identities()))
+    verify.add_argument("--identity", required=True, help=", ".join(IDENTITIES))
     for key, (parse, names) in _verify_flags().items():
         kind = "integer" if parse is _integer else "rational (p/q or decimal)"
         verify.add_argument(f"--{key.replace('_', '-')}", dest=key, help=f"{kind}; for {', '.join(names)}")
@@ -523,8 +515,7 @@ def _cmd_verify(args) -> int:
             print(f"error: cannot write trace: {exc}", file=sys.stderr)
             return 1
     if expected is not None:
-        tolerance = Fraction(1, 10 ** min(config.digits, 30))
-        if not report.rhs.widened(tolerance).contains(expected):
+        if not report.rhs.widened(config.budget().tolerance).contains(expected):
             print("error: right-hand side does not match --rhs-expected", file=sys.stderr)
             return 1
     return 0 if report.verdict == "pass" else 1

@@ -34,6 +34,7 @@ from mpmath.libmp import from_int, fone, fzero, mpf_ge, mpf_le, mpf_lt, mpf_shif
 from mpmath.libmp.libmpi import mpi_add, mpi_div, mpi_log, mpi_mul, mpi_sub
 
 from .enclosure import (
+    DEFAULT_BUDGET,
     DomainError,
     ErrorBoundedValue,
     PrecisionBudget,
@@ -51,10 +52,6 @@ _EXACT = (Fraction, RationalPair)
 _MAX_ESCALATIONS = 3
 _MPI_ZERO = (fzero, fzero)
 _MPI_ONE = (fone, fone)
-
-
-def default_budget() -> PrecisionBudget:
-    return PrecisionBudget.for_digits(40)
 
 
 def _validate_unit_arg(x: Argument, open_interval: bool = False):
@@ -225,23 +222,20 @@ def _with_escalation(budget: PrecisionBudget, evaluator) -> ErrorBoundedValue:
     )
 
 
-def li2(x: Argument, budget: Optional[PrecisionBudget] = None) -> ErrorBoundedValue:
+def li2(x: Argument, budget: PrecisionBudget = DEFAULT_BUDGET) -> ErrorBoundedValue:
     """Enclosure of the dilogarithm series sum x^n/n^2 on [0, 1]."""
-    budget = budget or default_budget()
     x = _validate_unit_arg(x)
     return _with_escalation(budget, lambda: _unit_eval(x, budget.guard_terms, False))
 
 
-def rogers_l(x: Argument, budget: Optional[PrecisionBudget] = None) -> ErrorBoundedValue:
+def rogers_l(x: Argument, budget: PrecisionBudget = DEFAULT_BUDGET) -> ErrorBoundedValue:
     """Enclosure of the Rogers dilogarithm with its boundary values."""
-    budget = budget or default_budget()
     x = _validate_unit_arg(x)
     return _with_escalation(budget, lambda: _unit_eval(x, budget.guard_terms, True))
 
 
-def reflection_residual(x: Argument, budget: Optional[PrecisionBudget] = None) -> ErrorBoundedValue:
+def reflection_residual(x: Argument, budget: PrecisionBudget = DEFAULT_BUDGET) -> ErrorBoundedValue:
     """Enclosure of L(x) + L(1-x) - pi^2/6; must contain zero."""
-    budget = budget or default_budget()
     x = _validate_unit_arg(x)
 
     def evaluate():
@@ -251,14 +245,13 @@ def reflection_residual(x: Argument, budget: Optional[PrecisionBudget] = None) -
     return _with_escalation(budget, evaluate)
 
 
-def abel_residual(x: Argument, y: Argument, budget: Optional[PrecisionBudget] = None) -> ErrorBoundedValue:
+def abel_residual(x: Argument, y: Argument, budget: PrecisionBudget = DEFAULT_BUDGET) -> ErrorBoundedValue:
     """Enclosure of the five-term combination
 
     L(x) + L(y) - L(xy) - L(x(1-y)/(1-xy)) - L(y(1-x)/(1-xy)),
 
     which vanishes identically for x, y in (0, 1).
     """
-    budget = budget or default_budget()
     x = _validate_unit_arg(x, open_interval=True)
     y = _validate_unit_arg(y, open_interval=True)
     guard = budget.guard_terms

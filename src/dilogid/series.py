@@ -36,6 +36,7 @@ from typing import Callable, Iterable, Iterator, Optional
 from mpmath import iv, mp
 
 from .enclosure import (
+    DEFAULT_BUDGET,
     DomainError,
     ErrorBoundedValue,
     PrecisionBudget,
@@ -45,9 +46,11 @@ from .enclosure import (
     iv_from_fraction,
     mpf_to_fraction,
 )
-from .exactnum import QuadraticElement, exact_sqrt, quad_pow, quad_to_real
+from .exactnum import QuadraticElement, exact_sqrt, quad_interval, quad_pow, quad_to_real
 from .lucas import Coefficient, LucasParams, PreconditionError, _coeff_sign, lucas_uv
-from .rogers import _MAX_ESCALATIONS, _pi_squared_over, _rogers_eval, default_budget, rogers_l
+from .rogers import _MAX_ESCALATIONS, _pi_squared_over, _rogers_eval, rogers_l
+
+DEFAULT_MAX_TERMS = 10000
 
 
 class UsageError(ValueError):
@@ -133,11 +136,10 @@ class IdentityReport:
         rhs: ErrorBoundedValue,
         tail_bound,
         residual: ErrorBoundedValue,
-        force_fail: bool = False,
     ) -> "IdentityReport":
         tolerance = Fraction(1, 10 ** digits)
         ok = abs(residual.midpoint) <= residual.radius + mpf_to_fraction(tail_bound) + tolerance
-        verdict = "pass" if (ok and not force_fail) else "fail"
+        verdict = "pass" if ok and residual.radius <= tolerance else "fail"
         return cls(
             identity_id,
             dict(parameters),
@@ -209,21 +211,16 @@ def _theorem_terms(inst: TwoParamInstance) -> Iterator[RationalPair]:
 
 
 def _as_sup_fraction(value):
-    """An exact rational (a Fraction, or a RationalPair as it is) at or
-    above the value."""
+    """An exact rational at or above a term or ratio cap: a Fraction or a
+    RationalPair as it is, else the upper endpoint of its enclosure."""
     if isinstance(value, (Fraction, RationalPair)):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, ErrorBoundedValue):
-        return value.endpoints()[1]
     if isinstance(value, QuadraticElement):
         rv = value.rational_value()
         if rv is not None:
             return rv
-        return quad_to_real(value, 80).endpoints()[1]
-    # mpf
-    return mpf_to_fraction(value)
+        value = quad_to_real(value, 80)
+    return value.endpoints()[1]
 
 
 def tail_bound(first_omitted, ratio_cap):
@@ -252,6 +249,14 @@ def tail_bound(first_omitted, ratio_cap):
             + ri * iv.log(1 / ri) / (one_minus_r * one_minus_r)
         )
         return mp.make_mpf(bound._mpi_[1])
+
+
+def _certified_cap(cap) -> Fraction:
+    """Upper endpoint of an interval ratio cap, certified inside (0, 1)."""
+    sup = mpf_to_fraction(mp.make_mpf(cap._mpi_[1]))
+    if not 0 < sup < 1:
+        raise PrecisionError("could not certify the geometric ratio below 1")
+    return sup
 
 
 def _log10_upper(value) -> float:
@@ -298,11 +303,12 @@ def _assert_unit_open(value) -> None:
         raise AssertionError("series argument enclosure not inside (0, 1)")
 
 
-def _term_rogers(term, guard: int, bits: int):
-    """Interval Rogers L of one exact or enclosed series term."""
+def _term_rogers(term, guard: int):
+    """Interval Rogers L of one exact or enclosed series term at the
+    current precision."""
     if isinstance(term, QuadraticElement):
         rv = term.rational_value()
-        term = rv if rv is not None else quad_to_real(term, bits + 16)
+        term = rv if rv is not None else quad_to_real(term, iv.prec + 16)
     return _rogers_eval(term, guard)
 
 
@@ -326,7 +332,7 @@ def _evaluate_series_report(
     parameters: dict,
     budget: PrecisionBudget,
     series: Callable[[], tuple],
-    rhs_fn: Callable[[int, int], object],
+    rhs_fn: Callable[[int], object],
     trace: Optional[list] = None,
 ) -> IdentityReport:
     """Sum enclosures of L over a truncated series, evaluate the closed form, report.
@@ -339,9 +345,10 @@ def _evaluate_series_report(
     (enclosures are regenerated at the pass's precision), the bound on the
     omitted tail, and the geometric ratio cap behind the running tails of
     a trace (None: every trace row shows ``tail``).  A ``PrecisionError``
-    from ``series()`` moves on to the next pass.  ``rhs_fn(guard, bits)``
-    must return an interval for the right-hand side under the ambient
-    precision context.
+    from ``series()`` moves on to the next pass.  ``rhs_fn(guard)`` must
+    return an interval for the right-hand side under the ambient precision
+    context.  ``IdentityReport.build`` fails a residual whose radius still
+    misses the tolerance after the last pass.
     """
     bits = budget.working_bits
     guard = budget.guard_terms
@@ -358,12 +365,12 @@ def _evaluate_series_report(
             n_terms = 0
             acc = iv.mpf(0)
             for term in terms:
-                acc = acc + _term_rogers(term, guard, bits)
+                acc = acc + _term_rogers(term, guard)
                 n_terms += 1
                 if trace is not None:
                     exact = term.fraction() if isinstance(term, RationalPair) else term
                     rows.append((exact, ErrorBoundedValue.from_interval(acc)))
-            rhs_iv = rhs_fn(guard, bits)
+            rhs_iv = rhs_fn(guard)
             res_iv = acc - rhs_iv
             lhs = ErrorBoundedValue.from_interval(acc)
             rhs = ErrorBoundedValue.from_interval(rhs_iv)
@@ -382,7 +389,6 @@ def _evaluate_series_report(
         rhs,
         tail,
         residual,
-        force_fail=residual.radius > budget.tolerance,
     )
 
 
@@ -443,18 +449,17 @@ def _two_param_ratio_cap(inst: TwoParamInstance) -> Fraction:
 
 def theorem_main_verify(
     inst: TwoParamInstance,
-    budget: Optional[PrecisionBudget] = None,
-    max_terms: int = 10000,
+    budget: PrecisionBudget = DEFAULT_BUDGET,
+    max_terms: int = DEFAULT_MAX_TERMS,
     trace: Optional[list] = None,
 ) -> IdentityReport:
     """Verify sum L(x_n y_n) = L(a) + L(b) - L(|a-b|/(1-min(a,b)))."""
-    budget = budget or default_budget()
     a, b = inst.a, inst.b
     cap = _two_param_ratio_cap(inst)
     n_terms, tail = _choose_truncation(_theorem_terms(inst), cap, budget, max_terms)
     third = abs(a - b) / (1 - min(a, b))
 
-    def rhs_fn(guard, bits):
+    def rhs_fn(guard):
         return _rogers_eval(a, guard) + _rogers_eval(b, guard) - _rogers_eval(third, guard)
 
     # every pass regenerates the terms: holding thousands of growing exact
@@ -501,8 +506,8 @@ def _corollary_checked(t: Fraction, terms: Iterable[RationalPair]) -> Iterator[R
 
 def corollary_verify(
     t: Fraction,
-    budget: Optional[PrecisionBudget] = None,
-    max_terms: int = 10000,
+    budget: PrecisionBudget = DEFAULT_BUDGET,
+    max_terms: int = DEFAULT_MAX_TERMS,
     trace: Optional[list] = None,
 ) -> IdentityReport:
     """Verify the one-parameter specialization summing to L((1-t)/(1+t)).
@@ -511,7 +516,6 @@ def corollary_verify(
     re-indexed from 1; every term the truncation reads is checked exactly
     against the simplified closed form ``corollary_remark_term``.
     """
-    budget = budget or default_budget()
     t = Fraction(t)
     if not (0 < t < 1):
         raise DomainError("parameter must lie in (0, 1)")
@@ -520,7 +524,7 @@ def corollary_verify(
     n_terms, tail = _choose_truncation(_corollary_checked(t, _theorem_terms(inst)), cap, budget, max_terms)
     target = (1 - t) / (1 + t)
 
-    def rhs_fn(guard, bits):
+    def rhs_fn(guard):
         return _rogers_eval(target, guard)
 
     start, series = _exact_series(budget, n_terms, lambda: _theorem_terms(inst), tail, cap)
@@ -532,32 +536,14 @@ def corollary_verify(
 # ---------------------------------------------------------------------------
 
 
-def _coeff_interval(value: Coefficient):
-    if isinstance(value, QuadraticElement):
-        root = iv.sqrt(iv_from_fraction(value.radicand))
-        return iv_from_fraction(value.rat_part) + iv_from_fraction(value.rad_part) * root
-    return iv_from_fraction(value)
-
-
-def _alpha_interval(params: LucasParams):
-    p = _coeff_interval(params.p)
-    d = _coeff_interval(params.d)
-    return (p + iv.sqrt(d)) / 2
-
-
 def _ratio_cap_sup(params: LucasParams, k: int, power: int) -> Fraction:
-    """Upper bound on (|Q| / alpha^2)^(power*k), rigorously below 1."""
-    bits = 96
-    for _ in range(6):
-        with interval_precision(bits):
-            alpha = _alpha_interval(params)
-            q = abs(_coeff_interval(params.q))
-            cap = (q / alpha ** 2) ** (power * k)
-            sup = mpf_to_fraction(mp.make_mpf(cap._mpi_[1]))
-        if 0 < sup < 1:
-            return sup
-        bits *= 2
-    raise PrecisionError("could not certify the geometric ratio below 1")
+    """Upper bound on (|Q| / alpha^2)^(power*k), certified below 1 at 96
+    bits: tail_bound works at that precision, so a cap that needs more to
+    separate from 1 could not give a useful tail anyway."""
+    with interval_precision(96):
+        alpha = (quad_interval(params.p) + iv.sqrt(quad_interval(params.d))) / 2
+        q = abs(quad_interval(params.q))
+        return _certified_cap((q / alpha ** 2) ** (power * k))
 
 
 def _coeff_str(value: Coefficient) -> str:
@@ -565,19 +551,22 @@ def _coeff_str(value: Coefficient) -> str:
     return str(value if rv is None else rv)
 
 
-def _lucas_pos_terms(params: LucasParams, k: int) -> Iterator:
-    uk = lucas_uv(params, k).u
-    numer = uk * uk
-    qk = params.q ** k
-    p, q = params.p, params.q
-    u_lo = lucas_uv(params, k).u
-    u_hi = lucas_uv(params, k + 1).u
+def _u_ratio_terms(p, q, k: int, u_lo, u_hi, numer) -> Iterator:
+    """numer * Q^(kn) / U_{k(n+1)}^2 for n >= 1, from (u_lo, u_hi) =
+    (U_k, U_{k+1}) by U_{m+1} = P U_m - Q U_{m-1}, over any ring: exact
+    rationals, Q(sqrt(D)) or intervals."""
+    qk = q ** k
     qpow = qk
     while True:
         for _ in range(k):
             u_lo, u_hi = u_hi, p * u_hi - q * u_lo
         yield numer * qpow / (u_lo * u_lo)
         qpow = qpow * qk
+
+
+def _lucas_pos_terms(params: LucasParams, k: int) -> Iterator:
+    uk = lucas_uv(params, k).u
+    yield from _u_ratio_terms(params.p, params.q, k, uk, lucas_uv(params, k + 1).u, uk * uk)
 
 
 def _lucas_neg_terms(params: LucasParams, k: int) -> Iterator:
@@ -603,13 +592,12 @@ def _lucas_neg_terms(params: LucasParams, k: int) -> Iterator:
         qpow_b = qpow_b * q2k
 
 
-def _lucas_rhs_arg(params: LucasParams, k: int, sign: int):
-    """Exact |Q|^k / alpha^(2k) for Q of the given sign, in the coefficient
-    ring when possible."""
+def _lucas_rhs_arg(params: LucasParams, k: int):
+    """Exact |Q|^k / alpha^(2k), in the coefficient ring when possible."""
     alpha = params.alpha_exact()
     if alpha is None:
         raise PreconditionError("exact closed form requires sqrt(D) in the ring")
-    qk = params.q ** k if sign > 0 else -(params.q ** k)
+    qk = params.q ** k if _coeff_sign(params.q) > 0 else -(params.q ** k)
     if isinstance(alpha, QuadraticElement) and not isinstance(qk, QuadraticElement):
         qk = QuadraticElement.from_rational(qk, alpha.radicand)
     arg = qk / quad_pow(alpha, 2 * k)
@@ -617,17 +605,19 @@ def _lucas_rhs_arg(params: LucasParams, k: int, sign: int):
     return arg
 
 
-def _lucas_verify(params, k, budget, max_terms, trace, identity_id, sign) -> IdentityReport:
-    """Both Lucas branches: the Q > 0 series (sign +1), or the two parity
-    sub-series of the Q < 0, odd-k identity summed pairwise (sign -1)."""
-    budget = budget or default_budget()
-    cap = _ratio_cap_sup(params, k, power=1 if sign > 0 else 2)
-    term_iter = _lucas_pos_terms(params, k) if sign > 0 else _lucas_neg_terms(params, k)
+def _lucas_verify(params, k, budget, max_terms, trace) -> IdentityReport:
+    """The Q > 0 series, or for Q < 0 the two parity sub-series of the
+    odd-k identity summed pairwise, by the sign of Q."""
+    if _coeff_sign(params.q) > 0:
+        identity_id, power, term_iter = "lucas-pos", 1, _lucas_pos_terms(params, k)
+    else:
+        identity_id, power, term_iter = "lucas-neg", 2, _lucas_neg_terms(params, k)
+    cap = _ratio_cap_sup(params, k, power)
     terms, tail = _held_truncation(term_iter, cap, budget, max_terms)
-    rhs_arg = _lucas_rhs_arg(params, k, sign)
+    rhs_arg = _lucas_rhs_arg(params, k)
 
-    def rhs_fn(guard, bits):
-        return _term_rogers(rhs_arg, guard, bits)
+    def rhs_fn(guard):
+        return _term_rogers(rhs_arg, guard)
 
     parameters = {"P": _coeff_str(params.p), "Q": _coeff_str(params.q), "k": str(k)}
     start, series = _exact_series(budget, len(terms), lambda: terms, tail, cap)
@@ -637,8 +627,8 @@ def _lucas_verify(params, k, budget, max_terms, trace, identity_id, sign) -> Ide
 def lucas_pos_verify(
     params: LucasParams,
     k: int,
-    budget: Optional[PrecisionBudget] = None,
-    max_terms: int = 10000,
+    budget: PrecisionBudget = DEFAULT_BUDGET,
+    max_terms: int = DEFAULT_MAX_TERMS,
     trace: Optional[list] = None,
 ) -> IdentityReport:
     """Verify sum_{n>=1} L(U_k^2 Q^(kn) / U_{k(n+1)}^2) = L(Q^k / alpha^(2k))."""
@@ -646,14 +636,14 @@ def lucas_pos_verify(
         raise PreconditionError("k must be a positive integer")
     if _coeff_sign(params.q) <= 0:
         raise PreconditionError("this branch requires Q > 0")
-    return _lucas_verify(params, k, budget, max_terms, trace, "lucas-pos", 1)
+    return _lucas_verify(params, k, budget, max_terms, trace)
 
 
 def lucas_neg_verify(
     params: LucasParams,
     k: int,
-    budget: Optional[PrecisionBudget] = None,
-    max_terms: int = 10000,
+    budget: PrecisionBudget = DEFAULT_BUDGET,
+    max_terms: int = DEFAULT_MAX_TERMS,
     trace: Optional[list] = None,
 ) -> IdentityReport:
     """Verify the two-series identity for Q < 0 and odd k:
@@ -665,7 +655,7 @@ def lucas_neg_verify(
         raise PreconditionError("k must be a positive odd integer")
     if _coeff_sign(params.q) >= 0:
         raise PreconditionError("this branch requires Q < 0")
-    return _lucas_verify(params, k, budget, max_terms, trace, "lucas-neg", -1)
+    return _lucas_verify(params, k, budget, max_terms, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -756,8 +746,8 @@ def bridgeman_divisibility_check(sol: PellSolution, k_max: int = 50) -> bool:
 
 def bridgeman_verify(
     sol: PellSolution,
-    budget: Optional[PrecisionBudget] = None,
-    max_terms: int = 10000,
+    budget: PrecisionBudget = DEFAULT_BUDGET,
+    max_terms: int = DEFAULT_MAX_TERMS,
     trace: Optional[list] = None,
 ) -> IdentityReport:
     """Verify the rewritten orthospectrum-style series for L(1/u^2).
@@ -769,7 +759,6 @@ def bridgeman_verify(
     against the original b^2/b_k^2 (resp. a^2/(n b_{2k}^2), a^2/a_{2k+1}^2)
     forms computed independently from powers of u.
     """
-    budget = budget or default_budget()
     corr = pell_to_lucas(sol)
     params = corr.params
     a, b, n = sol.a, sol.b, sol.n
@@ -796,13 +785,10 @@ def bridgeman_verify(
 
     # closed-form argument 1/u^2 agrees exactly with the Lucas-side argument
     inv_u_sq = QuadraticElement.from_rational(1, Fraction(sol.n)) / quad_pow(sol.unit(), 2)
-    if inv_u_sq != _lucas_rhs_arg(params, 1, sol.sign):
+    if inv_u_sq != _lucas_rhs_arg(params, 1):
         raise AssertionError("1/u^2 does not match the Lucas closed-form argument")
 
-    if sol.sign > 0:
-        report = lucas_pos_verify(params, 1, budget, max_terms, trace)
-    else:
-        report = lucas_neg_verify(params, 1, budget, max_terms, trace)
+    report = _lucas_verify(params, 1, budget, max_terms, trace)
     parameters = {
         "a": str(a),
         "b": str(b),
@@ -830,19 +816,11 @@ def _richmond_szekeres(budget: PrecisionBudget, max_terms: int, trace: Optional[
         # a generator, so that tens of thousands of terms are never held
         return (Fraction(1, m * m) for m in range(2, last + 1)), tail, None
 
-    def rhs_fn(guard, bits):
+    def rhs_fn(guard):
         return _pi_squared_over(6)
 
     guard_2 = replace(budget, guard_terms=2)
     return _evaluate_series_report("richmond-szekeres", {"terms": str(max_terms)}, guard_2, series, rhs_fn, trace)
-
-
-def _sinh_theta_terms(p_iv) -> Iterator[ErrorBoundedValue]:
-    """Enclosures of U_1^2 / U_{n+1}^2, n >= 1, for (P, Q) = (p_iv, 1)."""
-    u_lo, u_hi = iv.mpf(1), p_iv
-    while True:
-        yield ErrorBoundedValue.from_interval(1 / (u_hi * u_hi))
-        u_lo, u_hi = u_hi, p_iv * u_hi - u_lo
 
 
 def _sinh_theta(
@@ -861,13 +839,13 @@ def _sinh_theta(
 
     def series():
         p_iv, cap_iv = p_and_decay_squared()
-        cap = mpf_to_fraction(mp.make_mpf(cap_iv._mpi_[1]))
-        if not (0 < cap < 1):
-            raise PrecisionError("could not certify the geometric ratio below 1")
-        terms, tail = _held_truncation(_sinh_theta_terms(p_iv), cap, budget, max_terms)
+        cap = _certified_cap(cap_iv)
+        # the k = 1 Lucas series at (P, Q) = (2 cosh(theta), 1), from U_1 = 1
+        terms = map(ErrorBoundedValue.from_interval, _u_ratio_terms(p_iv, 1, 1, 1, p_iv, 1))
+        terms, tail = _held_truncation(terms, cap, budget, max_terms)
         return terms, tail, cap
 
-    def rhs_fn(guard, bits):
+    def rhs_fn(guard):
         return _rogers_eval(ErrorBoundedValue.from_interval(p_and_decay_squared()[1]), guard)
 
     return _evaluate_series_report("sinh-theta", {"theta": str(theta)}, budget, series, rhs_fn, trace)
@@ -1018,11 +996,11 @@ def identity_spec(name: str) -> IdentitySpec:
 
 def catalog_verify(
     name: str,
-    budget: Optional[PrecisionBudget] = None,
-    max_terms: int = 10000,
+    budget: PrecisionBudget = DEFAULT_BUDGET,
+    max_terms: int = DEFAULT_MAX_TERMS,
     trace: Optional[list] = None,
     **params,
 ) -> IdentityReport:
     """Verify a named identity of the table; parameters are parsed by its
     schema (strings or exact values) and missing ones take their defaults."""
-    return identity_spec(name).run(budget or default_budget(), max_terms, trace, params)
+    return identity_spec(name).run(budget, max_terms, trace, params)

@@ -150,3 +150,42 @@ def test_enclosure_matches_golden(function, digits):
 def test_every_golden_enclosure_is_checked():
     names = {f"{function}-d{digits}.txt" for function, digits in ENCLOSURE_CASES}
     assert {path.name for path in (GOLDEN / "enclosures").iterdir()} == names
+
+
+# Reports of Lucas-layer paths that no registry instance takes, at 40 digits
+# with a cap of 2000 terms, under tests/golden/lucas/: lucas-pos and
+# lucas-neg at several (P, Q, k), the sqrt(5) catalog at k = 3 and 4,
+# Chebyshev x = 3/2 and x = 2 with k = 30 (whose Q(sqrt(D)) closed-form
+# argument takes four conversion passes), Bridgeman with a positive and a
+# negative Pell solution, and sinh-theta, where theta = 1/10 needs a third
+# summation pass.  They were produced by the implementation in which each
+# Lucas branch had its own caller and sinh-theta its own recurrence.
+LUCAS = [
+    ("lucas-pos-5-6-1", "lucas-pos", {"P": "5", "Q": "6", "k": "1"}),
+    ("lucas-pos-3-1-3", "lucas-pos", {"P": "3", "Q": "1", "k": "3"}),
+    ("lucas-pos-7-2-3-2-2", "lucas-pos", {"P": "7/2", "Q": "3/2", "k": "2"}),
+    ("lucas-neg-1-m1-3", "lucas-neg", {"P": "1", "Q": "-1", "k": "3"}),
+    ("lucas-neg-3-m2-5", "lucas-neg", {"P": "3", "Q": "-2", "k": "5"}),
+    ("lucas-neg-5-3-m1-2-1", "lucas-neg", {"P": "5/3", "Q": "-1/2", "k": "1"}),
+    ("sqrt5-k-odd-3", "sqrt5-k-odd", {"k": "3"}),
+    ("sqrt5-k-even-4", "sqrt5-k-even", {"k": "4"}),
+    ("chebyshev-x-3-2-2", "chebyshev-x", {"x": "3/2", "k": "2"}),
+    ("chebyshev-x-2-30", "chebyshev-x", {"x": "2", "k": "30"}),
+    ("bridgeman-7-2-12", "bridgeman", {"pell_a": "7", "pell_b": "2", "pell_n": "12"}),
+    ("bridgeman-2-1-5", "bridgeman", {"pell_a": "2", "pell_b": "1", "pell_n": "5"}),
+    ("sinh-theta-1-2", "sinh-theta", {"theta": "1/2"}),
+    ("sinh-theta-3", "sinh-theta", {"theta": "3"}),
+    ("sinh-theta-1-10", "sinh-theta", {"theta": "1/10"}),
+]
+
+
+@pytest.mark.parametrize("stem, identity_id, parameters", LUCAS, ids=[row[0] for row in LUCAS])
+def test_lucas_report_matches_golden(stem, identity_id, parameters):
+    config = RunConfig(identity_id, parameters, 40, 2000)
+    expected = (GOLDEN / "lucas" / f"{stem}-d40.json").read_text()
+    assert emit_report(run_identity(config)) == expected
+
+
+def test_every_lucas_golden_is_checked():
+    names = {f"{stem}-d40.json" for stem, _, _ in LUCAS}
+    assert {path.name for path in (GOLDEN / "lucas").iterdir()} == names

@@ -7,6 +7,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from mpmath import mp
 
 from dilogid.harness import (
     RunConfig,
@@ -73,12 +74,6 @@ class TestReportSerialization:
         assert abs(parsed["residual"]["midpoint"]) <= (
             parsed["residual"]["radius"] + parsed["tail_bound"] + tolerance
         )
-
-    def test_unsupported_format(self):
-        config = RunConfig("corollary", {"t": "1/3"}, 20)
-        report = run_identity(config)
-        with pytest.raises(UsageError):
-            emit_report(report, fmt="xml")
 
 
 class TestRunConfig:
@@ -157,6 +152,23 @@ class TestCliVerify:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("offset, status", [(0, 0), (31, 1)], ids=["exact", "off-by-1e-31"])
+    def test_rhs_expected_uses_the_run_tolerance(self, tmp_path, offset, status):
+        # pi^2/12 written to 110 digits, plus 10^-offset: at 100 digits an
+        # error of 10^-31 is far outside the tolerance
+        with mp.workdps(130):
+            text = mp.nstr(mp.pi ** 2 / 12, 110, strip_zeros=False)
+        places = len(text) - 2
+        if offset:
+            text = "0." + str(int(text[2:]) + 10 ** (places - offset)).zfill(places)
+        code = run_cli(
+            [
+                "verify", "--identity", "corollary", "--t", "1/3", "--digits", "100",
+                "--output", str(tmp_path / "r.json"), "--rhs-expected", text,
+            ]
+        )
+        assert code == status
+
     def test_determinism_byte_identical(self, tmp_path):
         outputs = []
         for name in ("a.json", "b.json"):
@@ -217,8 +229,9 @@ class TestCliVerify:
         [
             ["--identity", "sinh-theta", "--theta", f"1/{2 ** 3000}"],
             ["--identity", "lucas-pos", "--P", "2", "--Q", "0." + "9" * 4000],
+            ["--identity", "lucas-pos", "--P", "2", "--Q", "0." + "9" * 60],
         ],
-        ids=["sinh-theta-tiny-theta", "lucas-pos-ratio-near-one"],
+        ids=["sinh-theta-tiny-theta", "lucas-pos-ratio-near-one", "lucas-pos-ratio-60-nines"],
     )
     def test_uncertifiable_ratio_exits_2(self, capsys, args):
         code = run_cli(["verify", *args, "--max-terms", "5"])
@@ -226,7 +239,7 @@ class TestCliVerify:
         assert code == 2
         assert captured.out == ""
         lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert lines == ["error: could not certify the geometric ratio below 1"]
 
     def test_stdout_default(self, capsys):
         code = run_cli(["verify", "--identity", "repunit-x", "--digits", "20"])
