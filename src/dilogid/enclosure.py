@@ -29,7 +29,8 @@ class DomainError(ValueError):
 
 
 class PrecisionError(RuntimeError):
-    """Requested radius was not achieved after exhausting escalation."""
+    """A radius, a certificate or an exact value out of reach at the working
+    precision."""
 
 
 @contextmanager
@@ -97,10 +98,14 @@ def iv_from_fraction(value):
 
 
 def mpf_to_fraction(x) -> Fraction:
-    """Exact rational value of a finite mpf."""
+    """Exact rational value of a finite mpf.  A binary exponent beyond
+    +-2^20, far past any working precision, raises PrecisionError: the exact
+    value of, say, e^(-2*10^400) would not fit in memory."""
     sign, man, exp, _ = x._mpf_
     if man == 0 and exp != 0:
         raise ValueError("non-finite mpf has no rational value")
+    if abs(exp) > 1 << 20:
+        raise PrecisionError("value too far from 1 for an exact rational (binary exponent beyond +-2^20)")
     # int() strips the gmpy2.mpz type mpmath uses under its gmpy backend
     v = Fraction(int(man)) * Fraction(2) ** int(exp)
     return -v if sign else v
@@ -235,31 +240,22 @@ def _as_ebv(value) -> ErrorBoundedValue:
 
 @dataclass(frozen=True)
 class PrecisionBudget:
-    """Target accuracy plus the internal precision used to reach it."""
+    """Target accuracy; the working precision follows from it."""
 
     target_digits: int
-    working_bits: int
-    guard_terms: int = 8
 
     def __post_init__(self):
         if self.target_digits < 1:
             raise ValueError("target_digits must be positive")
-        if self.guard_terms < 0:
-            raise ValueError("guard_terms must be nonnegative")
-        if self.working_bits < self.min_working_bits(self.target_digits):
-            raise ValueError(
-                f"working_bits {self.working_bits} below required "
-                f"{self.min_working_bits(self.target_digits)} for "
-                f"{self.target_digits} digits"
-            )
-
-    @staticmethod
-    def min_working_bits(digits: int) -> int:
-        return math.ceil(digits * LOG2_10) + 32
 
     @classmethod
     def for_digits(cls, digits: int) -> "PrecisionBudget":
-        return cls(digits, cls.min_working_bits(digits) + 64)
+        return cls(digits)
+
+    @property
+    def working_bits(self) -> int:
+        """The target's bits plus 96 guard bits."""
+        return math.ceil(self.target_digits * LOG2_10) + 96
 
     @property
     def tolerance(self) -> Fraction:

@@ -20,6 +20,7 @@ import csv
 import json
 import os
 import random
+import re
 import sys
 from dataclasses import dataclass, field, replace
 from decimal import Decimal, localcontext
@@ -49,6 +50,7 @@ DIGITS_ENV_VAR = "DILOG_DIGITS"
 DEFAULT_DIGITS = DEFAULT_BUDGET.target_digits
 MIN_DIGITS = 10
 DEFAULT_SEED = 987654321
+_PLAIN_DECIMAL = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)")
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +70,9 @@ def exact_decimal(value) -> str:
     k = den.bit_length() - 1
     if den != 1 << k:
         raise ValueError("value is not a dyadic rational")
-    digits = str(v.numerator * 5 ** k)
+    # Decimal, unlike str, converts ints of any length (CPython caps str
+    # at sys.get_int_max_str_digits() digits)
+    digits = str(Decimal(v.numerator * 5 ** k))
     if k == 0:
         return sign + digits
     if len(digits) <= k:
@@ -77,8 +81,10 @@ def exact_decimal(value) -> str:
 
 
 def parse_decimal(text: str) -> Fraction:
-    """Exact rational value of a plain decimal or p/q string."""
-    return Fraction(text.strip())
+    """Exact rational value of a plain decimal or p/q string; a plain
+    decimal of any length goes through Decimal, as in exact_decimal."""
+    text = text.strip()
+    return Fraction(Decimal(text)) if _PLAIN_DECIMAL.fullmatch(text) else Fraction(text)
 
 
 def approx_decimal(value, significant: int = 12) -> str:
@@ -442,6 +448,9 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=_identity_list(),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
+    # argparse takes "-1/2" for an option, as it knows only integers and
+    # decimals as negative numbers; here a dash and a digit start a value
+    verify._negative_number_matcher = re.compile(r"-\.?\d")
     verify.add_argument("--identity", required=True, help=", ".join(IDENTITIES))
     for key, (parse, names) in _verify_flags().items():
         kind = "integer" if parse is _integer else "rational (p/q or decimal)"

@@ -8,9 +8,9 @@ Euler reflection to 1-x is used.  The Rogers function
 
 is assembled from those pieces by the same kernel that yields Li2, and
 the points 0 and 1 are handled once, for the public entry points.  Every
-result is an ErrorBoundedValue whose radius is driven below
-10^(-target_digits), doubling the working precision up to three times
-before reporting failure.
+result is an ErrorBoundedValue evaluated once at the budget's working
+precision; a radius above 10^(-target_digits), which only a wide input
+enclosure causes, raises PrecisionError.
 
 The product log(x) log(1-x) is nonnegative on (0, 1).  When 1-x (or x)
 cannot be separated from 1 at working precision, the product is enclosed
@@ -49,7 +49,8 @@ Argument = Union[int, Fraction, ErrorBoundedValue]
 _HALF = Fraction(1, 2)
 # exact rationals: reduced, or unreduced series terms
 _EXACT = (Fraction, RationalPair)
-_MAX_ESCALATIONS = 3
+# series terms summed beyond the heuristic count; the tail bound covers the rest
+_GUARD_TERMS = 8
 _MPI_ZERO = (fzero, fzero)
 _MPI_ONE = (fone, fone)
 
@@ -195,7 +196,7 @@ def _rogers_eval(x, guard: int):
     return iv.make_mpf(_dilog_raw(x, guard, True))
 
 
-def _unit_eval(x, guard: int, rogers: bool):
+def _unit_eval(x, rogers: bool):
     """Interval L, or Li2 when not ``rogers``, at a validated argument in
     [0, 1]: the boundary points 0 and 1 take their closed values."""
     if isinstance(x, Fraction):
@@ -203,35 +204,28 @@ def _unit_eval(x, guard: int, rogers: bool):
             return iv.mpf(0)
         if x == 1:
             return _pi_squared_over(6)
-    return iv.make_mpf(_dilog_raw(x, guard, rogers))
+    return iv.make_mpf(_dilog_raw(x, _GUARD_TERMS, rogers))
 
 
-def _with_escalation(budget: PrecisionBudget, evaluator) -> ErrorBoundedValue:
-    bits = budget.working_bits
-    tolerance = budget.tolerance
-    result = None
-    for _ in range(_MAX_ESCALATIONS + 1):
-        with interval_precision(bits):
-            result = ErrorBoundedValue.from_interval(evaluator())
-        if result.radius <= tolerance:
-            return result
-        bits *= 2
-    raise PrecisionError(
-        f"radius {float(result.radius):.3e} above 10^-{budget.target_digits} "
-        f"after {_MAX_ESCALATIONS} escalations"
-    )
+def _at_budget(budget: PrecisionBudget, evaluator) -> ErrorBoundedValue:
+    """One evaluation at the working precision, its radius within tolerance."""
+    with interval_precision(budget.working_bits):
+        result = ErrorBoundedValue.from_interval(evaluator())
+    if result.radius > budget.tolerance:
+        raise PrecisionError(f"radius {float(result.radius):.3e} above 10^-{budget.target_digits}")
+    return result
 
 
 def li2(x: Argument, budget: PrecisionBudget = DEFAULT_BUDGET) -> ErrorBoundedValue:
     """Enclosure of the dilogarithm series sum x^n/n^2 on [0, 1]."""
     x = _validate_unit_arg(x)
-    return _with_escalation(budget, lambda: _unit_eval(x, budget.guard_terms, False))
+    return _at_budget(budget, lambda: _unit_eval(x, False))
 
 
 def rogers_l(x: Argument, budget: PrecisionBudget = DEFAULT_BUDGET) -> ErrorBoundedValue:
     """Enclosure of the Rogers dilogarithm with its boundary values."""
     x = _validate_unit_arg(x)
-    return _with_escalation(budget, lambda: _unit_eval(x, budget.guard_terms, True))
+    return _at_budget(budget, lambda: _unit_eval(x, True))
 
 
 def reflection_residual(x: Argument, budget: PrecisionBudget = DEFAULT_BUDGET) -> ErrorBoundedValue:
@@ -239,10 +233,9 @@ def reflection_residual(x: Argument, budget: PrecisionBudget = DEFAULT_BUDGET) -
     x = _validate_unit_arg(x)
 
     def evaluate():
-        guard = budget.guard_terms
-        return _unit_eval(x, guard, True) + _unit_eval(_one_minus(x), guard, True) - _pi_squared_over(6)
+        return _unit_eval(x, True) + _unit_eval(_one_minus(x), True) - _pi_squared_over(6)
 
-    return _with_escalation(budget, evaluate)
+    return _at_budget(budget, evaluate)
 
 
 def abel_residual(x: Argument, y: Argument, budget: PrecisionBudget = DEFAULT_BUDGET) -> ErrorBoundedValue:
@@ -254,7 +247,6 @@ def abel_residual(x: Argument, y: Argument, budget: PrecisionBudget = DEFAULT_BU
     """
     x = _validate_unit_arg(x, open_interval=True)
     y = _validate_unit_arg(y, open_interval=True)
-    guard = budget.guard_terms
 
     if isinstance(x, Fraction) and isinstance(y, Fraction):
         xy = x * y
@@ -263,14 +255,14 @@ def abel_residual(x: Argument, y: Argument, budget: PrecisionBudget = DEFAULT_BU
 
         def evaluate():
             return (
-                _rogers_eval(x, guard)
-                + _rogers_eval(y, guard)
-                - _rogers_eval(xy, guard)
-                - _rogers_eval(mid_x, guard)
-                - _rogers_eval(mid_y, guard)
+                _rogers_eval(x, _GUARD_TERMS)
+                + _rogers_eval(y, _GUARD_TERMS)
+                - _rogers_eval(xy, _GUARD_TERMS)
+                - _rogers_eval(mid_x, _GUARD_TERMS)
+                - _rogers_eval(mid_y, _GUARD_TERMS)
             )
 
-        return _with_escalation(budget, evaluate)
+        return _at_budget(budget, evaluate)
 
     def evaluate_numeric():
         xi = x.interval() if isinstance(x, ErrorBoundedValue) else iv.make_mpf(_raw(x, iv.prec))
@@ -285,9 +277,9 @@ def abel_residual(x: Argument, y: Argument, budget: PrecisionBudget = DEFAULT_BU
             if not (0 < lo and hi < 1):
                 raise DomainError("five-term argument not separated inside (0, 1)")
             ebv_args.append(ebv)
-        total = _rogers_eval(x, guard) + _rogers_eval(y, guard)
+        total = _rogers_eval(x, _GUARD_TERMS) + _rogers_eval(y, _GUARD_TERMS)
         for a in ebv_args:
-            total = total - _rogers_eval(a, guard)
+            total = total - _rogers_eval(a, _GUARD_TERMS)
         return total
 
-    return _with_escalation(budget, evaluate_numeric)
+    return _at_budget(budget, evaluate_numeric)

@@ -48,9 +48,13 @@ from .enclosure import (
 )
 from .exactnum import QuadraticElement, exact_sqrt, quad_interval, quad_pow, quad_to_real
 from .lucas import Coefficient, LucasParams, PreconditionError, _coeff_sign, lucas_uv
-from .rogers import _MAX_ESCALATIONS, _pi_squared_over, _rogers_eval, rogers_l
+from .rogers import _GUARD_TERMS, _pi_squared_over, _rogers_eval, rogers_l
 
 DEFAULT_MAX_TERMS = 10000
+_MAX_ESCALATIONS = 3
+# precision of tail bounds and ratio caps; it must differ from every
+# summation pass, because the benchmark tracer counts passes by it
+_TAIL_BITS = 96
 
 
 class UsageError(ValueError):
@@ -240,7 +244,7 @@ def tail_bound(first_omitted, ratio_cap):
         raise DomainError("first omitted term above 1/2: lower the truncation point")
     if not (0 < r < 1):
         raise DomainError("ratio cap must lie in (0, 1)")
-    with interval_precision(96):
+    with interval_precision(_TAIL_BITS):
         ti = iv_from_fraction(t)
         ri = iv_from_fraction(r)
         one_minus_r = 1 - ri
@@ -290,17 +294,12 @@ def _tail_small_enough(term, cap, tolerance_half: Fraction, digits: int) -> bool
 
 
 def _assert_unit_open(value) -> None:
+    """An exact rational or Q(sqrt(D)) value lies inside (0, 1)."""
     if isinstance(value, (Fraction, RationalPair)):
         if not (0 < value.numerator < value.denominator):
             raise AssertionError(f"series argument {value.numerator}/{value.denominator} outside (0, 1)")
-        return
-    if isinstance(value, QuadraticElement):
-        if not (value.sign() > 0 and (value - 1).sign() < 0):
-            raise AssertionError("series argument outside (0, 1)")
-        return
-    lo, hi = value.endpoints()
-    if not (0 < lo and hi < 1):
-        raise AssertionError("series argument enclosure not inside (0, 1)")
+    elif not (value.sign() > 0 and (value - 1).sign() < 0):
+        raise AssertionError("series argument outside (0, 1)")
 
 
 def _term_rogers(term, guard: int):
@@ -319,12 +318,11 @@ def _unit_open_terms(terms: Iterable) -> Iterator:
 
 
 def _exact_series(budget: PrecisionBudget, n_terms: int, terms: Callable[[], Iterable], tail, ratio_cap) -> tuple:
-    """Start budget and ``series`` callback for the first ``n_terms`` exact
+    """Start bits and ``series`` callback for the first ``n_terms`` exact
     terms of ``terms()``, which every pass calls afresh; the working
     precision absorbs the rounding of n_terms conversions."""
-    digits_eff = budget.target_digits + max(4, len(str(max(n_terms, 1))) + 3)
-    bits = max(budget.working_bits, PrecisionBudget.min_working_bits(digits_eff) + 64)
-    return replace(budget, working_bits=bits), lambda: (_unit_open_terms(islice(terms(), n_terms)), tail, ratio_cap)
+    digits = budget.target_digits + max(4, len(str(n_terms)) + 3)
+    return PrecisionBudget(digits).working_bits, lambda: (_unit_open_terms(islice(terms(), n_terms)), tail, ratio_cap)
 
 
 def _evaluate_series_report(
@@ -334,12 +332,14 @@ def _evaluate_series_report(
     series: Callable[[], tuple],
     rhs_fn: Callable[[int], object],
     trace: Optional[list] = None,
+    bits: Optional[int] = None,
+    guard: int = _GUARD_TERMS,
 ) -> IdentityReport:
     """Sum enclosures of L over a truncated series, evaluate the closed form, report.
 
-    Each pass runs in one interval context, starting at
-    ``budget.working_bits`` and doubling while the residual radius misses
-    the tolerance, with ``budget.guard_terms`` guard terms per evaluation.
+    Each pass runs in one interval context, starting at ``bits`` (default
+    ``budget.working_bits``) and doubling while the residual radius misses
+    the tolerance, with ``guard`` guard terms per evaluation.
     ``series()`` is called inside that context and returns
     ``(terms, tail, ratio_cap)``: an iterable of exact or enclosed summands
     (enclosures are regenerated at the pass's precision), the bound on the
@@ -350,8 +350,7 @@ def _evaluate_series_report(
     context.  ``IdentityReport.build`` fails a residual whose radius still
     misses the tolerance after the last pass.
     """
-    bits = budget.working_bits
-    guard = budget.guard_terms
+    bits = bits or budget.working_bits
     for attempt in range(_MAX_ESCALATIONS + 1):
         with interval_precision(bits):
             try:
@@ -464,8 +463,8 @@ def theorem_main_verify(
 
     # every pass regenerates the terms: holding thousands of growing exact
     # terms costs more memory than the integer multiplies that rebuild them
-    start, series = _exact_series(budget, n_terms, lambda: _theorem_terms(inst), tail, cap)
-    return _evaluate_series_report("theorem-main", {"a": str(a), "b": str(b)}, start, series, rhs_fn, trace)
+    bits, series = _exact_series(budget, n_terms, lambda: _theorem_terms(inst), tail, cap)
+    return _evaluate_series_report("theorem-main", {"a": str(a), "b": str(b)}, budget, series, rhs_fn, trace, bits)
 
 
 def corollary_remark_term(t: Fraction, m: int) -> Fraction:
@@ -527,8 +526,8 @@ def corollary_verify(
     def rhs_fn(guard):
         return _rogers_eval(target, guard)
 
-    start, series = _exact_series(budget, n_terms, lambda: _theorem_terms(inst), tail, cap)
-    return _evaluate_series_report("corollary", {"t": str(t)}, start, series, rhs_fn, trace)
+    bits, series = _exact_series(budget, n_terms, lambda: _theorem_terms(inst), tail, cap)
+    return _evaluate_series_report("corollary", {"t": str(t)}, budget, series, rhs_fn, trace, bits)
 
 
 # ---------------------------------------------------------------------------
@@ -537,10 +536,10 @@ def corollary_verify(
 
 
 def _ratio_cap_sup(params: LucasParams, k: int, power: int) -> Fraction:
-    """Upper bound on (|Q| / alpha^2)^(power*k), certified below 1 at 96
-    bits: tail_bound works at that precision, so a cap that needs more to
-    separate from 1 could not give a useful tail anyway."""
-    with interval_precision(96):
+    """Upper bound on (|Q| / alpha^2)^(power*k), certified below 1 at the
+    tail precision: tail_bound works at that precision, so a cap that needs
+    more to separate from 1 could not give a useful tail anyway."""
+    with interval_precision(_TAIL_BITS):
         alpha = (quad_interval(params.p) + iv.sqrt(quad_interval(params.d))) / 2
         q = abs(quad_interval(params.q))
         return _certified_cap((q / alpha ** 2) ** (power * k))
@@ -576,18 +575,19 @@ def _lucas_neg_terms(params: LucasParams, k: int) -> Iterator:
     d = params.d
     p, q = params.p, params.q
     q2k = params.q ** (2 * k)
-    # U stream at indices 2kn (step 2k), V stream at k(2n+1) (step 2k)
+    # one U stream in steps of k: U_2kn for A_n, then
+    # V_k(2n+1) = 2 U_(k(2n+1)+1) - P U_k(2n+1) for B_n
     u_lo, u_hi = lucas_uv(params, 2 * k).u, lucas_uv(params, 2 * k + 1).u
-    v_lo, v_hi = lucas_uv(params, 3 * k).v, lucas_uv(params, 3 * k + 1).v
     qpow_a = params.q ** k
     qpow_b = q2k
     while True:
         a_term = -vk2 * qpow_a / (d * u_lo * u_lo)
-        b_term = vk2 * qpow_b / (v_lo * v_lo)
-        yield a_term, b_term
-        for _ in range(2 * k):
+        for _ in range(k):
             u_lo, u_hi = u_hi, p * u_hi - q * u_lo
-            v_lo, v_hi = v_hi, p * v_hi - q * v_lo
+        v = 2 * u_hi - p * u_lo
+        yield a_term, vk2 * qpow_b / (v * v)
+        for _ in range(k):
+            u_lo, u_hi = u_hi, p * u_hi - q * u_lo
         qpow_a = qpow_a * q2k
         qpow_b = qpow_b * q2k
 
@@ -620,8 +620,8 @@ def _lucas_verify(params, k, budget, max_terms, trace) -> IdentityReport:
         return _term_rogers(rhs_arg, guard)
 
     parameters = {"P": _coeff_str(params.p), "Q": _coeff_str(params.q), "k": str(k)}
-    start, series = _exact_series(budget, len(terms), lambda: terms, tail, cap)
-    return _evaluate_series_report(identity_id, parameters, start, series, rhs_fn, trace)
+    bits, series = _exact_series(budget, len(terms), lambda: terms, tail, cap)
+    return _evaluate_series_report(identity_id, parameters, budget, series, rhs_fn, trace, bits)
 
 
 def lucas_pos_verify(
@@ -807,7 +807,7 @@ def _richmond_szekeres(budget: PrecisionBudget, max_terms: int, trace: Optional[
     """Partial sum of L(1/n^2) over 2 <= n <= N = max_terms + 1 plus the
     integral-style tail bound (pi^2/6 + 2 log N + 2)/N, bracketing pi^2/6."""
     last = max_terms + 1
-    with interval_precision(96):
+    with interval_precision(_TAIL_BITS):
         n_iv = iv.mpf(last)
         bound = (_pi_squared_over(6) + 2 * iv.log(n_iv) + 2) / n_iv
         tail = mp.make_mpf(bound._mpi_[1])
@@ -819,8 +819,8 @@ def _richmond_szekeres(budget: PrecisionBudget, max_terms: int, trace: Optional[
     def rhs_fn(guard):
         return _pi_squared_over(6)
 
-    guard_2 = replace(budget, guard_terms=2)
-    return _evaluate_series_report("richmond-szekeres", {"terms": str(max_terms)}, guard_2, series, rhs_fn, trace)
+    parameters = {"terms": str(max_terms)}
+    return _evaluate_series_report("richmond-szekeres", parameters, budget, series, rhs_fn, trace, guard=2)
 
 
 def _sinh_theta(

@@ -186,6 +186,38 @@ def test_lucas_report_matches_golden(stem, identity_id, parameters):
     assert emit_report(run_identity(config)) == expected
 
 
+def test_negative_rational_as_separate_argument_matches_golden(monkeypatch, capsys):
+    monkeypatch.delenv("DILOG_DIGITS", raising=False)
+    code = run_cli(["verify", "--identity", "lucas-neg", "--P", "5/3", "--Q", "-1/2", "--k", "1"])
+    assert code == 0
+    assert capsys.readouterr().out == (GOLDEN / "lucas" / "lucas-neg-5-3-m1-2-1-d40.json").read_text()
+
+
 def test_every_lucas_golden_is_checked():
     names = {f"{stem}-d40.json" for stem, _, _ in LUCAS}
     assert {path.name for path in (GOLDEN / "lucas").iterdir()} == names
+
+
+# Standard output of the commands that print single values and the
+# registry summary, with DILOG_DIGITS unset, under tests/golden/cli/; they
+# were produced by the implementation that retried a single value at up to
+# three doublings of its working precision.
+CLI = [
+    ("suite", ["suite"]),
+    ("special-values-d50", ["special-values", "--digits", "50"]),
+    ("properties-points20", ["properties", "--points", "20"]),
+]
+
+
+@pytest.mark.parametrize("stem, argv", CLI, ids=[row[0] for row in CLI])
+def test_cli_output_matches_golden(monkeypatch, stem, argv):
+    monkeypatch.delenv("DILOG_DIGITS", raising=False)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run_cli(argv)
+    assert code == 0
+    assert out.getvalue() == (GOLDEN / "cli" / f"{stem}.txt").read_text()
+
+
+def test_every_cli_golden_is_checked():
+    assert {path.name for path in (GOLDEN / "cli").iterdir()} == {f"{stem}.txt" for stem, _ in CLI}

@@ -40,6 +40,12 @@ class TestDecimalRendering:
         ):
             assert parse_decimal(exact_decimal(value)) == value
 
+    def test_roundtrip_beyond_the_int_string_limit(self):
+        # 6200 fractional digits, more than CPython converts between int
+        # and str by default (sys.get_int_max_str_digits() = 4300)
+        value = Fraction(1, 2 ** 6200)
+        assert parse_decimal(exact_decimal(value)) == value
+
     def test_non_dyadic_rejected(self):
         with pytest.raises(ValueError):
             exact_decimal(Fraction(1, 3))
@@ -135,6 +141,31 @@ class TestCliVerify:
 
     def test_malformed_flag_exits_2(self):
         assert run_cli(["verify", "--no-such-flag"]) == 2
+
+    @pytest.mark.parametrize("q", ["-1/2", "-0.5", "-.5"])
+    def test_negative_value_as_separate_argument(self, capsys, q):
+        # argparse alone reads "-1/2" after "--Q" as an option, not a value
+        head = ["verify", "--identity", "lucas-neg", "--P", "5/3"]
+        tail = ["--k", "1", "--digits", "15"]
+        assert run_cli([*head, f"--Q={q}", *tail]) == 0
+        attached = capsys.readouterr().out
+        assert run_cli([*head, "--Q", q, *tail]) == 0
+        assert capsys.readouterr().out == attached
+
+    def test_unknown_option_before_negative_value_exits_2(self):
+        argv = ["verify", "--identity", "lucas-neg", "--P", "5/3", "--Q", "-1/2", "--bogus", "-1/2"]
+        assert run_cli(argv) == 2
+
+    def test_report_beyond_the_int_string_limit(self, capsys):
+        # at theta = 1500 the exact decimals of the endpoints run past the
+        # 4300 digits CPython converts between int and str by default
+        code = run_cli(["verify", "--identity", "sinh-theta", "--theta", "1500"])
+        text = capsys.readouterr().out
+        assert code == 0
+        assert max(map(len, text.splitlines())) > 4300
+        report = parse_report(text)
+        assert report["verdict"] == "pass"
+        assert report["residual"]["radius"] <= Fraction(1, 10 ** 40)
 
     def test_unknown_parameter_key_exits_2(self):
         code = run_cli(
@@ -317,6 +348,8 @@ class TestBadInput:
             (["properties", "--points", "0", "--digits", "15"], None),
             (["verify", "--identity", "corollary", "--t", "1/3", "--rhs-expected", "abc"], None),
             (["verify", "--identity", "corollary", "--t", "1/3", "--rhs-expected", "1/0"], None),
+            # the ratio cap e^(-2 theta) has no exact rational value in memory
+            (["verify", "--identity", "sinh-theta", "--theta", "1e400"], None),
         ],
         ids=[
             "special-values-digits-0",
@@ -326,6 +359,7 @@ class TestBadInput:
             "properties-points-0",
             "rhs-expected-not-a-number",
             "rhs-expected-zero-denominator",
+            "sinh-theta-theta-1e400",
         ],
     )
     def test_exits_2_with_one_error_line(self, capsys, monkeypatch, argv, env_digits):

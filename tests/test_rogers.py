@@ -175,16 +175,16 @@ class TestEnclosureDiscipline:
             assert abs(fine.midpoint - coarse.midpoint) <= coarse.radius + fine.radius
             assert coarse.overlaps(fine)
 
-    def test_budget_invariant(self):
+    def test_budget_requires_positive_digits(self):
         with pytest.raises(ValueError):
-            PrecisionBudget(40, 80)  # far below the required bits
+            PrecisionBudget(0)
 
     def test_budget_tolerance(self):
         assert PrecisionBudget.for_digits(12).tolerance == Fraction(1, 10 ** 12)
 
     def test_escalation_failure_is_explicit(self):
-        # a wide input enclosure cannot reach a 40-digit radius: after three
-        # precision doublings the failure must surface, not a silent answer
+        # a wide input enclosure cannot reach a 40-digit radius at the
+        # working precision: the failure must surface, not a silent answer
         from dilogid.enclosure import PrecisionError
 
         wide = ErrorBoundedValue.from_fraction_pair(Fraction(1, 4), Fraction(1, 3))
