@@ -42,6 +42,7 @@ from .series import (
     _pi2_over,
     d_seq,
     identity_spec,
+    parse_decimal,
     tail_bound,
     xy_seq,
 )
@@ -50,11 +51,10 @@ DIGITS_ENV_VAR = "DILOG_DIGITS"
 DEFAULT_DIGITS = DEFAULT_BUDGET.target_digits
 MIN_DIGITS = 10
 DEFAULT_SEED = 987654321
-_PLAIN_DECIMAL = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)")
 
 
 # ---------------------------------------------------------------------------
-# exact decimal rendering and parsing
+# exact decimal rendering
 # ---------------------------------------------------------------------------
 
 
@@ -78,13 +78,6 @@ def exact_decimal(value) -> str:
     if len(digits) <= k:
         digits = "0" * (k - len(digits) + 1) + digits
     return f"{sign}{digits[:-k]}.{digits[-k:]}"
-
-
-def parse_decimal(text: str) -> Fraction:
-    """Exact rational value of a plain decimal or p/q string; a plain
-    decimal of any length goes through Decimal, as in exact_decimal."""
-    text = text.strip()
-    return Fraction(Decimal(text)) if _PLAIN_DECIMAL.fullmatch(text) else Fraction(text)
 
 
 def approx_decimal(value, significant: int = 12) -> str:

@@ -8,10 +8,11 @@ The verdict convention is
 
     pass  iff  |residual.midpoint| <= residual.radius + tail_bound + 10^-digits,
 
-with an explicit fail when precision escalation cannot push the residual
-radius below 10^-digits.  Every verifier runs through one summation driver,
-``_evaluate_series_report``; ``IDENTITIES`` at the end of the module is the
-one table of named identities, with their parameters and registry instances.
+with an explicit fail when the residual radius misses 10^-digits at the
+working precision.  Every verifier runs through one summation driver,
+``_evaluate_series_report``, which sums in one pass; ``IDENTITIES`` at the
+end of the module is the one table of named identities, with their
+parameters and registry instances.
 
 Tail bounds use L(x) <= x*(pi^2/6 + log(1/x)) on (0, 1/2] together with a
 geometric dominating sequence certified by the caller:
@@ -27,7 +28,9 @@ geometric dominating sequence certified by the caller:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, replace
+from decimal import Decimal
 from fractions import Fraction
 from itertools import islice, tee
 from math import lcm
@@ -51,7 +54,6 @@ from .lucas import Coefficient, LucasParams, PreconditionError, _coeff_sign, luc
 from .rogers import _GUARD_TERMS, _pi_squared_over, _rogers_eval, rogers_l
 
 DEFAULT_MAX_TERMS = 10000
-_MAX_ESCALATIONS = 3
 # precision of tail bounds and ratio caps; it must differ from every
 # summation pass, because the benchmark tracer counts passes by it
 _TAIL_BITS = 96
@@ -256,9 +258,11 @@ def tail_bound(first_omitted, ratio_cap):
 
 
 def _certified_cap(cap) -> Fraction:
-    """Upper endpoint of an interval ratio cap, certified inside (0, 1)."""
-    sup = mpf_to_fraction(mp.make_mpf(cap._mpi_[1]))
-    if not 0 < sup < 1:
+    """An exact ratio cap, or the upper endpoint of an interval one, certified
+    below 1 at _TAIL_BITS bits, where tail_bound rounds it up: a cap that
+    rounds to 1 there gives no finite tail at any working precision."""
+    sup = cap if isinstance(cap, Fraction) else mpf_to_fraction(mp.make_mpf(cap._mpi_[1]))
+    if not 0 < sup <= 1 - Fraction(1, 1 << _TAIL_BITS):
         raise PrecisionError("could not certify the geometric ratio below 1")
     return sup
 
@@ -311,72 +315,49 @@ def _term_rogers(term, guard: int):
     return _rogers_eval(term, guard)
 
 
-def _unit_open_terms(terms: Iterable) -> Iterator:
-    for t in terms:
-        _assert_unit_open(t)
-        yield t
-
-
-def _exact_series(budget: PrecisionBudget, n_terms: int, terms: Callable[[], Iterable], tail, ratio_cap) -> tuple:
-    """Start bits and ``series`` callback for the first ``n_terms`` exact
-    terms of ``terms()``, which every pass calls afresh; the working
-    precision absorbs the rounding of n_terms conversions."""
-    digits = budget.target_digits + max(4, len(str(n_terms)) + 3)
-    return PrecisionBudget(digits).working_bits, lambda: (_unit_open_terms(islice(terms(), n_terms)), tail, ratio_cap)
+def _exact_bits(budget: PrecisionBudget, n_terms: int) -> int:
+    """Working bits for a sum of ``n_terms`` exact terms: more digits per
+    decade of the term count absorb the rounding of their conversions."""
+    return PrecisionBudget(budget.target_digits + max(4, len(str(n_terms)) + 3)).working_bits
 
 
 def _evaluate_series_report(
     identity_id: str,
     parameters: dict,
     budget: PrecisionBudget,
-    series: Callable[[], tuple],
+    terms: Iterable,
+    tail,
+    ratio_cap,
     rhs_fn: Callable[[int], object],
     trace: Optional[list] = None,
     bits: Optional[int] = None,
     guard: int = _GUARD_TERMS,
 ) -> IdentityReport:
-    """Sum enclosures of L over a truncated series, evaluate the closed form, report.
-
-    Each pass runs in one interval context, starting at ``bits`` (default
-    ``budget.working_bits``) and doubling while the residual radius misses
-    the tolerance, with ``guard`` guard terms per evaluation.
-    ``series()`` is called inside that context and returns
-    ``(terms, tail, ratio_cap)``: an iterable of exact or enclosed summands
-    (enclosures are regenerated at the pass's precision), the bound on the
-    omitted tail, and the geometric ratio cap behind the running tails of
-    a trace (None: every trace row shows ``tail``).  A ``PrecisionError``
-    from ``series()`` moves on to the next pass.  ``rhs_fn(guard)`` must
-    return an interval for the right-hand side under the ambient precision
-    context.  ``IdentityReport.build`` fails a residual whose radius still
-    misses the tolerance after the last pass.
-    """
-    bits = bits or budget.working_bits
-    for attempt in range(_MAX_ESCALATIONS + 1):
-        with interval_precision(bits):
-            try:
-                terms, tail, ratio_cap = series()
-            except PrecisionError:
-                if attempt == _MAX_ESCALATIONS:
-                    raise
-                bits *= 2
-                continue
-            rows: list = []
-            n_terms = 0
-            acc = iv.mpf(0)
-            for term in terms:
-                acc = acc + _term_rogers(term, guard)
-                n_terms += 1
-                if trace is not None:
-                    exact = term.fraction() if isinstance(term, RationalPair) else term
-                    rows.append((exact, ErrorBoundedValue.from_interval(acc)))
-            rhs_iv = rhs_fn(guard)
-            res_iv = acc - rhs_iv
-            lhs = ErrorBoundedValue.from_interval(acc)
-            rhs = ErrorBoundedValue.from_interval(rhs_iv)
-            residual = ErrorBoundedValue.from_interval(res_iv)
-        if residual.radius <= budget.tolerance:
-            break
-        bits *= 2
+    """Sum enclosures of L over the kept ``terms`` (enclosures, or exact
+    values checked to lie in (0, 1)) in one interval context at ``bits``
+    (default ``budget.working_bits``) with ``guard`` guard terms per
+    evaluation, evaluate the closed form ``rhs_fn(guard)`` in the same
+    context, and report.  ``tail`` bounds the omitted terms; ``ratio_cap``
+    gives the running tails of a trace (None: every row shows ``tail``).
+    ``IdentityReport.build`` fails a residual whose radius misses the
+    tolerance."""
+    with interval_precision(bits or budget.working_bits):
+        rows: list = []
+        n_terms = 0
+        acc = iv.mpf(0)
+        for term in terms:
+            if not isinstance(term, ErrorBoundedValue):
+                _assert_unit_open(term)
+            acc = acc + _term_rogers(term, guard)
+            n_terms += 1
+            if trace is not None:
+                exact = term.fraction() if isinstance(term, RationalPair) else term
+                rows.append((exact, ErrorBoundedValue.from_interval(acc)))
+        rhs_iv = rhs_fn(guard)
+        res_iv = acc - rhs_iv
+        lhs = ErrorBoundedValue.from_interval(acc)
+        rhs = ErrorBoundedValue.from_interval(rhs_iv)
+        residual = ErrorBoundedValue.from_interval(res_iv)
     if trace is not None:
         trace.extend(_trace_rows(rows, tail, ratio_cap))
     return IdentityReport.build(
@@ -443,7 +424,7 @@ def _held_truncation(term_iter: Iterable, ratio_cap, budget: PrecisionBudget, ma
 
 def _two_param_ratio_cap(inst: TwoParamInstance) -> Fraction:
     oma, omb = 1 - inst.a, 1 - inst.b
-    return min(oma, omb) / max(oma, omb)
+    return _certified_cap(min(oma, omb) / max(oma, omb))
 
 
 def theorem_main_verify(
@@ -461,10 +442,12 @@ def theorem_main_verify(
     def rhs_fn(guard):
         return _rogers_eval(a, guard) + _rogers_eval(b, guard) - _rogers_eval(third, guard)
 
-    # every pass regenerates the terms: holding thousands of growing exact
+    # the sum streams the terms again: holding thousands of growing exact
     # terms costs more memory than the integer multiplies that rebuild them
-    bits, series = _exact_series(budget, n_terms, lambda: _theorem_terms(inst), tail, cap)
-    return _evaluate_series_report("theorem-main", {"a": str(a), "b": str(b)}, budget, series, rhs_fn, trace, bits)
+    terms = islice(_theorem_terms(inst), n_terms)
+    parameters = {"a": _rational_str(a), "b": _rational_str(b)}
+    bits = _exact_bits(budget, n_terms)
+    return _evaluate_series_report("theorem-main", parameters, budget, terms, tail, cap, rhs_fn, trace, bits)
 
 
 def corollary_remark_term(t: Fraction, m: int) -> Fraction:
@@ -526,8 +509,9 @@ def corollary_verify(
     def rhs_fn(guard):
         return _rogers_eval(target, guard)
 
-    bits, series = _exact_series(budget, n_terms, lambda: _theorem_terms(inst), tail, cap)
-    return _evaluate_series_report("corollary", {"t": str(t)}, budget, series, rhs_fn, trace, bits)
+    terms = islice(_theorem_terms(inst), n_terms)
+    bits = _exact_bits(budget, n_terms)
+    return _evaluate_series_report("corollary", {"t": _rational_str(t)}, budget, terms, tail, cap, rhs_fn, trace, bits)
 
 
 # ---------------------------------------------------------------------------
@@ -536,9 +520,7 @@ def corollary_verify(
 
 
 def _ratio_cap_sup(params: LucasParams, k: int, power: int) -> Fraction:
-    """Upper bound on (|Q| / alpha^2)^(power*k), certified below 1 at the
-    tail precision: tail_bound works at that precision, so a cap that needs
-    more to separate from 1 could not give a useful tail anyway."""
+    """Certified upper bound on (|Q| / alpha^2)^(power*k)."""
     with interval_precision(_TAIL_BITS):
         alpha = (quad_interval(params.p) + iv.sqrt(quad_interval(params.d))) / 2
         q = abs(quad_interval(params.q))
@@ -546,14 +528,16 @@ def _ratio_cap_sup(params: LucasParams, k: int, power: int) -> Fraction:
 
 
 def _coeff_str(value: Coefficient) -> str:
-    rv = value.rational_value() if isinstance(value, QuadraticElement) else None
-    return str(value if rv is None else rv)
+    rv = value.rational_value() if isinstance(value, QuadraticElement) else value
+    return str(value) if rv is None else _rational_str(rv)
 
 
-def _u_ratio_terms(p, q, k: int, u_lo, u_hi, numer) -> Iterator:
-    """numer * Q^(kn) / U_{k(n+1)}^2 for n >= 1, from (u_lo, u_hi) =
-    (U_k, U_{k+1}) by U_{m+1} = P U_m - Q U_{m-1}, over any ring: exact
-    rationals, Q(sqrt(D)) or intervals."""
+def _lucas_pos_terms(params: LucasParams, k: int) -> Iterator:
+    """U_k^2 Q^(kn) / U_{k(n+1)}^2 for n >= 1, exactly, from (U_k, U_{k+1})
+    by U_{m+1} = P U_m - Q U_{m-1}."""
+    p, q = params.p, params.q
+    u_lo, u_hi = lucas_uv(params, k).u, lucas_uv(params, k + 1).u
+    numer = u_lo * u_lo
     qk = q ** k
     qpow = qk
     while True:
@@ -561,11 +545,6 @@ def _u_ratio_terms(p, q, k: int, u_lo, u_hi, numer) -> Iterator:
             u_lo, u_hi = u_hi, p * u_hi - q * u_lo
         yield numer * qpow / (u_lo * u_lo)
         qpow = qpow * qk
-
-
-def _lucas_pos_terms(params: LucasParams, k: int) -> Iterator:
-    uk = lucas_uv(params, k).u
-    yield from _u_ratio_terms(params.p, params.q, k, uk, lucas_uv(params, k + 1).u, uk * uk)
 
 
 def _lucas_neg_terms(params: LucasParams, k: int) -> Iterator:
@@ -620,8 +599,8 @@ def _lucas_verify(params, k, budget, max_terms, trace) -> IdentityReport:
         return _term_rogers(rhs_arg, guard)
 
     parameters = {"P": _coeff_str(params.p), "Q": _coeff_str(params.q), "k": str(k)}
-    bits, series = _exact_series(budget, len(terms), lambda: terms, tail, cap)
-    return _evaluate_series_report(identity_id, parameters, budget, series, rhs_fn, trace, bits)
+    bits = _exact_bits(budget, len(terms))
+    return _evaluate_series_report(identity_id, parameters, budget, terms, tail, cap, rhs_fn, trace, bits)
 
 
 def lucas_pos_verify(
@@ -790,8 +769,8 @@ def bridgeman_verify(
 
     report = _lucas_verify(params, 1, budget, max_terms, trace)
     parameters = {
-        "a": str(a),
-        "b": str(b),
+        "a": _rational_str(a),
+        "b": _rational_str(b),
         "n": str(n),
         "sign": "+1" if sol.sign > 0 else "-1",
     }
@@ -812,43 +791,47 @@ def _richmond_szekeres(budget: PrecisionBudget, max_terms: int, trace: Optional[
         bound = (_pi_squared_over(6) + 2 * iv.log(n_iv) + 2) / n_iv
         tail = mp.make_mpf(bound._mpi_[1])
 
-    def series():
-        # a generator, so that tens of thousands of terms are never held
-        return (Fraction(1, m * m) for m in range(2, last + 1)), tail, None
-
     def rhs_fn(guard):
         return _pi_squared_over(6)
 
+    # a generator, so that tens of thousands of terms are never held
+    terms = (Fraction(1, m * m) for m in range(2, last + 1))
     parameters = {"terms": str(max_terms)}
-    return _evaluate_series_report("richmond-szekeres", parameters, budget, series, rhs_fn, trace, guard=2)
+    return _evaluate_series_report("richmond-szekeres", parameters, budget, terms, tail, None, rhs_fn, trace, guard=2)
+
+
+def _sinh_theta_terms(growth, decay) -> Iterator:
+    """Intervals of sinh^2(theta)/sinh^2(n theta) = (g - 1/g)^2 / (g^n - g^-n)^2,
+    n >= 2, from g = ``growth`` and 1/g = ``decay``; the powers come from
+    repeated multiplication, so the relative width grows linearly in n."""
+    numer = (growth - decay) ** 2
+    g_pow, d_pow = growth, decay
+    while True:
+        g_pow, d_pow = g_pow * growth, d_pow * decay
+        yield numer / (g_pow - d_pow) ** 2
 
 
 def _sinh_theta(
     theta: Fraction, budget: PrecisionBudget, max_terms: int, trace: Optional[list] = None
 ) -> IdentityReport:
     """Numeric-parameter instance P = 2cosh(theta), Q = 1, k = 1:
-    sum_{n>=2} L(sinh^2(theta)/sinh^2(n theta)) = L(e^(-2 theta)).
-    The terms are enclosures, so every pass regenerates them."""
+    sum_{n>=2} L(sinh^2(theta)/sinh^2(n theta)) = L(e^(-2 theta))."""
     if theta <= 0:
         raise DomainError("theta must be positive")
-
-    def p_and_decay_squared():
+    with interval_precision(budget.working_bits):
         growth = iv.exp(iv_from_fraction(theta))
         decay = 1 / growth
-        return growth + decay, decay * decay  # 2 cosh(theta), 1/alpha^2
-
-    def series():
-        p_iv, cap_iv = p_and_decay_squared()
-        cap = _certified_cap(cap_iv)
-        # the k = 1 Lucas series at (P, Q) = (2 cosh(theta), 1), from U_1 = 1
-        terms = map(ErrorBoundedValue.from_interval, _u_ratio_terms(p_iv, 1, 1, 1, p_iv, 1))
+        decay_sq = decay * decay  # 1/alpha^2
+        cap = _certified_cap(decay_sq)
+        terms = map(ErrorBoundedValue.from_interval, _sinh_theta_terms(growth, decay))
         terms, tail = _held_truncation(terms, cap, budget, max_terms)
-        return terms, tail, cap
+        rhs_arg = ErrorBoundedValue.from_interval(decay_sq)
 
     def rhs_fn(guard):
-        return _rogers_eval(ErrorBoundedValue.from_interval(p_and_decay_squared()[1]), guard)
+        return _rogers_eval(rhs_arg, guard)
 
-    return _evaluate_series_report("sinh-theta", {"theta": str(theta)}, budget, series, rhs_fn, trace)
+    parameters = {"theta": _rational_str(theta)}
+    return _evaluate_series_report("sinh-theta", parameters, budget, terms, tail, cap, rhs_fn, trace)
 
 
 def _sqrt5(k: int, odd: bool, budget, max_terms, trace=None) -> IdentityReport:
@@ -860,6 +843,26 @@ def _sqrt5(k: int, odd: bool, budget, max_terms, trace=None) -> IdentityReport:
 # ---------------------------------------------------------------------------
 # the identity table
 # ---------------------------------------------------------------------------
+
+
+_RATIONAL_TEXT = re.compile(r"[+-]?(?:\d+/\d+|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)")
+
+
+def parse_decimal(value) -> Fraction:
+    """Exact rational value of a decimal or p/q string, or of a number.  The
+    digits go through Decimal, which reads any length, where int and
+    Fraction stop at sys.get_int_max_str_digits()."""
+    text = value.strip() if isinstance(value, str) else ""
+    if not _RATIONAL_TEXT.fullmatch(text):
+        return Fraction(value)
+    number, _, denominator = text.partition("/")
+    return Fraction(Decimal(number)) / Fraction(Decimal(denominator or 1))
+
+
+def _rational_str(value) -> str:
+    """str(Fraction(value)), with its integers written by Decimal, which has no length limit."""
+    text = str(Decimal(value.numerator))
+    return text if value.denominator == 1 else f"{text}/{Decimal(value.denominator)}"
 
 
 def _integer(value) -> int:
@@ -922,9 +925,9 @@ class IdentitySpec:
         return self.verify(budget, max_terms, trace, **values)
 
 
-_RATIONAL = (Fraction, None)
+_RATIONAL = (parse_decimal, None)
 _K = {"k": (_integer, 1)}
-_X_K = {"x": (Fraction, Fraction(2)), "k": (_integer, 1)}
+_X_K = {"x": (parse_decimal, Fraction(2)), "k": (_integer, 1)}
 _P_Q_K = {"P": _RATIONAL, "Q": _RATIONAL, "k": (_integer, 1)}
 _PELL = {"pell_a": _RATIONAL, "pell_b": _RATIONAL, "pell_n": (_integer, None)}
 
@@ -970,7 +973,8 @@ IDENTITIES = {
         IdentitySpec("sqrt5-k-even", {"k": (_integer, 2)}, _verifier(_sqrt5, lambda k: (k, False)),
                      "(P,Q) = (sqrt(5),1) series, even k, recovering the Fibonacci case",
                      (("sqrt5-k-even", {"k": "2"}, _cited_rogers(_PHI_INV4), "L(1/phi^4)"),)),
-        IdentitySpec("sinh-theta", {"theta": (Fraction, Fraction(1))}, _verifier(_sinh_theta, lambda theta: (theta,)),
+        IdentitySpec("sinh-theta", {"theta": (parse_decimal, Fraction(1))},
+                     _verifier(_sinh_theta, lambda theta: (theta,)),
                      "sum of L(sinh^2(theta)/sinh^2(n theta)) = L(e^(-2 theta))",
                      (("sinh-theta(1)", {"theta": "1"}, None, "L(e^-2)"),)),
         IdentitySpec("richmond-szekeres", {}, _richmond_szekeres,

@@ -157,9 +157,10 @@ def test_every_golden_enclosure_is_checked():
 # lucas-neg at several (P, Q, k), the sqrt(5) catalog at k = 3 and 4,
 # Chebyshev x = 3/2 and x = 2 with k = 30 (whose Q(sqrt(D)) closed-form
 # argument takes four conversion passes), Bridgeman with a positive and a
-# negative Pell solution, and sinh-theta, where theta = 1/10 needs a third
-# summation pass.  They were produced by the implementation in which each
-# Lucas branch had its own caller and sinh-theta its own recurrence.
+# negative Pell solution, and sinh-theta at theta = 1/2, 3 and the small
+# theta = 1/10.  They were produced by the implementation in which each
+# Lucas branch had its own caller, the three sinh-theta reports by the one
+# that computes each sinh-theta term in closed form.
 LUCAS = [
     ("lucas-pos-5-6-1", "lucas-pos", {"P": "5", "Q": "6", "k": "1"}),
     ("lucas-pos-3-1-3", "lucas-pos", {"P": "3", "Q": "1", "k": "3"}),

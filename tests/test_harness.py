@@ -167,6 +167,14 @@ class TestCliVerify:
         assert report["verdict"] == "pass"
         assert report["residual"]["radius"] <= Fraction(1, 10 ** 40)
 
+    def test_parameter_beyond_the_int_string_limit(self, capsys):
+        # b = 10^-5000 is reported as a 5001-digit denominator, past the
+        # 4300 digits CPython converts between int and str by default
+        code = run_cli(["verify", "--identity", "theorem-main", "--a", "1/3", "--b", "1e-5000", "--max-terms", "5"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert parse_decimal(report["parameters"]["b"]) == Fraction(1, 10 ** 5000)
+
     def test_unknown_parameter_key_exits_2(self):
         code = run_cli(
             ["verify", "--identity", "theorem-main", "--a", "1/2", "--b", "1/3", "--theta", "1"]
@@ -259,10 +267,25 @@ class TestCliVerify:
         "args",
         [
             ["--identity", "sinh-theta", "--theta", f"1/{2 ** 3000}"],
+            # e^(-2 theta) is below 1 at the working precision, not at the tails' 96 bits
+            ["--identity", "sinh-theta", "--theta", f"1/{2 ** 100}"],
             ["--identity", "lucas-pos", "--P", "2", "--Q", "0." + "9" * 4000],
             ["--identity", "lucas-pos", "--P", "2", "--Q", "0." + "9" * 60],
+            # 5000 digits, past CPython's default int/str conversion limit
+            ["--identity", "lucas-pos", "--P", "2", "--Q", "0." + "9" * 5000],
+            # two-parameter caps 1 - 2*10^-400 and 1 - 2*10^-44
+            ["--identity", "corollary", "--t", "1e-400"],
+            ["--identity", "theorem-main", "--a", "1/2", "--b", "0.5" + "0" * 42 + "1"],
         ],
-        ids=["sinh-theta-tiny-theta", "lucas-pos-ratio-near-one", "lucas-pos-ratio-60-nines"],
+        ids=[
+            "sinh-theta-tiny-theta",
+            "sinh-theta-ratio-near-one-at-tail-bits",
+            "lucas-pos-ratio-near-one",
+            "lucas-pos-ratio-60-nines",
+            "lucas-pos-ratio-5000-nines",
+            "corollary-ratio-near-one",
+            "theorem-main-ratio-near-one",
+        ],
     )
     def test_uncertifiable_ratio_exits_2(self, capsys, args):
         code = run_cli(["verify", *args, "--max-terms", "5"])

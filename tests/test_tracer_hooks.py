@@ -3,7 +3,8 @@
 certbench/tracer.py replaces named dilogid functions with timing wrappers
 and lists the names it cannot find; a renamed hook silently reads 0 in the
 benchmark's per-layer table.  The tracer is loaded from its source file and
-used as the benchmark uses it, on two registry instances at 40 digits.
+used as the benchmark uses it, on two registry instances and sinh-theta at
+theta = 1/10, at 40 digits.
 """
 
 import types
@@ -30,8 +31,12 @@ def test_tracer_hooks_are_present_and_counted():
     try:
         run_identity(RunConfig("theorem-main", {"a": "2/3", "b": "1/3"}, 40))
         run_identity(RunConfig("fib-lucas-neg", {}, 40))
+        run_identity(RunConfig("sinh-theta", {"theta": "1/10"}, 40))
     finally:
         tracer.remove()
     assert set(tracer.missing) <= KNOWN_STALE
+    # one summation pass per verification, told apart by the frame that
+    # opens its precision context
+    assert tracer.counts["series.sum_passes"] == 3
     for count in ("series.sum_passes", "rogers.eval_calls", "rogers.li2_terms", "enclosure.convert_calls"):
         assert tracer.counts[count] > 0, count
