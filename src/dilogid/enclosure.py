@@ -49,7 +49,8 @@ class RationalPair:
 
     Series terms whose exact size grows with the index travel as this pair,
     so that no gcd is ever taken.  It is a class rather than a tuple because
-    a tuple of terms reads as a group of sub-series terms.
+    it has Fraction's ``numerator`` and ``denominator``: the truncation and
+    tail code reads either kind of term the same way.
     """
 
     __slots__ = ("numerator", "denominator")

@@ -248,38 +248,27 @@ def abel_residual(x: Argument, y: Argument, budget: PrecisionBudget = DEFAULT_BU
     x = _validate_unit_arg(x, open_interval=True)
     y = _validate_unit_arg(y, open_interval=True)
 
-    if isinstance(x, Fraction) and isinstance(y, Fraction):
-        xy = x * y
-        mid_x = x * (1 - y) / (1 - xy)
-        mid_y = y * (1 - x) / (1 - xy)
-
-        def evaluate():
-            return (
-                _rogers_eval(x, _GUARD_TERMS)
-                + _rogers_eval(y, _GUARD_TERMS)
-                - _rogers_eval(xy, _GUARD_TERMS)
-                - _rogers_eval(mid_x, _GUARD_TERMS)
-                - _rogers_eval(mid_y, _GUARD_TERMS)
-            )
-
-        return _at_budget(budget, evaluate)
-
-    def evaluate_numeric():
-        xi = x.interval() if isinstance(x, ErrorBoundedValue) else iv.make_mpf(_raw(x, iv.prec))
-        yi = y.interval() if isinstance(y, ErrorBoundedValue) else iv.make_mpf(_raw(y, iv.prec))
-        xy = xi * yi
-        denom = 1 - xy
-        args = [xy, xi * (1 - yi) / denom, yi * (1 - xi) / denom]
-        ebv_args = []
-        for a in args:
-            ebv = ErrorBoundedValue.from_interval(a)
-            lo, hi = ebv.endpoints()
-            if not (0 < lo and hi < 1):
-                raise DomainError("five-term argument not separated inside (0, 1)")
-            ebv_args.append(ebv)
+    def evaluate():
+        # the three five-term arguments: exact for rational x and y, else
+        # enclosures checked to lie inside (0, 1)
+        if isinstance(x, Fraction) and isinstance(y, Fraction):
+            xy = x * y
+            args = [xy, x * (1 - y) / (1 - xy), y * (1 - x) / (1 - xy)]
+        else:
+            xi = x.interval() if isinstance(x, ErrorBoundedValue) else iv.make_mpf(_raw(x, iv.prec))
+            yi = y.interval() if isinstance(y, ErrorBoundedValue) else iv.make_mpf(_raw(y, iv.prec))
+            xy = xi * yi
+            denom = 1 - xy
+            args = []
+            for a in (xy, xi * (1 - yi) / denom, yi * (1 - xi) / denom):
+                a = ErrorBoundedValue.from_interval(a)
+                lo, hi = a.endpoints()
+                if not (0 < lo and hi < 1):
+                    raise DomainError("five-term argument not separated inside (0, 1)")
+                args.append(a)
         total = _rogers_eval(x, _GUARD_TERMS) + _rogers_eval(y, _GUARD_TERMS)
-        for a in ebv_args:
+        for a in args:
             total = total - _rogers_eval(a, _GUARD_TERMS)
         return total
 
-    return _at_budget(budget, evaluate_numeric)
+    return _at_budget(budget, evaluate)

@@ -21,18 +21,19 @@ geometric dominating sequence certified by the caller:
     consequence of the shift identities D_n >= max(1-a,1-b) D_{n-1};
   * Lucas series with Q > 0: term ratio <= (Q/alpha^2)^k, from
     U_{m+k} >= alpha^k U_m (Binet, both roots positive);
-  * Lucas series with Q < 0, k odd: both parity sub-series have term
-    ratio <= (Q^2/alpha^4)^k, by the same Binet argument applied with
-    step 2k to U at even and V at odd indices.
+  * Lucas series with Q < 0, k odd: the two parity sub-series, interleaved
+    as A_1, B_1, A_2, B_2, ..., are the Q > 0 series at (P', Q') =
+    (sqrt(D), -Q), whose roots alpha and -beta are both positive, so the
+    interleaved term ratio is <= (|Q|/alpha^2)^k by the same argument.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from itertools import islice, tee
+from itertools import chain, islice, tee
 from math import lcm
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -387,34 +388,21 @@ def _trace_rows(rows, final_tail, ratio_cap):
 
 def _choose_truncation(term_iter: Iterable, ratio_cap, budget: PrecisionBudget, max_terms: int) -> tuple[int, object]:
     """Read terms until the certified tail fits in half the tolerance.
-
-    An item of ``term_iter`` is one term, or a tuple holding the next term
-    of each of several sub-series that share ``ratio_cap``; each member
-    then gets an equal share of the tolerance, and ``max_terms`` counts
-    items.  Returns (N, tail bound): the first N items are kept.
-    """
+    Returns (N, tail bound): the first N terms are kept."""
     if max_terms < 1:
         raise UsageError("max_terms must be positive")
     tol_half = budget.tolerance / 2
-    digits = budget.target_digits
-    for count, item in enumerate(term_iter):
-        group = item if isinstance(item, tuple) else (item,)
-        if count >= max_terms or (
-            count and all(_tail_small_enough(t, ratio_cap, tol_half / len(group), digits) for t in group)
-        ):
-            if len(group) == 1:
-                return count, tail_bound(item, ratio_cap)
-            total = sum(mpf_to_fraction(tail_bound(t, ratio_cap)) for t in group)
-            return count, ErrorBoundedValue.from_fraction_pair(total, total).upper  # exact sum, rounded up
+    for count, term in enumerate(term_iter):
+        if count >= max_terms or (count and _tail_small_enough(term, ratio_cap, tol_half, budget.target_digits)):
+            return count, tail_bound(term, ratio_cap)
     raise AssertionError("term iterator exhausted unexpectedly")
 
 
 def _held_truncation(term_iter: Iterable, ratio_cap, budget: PrecisionBudget, max_terms: int) -> tuple[list, object]:
-    """``_choose_truncation`` that holds the kept terms: (terms, tail bound),
-    the terms flattened."""
+    """``_choose_truncation`` that holds the kept terms: (terms, tail bound)."""
     term_iter, held = tee(term_iter)
     count, tail = _choose_truncation(term_iter, ratio_cap, budget, max_terms)
-    return [t for item in islice(held, count) for t in (item if isinstance(item, tuple) else (item,))], tail
+    return list(islice(held, count)), tail
 
 
 # ---------------------------------------------------------------------------
@@ -519,12 +507,12 @@ def corollary_verify(
 # ---------------------------------------------------------------------------
 
 
-def _ratio_cap_sup(params: LucasParams, k: int, power: int) -> Fraction:
-    """Certified upper bound on (|Q| / alpha^2)^(power*k)."""
+def _ratio_cap_sup(params: LucasParams, k: int) -> Fraction:
+    """Certified upper bound on (|Q| / alpha^2)^k."""
     with interval_precision(_TAIL_BITS):
         alpha = (quad_interval(params.p) + iv.sqrt(quad_interval(params.d))) / 2
         q = abs(quad_interval(params.q))
-        return _certified_cap((q / alpha ** 2) ** (power * k))
+        return _certified_cap((q / alpha ** 2) ** k)
 
 
 def _coeff_str(value: Coefficient) -> str:
@@ -585,13 +573,14 @@ def _lucas_rhs_arg(params: LucasParams, k: int):
 
 
 def _lucas_verify(params, k, budget, max_terms, trace) -> IdentityReport:
-    """The Q > 0 series, or for Q < 0 the two parity sub-series of the
-    odd-k identity summed pairwise, by the sign of Q."""
+    """By the sign of Q, the Q > 0 series, or the odd-k parity sub-series
+    interleaved (A_1, B_1, A_2, ...): that is the Q > 0 series at
+    (sqrt(D), -Q), with the same ratio cap (|Q|/alpha^2)^k."""
     if _coeff_sign(params.q) > 0:
-        identity_id, power, term_iter = "lucas-pos", 1, _lucas_pos_terms(params, k)
+        identity_id, term_iter = "lucas-pos", _lucas_pos_terms(params, k)
     else:
-        identity_id, power, term_iter = "lucas-neg", 2, _lucas_neg_terms(params, k)
-    cap = _ratio_cap_sup(params, k, power)
+        identity_id, term_iter = "lucas-neg", chain.from_iterable(_lucas_neg_terms(params, k))
+    cap = _ratio_cap_sup(params, k)
     terms, tail = _held_truncation(term_iter, cap, budget, max_terms)
     rhs_arg = _lucas_rhs_arg(params, k)
 
@@ -845,18 +834,31 @@ def _sqrt5(k: int, odd: bool, budget, max_terms, trace=None) -> IdentityReport:
 # ---------------------------------------------------------------------------
 
 
-_RATIONAL_TEXT = re.compile(r"[+-]?(?:\d+/\d+|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)")
+_DIGITS = r"\d+(?:_\d+)*"  # digit groups as Decimal and Fraction read them
+_RATIONAL_TEXT = re.compile(
+    rf"[+-]?(?:{_DIGITS}/{_DIGITS}|(?:{_DIGITS}(?:\.(?:{_DIGITS})?)?|\.{_DIGITS})(?:[eE][+-]?{_DIGITS})?)"
+)
+# Fraction(Decimal) builds 10^|exponent|; beyond this exponent that power has
+# more than 2^20 bits, the scale at which mpf_to_fraction refuses a value
+_MAX_DECIMAL_EXPONENT = (1 << 20) * 30103 // 100000
 
 
 def parse_decimal(value) -> Fraction:
     """Exact rational value of a decimal or p/q string, or of a number.  The
     digits go through Decimal, which reads any length, where int and
-    Fraction stop at sys.get_int_max_str_digits()."""
+    Fraction stop at sys.get_int_max_str_digits(); a decimal exponent beyond
+    +-_MAX_DECIMAL_EXPONENT raises ValueError."""
     text = value.strip() if isinstance(value, str) else ""
     if not _RATIONAL_TEXT.fullmatch(text):
         return Fraction(value)
     number, _, denominator = text.partition("/")
-    return Fraction(Decimal(number)) / Fraction(Decimal(denominator or 1))
+    try:
+        numerator = Decimal(number)
+    except InvalidOperation:  # an exponent beyond even Decimal's range
+        numerator = None
+    if numerator is None or abs(numerator.as_tuple().exponent) > _MAX_DECIMAL_EXPONENT:
+        raise ValueError(f"decimal exponent beyond +-{_MAX_DECIMAL_EXPONENT}")
+    return Fraction(numerator) / Fraction(Decimal(denominator or 1))
 
 
 def _rational_str(value) -> str:
@@ -866,8 +868,11 @@ def _rational_str(value) -> str:
 
 
 def _integer(value) -> int:
-    """Exact integer from an int or a decimal string."""
-    return value if isinstance(value, int) else int(str(value))
+    """Exact integer from an int or a string with an integral value."""
+    number = parse_decimal(value)
+    if number.denominator != 1:
+        raise ValueError("must be an integer")
+    return number.numerator
 
 
 def _pi2_over(divisor: int, budget: PrecisionBudget) -> ErrorBoundedValue:
@@ -917,7 +922,10 @@ class IdentitySpec:
         values = {}
         for key, (parse, default) in self.params.items():
             if key in given:
-                values[key] = parse(given[key])
+                try:
+                    values[key] = parse(given[key])
+                except (ValueError, ZeroDivisionError) as exc:
+                    raise UsageError(f"parameter {key}: {exc}") from exc
             elif default is None:
                 raise UsageError(f"identity {self.name} requires parameter {key!r}")
             else:

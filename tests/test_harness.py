@@ -394,3 +394,50 @@ class TestBadInput:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--identity", "theorem-main", "--a", "1e99999999", "--b", "1/3"],
+            ["--identity", "theorem-main", "--a", "1_0e9_999_999", "--b", "1/3"],
+            # past even Decimal's exponent range
+            ["--identity", "theorem-main", "--a", "1e9999999999999999999", "--b", "1/3"],
+            ["--identity", "corollary", "--t", "1/3", "--rhs-expected", "1e99999999"],
+        ],
+        ids=["a-1e99999999", "a-with-digit-groups", "a-past-decimal-range", "rhs-expected-1e99999999"],
+    )
+    def test_huge_decimal_exponent_exits_2_promptly(self, args):
+        # the exact value of 1e99999999 is a 332-million-bit integer
+        proc = subprocess.run(
+            [sys.executable, "-m", "dilogid", "verify", *args], capture_output=True, text=True, timeout=5
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--identity", "fib-lucas-neg", "--k", "1.5"], "error: parameter k: must be an integer"),
+            (
+                ["--identity", "bridgeman", "--pell-a", "3", "--pell-b", "2", "--pell-n", "2.5"],
+                "error: parameter pell_n: must be an integer",
+            ),
+            # an integral k past the 4300 digits int() reads from a string: the
+            # ratio cap (1/alpha^2)^k has no exact value in memory
+            (["--identity", "fib-even", "--k", "1" + "0" * 5000], "error: value too far from 1"),
+        ],
+        ids=["k-1.5", "pell-n-2.5", "k-5001-digits"],
+    )
+    def test_integer_parameter(self, capsys, args, message):
+        code = run_cli(["verify", *args, "--max-terms", "5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(message)
+
+    def test_integral_decimal_is_an_integer_parameter(self):
+        reports = [run_identity(RunConfig("fib-lucas-neg", {"k": k}, 15, 5)) for k in ("3", "3.0", "6/2", "0.3e1")]
+        assert all(report == reports[0] for report in reports)

@@ -331,6 +331,37 @@ class TestLucasNeg:
             assert a_term == Fraction(3 ** (2 * n - 1), 13 * u * u)
             assert b_term == Fraction(3 ** (2 * n), v * v)
 
+    @pytest.mark.parametrize(
+        "p, q, k",
+        [(1, -1, 1), (2, -1, 1), (1, -3, 1), (Fraction(1, 30), -1, 1), (3, -2, 5),
+         (Fraction(5, 3), Fraction(-1, 2), 1), (1, -1, 3), (Fraction(7, 2), Fraction(-1, 3), 3)],
+    )
+    def test_interleaved_stream_has_the_single_cap(self, p, q, k):
+        # A_1, B_1, A_2, ... is the Q > 0 series at (sqrt(D), -Q), so each
+        # term is at most (|Q|/alpha^2)^k times the one before, exactly
+        from itertools import chain, islice
+
+        from dilogid.series import _lucas_neg_terms, _ratio_cap_sup
+
+        params = LucasParams(p, q)
+        cap = _ratio_cap_sup(params, k)
+        terms = list(islice(chain.from_iterable(_lucas_neg_terms(params, k)), 60))
+        assert all(later <= cap * earlier for earlier, later in zip(terms, terms[1:]))
+
+    def test_dropped_term_fails(self, monkeypatch):
+        from dilogid import series
+
+        original = series._lucas_neg_terms
+
+        def without_b1(params, k):
+            pairs = original(params, k)
+            a_1, _ = next(pairs)
+            yield (a_1,)
+            yield from pairs
+
+        monkeypatch.setattr(series, "_lucas_neg_terms", without_b1)
+        assert catalog_verify("fib-lucas-neg", B40).verdict == "fail"
+
     def test_preconditions(self):
         with pytest.raises(PreconditionError):
             lucas_neg_verify(LucasParams(1, -1), 2, B40)  # even k
@@ -464,6 +495,40 @@ class TestTailBound:
             tail_bound(Fraction(3, 4), Fraction(1, 2))
         with pytest.raises(DomainError):
             tail_bound(Fraction(1, 4), Fraction(3, 2))
+
+
+class TestTraceTails:
+    """Every --trace row's tail bounds the rest of the series: it is at least
+    the final lhs lower endpoint minus that row's lhs upper endpoint, a lower
+    bound on the true remainder after the row.  Richmond-Szekeres is left
+    out: its rows all carry the final bracket tail, not a running bound."""
+
+    @pytest.mark.parametrize(
+        "name, digits, params",
+        [
+            ("lucas-neg", 15, {"P": "1/30", "Q": "-1", "k": "1"}),
+            ("lucas-neg", 20, {"P": "5/3", "Q": "-1/2", "k": "1"}),
+            ("theorem-main", 20, {"a": "1/50", "b": "3/47"}),
+            ("corollary", 20, {"t": "1/3"}),
+            ("lucas-pos", 20, {"P": "5", "Q": "6", "k": "1"}),
+            ("sqrt5-k-odd", 20, {"k": "3"}),
+            ("bridgeman", 20, {"pell_a": "3", "pell_b": "2", "pell_n": "2"}),
+            ("sinh-theta", 20, {"theta": "1/2"}),
+        ],
+        ids=lambda value: value if isinstance(value, str) else None,
+    )
+    def test_row_tails_are_bounds(self, name, digits, params):
+        rows = []
+        report = catalog_verify(name, PrecisionBudget(digits), 2000, rows, **params)
+        final_lo = report.lhs.endpoints()[0]
+        assert len(rows) == report.terms_used
+        short = [
+            row["n"]
+            for row in rows
+            if row["tail_bound"] is not None
+            and mpf_to_fraction(row["tail_bound"]) < final_lo - row["lhs_partial"].endpoints()[1]
+        ]
+        assert short == []
 
 
 class TestCatalog:
