@@ -1,8 +1,7 @@
 """Rigorous evaluation of Li2 and the Rogers dilogarithm on [0, 1].
 
-Li2(x) = sum_{n>=1} x^n/n^2 is summed directly for x <= 1/2 with the
-geometric tail bound x^(N+1)/((N+1)^2 (1-x)); for x > 1/2 the standard
-Euler reflection to 1-x is used.  The Rogers function
+Li2(x) = sum_{n>=1} x^n/n^2 is summed directly for x <= 1/2; for x > 1/2
+the standard Euler reflection to 1-x is used.  The Rogers function
 
     L(x) = Li2(x) + log(x) log(1-x) / 2,   L(0) = 0,  L(1) = pi^2/6
 
@@ -12,26 +11,32 @@ result is an ErrorBoundedValue evaluated once at the budget's working
 precision; a radius above 10^(-target_digits), which only a wide input
 enclosure causes, raises PrecisionError.
 
-The product log(x) log(1-x) is nonnegative on (0, 1).  When 1-x (or x)
-cannot be separated from 1 at working precision, the product is enclosed
-via |log(1-x)| <= x/(1-x) instead of evaluating a log at an endpoint glued
-to 1.
-
-The inner series and log-product loops run on raw mpmath.libmp interval
-primitives: identity verification sums tens of thousands of these
-evaluations, and the high-level interval wrapper costs more than the
-arithmetic itself.
+The kernel sums Python integers at a fixed scale 2^-s.  The series
+argument y = x or 1-x, at most about 1/2, is enclosed by dyadic endpoints
+m 2^-k.  At each endpoint the powers X_n = floor(X_(n-1) m / 2^k),
+X_0 = 2^s, give the sums S2 = sum floor(X_n/n^2) and S1 = sum floor(X_n/n)
+of 2^s Li2(y) and -2^s log(1-y).  The lower endpoint's sums are lower
+bounds.  At the upper endpoint each floor loses less than one unit and X_n
+lies less than 1/(1-y) units below 2^s y^n; that count plus the geometric
+tail bounds the sums from above (see ``_li2_series_raw``).  Then
+log(x) log(1-x) = |log y| S1 takes one interval log of y, and the result
+is rounded outward to the working precision.  With w = working precision
++ 20 guard bits, s = w above 1/2, where the result lies near pi^2/6, and
+s = w + z below, where y < 2^-z: a small argument keeps w bits relative to
+its size, so li2(10^-200) is still enclosed to the working precision
+relative to its value.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, Union
+from functools import lru_cache
+from typing import Union
 
 from mpmath import iv
-from mpmath.libmp import from_int, fone, fzero, mpf_ge, mpf_le, mpf_lt, mpf_shift
-from mpmath.libmp.libmpi import mpi_add, mpi_div, mpi_log, mpi_mul, mpi_sub
+from mpmath.libmp import from_man_exp, mpf_pi, round_ceiling, round_floor
+from mpmath.libmp.libmpi import mpi_log
 
 from .enclosure import (
     DEFAULT_BUDGET,
@@ -49,10 +54,11 @@ Argument = Union[int, Fraction, ErrorBoundedValue]
 _HALF = Fraction(1, 2)
 # exact rationals: reduced, or unreduced series terms
 _EXACT = (Fraction, RationalPair)
-# series terms summed beyond the heuristic count; the tail bound covers the rest
+# series terms summed beyond the estimated count; the tail bound covers the rest
 _GUARD_TERMS = 8
-_MPI_ZERO = (fzero, fzero)
-_MPI_ONE = (fone, fone)
+# bits of the fixed-point scale beyond the working precision: they keep the
+# error count of a few thousand units far below one unit of the result
+_GUARD_BITS = 20
 
 
 def _validate_unit_arg(x: Argument, open_interval: bool = False):
@@ -88,68 +94,90 @@ def _raw(x, prec: int):
     return (x.lower._mpf_, x.upper._mpf_)
 
 
-def _exact_int(n: int):
-    f = from_int(n)
-    return (f, f)
-
-
-def _raw_log2_upper(raw_mpf) -> Optional[float]:
-    """Upper estimate of log2 of a positive raw mpf; None for zero."""
-    sign, man, exp, bc = raw_mpf
-    if man == 0:
-        return None
-    drop = max(bc - 24, 0)
-    return math.log2(man >> drop) + exp + drop
+def _shift(n: int, e: int, up: bool = False) -> int:
+    """floor(n 2^e), or its ceiling when ``up``, for an integer n >= 0."""
+    if e >= 0:
+        return n << e
+    return -(-n >> -e) if up else n >> -e
 
 
 def _series_terms_needed(sup_raw, bits: int, guard: int) -> int:
-    # heuristic only: the rigorous tail is added afterwards regardless
-    lg = _raw_log2_upper(sup_raw)
-    if lg is None:
-        return 1 + guard
-    decay = max(-lg, 1e-9)
-    # cap keeps pathological near-1 enclosures from stalling; the rigorous
-    # tail still covers whatever the truncation omits
-    return min(max(1, int((bits + 8) / decay) + 1) + guard, 200 * bits + 1000)
+    """Terms N of the fixed-point sums at scale 2^-bits for arguments up to
+    sup_raw < 1: the first N with 2^bits sup^N < 1, where every power is
+    zero, estimated in floating point, plus ``guard``.  Only the size of
+    the tail depends on it; the error count holds for any N."""
+    _, man, exp, _ = sup_raw
+    decay = max(-(math.log2(man) + exp), 1e-9)
+    # cap keeps pathological near-1 enclosures from stalling; the tail
+    # bound still covers whatever the truncation omits
+    return min(int(bits / decay) + 1 + guard, 200 * bits + 1000)
+
+
+def _power_sums(y_raw, w: int, n_terms: int) -> tuple:
+    """(S2, S1, X_N) for y = m 2^-k: X_0 = 2^w, X_n = floor(X_(n-1) y),
+    S2 = sum floor(X_n/n^2) and S1 = sum floor(X_n/n) over n <= N."""
+    _, man, exp, _ = y_raw
+    k = -exp
+    x = 1 << w
+    s2 = s1 = 0
+    for n in range(1, n_terms + 1):
+        x = (x * man) >> k
+        q = x // n
+        s1 += q
+        s2 += q // n  # floor(floor(X/n)/n) = floor(X/n^2)
+    return s2, s1, x
+
+
+def _li2_series_raw(y_raw, w: int, guard: int) -> tuple:
+    """Integer bounds (S2_lo, S2_hi, S1_lo, S1_hi) at scale 2^-w with
+    S2_lo <= 2^w Li2(y) <= S2_hi and S1_lo <= -2^w log(1-y) <= S1_hi for
+    every y in the dyadic interval y_raw inside (0, 1)."""
+    lo, hi = y_raw
+    n_terms = _series_terms_needed(hi, w, guard)
+    s2_lo, s1_lo, _ = _power_sums(lo, w, n_terms)
+    s2_hi, s1_hi, x_last = _power_sums(hi, w, n_terms)
+    # Error count at y = hi, in units of 2^-w.  With e_n = 2^w y^n - X_n,
+    # e_0 = 0, the floor gives 0 <= e_n < y e_(n-1) + 1, so
+    # 0 <= e_n < 1 + y + ... + y^(n-1) < 1/(1-y) <= c, an integer; y_hi
+    # itself is used since it may lie a rounding above 1/2.  Then
+    #   2^w y^n/n < X_n/n + c/n < floor(X_n/n) + 1 + c/n,
+    # and the same with n^2, which is smaller, so both truncated sums fall
+    # short of 2^w times the first N terms by less than N + c H_N, with
+    # H_N = 1 + 1/2 + ... + 1/N <= 1 + ln N < 1 + bits(N).  The rest, both
+    # series together, is at most
+    #   2^w y^(N+1) / ((N+1)(1-y)) < (X_N + c) c / (N+1),
+    # since 2^w y^N = X_N + e_N.  At y = lo, X_n <= 2^w y^n and floors only
+    # lower the sums, and Li2 and -log(1-y) increase with y.
+    _, man, exp, bc = hi
+    if bc < -exp:  # hi < 1/2
+        c = 2
+    else:
+        one = 1 << -exp
+        c = -(-one // (one - man))
+    err = n_terms + c * (1 + n_terms.bit_length()) + -(-(x_last + c) * c // (n_terms + 1))
+    return s2_lo, s2_hi + err, s1_lo, s1_hi + err
+
+
+def _log_product_raw(y_raw, s1_lo: int, s1_hi: int, w: int, prec: int) -> tuple:
+    """Integer bounds at scale 2^-w on log(x) log(1-x) = |log y| S1 >= 0,
+    y = x or 1-x, from one interval log at ``prec`` bits and the bounds
+    s1_lo <= S1 <= s1_hi on S1 = -log(1-y) at that scale."""
+    log_lo, log_hi = mpi_log(y_raw, prec)
+    # both logs are negative, so |log y| lies in [-log_hi, -log_lo]
+    _, man_hi, exp_hi, _ = log_hi
+    _, man_lo, exp_lo, _ = log_lo
+    return _shift(man_hi * s1_lo, exp_hi), _shift(man_lo * s1_hi, exp_lo, up=True)
+
+
+@lru_cache(maxsize=None)
+def _zeta2_fixed(w: int) -> tuple:
+    """Integers lo <= 2^w pi^2/6 <= hi."""
+    (_, m_lo, e_lo, _), (_, m_hi, e_hi, _) = (mpf_pi(w + 8, rnd) for rnd in (round_floor, round_ceiling))
+    return _shift(m_lo * m_lo, 2 * e_lo + w) // 6, -(-_shift(m_hi * m_hi, 2 * e_hi + w, up=True) // 6)
 
 
 def _pi_squared_over(divisor: int):
     return iv.pi ** 2 / divisor
-
-
-def _li2_series_raw(x_raw, omx_raw, prec: int, guard: int):
-    """Raw enclosure of Li2 on the direct branch; omx_raw encloses 1-x."""
-    if x_raw[1][1] == 0:  # sup(x) = 0, the exact-zero point
-        return _MPI_ZERO
-    n_terms = _series_terms_needed(x_raw[1], prec, guard)
-    acc = _MPI_ZERO
-    xp = _MPI_ONE
-    for n in range(1, n_terms + 1):
-        xp = mpi_mul(xp, x_raw, prec)
-        acc = mpi_add(acc, mpi_div(xp, _exact_int(n * n), prec), prec)
-    # tail: sum_{n>N} x^n/n^2 <= x^(N+1) / ((N+1)^2 (1-x))
-    tail = mpi_div(
-        mpi_mul(xp, x_raw, prec),
-        mpi_mul(_exact_int((n_terms + 1) ** 2), omx_raw, prec),
-        prec,
-    )
-    return mpi_add(acc, (fzero, tail[1]), prec)
-
-
-def _log_product_raw(x_raw, omx_raw, prec: int):
-    """Raw enclosure of log(x)*log(1-x) >= 0 for x inside (0, 1)."""
-    if mpf_le(x_raw[0], fzero) or mpf_le(omx_raw[0], fzero):
-        raise DomainError("log product requires an argument separated inside (0, 1)")
-    # with u = x, v = 1-x, or the other way round, when v is glued to 1:
-    # -log(v) <= u/v, so the product lies within [0, log(1/u) * u/v]
-    for u, v in ((x_raw, omx_raw), (omx_raw, x_raw)):
-        if mpf_ge(v[1], fone):
-            hi = mpi_mul(mpi_log(mpi_div(_MPI_ONE, u, prec), prec), mpi_div(u, v, prec), prec)[1]
-            return (fzero, hi)
-    lo, hi = mpi_mul(mpi_log(x_raw, prec), mpi_log(omx_raw, prec), prec)
-    if mpf_lt(lo, fzero):  # the true product is nonnegative
-        lo = fzero
-    return (lo, hi)
 
 
 def _branch_is_low(x) -> bool:
@@ -172,23 +200,33 @@ def _dilog_raw(x, guard: int, rogers: bool):
     """Raw enclosure of L(x), or of Li2(x) when not ``rogers``, under the
     current precision context; x inside (0, 1).
 
-    Both share the raw pair, the branch test, the log product
-    P = log(x) log(1-x) and, above 1/2, the Euler reflection
-    Li2(x) = pi^2/6 - (Li2(1-x) + P); L = Li2 + P/2.
+    With y = x at or below 1/2, and P = log(x) log(1-x) = |log y| S1:
+    L = Li2(y) + P/2 and Li2(x) = Li2(y).  Above 1/2, with y = 1-x, the
+    Euler reflection gives L = pi^2/6 - L(y) and
+    Li2(x) = pi^2/6 - Li2(y) - P.
     """
     prec = iv.prec
-    # x and 1-x each as tight as the representation allows
-    x_raw, omx_raw = _raw(x, prec), _raw(_one_minus(x), prec)
+    w = prec + _GUARD_BITS
     low = _branch_is_low(x)
-    if low and not rogers:
-        return _li2_series_raw(x_raw, omx_raw, prec, guard)
-    prod = _log_product_raw(x_raw, omx_raw, prec)
-    if rogers:  # halving is exact in binary
-        prod = (mpf_shift(prod[0], -1), mpf_shift(prod[1], -1))
-    if low:
-        return mpi_add(_li2_series_raw(x_raw, omx_raw, prec, guard), prod, prec)
-    reflected = _li2_series_raw(omx_raw, x_raw, prec, guard)
-    return mpi_sub(_pi_squared_over(6)._mpi_, mpi_add(reflected, prod, prec), prec)
+    y_raw = _raw(x if low else _one_minus(x), w)
+    (sign_lo, man_lo, _, _), (_, man_hi, exp_hi, bc_hi) = y_raw
+    # y < 2^(exp_hi + bc_hi), so the enclosure of y lies inside (0, 1)
+    # unless its lower end is at most 0 or that power exceeds 1
+    if sign_lo or not man_lo or exp_hi + bc_hi > 0:
+        raise DomainError("argument enclosure not separated inside (0, 1)")
+    # below 1/2 the scale follows the size of y, so that small arguments
+    # keep w bits relative to their value; above, pi^2/6 sets the size
+    scale = w - (exp_hi + bc_hi) if low else w
+    lo, hi, s1_lo, s1_hi = _li2_series_raw(y_raw, scale, guard)
+    if rogers or not low:
+        p_lo, p_hi = _log_product_raw(y_raw, s1_lo, s1_hi, scale, w)
+        if rogers:
+            p_lo, p_hi = p_lo >> 1, -(-p_hi >> 1)
+        lo, hi = lo + p_lo, hi + p_hi
+    if not low:
+        z_lo, z_hi = _zeta2_fixed(w)
+        lo, hi = z_lo - hi, z_hi - lo
+    return from_man_exp(lo, -scale, prec, round_floor), from_man_exp(hi, -scale, prec, round_ceiling)
 
 
 def _rogers_eval(x, guard: int):
@@ -217,13 +255,18 @@ def _at_budget(budget: PrecisionBudget, evaluator) -> ErrorBoundedValue:
 
 
 def li2(x: Argument, budget: PrecisionBudget = DEFAULT_BUDGET) -> ErrorBoundedValue:
-    """Enclosure of the dilogarithm series sum x^n/n^2 on [0, 1]."""
+    """Enclosure of the dilogarithm series sum x^n/n^2 on [0, 1].
+
+    For an exact x the radius is a few units in the last place of the
+    working precision: the integer sums behind it carry 20 guard bits, at a
+    scale that follows the size of x up to 1/2 and is absolute above."""
     x = _validate_unit_arg(x)
     return _at_budget(budget, lambda: _unit_eval(x, False))
 
 
 def rogers_l(x: Argument, budget: PrecisionBudget = DEFAULT_BUDGET) -> ErrorBoundedValue:
-    """Enclosure of the Rogers dilogarithm with its boundary values."""
+    """Enclosure of the Rogers dilogarithm with its boundary values; its
+    radius is that of ``li2``: a few units in the last place for exact x."""
     x = _validate_unit_arg(x)
     return _at_budget(budget, lambda: _unit_eval(x, True))
 

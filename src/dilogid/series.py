@@ -328,7 +328,7 @@ def _evaluate_series_report(
     budget: PrecisionBudget,
     terms: Iterable,
     tail,
-    ratio_cap,
+    row_tail: Callable[[int, object], object],
     rhs_fn: Callable[[int], object],
     trace: Optional[list] = None,
     bits: Optional[int] = None,
@@ -338,8 +338,9 @@ def _evaluate_series_report(
     values checked to lie in (0, 1)) in one interval context at ``bits``
     (default ``budget.working_bits``) with ``guard`` guard terms per
     evaluation, evaluate the closed form ``rhs_fn(guard)`` in the same
-    context, and report.  ``tail`` bounds the omitted terms; ``ratio_cap``
-    gives the running tails of a trace (None: every row shows ``tail``).
+    context, and report.  ``tail`` bounds the omitted terms;
+    ``row_tail(kept, first_omitted)`` bounds the terms after the first
+    ``kept``, for the rows of a trace.
     ``IdentityReport.build`` fails a residual whose radius misses the
     tolerance."""
     with interval_precision(bits or budget.working_bits):
@@ -360,7 +361,7 @@ def _evaluate_series_report(
         rhs = ErrorBoundedValue.from_interval(rhs_iv)
         residual = ErrorBoundedValue.from_interval(res_iv)
     if trace is not None:
-        trace.extend(_trace_rows(rows, tail, ratio_cap))
+        trace.extend(_trace_rows(rows, tail, row_tail))
     return IdentityReport.build(
         identity_id,
         parameters,
@@ -373,17 +374,22 @@ def _evaluate_series_report(
     )
 
 
-def _trace_rows(rows, final_tail, ratio_cap):
+def _trace_rows(rows, final_tail, row_tail):
     out = []
     for n, (term, partial) in enumerate(rows):
         running = final_tail
-        if ratio_cap is not None and n + 1 < len(rows):
+        if n + 1 < len(rows):
             try:
-                running = tail_bound(rows[n + 1][0], ratio_cap)
+                running = row_tail(n + 1, rows[n + 1][0])
             except DomainError:
                 running = None
         out.append({"n": n, "term": term, "lhs_partial": partial, "tail_bound": running})
     return out
+
+
+def _geometric_rows(ratio_cap):
+    """Running tails of a series whose terms shrink at least by ``ratio_cap``."""
+    return lambda kept, first_omitted: tail_bound(first_omitted, ratio_cap)
 
 
 def _choose_truncation(term_iter: Iterable, ratio_cap, budget: PrecisionBudget, max_terms: int) -> tuple[int, object]:
@@ -435,7 +441,9 @@ def theorem_main_verify(
     terms = islice(_theorem_terms(inst), n_terms)
     parameters = {"a": _rational_str(a), "b": _rational_str(b)}
     bits = _exact_bits(budget, n_terms)
-    return _evaluate_series_report("theorem-main", parameters, budget, terms, tail, cap, rhs_fn, trace, bits)
+    return _evaluate_series_report(
+        "theorem-main", parameters, budget, terms, tail, _geometric_rows(cap), rhs_fn, trace, bits
+    )
 
 
 def corollary_remark_term(t: Fraction, m: int) -> Fraction:
@@ -499,7 +507,9 @@ def corollary_verify(
 
     terms = islice(_theorem_terms(inst), n_terms)
     bits = _exact_bits(budget, n_terms)
-    return _evaluate_series_report("corollary", {"t": _rational_str(t)}, budget, terms, tail, cap, rhs_fn, trace, bits)
+    return _evaluate_series_report(
+        "corollary", {"t": _rational_str(t)}, budget, terms, tail, _geometric_rows(cap), rhs_fn, trace, bits
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +599,9 @@ def _lucas_verify(params, k, budget, max_terms, trace) -> IdentityReport:
 
     parameters = {"P": _coeff_str(params.p), "Q": _coeff_str(params.q), "k": str(k)}
     bits = _exact_bits(budget, len(terms))
-    return _evaluate_series_report(identity_id, parameters, budget, terms, tail, cap, rhs_fn, trace, bits)
+    return _evaluate_series_report(
+        identity_id, parameters, budget, terms, tail, _geometric_rows(cap), rhs_fn, trace, bits
+    )
 
 
 def lucas_pos_verify(
@@ -771,22 +783,32 @@ def bridgeman_verify(
 # ---------------------------------------------------------------------------
 
 
+def _richmond_tail(last: int):
+    """Integral-style bound (pi^2/6 + 2 log m + 2)/m on the sum of L(1/n^2)
+    over n > m = ``last``."""
+    with interval_precision(_TAIL_BITS):
+        m = iv.mpf(last)
+        return mp.make_mpf(((_pi_squared_over(6) + 2 * iv.log(m) + 2) / m)._mpi_[1])
+
+
 def _richmond_szekeres(budget: PrecisionBudget, max_terms: int, trace: Optional[list] = None) -> IdentityReport:
     """Partial sum of L(1/n^2) over 2 <= n <= N = max_terms + 1 plus the
-    integral-style tail bound (pi^2/6 + 2 log N + 2)/N, bracketing pi^2/6."""
+    tail bound after N, bracketing pi^2/6."""
     last = max_terms + 1
-    with interval_precision(_TAIL_BITS):
-        n_iv = iv.mpf(last)
-        bound = (_pi_squared_over(6) + 2 * iv.log(n_iv) + 2) / n_iv
-        tail = mp.make_mpf(bound._mpi_[1])
+    tail = _richmond_tail(last)
 
     def rhs_fn(guard):
         return _pi_squared_over(6)
 
+    def row_tail(kept, first_omitted):
+        return _richmond_tail(kept + 1)  # the first ``kept`` terms end at n = kept + 1
+
     # a generator, so that tens of thousands of terms are never held
     terms = (Fraction(1, m * m) for m in range(2, last + 1))
     parameters = {"terms": str(max_terms)}
-    return _evaluate_series_report("richmond-szekeres", parameters, budget, terms, tail, None, rhs_fn, trace, guard=2)
+    return _evaluate_series_report(
+        "richmond-szekeres", parameters, budget, terms, tail, row_tail, rhs_fn, trace, guard=2
+    )
 
 
 def _sinh_theta_terms(growth, decay) -> Iterator:
@@ -820,7 +842,7 @@ def _sinh_theta(
         return _rogers_eval(rhs_arg, guard)
 
     parameters = {"theta": _rational_str(theta)}
-    return _evaluate_series_report("sinh-theta", parameters, budget, terms, tail, cap, rhs_fn, trace)
+    return _evaluate_series_report("sinh-theta", parameters, budget, terms, tail, _geometric_rows(cap), rhs_fn, trace)
 
 
 def _sqrt5(k: int, odd: bool, budget, max_terms, trace=None) -> IdentityReport:

@@ -2,13 +2,23 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from mpmath import mp
 
-from dilogid.enclosure import DomainError, ErrorBoundedValue, PrecisionBudget
+from dilogid.enclosure import (
+    DomainError,
+    ErrorBoundedValue,
+    PrecisionBudget,
+    interval_precision,
+    mpf_to_fraction,
+    rational_bounds,
+)
+from dilogid import rogers
 from dilogid.exactnum import QuadraticElement, quad_to_real
-from dilogid.rogers import abel_residual, li2, reflection_residual, rogers_l
+from dilogid.rogers import _GUARD_TERMS, _dilog_raw, abel_residual, li2, reflection_residual, rogers_l
 
 from conftest import (
     assert_encloses,
@@ -207,3 +217,81 @@ def test_reflection_property(x):
 )
 def test_abel_property(x, y):
     assert abel_residual(x, y, PrecisionBudget.for_digits(25)).contains_zero()
+
+
+# The fixed-point kernel at several working precisions against mpmath's
+# polylog at twice that precision or more.  y = p/q in (0, 1/2] and x = y
+# (the direct branch) or 1 - y (the reflected one), either exact or as the
+# one-ulp dyadic interval of y at the working precision, mirrored for 1 - y.
+# Rounding each endpoint outward to prec bits costs under 2 ulps of 2^-prec,
+# since L and Li2 stay below 2, and the fixed-point error count a small part
+# of one ulp: exact points stay within 5 ulps.  A one-ulp interval of y adds
+# its image, at most y 2^(1-prec) sup|f'| <= 1.5 ulps, and the same again
+# where the interval enters twice: 8 ulps.
+KERNEL_BITS = (60, 146, 430, 1100)
+POINT_ULPS, INTERVAL_ULPS = 5, 8
+
+
+@st.composite
+def _lower_half_rationals(draw, top=Fraction(1, 2)):
+    q = draw(st.integers(min_value=2, max_value=10 ** 40))
+    return Fraction(draw(st.integers(min_value=1, max_value=q * top.numerator // top.denominator)), q)
+
+
+def _polylog_reference(x: Fraction, rogers: bool, bits: int) -> Fraction:
+    # 1400 bits keep 1 - 10^-200 apart from 1 with room to spare
+    with mp.workprec(max(2 * bits, 1400)):
+        xs = mp.mpf(x.numerator) / x.denominator
+        value = mp.polylog(2, xs)
+        if rogers:
+            value += mp.log(xs) * mp.log(1 - xs) / 2
+        return mpf_to_fraction(value)
+
+
+@pytest.mark.parametrize("bits", KERNEL_BITS)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(y=_lower_half_rationals(), reflected=st.booleans(), interval=st.booleans())
+@example(y=Fraction(1, 2), reflected=False, interval=False)
+@example(y=Fraction(1, 2), reflected=False, interval=True)
+@example(y=Fraction(1, 10 ** 200), reflected=False, interval=False)
+@example(y=Fraction(1, 10 ** 200), reflected=True, interval=False)
+@example(y=Fraction(1, 10 ** 200), reflected=True, interval=True)
+def test_kernel_contains_polylog(bits, y, reflected, interval):
+    if interval:
+        lo, hi = (mpf_to_fraction(mp.make_mpf(end)) for end in rational_bounds(y.numerator, y.denominator, bits))
+        ends = (1 - hi, 1 - lo) if reflected else (lo, hi)
+        x = ErrorBoundedValue.from_fraction_pair(*ends)
+    else:
+        ends = (1 - y,) if reflected else (y,)
+        x = ends[0]
+    for rogers in (False, True):
+        with interval_precision(bits):
+            lower, upper = (mpf_to_fraction(mp.make_mpf(end)) for end in _dilog_raw(x, _GUARD_TERMS, rogers))
+        # L and Li2 increase on (0, 1), so the image of an interval lies
+        # between the values at its ends
+        references = [_polylog_reference(end, rogers, bits) for end in ends]
+        assert lower <= min(references) and max(references) <= upper
+        assert (upper - lower) * 2 ** bits <= (INTERVAL_ULPS if interval else POINT_ULPS)
+
+
+@pytest.mark.parametrize("n_terms", [None, 1, 4])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(y=_lower_half_rationals(Fraction(3, 5)), bits=st.sampled_from(KERNEL_BITS))
+@example(y=Fraction(1, 2), bits=60)
+def test_fixed_point_sums_bound_the_series(n_terms, y, bits):
+    """The integer sums at scale 2^-w bound 2^w Li2 and -2^w log(1-y) at
+    the ends of the dyadic interval of y, also when the sums stop after one
+    or four terms, where the tail bound carries the rest; y reaches 3/5, as
+    an upper endpoint a rounding above 1/2 may."""
+    w = bits + 20
+    y_raw = rational_bounds(y.numerator, y.denominator, w)
+    if n_terms is None:
+        s2_lo, s2_hi, s1_lo, s1_hi = rogers._li2_series_raw(y_raw, w, 0)
+    else:
+        with mock.patch.object(rogers, "_series_terms_needed", lambda sup, bits, guard: n_terms):
+            s2_lo, s2_hi, s1_lo, s1_hi = rogers._li2_series_raw(y_raw, w, 0)
+    with mp.workprec(w + 64):
+        lo, hi = (mp.make_mpf(end) for end in y_raw)
+        scale = mp.mpf(2) ** w
+        assert s2_lo <= scale * mp.polylog(2, lo) and scale * mp.polylog(2, hi) <= s2_hi
+        assert s1_lo <= -scale * mp.log(1 - lo) and -scale * mp.log(1 - hi) <= s1_hi

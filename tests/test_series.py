@@ -500,8 +500,7 @@ class TestTailBound:
 class TestTraceTails:
     """Every --trace row's tail bounds the rest of the series: it is at least
     the final lhs lower endpoint minus that row's lhs upper endpoint, a lower
-    bound on the true remainder after the row.  Richmond-Szekeres is left
-    out: its rows all carry the final bracket tail, not a running bound."""
+    bound on the true remainder after the row."""
 
     @pytest.mark.parametrize(
         "name, digits, params",
@@ -514,6 +513,7 @@ class TestTraceTails:
             ("sqrt5-k-odd", 20, {"k": "3"}),
             ("bridgeman", 20, {"pell_a": "3", "pell_b": "2", "pell_n": "2"}),
             ("sinh-theta", 20, {"theta": "1/2"}),
+            ("richmond-szekeres", 15, {}),
         ],
         ids=lambda value: value if isinstance(value, str) else None,
     )
