@@ -387,7 +387,7 @@ def _trace_rows(rows, final_tail, row_tail):
     return out
 
 
-def _geometric_rows(ratio_cap):
+def _geometric_row_tail(ratio_cap):
     """Running tails of a series whose terms shrink at least by ``ratio_cap``."""
     return lambda kept, first_omitted: tail_bound(first_omitted, ratio_cap)
 
@@ -442,7 +442,7 @@ def theorem_main_verify(
     parameters = {"a": _rational_str(a), "b": _rational_str(b)}
     bits = _exact_bits(budget, n_terms)
     return _evaluate_series_report(
-        "theorem-main", parameters, budget, terms, tail, _geometric_rows(cap), rhs_fn, trace, bits
+        "theorem-main", parameters, budget, terms, tail, _geometric_row_tail(cap), rhs_fn, trace, bits
     )
 
 
@@ -508,7 +508,7 @@ def corollary_verify(
     terms = islice(_theorem_terms(inst), n_terms)
     bits = _exact_bits(budget, n_terms)
     return _evaluate_series_report(
-        "corollary", {"t": _rational_str(t)}, budget, terms, tail, _geometric_rows(cap), rhs_fn, trace, bits
+        "corollary", {"t": _rational_str(t)}, budget, terms, tail, _geometric_row_tail(cap), rhs_fn, trace, bits
     )
 
 
@@ -600,7 +600,7 @@ def _lucas_verify(params, k, budget, max_terms, trace) -> IdentityReport:
     parameters = {"P": _coeff_str(params.p), "Q": _coeff_str(params.q), "k": str(k)}
     bits = _exact_bits(budget, len(terms))
     return _evaluate_series_report(
-        identity_id, parameters, budget, terms, tail, _geometric_rows(cap), rhs_fn, trace, bits
+        identity_id, parameters, budget, terms, tail, _geometric_row_tail(cap), rhs_fn, trace, bits
     )
 
 
@@ -842,7 +842,9 @@ def _sinh_theta(
         return _rogers_eval(rhs_arg, guard)
 
     parameters = {"theta": _rational_str(theta)}
-    return _evaluate_series_report("sinh-theta", parameters, budget, terms, tail, _geometric_rows(cap), rhs_fn, trace)
+    return _evaluate_series_report(
+        "sinh-theta", parameters, budget, terms, tail, _geometric_row_tail(cap), rhs_fn, trace
+    )
 
 
 def _sqrt5(k: int, odd: bool, budget, max_terms, trace=None) -> IdentityReport:

@@ -16,9 +16,16 @@ from dilogid.enclosure import (
     mpf_to_fraction,
     rational_bounds,
 )
-from dilogid import rogers
 from dilogid.exactnum import QuadraticElement, quad_to_real
-from dilogid.rogers import _GUARD_TERMS, _dilog_raw, abel_residual, li2, reflection_residual, rogers_l
+from dilogid.rogers import (
+    _GUARD_TERMS,
+    _dilog_raw,
+    _li2_series_raw,
+    abel_residual,
+    li2,
+    reflection_residual,
+    rogers_l,
+)
 
 from conftest import (
     assert_encloses,
@@ -233,12 +240,13 @@ POINT_ULPS, INTERVAL_ULPS = 5, 8
 
 
 @st.composite
-def _lower_half_rationals(draw, top=Fraction(1, 2)):
+def _rationals_up_to(draw, top=Fraction(1, 2)):
     q = draw(st.integers(min_value=2, max_value=10 ** 40))
     return Fraction(draw(st.integers(min_value=1, max_value=q * top.numerator // top.denominator)), q)
 
 
 def _polylog_reference(x: Fraction, rogers: bool, bits: int) -> Fraction:
+    """Li2(x), or L(x) when ``rogers``, at twice ``bits`` or more."""
     # 1400 bits keep 1 - 10^-200 apart from 1 with room to spare
     with mp.workprec(max(2 * bits, 1400)):
         xs = mp.mpf(x.numerator) / x.denominator
@@ -250,7 +258,7 @@ def _polylog_reference(x: Fraction, rogers: bool, bits: int) -> Fraction:
 
 @pytest.mark.parametrize("bits", KERNEL_BITS)
 @settings(max_examples=25, deadline=None, derandomize=True)
-@given(y=_lower_half_rationals(), reflected=st.booleans(), interval=st.booleans())
+@given(y=_rationals_up_to(), reflected=st.booleans(), interval=st.booleans())
 @example(y=Fraction(1, 2), reflected=False, interval=False)
 @example(y=Fraction(1, 2), reflected=False, interval=True)
 @example(y=Fraction(1, 10 ** 200), reflected=False, interval=False)
@@ -276,7 +284,7 @@ def test_kernel_contains_polylog(bits, y, reflected, interval):
 
 @pytest.mark.parametrize("n_terms", [None, 1, 4])
 @settings(max_examples=30, deadline=None, derandomize=True)
-@given(y=_lower_half_rationals(Fraction(3, 5)), bits=st.sampled_from(KERNEL_BITS))
+@given(y=_rationals_up_to(Fraction(3, 5)), bits=st.sampled_from(KERNEL_BITS))
 @example(y=Fraction(1, 2), bits=60)
 def test_fixed_point_sums_bound_the_series(n_terms, y, bits):
     """The integer sums at scale 2^-w bound 2^w Li2 and -2^w log(1-y) at
@@ -286,10 +294,10 @@ def test_fixed_point_sums_bound_the_series(n_terms, y, bits):
     w = bits + 20
     y_raw = rational_bounds(y.numerator, y.denominator, w)
     if n_terms is None:
-        s2_lo, s2_hi, s1_lo, s1_hi = rogers._li2_series_raw(y_raw, w, 0)
+        s2_lo, s2_hi, s1_lo, s1_hi = _li2_series_raw(y_raw, w, 0)
     else:
-        with mock.patch.object(rogers, "_series_terms_needed", lambda sup, bits, guard: n_terms):
-            s2_lo, s2_hi, s1_lo, s1_hi = rogers._li2_series_raw(y_raw, w, 0)
+        with mock.patch("dilogid.rogers._series_terms_needed", lambda sup, bits, guard: n_terms):
+            s2_lo, s2_hi, s1_lo, s1_hi = _li2_series_raw(y_raw, w, 0)
     with mp.workprec(w + 64):
         lo, hi = (mp.make_mpf(end) for end in y_raw)
         scale = mp.mpf(2) ** w
