@@ -16,7 +16,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple
 
 from mpmath import iv, mp
 from mpmath.libmp import MPZ, from_man_exp, fzero, mpf_neg, normalize, round_ceiling, round_floor
@@ -44,23 +44,16 @@ def interval_precision(bits: int):
         iv.prec = saved
 
 
-class RationalPair:
-    """Positive rational numerator/denominator, not reduced to lowest terms.
+class ScaledInterval(NamedTuple):
+    """The interval [lo 2^-scale, hi 2^-scale] with integer endpoints: a
+    geometric series term, which the L kernel reads without conversion."""
 
-    Series terms whose exact size grows with the index travel as this pair,
-    so that no gcd is ever taken.  It is a class rather than a tuple because
-    it has Fraction's ``numerator`` and ``denominator``: the truncation and
-    tail code reads either kind of term the same way.
-    """
+    lo: int
+    hi: int
+    scale: int
 
-    __slots__ = ("numerator", "denominator")
-
-    def __init__(self, numerator: int, denominator: int):
-        self.numerator = numerator
-        self.denominator = denominator
-
-    def fraction(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
+    def upper(self) -> Fraction:
+        return Fraction(self.hi, 1 << self.scale)
 
 
 def rational_bounds(p: int, q: int, prec: int) -> tuple:
@@ -93,8 +86,7 @@ def rational_bounds(p: int, q: int, prec: int) -> tuple:
 
 
 def iv_from_fraction(value):
-    """Tightest interval containing an exact rational (a Fraction or a
-    RationalPair) at the current precision."""
+    """Tightest interval containing an exact rational at the current precision."""
     return iv.make_mpf(rational_bounds(value.numerator, value.denominator, iv.prec))
 
 
@@ -264,6 +256,3 @@ class PrecisionBudget:
 
 
 DEFAULT_BUDGET = PrecisionBudget.for_digits(40)
-
-
-Real = Union[int, Fraction, ErrorBoundedValue]

@@ -44,7 +44,7 @@ from .enclosure import (
     ErrorBoundedValue,
     PrecisionBudget,
     PrecisionError,
-    RationalPair,
+    ScaledInterval,
     interval_precision,
     rational_bounds,
 )
@@ -52,8 +52,6 @@ from .enclosure import (
 Argument = Union[int, Fraction, ErrorBoundedValue]
 
 _HALF = Fraction(1, 2)
-# exact rationals: reduced, or unreduced series terms
-_EXACT = (Fraction, RationalPair)
 # series terms summed beyond the estimated count; the tail bound covers the rest
 _GUARD_TERMS = 8
 # bits of the fixed-point scale beyond the working precision: they keep the
@@ -83,19 +81,21 @@ def _validate_unit_arg(x: Argument, open_interval: bool = False):
     raise TypeError(f"unsupported argument type {type(x).__name__}")
 
 
-def _raw_from_fraction(value, prec: int):
-    """Raw interval of a Fraction or RationalPair, rounded outward."""
+def _raw_from_fraction(value: Fraction, prec: int):
+    """Raw interval of a Fraction, rounded outward."""
     return rational_bounds(value.numerator, value.denominator, prec)
 
 
 def _raw(x, prec: int):
-    if isinstance(x, _EXACT):
+    if isinstance(x, Fraction):
         return _raw_from_fraction(x, prec)
+    if isinstance(x, ScaledInterval):
+        return from_man_exp(x.lo, -x.scale, prec, round_floor), from_man_exp(x.hi, -x.scale, prec, round_ceiling)
     return (x.lower._mpf_, x.upper._mpf_)
 
 
 def _shift(n: int, e: int, up: bool = False) -> int:
-    """floor(n 2^e), or its ceiling when ``up``, for an integer n >= 0."""
+    """floor(n 2^e), or its ceiling when ``up``, for an integer n."""
     if e >= 0:
         return n << e
     return -(-n >> -e) if up else n >> -e
@@ -181,8 +181,10 @@ def _pi_squared_over(divisor: int):
 
 
 def _branch_is_low(x) -> bool:
-    if isinstance(x, _EXACT):
+    if isinstance(x, Fraction):
         return 2 * x.numerator <= x.denominator
+    if isinstance(x, ScaledInterval):
+        return x.lo + x.hi <= 1 << x.scale
     lo, hi = x.endpoints()
     return (lo + hi) / 2 <= _HALF
 
@@ -190,15 +192,18 @@ def _branch_is_low(x) -> bool:
 def _one_minus(x):
     if isinstance(x, Fraction):
         return 1 - x
-    if isinstance(x, RationalPair):
-        return RationalPair(x.denominator - x.numerator, x.denominator)
+    if isinstance(x, ScaledInterval):
+        one = 1 << x.scale
+        return ScaledInterval(one - x.hi, one - x.lo, x.scale)
     lo, hi = x.endpoints()
     return ErrorBoundedValue.from_fraction_pair(1 - hi, 1 - lo)
 
 
 def _dilog_raw(x, guard: int, rogers: bool):
     """Raw enclosure of L(x), or of Li2(x) when not ``rogers``, under the
-    current precision context; x inside (0, 1).
+    current precision context; x inside (0, 1): a Fraction, an
+    ErrorBoundedValue or a ScaledInterval, whose branch test and 1 - x are
+    integer operations and whose (0, 1) check reads the integers' signs.
 
     With y = x at or below 1/2, and P = log(x) log(1-x) = |log y| S1:
     L = Li2(y) + P/2 and Li2(x) = Li2(y).  Above 1/2, with y = 1-x, the

@@ -1,30 +1,42 @@
 """Evaluators and verifiers for the dilogarithm series identities.
 
-Each verifier truncates its series at an index N chosen so that the
-certified bound on the omitted tail drops below half the requested
-tolerance (or the term cap is reached), evaluates the partial sum and the
-closed-form side as rigorous enclosures, and returns an IdentityReport.
-The verdict convention is
+Each verifier truncates its series where the certified bound on the
+omitted tail drops below half the tolerance (or at the term cap), sums L
+over the kept terms and evaluates the closed form as enclosures in one
+pass at the working precision (``_evaluate_series_report``), and returns
+an IdentityReport: pass iff |residual.midpoint| <= residual.radius +
+tail_bound + 10^-digits, and fail when the residual radius misses
+10^-digits.  ``IDENTITIES`` at the end is the one table of identities.
 
-    pass  iff  |residual.midpoint| <= residual.radius + tail_bound + 10^-digits,
+Every series but Richmond-Szekeres has summands of one Lambert form,
+t_n = K rho^n / (1 - s rho^(n+1))^2 for n >= 0 (``LambertForm``):
 
-with an explicit fail when the residual radius misses 10^-digits at the
-working precision.  Every verifier runs through one summation driver,
-``_evaluate_series_report``, which sums in one pass; ``IDENTITIES`` at the
-end of the module is the one table of named identities, with their
-parameters and registry instances.
+  * two-parameter series, with b < a (the summand is symmetric):
+    rho = (1-a)/(1-b), K = b (a-b)^2 / (a (1-b)^2), s = b/a;
+  * the corollary at t = p/q, the same at ((1+t)/2, (1-t)/2):
+    rho = s = (q-p)/(q+p), K = 4 p^2 rho / (q+p)^2;
+  * Lucas series with Q > 0, from their index 1, by Binet's formula:
+    rho = (beta/alpha)^k = (Q/alpha^2)^k, K = rho (1-rho)^2, s = rho, and
+    with Q < 0, odd k: the parity sub-series interleaved as A_1, B_1, A_2,
+    ... are the Q > 0 series at (sqrt(D), -Q), with roots alpha and -beta,
+    so rho = (|Q|/alpha^2)^k (Bridgeman's series are Lucas series);
+  * sinh-theta, the Q > 0 form at (2 cosh(theta), 1, 1): rho = e^(-2 theta).
 
-Tail bounds use L(x) <= x*(pi^2/6 + log(1/x)) on (0, 1/2] together with a
-geometric dominating sequence certified by the caller:
+A Lucas rho is the closed form's argument.  Each exact description is
+checked against an exact generator once per instance (``_check_form``).
+The tails use L(x) <= x (pi^2/6 + log(1/x)) on (0, 1/2] over the
+geometric sequence t_N rho^j, as for s >= 0
 
-  * two-parameter series: term ratio <= min(1-a,1-b)/max(1-a,1-b), a
-    consequence of the shift identities D_n >= max(1-a,1-b) D_{n-1};
-  * Lucas series with Q > 0: term ratio <= (Q/alpha^2)^k, from
-    U_{m+k} >= alpha^k U_m (Binet, both roots positive);
-  * Lucas series with Q < 0, k odd: the two parity sub-series, interleaved
-    as A_1, B_1, A_2, B_2, ..., are the Q > 0 series at (P', Q') =
-    (sqrt(D), -Q), whose roots alpha and -beta are both positive, so the
-    interleaved term ratio is <= (|Q|/alpha^2)^k by the same argument.
+    t_(n+1) / t_n = rho ((1 - s rho^(n+1)) / (1 - s rho^(n+2)))^2 <= rho;
+
+the ratio cap is rho or a certified upper bound on it (``_certified_cap``).
+
+The terms are integer enclosures at a scale 2^-w, generated once
+(``_lambert_terms``): rho^n steps as a scaled integer with floors at the
+lower end of rho's enclosure and ceilings at the upper end, and a term's
+bounds are integer floor and ceiling divisions, so they hold by induction
+with no error term.  Their width, under 2^5 (1/(1-rho))^2 units whatever
+n, sets w (``_lambert_scale``).
 """
 
 from __future__ import annotations
@@ -33,9 +45,9 @@ import re
 from dataclasses import dataclass, field, replace
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from itertools import chain, islice, tee
-from math import lcm
-from typing import Callable, Iterable, Iterator, Optional
+from itertools import chain, count, islice
+from math import isqrt
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from mpmath import iv, mp
 
@@ -45,14 +57,14 @@ from .enclosure import (
     ErrorBoundedValue,
     PrecisionBudget,
     PrecisionError,
-    RationalPair,
+    ScaledInterval,
     interval_precision,
     iv_from_fraction,
     mpf_to_fraction,
 )
 from .exactnum import QuadraticElement, exact_sqrt, quad_interval, quad_pow, quad_to_real
 from .lucas import Coefficient, LucasParams, PreconditionError, _coeff_sign, lucas_uv
-from .rogers import _GUARD_TERMS, _pi_squared_over, _rogers_eval, rogers_l
+from .rogers import _GUARD_TERMS, _pi_squared_over, _rogers_eval, _shift, rogers_l
 
 DEFAULT_MAX_TERMS = 10000
 # precision of tail bounds and ratio caps; it must differ from every
@@ -191,25 +203,10 @@ def theorem_main_term(inst: TwoParamInstance, n: int) -> Fraction:
     return a * b * (1 - a) ** n * (1 - b) ** n / (dn * dn)
 
 
-def _theorem_terms(inst: TwoParamInstance) -> Iterator[RationalPair]:
-    # integer core: with a = A/q, b = B/q over a common denominator q and
-    # C = q - A, D = q - B, the summand reduces to
-    #     A B (A-B)^2 (C D)^n / (A D^(n+1) - B C^(n+1))^2,
-    # so each term costs integer multiplies only; it is never reduced
-    a, b = inst.a, inst.b
-    q = lcm(a.denominator, b.denominator)
-    big_a = a.numerator * (q // a.denominator)
-    big_b = b.numerator * (q // b.denominator)
-    c, d = q - big_a, q - big_b
-    numer_scale = big_a * big_b * (big_a - big_b) ** 2
-    cd_pow = 1
-    d_pow, c_pow = d, c
-    while True:
-        n_n = big_a * d_pow - big_b * c_pow
-        yield RationalPair(numer_scale * cd_pow, n_n * n_n)
-        cd_pow *= c * d
-        d_pow *= d
-        c_pow *= c
+def _theorem_terms(inst: TwoParamInstance) -> Iterator[Fraction]:
+    """theorem_main_term(inst, n) for n = 0, 1, ...: the exact generator
+    that ``_check_form`` reads."""
+    return (theorem_main_term(inst, n) for n in count())
 
 
 # ---------------------------------------------------------------------------
@@ -217,39 +214,25 @@ def _theorem_terms(inst: TwoParamInstance) -> Iterator[RationalPair]:
 # ---------------------------------------------------------------------------
 
 
-def _as_sup_fraction(value):
-    """An exact rational at or above a term or ratio cap: a Fraction or a
-    RationalPair as it is, else the upper endpoint of its enclosure."""
-    if isinstance(value, (Fraction, RationalPair)):
-        return value
-    if isinstance(value, QuadraticElement):
-        rv = value.rational_value()
-        if rv is not None:
-            return rv
-        value = quad_to_real(value, 80)
-    return value.endpoints()[1]
-
-
-def tail_bound(first_omitted, ratio_cap):
+def tail_bound(first_omitted: Fraction, ratio_cap: Fraction):
     """Certified bound on sum L(t_j) over omitted terms t_j.
 
     Requires t_0 <= first_omitted <= 1/2 and t_{j+1} <= ratio_cap * t_j.
     Uses L(x) <= x*(pi^2/6 + log(1/x)) on (0, 1/2], summed over the
     dominating geometric sequence t_0 * r^j.
     """
-    t = _as_sup_fraction(first_omitted)
-    r = _as_sup_fraction(ratio_cap)
+    t = first_omitted
     if t.numerator < 0:
         raise DomainError("first omitted term must be nonnegative")
     if t.numerator == 0:
         return mp.mpf(0)
     if 2 * t.numerator > t.denominator:
         raise DomainError("first omitted term above 1/2: lower the truncation point")
-    if not (0 < r < 1):
+    if not (0 < ratio_cap < 1):
         raise DomainError("ratio cap must lie in (0, 1)")
     with interval_precision(_TAIL_BITS):
         ti = iv_from_fraction(t)
-        ri = iv_from_fraction(r)
+        ri = iv_from_fraction(ratio_cap)
         one_minus_r = 1 - ri
         bound = ti * (
             (_pi_squared_over(6) + iv.log(1 / ti)) / one_minus_r
@@ -268,20 +251,17 @@ def _certified_cap(cap) -> Fraction:
     return sup
 
 
-def _log10_upper(value) -> float:
-    # An upper bound on log10(num/den) for any positive integers, reduced or
-    # not: num < 2^bits(num) and den >= 2^(bits(den)-1).  A common factor
-    # moves bits(num) - bits(den) by at most one, so on an unreduced pair
-    # the pre-filter of _tail_small_enough can decide otherwise than on the
-    # reduced one only for a term t within a bit of its threshold, where
-    # 10^-(digits+1.61) < t < 10^-(digits+1).  tail_bound is at least
-    # t (pi^2/6 + log(1/t)), above 10^-digits / 2 there for digits >= 7, so
-    # it refuses every such t and the truncation index does not change.
+def _log10_upper(value: Fraction) -> float:
+    # An upper bound on log10 of a positive rational: num < 2^bits(num) and
+    # den >= 2^(bits(den)-1).  On the dyadic upper bound of a term it lies
+    # within a bit of the term, so the pre-filter of _tail_small_enough
+    # refuses only terms t > 10^-(digits+1) / 2, where tail_bound is at
+    # least t (pi^2/6 + log(1/t)) > 10^-digits / 2 for digits >= 3 and
+    # refuses them too: the truncation index is tail_bound's alone.
     return (value.numerator.bit_length() - value.denominator.bit_length() + 1) * 0.30103
 
 
-def _tail_small_enough(term, cap, tolerance_half: Fraction, digits: int) -> bool:
-    t = _as_sup_fraction(term)
+def _tail_small_enough(t: Fraction, cap, tolerance_half: Fraction, digits: int) -> bool:
     if 2 * t.numerator > t.denominator:
         return False
     if t.numerator > 0 and _log10_upper(t) > -(digits + 1):
@@ -294,32 +274,129 @@ def _tail_small_enough(term, cap, tolerance_half: Fraction, digits: int) -> bool
 
 
 # ---------------------------------------------------------------------------
-# shared evaluation driver
+# Lambert-form descriptions and their fixed-point terms
 # ---------------------------------------------------------------------------
 
 
-def _assert_unit_open(value) -> None:
-    """An exact rational or Q(sqrt(D)) value lies inside (0, 1)."""
-    if isinstance(value, (Fraction, RationalPair)):
-        if not (0 < value.numerator < value.denominator):
-            raise AssertionError(f"series argument {value.numerator}/{value.denominator} outside (0, 1)")
-    elif not (value.sign() > 0 and (value - 1).sign() < 0):
-        raise AssertionError("series argument outside (0, 1)")
+class LambertForm(NamedTuple):
+    """Summands t_n = K rho^n / (1 - s rho^(n+1))^2, n >= 0, with K, rho and
+    s exact rationals or Q(sqrt(D)) values, or mpmath intervals."""
+
+    k: object
+    rho: object
+    s: object
+
+    def term(self, n: int):
+        """The exact summand t_n."""
+        return self.k * self.rho ** n / (1 - self.s * self.rho ** (n + 1)) ** 2
 
 
-def _term_rogers(term, guard: int):
-    """Interval Rogers L of one exact or enclosed series term at the
-    current precision."""
-    if isinstance(term, QuadraticElement):
-        rv = term.rational_value()
-        term = rv if rv is not None else quad_to_real(term, iv.prec + 16)
-    return _rogers_eval(term, guard)
+def _two_param_form(inst: TwoParamInstance) -> LambertForm:
+    a, b = max(inst.a, inst.b), min(inst.a, inst.b)
+    return LambertForm(b * (a - b) ** 2 / (a * (1 - b) ** 2), (1 - a) / (1 - b), b / a)
 
 
-def _exact_bits(budget: PrecisionBudget, n_terms: int) -> int:
-    """Working bits for a sum of ``n_terms`` exact terms: more digits per
-    decade of the term count absorb the rounding of their conversions."""
-    return PrecisionBudget(budget.target_digits + max(4, len(str(n_terms)) + 3)).working_bits
+def _lucas_form(rho) -> LambertForm:
+    """The Lucas and sinh-theta form: K = rho (1 - rho)^2 and s = rho."""
+    rv = rho.rational_value() if isinstance(rho, QuadraticElement) else None
+    rho = rho if rv is None else rv
+    return LambertForm(rho * (1 - rho) ** 2, rho, rho)
+
+
+def _check_form(form: LambertForm, exact_terms: Iterable, count: int = 5) -> None:
+    """Raise AssertionError unless the first ``count`` summands of an exact
+    generator of the series equal the description's.
+
+    Five indices prove every index.  With X = rho^n the description is
+    K X / (1 - s rho X)^2, and each generator is C X / (1 - S X)^2 with
+    constants of its own: a b (a-b)^2 X / (a (1-b) - b (1-a) X)^2 for the
+    two-parameter summand once (1-b)^(2n) cancels, 4 t^2 rho X / ((1+t)^2
+    (1 - rho^2 X)^2) for the remark form and, by Binet's formula,
+    (1-rho)^2 rho X / (1 - rho^2 X)^2 for the Lucas terms.  Their difference
+    has a numerator of degree at most 4 in X, which vanishes identically
+    if it vanishes at the five distinct X = 1, rho, ..., rho^4.  The Q < 0
+    Lucas generator interleaves two such functions, one per parity of n,
+    so it is checked at five pairs (count = 10).
+    """
+    for n, expected in enumerate(islice(exact_terms, count)):
+        if form.term(n) != expected:
+            raise AssertionError(f"summand {n} does not match the Lambert form")
+
+
+def _log2_floor(value) -> int:
+    """An integer at or below log2 of a positive rational, Q(sqrt(D)) value or interval."""
+    if isinstance(value, QuadraticElement):
+        # x = N(x) / (a - b sqrt(D)), of size at most |a| + |b| (isqrt(ceil(D)) + 1)
+        root = isqrt(-(-value.radicand.numerator // value.radicand.denominator)) + 1
+        value = abs(value.norm()) / (abs(value.rat_part) + abs(value.rad_part) * root)
+    if isinstance(value, Fraction):
+        return value.numerator.bit_length() - value.denominator.bit_length() - 1
+    _, _, exp, bc = value._mpi_[0]
+    return exp + bc - 1
+
+
+def _scaled_bounds(value, w: int) -> tuple[int, int]:
+    """Integers lo <= 2^w value <= hi for a positive rational, Q(sqrt(D)) value or interval."""
+    if isinstance(value, QuadraticElement):
+        # within 2^(-w-4) of the value, as it lies below 1
+        value = quad_to_real(value, w + 8).interval()
+    if isinstance(value, Fraction):
+        num = value.numerator << w
+        return num // value.denominator, -(-num // value.denominator)
+    (s_lo, m_lo, e_lo, _), (s_hi, m_hi, e_hi, _) = value._mpi_
+    return _shift(-m_lo if s_lo else m_lo, e_lo + w), _shift(-m_hi if s_hi else m_hi, e_hi + w, up=True)
+
+
+def _lambert_terms(form: LambertForm, w: int) -> Iterator[ScaledInterval]:
+    """Enclosures at scale 2^-w of t = K x / (1 - sigma x)^2, x = rho^n: x
+    steps from 2^w with floors by the lower bound on rho and ceilings by the
+    upper one, and t grows with K, x and sigma x < 1, so its lower bound
+    takes every lower bound and floors, its upper bound the rest."""
+    one = 1 << w
+    (k_lo, k_hi), (s_lo, s_hi), (r_lo, r_hi) = (_scaled_bounds(v, w) for v in (form.k, form.s, form.rho))
+    # sigma = s rho
+    g_lo, g_hi = s_lo * r_lo >> w, -(-s_hi * r_hi >> w)
+    x_lo = x_hi = one
+    while True:
+        # 2^w (1 - sigma x), from below and from above
+        d_lo = one + (-g_hi * x_hi >> w)
+        d_hi = one - (g_lo * x_lo >> w)
+        if d_lo <= 0:
+            raise PrecisionError("could not separate 1 - s rho^(n+1) from 0")
+        yield ScaledInterval((k_lo * x_lo << w) // (d_hi * d_hi), -(-(k_hi * x_hi << w) // (d_lo * d_lo)), w)
+        x_lo = x_lo * r_lo >> w
+        x_hi = -(-x_hi * r_hi >> w)
+
+
+def _lambert_scale(form: LambertForm, cap: Fraction, budget: PrecisionBudget, max_terms: int) -> int:
+    """Bits w of the scale 2^-w of ``_lambert_terms``.
+
+    Widths in units of 2^-w, to first order.  Let c = ceil(1/(1-cap)) >=
+    1/(1-rho).  The bounds on K, s and rho are at most 3 wide (exact, or
+    enclosed within 1/8 unit, floored and ceiled), so those on sigma = s rho
+    at most 7.  Each power stream stays within c units of 2^w rho^n at its
+    end of rho's bounds and n rho^(n-1) <= c, so the bounds on x = rho^n lie
+    at most 2c + 3c apart.  As sigma <= rho and K / (1-sigma)^2 = t_0 < 1,
+    the partial derivatives of t = K x / (1 - sigma x)^2 on x <= 1 are at
+    most 2c in x and in sigma x and c^2 in K; with a unit for rounding
+    sigma x and one per division, a term's bounds lie at most
+    2c 5c + 2c (7 + 1) + 3c^2 + 2 <= 31 c^2 < 2^5 c^2 apart, whatever n.
+    L'(t) < w on [2^-w, 1 - 2^-w], which holds every enclosure the kernel
+    accepts, so N <= max_terms terms widen the lhs by less than
+    N w 2^5 c^2 2^-w, below 2^-working_bits at this w.  The first term
+    t_0 >= K gets -log2(K) more bits, to stay separated from 0.  sinh-theta's
+    rho is enclosed at the working precision, so its terms widen the lhs by
+    a few N w c^2 2^-working_bits instead.
+    """
+    c = -(-cap.denominator // (cap.denominator - cap.numerator))
+    w = budget.working_bits + max(0, -_log2_floor(form.k)) + max_terms.bit_length() + 2 * c.bit_length() + 5
+    # 2^bits(2w) > 2w >= the final scale, which bounds L'
+    return w + (2 * w).bit_length()
+
+
+# ---------------------------------------------------------------------------
+# shared evaluation driver
+# ---------------------------------------------------------------------------
 
 
 def _evaluate_series_report(
@@ -331,30 +408,26 @@ def _evaluate_series_report(
     row_tail: Callable[[int, object], object],
     rhs_fn: Callable[[int], object],
     trace: Optional[list] = None,
-    bits: Optional[int] = None,
     guard: int = _GUARD_TERMS,
 ) -> IdentityReport:
-    """Sum enclosures of L over the kept ``terms`` (enclosures, or exact
-    values checked to lie in (0, 1)) in one interval context at ``bits``
-    (default ``budget.working_bits``) with ``guard`` guard terms per
+    """Sum enclosures of L over the kept ``terms`` (scaled intervals or
+    Fractions, which the kernel checks to lie in (0, 1)) in one interval
+    context at the working precision with ``guard`` guard terms per
     evaluation, evaluate the closed form ``rhs_fn(guard)`` in the same
     context, and report.  ``tail`` bounds the omitted terms;
     ``row_tail(kept, first_omitted)`` bounds the terms after the first
     ``kept``, for the rows of a trace.
     ``IdentityReport.build`` fails a residual whose radius misses the
     tolerance."""
-    with interval_precision(bits or budget.working_bits):
+    with interval_precision(budget.working_bits):
         rows: list = []
         n_terms = 0
         acc = iv.mpf(0)
         for term in terms:
-            if not isinstance(term, ErrorBoundedValue):
-                _assert_unit_open(term)
-            acc = acc + _term_rogers(term, guard)
+            acc = acc + _rogers_eval(term, guard)
             n_terms += 1
             if trace is not None:
-                exact = term.fraction() if isinstance(term, RationalPair) else term
-                rows.append((exact, ErrorBoundedValue.from_interval(acc)))
+                rows.append((term, ErrorBoundedValue.from_interval(acc)))
         rhs_iv = rhs_fn(guard)
         res_iv = acc - rhs_iv
         lhs = ErrorBoundedValue.from_interval(acc)
@@ -383,42 +456,39 @@ def _trace_rows(rows, final_tail, row_tail):
                 running = row_tail(n + 1, rows[n + 1][0])
             except DomainError:
                 running = None
+        if isinstance(term, ScaledInterval):
+            term = Fraction(term.lo + term.hi, 1 << (term.scale + 1))
         out.append({"n": n, "term": term, "lhs_partial": partial, "tail_bound": running})
     return out
 
 
-def _geometric_row_tail(ratio_cap):
-    """Running tails of a series whose terms shrink at least by ``ratio_cap``."""
-    return lambda kept, first_omitted: tail_bound(first_omitted, ratio_cap)
-
-
-def _choose_truncation(term_iter: Iterable, ratio_cap, budget: PrecisionBudget, max_terms: int) -> tuple[int, object]:
-    """Read terms until the certified tail fits in half the tolerance.
-    Returns (N, tail bound): the first N terms are kept."""
+def _choose_truncation(term_iter: Iterable, ratio_cap, budget: PrecisionBudget, max_terms: int) -> tuple[list, object]:
+    """Read scaled-interval terms until the certified tail after them fits
+    in half the tolerance.  Returns (the kept terms, the tail bound)."""
     if max_terms < 1:
         raise UsageError("max_terms must be positive")
     tol_half = budget.tolerance / 2
-    for count, term in enumerate(term_iter):
-        if count >= max_terms or (count and _tail_small_enough(term, ratio_cap, tol_half, budget.target_digits)):
-            return count, tail_bound(term, ratio_cap)
+    kept: list = []
+    for term in term_iter:
+        upper = term.upper()
+        if len(kept) >= max_terms or (kept and _tail_small_enough(upper, ratio_cap, tol_half, budget.target_digits)):
+            return kept, tail_bound(upper, ratio_cap)
+        kept.append(term)
     raise AssertionError("term iterator exhausted unexpectedly")
 
 
-def _held_truncation(term_iter: Iterable, ratio_cap, budget: PrecisionBudget, max_terms: int) -> tuple[list, object]:
-    """``_choose_truncation`` that holds the kept terms: (terms, tail bound)."""
-    term_iter, held = tee(term_iter)
-    count, tail = _choose_truncation(term_iter, ratio_cap, budget, max_terms)
-    return list(islice(held, count)), tail
+def _lambert_report(identity_id, parameters, form, cap, budget, max_terms, trace, rhs_fn) -> IdentityReport:
+    """Truncate and sum a Lambert-form series whose term ratio is at most
+    ``cap``; each term is generated once."""
+    terms = _lambert_terms(form, _lambert_scale(form, cap, budget, max_terms))
+    kept, tail = _choose_truncation(terms, cap, budget, max_terms)
+    row_tail = lambda _, first_omitted: tail_bound(first_omitted.upper(), cap)  # noqa: E731
+    return _evaluate_series_report(identity_id, parameters, budget, kept, tail, row_tail, rhs_fn, trace)
 
 
 # ---------------------------------------------------------------------------
 # Theorem (two-parameter series) and its corollary
 # ---------------------------------------------------------------------------
-
-
-def _two_param_ratio_cap(inst: TwoParamInstance) -> Fraction:
-    oma, omb = 1 - inst.a, 1 - inst.b
-    return _certified_cap(min(oma, omb) / max(oma, omb))
 
 
 def theorem_main_verify(
@@ -429,57 +499,21 @@ def theorem_main_verify(
 ) -> IdentityReport:
     """Verify sum L(x_n y_n) = L(a) + L(b) - L(|a-b|/(1-min(a,b)))."""
     a, b = inst.a, inst.b
-    cap = _two_param_ratio_cap(inst)
-    n_terms, tail = _choose_truncation(_theorem_terms(inst), cap, budget, max_terms)
+    form = _two_param_form(inst)
+    cap = _certified_cap(form.rho)
+    _check_form(form, _theorem_terms(inst))
     third = abs(a - b) / (1 - min(a, b))
 
     def rhs_fn(guard):
         return _rogers_eval(a, guard) + _rogers_eval(b, guard) - _rogers_eval(third, guard)
 
-    # the sum streams the terms again: holding thousands of growing exact
-    # terms costs more memory than the integer multiplies that rebuild them
-    terms = islice(_theorem_terms(inst), n_terms)
     parameters = {"a": _rational_str(a), "b": _rational_str(b)}
-    bits = _exact_bits(budget, n_terms)
-    return _evaluate_series_report(
-        "theorem-main", parameters, budget, terms, tail, _geometric_row_tail(cap), rhs_fn, trace, bits
-    )
+    return _lambert_report("theorem-main", parameters, form, cap, budget, max_terms, trace, rhs_fn)
 
 
 def corollary_remark_term(t: Fraction, m: int) -> Fraction:
     """Simplified summand 4 t^2 (1-t^2)^m / ((1+t)^(m+1) - (1-t)^(m+1))^2."""
     return 4 * t * t * (1 - t * t) ** m / ((1 + t) ** (m + 1) - (1 - t) ** (m + 1)) ** 2
-
-
-def _corollary_checked(t: Fraction, terms: Iterable[RationalPair]) -> Iterator[RationalPair]:
-    """The terms, each first checked against corollary_remark_term(t, n + 1).
-
-    With t = p/q the simplified form is 4p^2 (q^2-p^2)^(n+1) / diff^2,
-    diff = (q+p)^(n+2) - (q-p)^(n+2), so a term num/den matches iff
-    num * diff^2 == den * 4p^2 (q^2-p^2)^(n+1), in integers.  The
-    generator's pair is exactly that numerator and denominator, which is
-    tested first: it settles the match with one squaring instead of three
-    full-size products.
-    """
-    p, q = t.numerator, t.denominator
-    scale = 4 * p * p
-    sq = q * q - p * p
-    # incremental powers: recomputing them per index would redo three large
-    # exponentiations for every term
-    sq_pow = sq
-    plus_pow = (q + p) ** 2
-    minus_pow = (q - p) ** 2
-    for n, term in enumerate(terms):
-        num, den = term.numerator, term.denominator
-        expected_num = scale * sq_pow
-        diff = plus_pow - minus_pow
-        diff_sq = diff * diff
-        if not (num == expected_num and den == diff_sq) and num * diff_sq != den * expected_num:
-            raise AssertionError(f"summand {n} does not match the simplified form")
-        yield term
-        sq_pow *= sq
-        plus_pow *= q + p
-        minus_pow *= q - p
 
 
 def corollary_verify(
@@ -491,25 +525,20 @@ def corollary_verify(
     """Verify the one-parameter specialization summing to L((1-t)/(1+t)).
 
     The instance is the two-parameter series at (a, b) = ((1+t)/2, (1-t)/2),
-    re-indexed from 1; every term the truncation reads is checked exactly
-    against the simplified closed form ``corollary_remark_term``.
+    re-indexed from 1; its Lambert form is checked exactly against the
+    simplified closed form ``corollary_remark_term``.
     """
     t = Fraction(t)
     if not (0 < t < 1):
         raise DomainError("parameter must lie in (0, 1)")
-    inst = TwoParamInstance((1 + t) / 2, (1 - t) / 2)
-    cap = _two_param_ratio_cap(inst)
-    n_terms, tail = _choose_truncation(_corollary_checked(t, _theorem_terms(inst)), cap, budget, max_terms)
-    target = (1 - t) / (1 + t)
+    form = _two_param_form(TwoParamInstance((1 + t) / 2, (1 - t) / 2))
+    cap = _certified_cap(form.rho)
+    _check_form(form, (corollary_remark_term(t, n + 1) for n in count()))
 
     def rhs_fn(guard):
-        return _rogers_eval(target, guard)
+        return _rogers_eval(form.rho, guard)  # rho = (1-t)/(1+t)
 
-    terms = islice(_theorem_terms(inst), n_terms)
-    bits = _exact_bits(budget, n_terms)
-    return _evaluate_series_report(
-        "corollary", {"t": _rational_str(t)}, budget, terms, tail, _geometric_row_tail(cap), rhs_fn, trace, bits
-    )
+    return _lambert_report("corollary", {"t": _rational_str(t)}, form, cap, budget, max_terms, trace, rhs_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +599,7 @@ def _lucas_neg_terms(params: LucasParams, k: int) -> Iterator:
 
 
 def _lucas_rhs_arg(params: LucasParams, k: int):
-    """Exact |Q|^k / alpha^(2k), in the coefficient ring when possible."""
+    """Exact |Q|^k / alpha^(2k), the closed form's argument and the series' rho."""
     alpha = params.alpha_exact()
     if alpha is None:
         raise PreconditionError("exact closed form requires sqrt(D) in the ring")
@@ -578,30 +607,29 @@ def _lucas_rhs_arg(params: LucasParams, k: int):
     if isinstance(alpha, QuadraticElement) and not isinstance(qk, QuadraticElement):
         qk = QuadraticElement.from_rational(qk, alpha.radicand)
     arg = qk / quad_pow(alpha, 2 * k)
-    _assert_unit_open(arg)
+    if not (arg.sign() > 0 and (arg - 1).sign() < 0):
+        raise AssertionError("closed-form argument outside (0, 1)")
     return arg
 
 
 def _lucas_verify(params, k, budget, max_terms, trace) -> IdentityReport:
     """By the sign of Q, the Q > 0 series, or the odd-k parity sub-series
     interleaved (A_1, B_1, A_2, ...): that is the Q > 0 series at
-    (sqrt(D), -Q), with the same ratio cap (|Q|/alpha^2)^k."""
+    (sqrt(D), -Q), with the same Lambert form and ratio cap (|Q|/alpha^2)^k."""
     if _coeff_sign(params.q) > 0:
-        identity_id, term_iter = "lucas-pos", _lucas_pos_terms(params, k)
+        identity_id, exact_terms, checked = "lucas-pos", _lucas_pos_terms(params, k), 5
     else:
-        identity_id, term_iter = "lucas-neg", chain.from_iterable(_lucas_neg_terms(params, k))
+        identity_id, exact_terms, checked = "lucas-neg", chain.from_iterable(_lucas_neg_terms(params, k)), 10
     cap = _ratio_cap_sup(params, k)
-    terms, tail = _held_truncation(term_iter, cap, budget, max_terms)
-    rhs_arg = _lucas_rhs_arg(params, k)
+    form = _lucas_form(_lucas_rhs_arg(params, k))
+    _check_form(form, exact_terms, checked)
 
     def rhs_fn(guard):
-        return _term_rogers(rhs_arg, guard)
+        rho = form.rho
+        return _rogers_eval(rho if isinstance(rho, Fraction) else quad_to_real(rho, iv.prec + 16), guard)
 
     parameters = {"P": _coeff_str(params.p), "Q": _coeff_str(params.q), "k": str(k)}
-    bits = _exact_bits(budget, len(terms))
-    return _evaluate_series_report(
-        identity_id, parameters, budget, terms, tail, _geometric_row_tail(cap), rhs_fn, trace, bits
-    )
+    return _lambert_report(identity_id, parameters, form, cap, budget, max_terms, trace, rhs_fn)
 
 
 def lucas_pos_verify(
@@ -735,38 +763,27 @@ def bridgeman_verify(
     Positive solutions: L(1/u^2) = sum_{k>=2} L(1/U_k(2a,1)^2);
     negative solutions: the two-series form with V_1(2a,-1) = 2a and
     D = 4 b^2 n.  In both cases the series is exactly the k = 1 Lucas
-    series under pell_to_lucas, and the first 30 terms are cross-checked
-    against the original b^2/b_k^2 (resp. a^2/(n b_{2k}^2), a^2/a_{2k+1}^2)
-    forms computed independently from powers of u.
+    series under pell_to_lucas; its Lambert form is checked exactly against
+    the original b^2/b_k^2 (resp. a^2/(n b_{2k}^2), a^2/a_{2k+1}^2) forms,
+    computed independently from powers of u.
     """
-    corr = pell_to_lucas(sol)
-    params = corr.params
+    params = pell_to_lucas(sol).params
     a, b, n = sol.a, sol.b, sol.n
-
-    # the rewritten series must coincide with the original Bridgeman form,
-    # with b_k, a_k taken from exact powers of u
-    if sol.sign > 0:
-        term_stream = _lucas_pos_terms(params, 1)
-        for idx in range(1, 31):
-            term = next(term_stream)
-            b_power = quad_pow(sol.unit(), idx + 1).rad_part
-            if term != b * b / (b_power * b_power):
-                raise AssertionError("term mismatch with the b^2/b_k^2 form")
-    else:
-        pair_stream = _lucas_neg_terms(params, 1)
-        for idx in range(1, 31):
-            a_term, b_term = next(pair_stream)
-            even_power = quad_pow(sol.unit(), 2 * idx)
-            odd_power = quad_pow(sol.unit(), 2 * idx + 1)
-            if a_term != a * a / (n * even_power.rad_part ** 2):
-                raise AssertionError("term mismatch with the a^2/(n b_2k^2) form")
-            if b_term != a * a / (odd_power.rat_part ** 2):
-                raise AssertionError("term mismatch with the a^2/a_{2k+1}^2 form")
-
-    # closed-form argument 1/u^2 agrees exactly with the Lucas-side argument
-    inv_u_sq = QuadraticElement.from_rational(1, Fraction(sol.n)) / quad_pow(sol.unit(), 2)
-    if inv_u_sq != _lucas_rhs_arg(params, 1):
+    u = sol.unit()
+    # the closed-form argument 1/u^2 is the Lucas one, and Bridgeman's own
+    # terms, from exact powers of u, are functions of rho^n = u^(-2n) of the
+    # kind that _check_form compares, one per parity of n for a negative
+    # solution: five indices (pairs) prove every term of the Lambert form
+    rho = QuadraticElement.from_rational(1, Fraction(n)) / quad_pow(u, 2)
+    if rho != _lucas_rhs_arg(params, 1):
         raise AssertionError("1/u^2 does not match the Lucas closed-form argument")
+    if sol.sign > 0:
+        original, checked = (b * b / quad_pow(u, m + 1).rad_part ** 2 for m in count(1)), 5
+    else:
+        pairs = ((a * a / (n * quad_pow(u, 2 * m).rad_part ** 2), a * a / quad_pow(u, 2 * m + 1).rat_part ** 2)
+                 for m in count(1))
+        original, checked = chain.from_iterable(pairs), 10
+    _check_form(_lucas_form(rho), original, checked)
 
     report = _lucas_verify(params, 1, budget, max_terms, trace)
     parameters = {
@@ -811,17 +828,6 @@ def _richmond_szekeres(budget: PrecisionBudget, max_terms: int, trace: Optional[
     )
 
 
-def _sinh_theta_terms(growth, decay) -> Iterator:
-    """Intervals of sinh^2(theta)/sinh^2(n theta) = (g - 1/g)^2 / (g^n - g^-n)^2,
-    n >= 2, from g = ``growth`` and 1/g = ``decay``; the powers come from
-    repeated multiplication, so the relative width grows linearly in n."""
-    numer = (growth - decay) ** 2
-    g_pow, d_pow = growth, decay
-    while True:
-        g_pow, d_pow = g_pow * growth, d_pow * decay
-        yield numer / (g_pow - d_pow) ** 2
-
-
 def _sinh_theta(
     theta: Fraction, budget: PrecisionBudget, max_terms: int, trace: Optional[list] = None
 ) -> IdentityReport:
@@ -832,19 +838,16 @@ def _sinh_theta(
     with interval_precision(budget.working_bits):
         growth = iv.exp(iv_from_fraction(theta))
         decay = 1 / growth
-        decay_sq = decay * decay  # 1/alpha^2
-        cap = _certified_cap(decay_sq)
-        terms = map(ErrorBoundedValue.from_interval, _sinh_theta_terms(growth, decay))
-        terms, tail = _held_truncation(terms, cap, budget, max_terms)
-        rhs_arg = ErrorBoundedValue.from_interval(decay_sq)
+        rho = decay * decay  # 1/alpha^2
+        cap = _certified_cap(rho)
+        form = _lucas_form(rho)
+        rhs_arg = ErrorBoundedValue.from_interval(rho)
 
     def rhs_fn(guard):
         return _rogers_eval(rhs_arg, guard)
 
     parameters = {"theta": _rational_str(theta)}
-    return _evaluate_series_report(
-        "sinh-theta", parameters, budget, terms, tail, _geometric_row_tail(cap), rhs_fn, trace
-    )
+    return _lambert_report("sinh-theta", parameters, form, cap, budget, max_terms, trace, rhs_fn)
 
 
 def _sqrt5(k: int, odd: bool, budget, max_terms, trace=None) -> IdentityReport:

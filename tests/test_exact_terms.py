@@ -1,5 +1,7 @@
-"""Unreduced exact terms of the two-parameter series and the one converter
-from exact rationals to intervals."""
+"""The one converter from exact rationals to intervals, the exact
+two-parameter generator, and the integer term enclosures the L kernel and
+the truncation read: their branch, 1 - x and tail checks, and the
+negative controls of the summed stream."""
 
 from fractions import Fraction
 from itertools import islice
@@ -9,13 +11,16 @@ from hypothesis import assume, example, given, settings, strategies as st
 from mpmath.libmp import from_rational, round_ceiling, round_floor
 
 from dilogid import series
-from dilogid.enclosure import PrecisionBudget, RationalPair, rational_bounds
+from dilogid.enclosure import PrecisionBudget, ScaledInterval, mpf_to_fraction, rational_bounds
+from dilogid.exactnum import QuadraticElement
 from dilogid.harness import emit_report
-from dilogid.rogers import _branch_is_low, _one_minus
+from dilogid.rogers import _branch_is_low, _one_minus, _raw
 from dilogid.series import (
     TwoParamInstance,
-    _corollary_checked,
+    _check_form,
     _tail_small_enough,
+    _two_param_form,
+    corollary_remark_term,
     corollary_verify,
     tail_bound,
     theorem_main_term,
@@ -76,30 +81,59 @@ def test_converter_one_ulp_around_a_power_of_two(e, odd, g, prec):
 
 
 UNIT = st.integers(2, 10 ** 6).flatmap(lambda q: st.tuples(st.integers(1, q - 1), st.just(q)))
+SCALES = st.integers(1, 400)
+
+
+def _scaled(p: int, q: int, scale: int) -> ScaledInterval:
+    """The integer enclosure of p/q at scale 2^-scale."""
+    num = p << scale
+    return ScaledInterval(num // q, -(-num // q), scale)
+
+
+def _midpoint(pair: ScaledInterval) -> Fraction:
+    return Fraction(pair.lo + pair.hi, 1 << (pair.scale + 1))
 
 
 @settings(max_examples=200, deadline=None)
-@given(UNIT, FACTORS)
+@given(UNIT, SCALES)
 @example((1, 2), 1)
-@example((1, 2), 12345)
-def test_branch_and_one_minus_on_pairs(pq, g):
+@example((1, 2), 300)
+def test_branch_and_one_minus_on_pairs(pq, scale):
+    # integer endpoint pairs: the branch follows their midpoint, and 1 - x
+    # is exact, the mirror of the pair
     p, q = pq
-    pair, value = RationalPair(p * g, q * g), Fraction(p, q)
-    assert _branch_is_low(pair) == _branch_is_low(value)
-    assert _one_minus(pair).fraction() == _one_minus(value)
+    pair = _scaled(p, q, scale)
+    one = 1 << scale
+    assert _branch_is_low(pair) == (pair.lo + pair.hi <= one)
+    if pair.lo == pair.hi:
+        assert _branch_is_low(pair) == _branch_is_low(_midpoint(pair))
+    mirror = _one_minus(pair)
+    assert (mirror.lo, mirror.hi, mirror.scale) == (one - pair.hi, one - pair.lo, scale)
+    assert _midpoint(mirror) == 1 - _midpoint(pair)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_bits(1, 600), st.one_of(st.just(0), _bits(1, 600)), SCALES, st.integers(53, 400))
+def test_scaled_intervals_convert_like_their_fractions(lo, width, scale, prec):
+    hi = lo + width
+    lower = rational_bounds(lo, 1 << scale, prec)[0]
+    upper = rational_bounds(hi, 1 << scale, prec)[1]
+    assert _raw(ScaledInterval(lo, hi, scale), prec) == (lower, upper)
 
 
 @settings(max_examples=60, deadline=None)
-@given(UNIT, FACTORS, st.sampled_from([("9/10", 12), ("191/200", 40), ("1/2", 100)]))
-def test_tail_checks_on_pairs(pq, g, cap_digits):
+@given(UNIT, st.integers(0, 40), st.sampled_from([("9/10", 12), ("191/200", 40), ("1/2", 100)]))
+def test_tail_checks_on_pairs(pq, extra, cap_digits):
     cap, digits = Fraction(cap_digits[0]), cap_digits[1]
     # terms from 10^-(digits+7) to 10^-(digits+1), around the pre-filter
-    # threshold, where a common factor can move the bit-length estimate
+    # threshold, enclosed at scales from the term's size on; the truncation
+    # reads the upper end, a dyadic rational, and the pre-filter on it
+    # refuses only where tail_bound refuses too
     p, q = pq[0], pq[1] * 10 ** (digits + 1)
-    pair, value = RationalPair(p * g, q * g), Fraction(p, q)
+    upper = _scaled(p, q, q.bit_length() + 4 * digits + extra).upper()
+    assert upper.denominator & (upper.denominator - 1) == 0
     half = Fraction(1, 2 * 10 ** digits)
-    assert _tail_small_enough(pair, cap, half, digits) == _tail_small_enough(value, cap, half, digits)
-    assert tail_bound(pair, cap) == tail_bound(value, cap)
+    assert _tail_small_enough(upper, cap, half, digits) == (mpf_to_fraction(tail_bound(upper, cap)) <= half)
 
 
 PARAMETER = st.integers(2, 400).flatmap(lambda q: st.builds(Fraction, st.integers(1, q - 1), st.just(q)))
@@ -111,44 +145,51 @@ def test_streamed_terms_equal_theorem_term(a, b):
     assume(a != b)
     for inst in (TwoParamInstance(a, b), TwoParamInstance(b, a)):
         for n, term in enumerate(islice(series._theorem_terms(inst), 40)):
-            assert isinstance(term, RationalPair)
-            expected = theorem_main_term(inst, n)
-            assert term.numerator * expected.denominator == term.denominator * expected.numerator
+            assert term == theorem_main_term(inst, n)
+            assert _two_param_form(inst).term(n) == term
 
 
 def _perturbed_terms(monkeypatch, change):
-    original = series._theorem_terms
+    """Replace the summed stream of every Lambert-form series by
+    ``change(stream)``."""
+    original = series._lambert_terms
 
-    def terms(inst):
-        for n, term in enumerate(original(inst)):
-            yield change(n, term)
+    def terms(form, w):
+        return change(original(form, w))
 
-    monkeypatch.setattr(series, "_theorem_terms", terms)
+    monkeypatch.setattr(series, "_lambert_terms", terms)
 
 
 def test_corollary_rejects_a_perturbed_streamed_term(monkeypatch):
-    _perturbed_terms(
-        monkeypatch, lambda n, term: RationalPair(term.numerator + (n == 7), term.denominator)
-    )
-    with pytest.raises(AssertionError, match="summand 7"):
-        corollary_verify(Fraction(1, 3), B40)
+    def raise_term_7(stream):
+        for n, term in enumerate(stream):
+            # 2^-60 relative, far above the lhs radius
+            yield ScaledInterval(term.lo + (term.lo >> 60), term.hi + (term.hi >> 60), term.scale) if n == 7 else term
+
+    assert corollary_verify(Fraction(1, 3), B40).verdict == "pass"
+    _perturbed_terms(monkeypatch, raise_term_7)
+    assert corollary_verify(Fraction(1, 3), B40).verdict == "fail"
 
 
 def test_scaled_pairs_give_the_same_reports(monkeypatch):
-    # a common factor changes neither the corollary check (it falls back to
-    # cross-multiplication) nor any converted interval
+    # a finer scale for the same integer enclosures changes neither the
+    # truncation nor any converted interval
     t, inst = Fraction(1, 3), TwoParamInstance(Fraction(2, 3), Fraction(1, 3))
     plain = emit_report(corollary_verify(t, B40)), emit_report(theorem_main_verify(inst, B40))
-    _perturbed_terms(monkeypatch, lambda n, term: RationalPair(term.numerator * 6, term.denominator * 6))
+    _perturbed_terms(
+        monkeypatch, lambda stream: (ScaledInterval(x.lo << 6, x.hi << 6, x.scale + 6) for x in stream)
+    )
     assert (emit_report(corollary_verify(t, B40)), emit_report(theorem_main_verify(inst, B40))) == plain
 
 
 def test_corollary_check_accepts_equal_values_in_other_form():
     t = Fraction(2, 7)
-    inst = TwoParamInstance((1 + t) / 2, (1 - t) / 2)
-    raw = list(islice(series._theorem_terms(inst), 12))
-    scaled = [RationalPair(term.numerator * (n + 2), term.denominator * (n + 2)) for n, term in enumerate(raw)]
-    assert len(list(_corollary_checked(t, iter(scaled)))) == 12
-    wrong = scaled[:5] + [RationalPair(scaled[5].numerator, scaled[5].denominator + 1)]
-    with pytest.raises(AssertionError, match="summand 5"):
-        list(_corollary_checked(t, iter(wrong)))
+    form = _two_param_form(TwoParamInstance((1 + t) / 2, (1 - t) / 2))
+    remark = [corollary_remark_term(t, n + 1) for n in range(5)]
+    # the same values as Q(sqrt(5)) elements
+    embedded = [QuadraticElement.from_rational(value, 5) for value in remark]
+    _check_form(form, iter(embedded))
+    for n in range(5):
+        wrong = remark[:n] + [remark[n] * (1 + Fraction(1, 10 ** 40))] + remark[n + 1:]
+        with pytest.raises(AssertionError, match=f"summand {n}"):
+            _check_form(form, iter(wrong))

@@ -55,10 +55,10 @@ def test_every_golden_report_is_checked():
 
 
 # Reports of slow two-parameter instances (ratio caps 0.93 and 0.90, 1305
-# and 942 growing exact terms) and of a cut-off case, at 40 digits,
-# and the trace CSV of the cut-off case, under tests/golden/two-parameter/;
-# they were produced by the implementation that reduced every term to a
-# Fraction.
+# and 942 terms) and of a cut-off case, at 40 digits, and the trace CSV of
+# the cut-off case, under tests/golden/two-parameter/; they were produced by
+# the implementation that reduced every term to a Fraction, and regenerated
+# with fixed-point terms with the same terms_used, tail_bound and verdict.
 TWO_PARAMETER = [
     ("theorem-main-64-157-57-157-d40", "theorem-main", {"a": "64/157", "b": "57/157"}, 10000),
     ("corollary-6-119-d40", "corollary", {"t": "6/119"}, 10000),

@@ -349,17 +349,18 @@ class TestLucasNeg:
         assert all(later <= cap * earlier for earlier, later in zip(terms, terms[1:]))
 
     def test_dropped_term_fails(self, monkeypatch):
+        # B_1, the second term of the summed interleaved stream
         from dilogid import series
 
-        original = series._lucas_neg_terms
+        original = series._lambert_terms
 
-        def without_b1(params, k):
-            pairs = original(params, k)
-            a_1, _ = next(pairs)
-            yield (a_1,)
-            yield from pairs
+        def without_b1(form, w):
+            terms = original(form, w)
+            yield next(terms)
+            next(terms)
+            yield from terms
 
-        monkeypatch.setattr(series, "_lucas_neg_terms", without_b1)
+        monkeypatch.setattr(series, "_lambert_terms", without_b1)
         assert catalog_verify("fib-lucas-neg", B40).verdict == "fail"
 
     def test_preconditions(self):

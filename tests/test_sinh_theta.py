@@ -1,8 +1,9 @@
 """The numeric-parameter Lucas series at P = 2cosh(theta), Q = 1:
 sum_{n>=2} L(sinh^2(theta)/sinh^2(n theta)) = L(e^(-2 theta)).
 
-Its terms are enclosures in closed form, computed once at the working
-precision, so a small theta needs neither more bits nor a second pass.
+Its terms are integer enclosures of the Lambert form with rho = e^(-2 theta)
+enclosed once at the working precision, so a small theta needs neither
+more bits nor a second pass.
 """
 
 import json
@@ -12,10 +13,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from mpmath import iv, mp
+from mpmath import mp
 
 from dilogid import series
-from dilogid.enclosure import PrecisionBudget
+from dilogid.enclosure import PrecisionBudget, ScaledInterval
 from dilogid.harness import run_cli
 from dilogid.series import catalog_verify
 
@@ -49,14 +50,16 @@ def test_theta_one_fifteenth_at_100_digits_runs_once(monkeypatch):
 
 
 def test_perturbed_term_fails(monkeypatch):
-    original = series._sinh_theta_terms
+    original = series._lambert_terms
 
-    def perturbed(growth, decay):
-        terms = original(growth, decay)
-        yield next(terms) * (1 + iv.mpf(10) ** -30)
+    def perturbed(form, w):
+        terms = original(form, w)
+        first = next(terms)
+        # 1 + 10^-30 times the first term
+        yield ScaledInterval(first.lo + first.lo // 10 ** 30, first.hi + first.hi // 10 ** 30, w)
         yield from terms
 
-    monkeypatch.setattr(series, "_sinh_theta_terms", perturbed)
+    monkeypatch.setattr(series, "_lambert_terms", perturbed)
     assert catalog_verify("sinh-theta", PrecisionBudget(40), theta=1).verdict == "fail"
 
 
