@@ -7,6 +7,8 @@ description must fail the five-index exact check, and a dropped or
 shifted summed term must fail the verdict.
 """
 
+import contextlib
+import io
 from fractions import Fraction
 from itertools import chain, islice
 
@@ -24,6 +26,7 @@ from dilogid.enclosure import (
     iv_from_fraction,
 )
 from dilogid.exactnum import QuadraticElement
+from dilogid.harness import run_cli
 from dilogid.lucas import LucasParams
 from dilogid.series import (
     DEFAULT_MAX_TERMS,
@@ -319,3 +322,12 @@ def test_first_term_far_below_the_working_precision(name, params):
     report = catalog_verify(name, B40, **params)
     assert report.verdict == "pass" and report.terms_used == 1
     assert report.lhs.endpoints()[0] > 0
+
+
+def test_trace_of_a_q_sqrt_d_series(tmp_path):
+    # the summed terms of a Q(sqrt(5)) series print as decimals
+    trace = tmp_path / "trace.csv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_cli(["verify", "--identity", "sqrt5-k-odd", "--digits", "30", "--trace", str(trace)]) == 0
+    rows = trace.read_text().splitlines()
+    assert rows[1].startswith("0,0.2000") and len(rows) == 1 + 76
