@@ -11,20 +11,30 @@ result is an ErrorBoundedValue evaluated once at the budget's working
 precision; a radius above 10^(-target_digits), which only a wide input
 enclosure causes, raises PrecisionError.
 
-The kernel sums Python integers at a fixed scale 2^-s.  The series
-argument y = x or 1-x, at most about 1/2, is enclosed by dyadic endpoints
-m 2^-k.  At each endpoint the powers X_n = floor(X_(n-1) m / 2^k),
-X_0 = 2^s, give the sums S2 = sum floor(X_n/n^2) and S1 = sum floor(X_n/n)
-of 2^s Li2(y) and -2^s log(1-y).  The lower endpoint's sums are lower
-bounds.  At the upper endpoint each floor loses less than one unit and X_n
-lies less than 1/(1-y) units below 2^s y^n; that count plus the geometric
-tail bounds the sums from above (see ``_li2_series_raw``).  Then
-log(x) log(1-x) = |log y| S1 takes one interval log of y, and the result
-is rounded outward to the working precision.  With w = working precision
-+ 20 guard bits, s = w above 1/2, where the result lies near pi^2/6, and
-s = w + z below, where y < 2^-z: a small argument keeps w bits relative to
-its size, so li2(10^-200) is still enclosed to the working precision
-relative to its value.
+The kernel sums Python integers at a fixed scale 2^-s and returns integer
+bounds at that scale (a ScaledInterval), which the series driver adds as
+they are and the entry points round outward to the working precision.
+The series argument y = x or 1-x is at most about 1/2; the powers
+X_n = floor(X_(n-1) y), X_0 = 2^s, give the sums S2 = sum floor(X_n/n^2)
+and S1 = sum floor(X_n/n) of 2^s Li2(y) and -2^s log(1-y), for as many
+terms as it takes every further power to vanish.  Those sums are lower
+bounds; each floor loses less than one unit, and that count plus the
+geometric tail bounds them from above (see ``_li2_series_raw``).  Then
+log(x) log(1-x) = |log y| S1.
+
+  * An exact argument (a Fraction) has an exact y = p/q <= 1/2: one power
+    stream steps X_n = floor(X_(n-1) p / q), and one point log of q/p,
+    rounded down and widened by one ulp, encloses |log y|.
+  * An interval argument (an ErrorBoundedValue or a ScaledInterval) is
+    enclosed by dyadic endpoints m 2^-k: one stream steps
+    X_n = floor(X_(n-1) m / 2^k) at each endpoint, the lower one's sums
+    being lower bounds and the upper one's carrying the error count, and
+    one interval log encloses |log y|.
+
+With w = working precision + 20 guard bits, s = w above 1/2, where the
+result lies near pi^2/6, and s = w + z below, where y < 2^-z: a small
+argument keeps w bits relative to its size, so li2(10^-200) is still
+enclosed to the working precision relative to its value.
 """
 
 from __future__ import annotations
@@ -35,7 +45,7 @@ from functools import lru_cache
 from typing import Union
 
 from mpmath import iv
-from mpmath.libmp import from_man_exp, mpf_pi, round_ceiling, round_floor
+from mpmath.libmp import from_man_exp, mpf_log, mpf_pi, round_ceiling, round_floor
 from mpmath.libmp.libmpi import mpi_log
 
 from .enclosure import (
@@ -52,8 +62,6 @@ from .enclosure import (
 Argument = Union[int, Fraction, ErrorBoundedValue]
 
 _HALF = Fraction(1, 2)
-# series terms summed beyond the estimated count; the tail bound covers the rest
-_GUARD_TERMS = 8
 # bits of the fixed-point scale beyond the working precision: they keep the
 # error count of a few thousand units far below one unit of the result
 _GUARD_BITS = 20
@@ -101,16 +109,14 @@ def _shift(n: int, e: int, up: bool = False) -> int:
     return -(-n >> -e) if up else n >> -e
 
 
-def _series_terms_needed(sup_raw, bits: int, guard: int) -> int:
+def _series_terms_needed(decay: float, bits: int) -> int:
     """Terms N of the fixed-point sums at scale 2^-bits for arguments up to
-    sup_raw < 1: the first N with 2^bits sup^N < 1, where every power is
-    zero, estimated in floating point, plus ``guard``.  Only the size of
-    the tail depends on it; the error count holds for any N."""
-    _, man, exp, _ = sup_raw
-    decay = max(-(math.log2(man) + exp), 1e-9)
+    2^-decay < 1: the first N with 2^bits 2^(-decay N) < 1, where every
+    power is zero, estimated in floating point.  Only the size of the tail
+    depends on it; the error count holds for any N."""
     # cap keeps pathological near-1 enclosures from stalling; the tail
     # bound still covers whatever the truncation omits
-    return min(int(bits / decay) + 1 + guard, 200 * bits + 1000)
+    return min(int(bits / max(decay, 1e-9)) + 1, 200 * bits + 1000)
 
 
 def _power_sums(y_raw, w: int, n_terms: int) -> tuple:
@@ -128,41 +134,87 @@ def _power_sums(y_raw, w: int, n_terms: int) -> tuple:
     return s2, s1, x
 
 
-def _li2_series_raw(y_raw, w: int, guard: int) -> tuple:
+def _exact_power_sums(p: int, q: int, w: int, n_terms: int) -> tuple:
+    """``_power_sums`` for an exact y = p/q: X_n = floor(X_(n-1) p / q)."""
+    x = 1 << w
+    s2 = s1 = 0
+    for n in range(1, n_terms + 1):
+        x = x * p // q
+        t = x // n
+        s1 += t
+        s2 += t // n
+    return s2, s1, x
+
+
+def _error_count(n_terms: int, c: int, x_last: int) -> int:
+    """Units of 2^-w by which the sums of N = ``n_terms`` powers X_n, each
+    less than c units below 2^w y^n, with c >= 1/(1-y) an integer, and
+    X_N = ``x_last``, may fall short of 2^w Li2(y) and -2^w log(1-y).
+
+    With e_n = 2^w y^n - X_n, e_0 = 0, a floor of X y loses less than one
+    unit, so 0 <= e_n < y e_(n-1) + 1, and 0 <= e_n < 1 + y + ... +
+    y^(n-1) < 1/(1-y) <= c.  Then
+      2^w y^n/n < X_n/n + c/n < floor(X_n/n) + 1 + c/n,
+    and the same with n^2, which is smaller, so both truncated sums fall
+    short of 2^w times the first N terms by less than N + c H_N, with
+    H_N = 1 + 1/2 + ... + 1/N <= 1 + ln N < 1 + bits(N).  The rest, both
+    series together, is at most
+      2^w y^(N+1) / ((N+1)(1-y)) < (X_N + c) c / (N+1),
+    since 2^w y^N = X_N + e_N."""
+    return n_terms + c * (1 + n_terms.bit_length()) + -(-(x_last + c) * c // (n_terms + 1))
+
+
+def _li2_series_raw(y, w: int) -> tuple:
     """Integer bounds (S2_lo, S2_hi, S1_lo, S1_hi) at scale 2^-w with
     S2_lo <= 2^w Li2(y) <= S2_hi and S1_lo <= -2^w log(1-y) <= S1_hi for
-    every y in the dyadic interval y_raw inside (0, 1)."""
-    lo, hi = y_raw
-    n_terms = _series_terms_needed(hi, w, guard)
+    an exact y = p/q <= 1/2, a Fraction, or for every y in the dyadic
+    interval y_raw inside (0, 1).
+
+    The sums of the powers of y, or of y's lower end, are lower bounds:
+    there X_n <= 2^w y^n, floors only lower the sums, and Li2 and
+    -log(1-y) increase with y.  The upper bounds add ``_error_count`` to
+    the sums of the powers of y, or of y's upper end.  The floor of X p/q
+    loses less than one unit, just as that of X m / 2^k does, so the count
+    holds for both; y <= 1/2 gives c = 2, and y_hi, which may lie a
+    rounding above 1/2, gives c = ceil(1/(1-y_hi))."""
+    if isinstance(y, Fraction):
+        p, q = y.numerator, y.denominator
+        n_terms = _series_terms_needed(math.log2(q) - math.log2(p), w)
+        s2, s1, x_last = _exact_power_sums(p, q, w, n_terms)
+        err = _error_count(n_terms, 2, x_last)
+        return s2, s2 + err, s1, s1 + err
+    lo, hi = y
+    _, man, exp, bc = hi
+    n_terms = _series_terms_needed(-(math.log2(man) + exp), w)
     s2_lo, s1_lo, _ = _power_sums(lo, w, n_terms)
     s2_hi, s1_hi, x_last = _power_sums(hi, w, n_terms)
-    # Error count at y = hi, in units of 2^-w.  With e_n = 2^w y^n - X_n,
-    # e_0 = 0, the floor gives 0 <= e_n < y e_(n-1) + 1, so
-    # 0 <= e_n < 1 + y + ... + y^(n-1) < 1/(1-y) <= c, an integer; y_hi
-    # itself is used since it may lie a rounding above 1/2.  Then
-    #   2^w y^n/n < X_n/n + c/n < floor(X_n/n) + 1 + c/n,
-    # and the same with n^2, which is smaller, so both truncated sums fall
-    # short of 2^w times the first N terms by less than N + c H_N, with
-    # H_N = 1 + 1/2 + ... + 1/N <= 1 + ln N < 1 + bits(N).  The rest, both
-    # series together, is at most
-    #   2^w y^(N+1) / ((N+1)(1-y)) < (X_N + c) c / (N+1),
-    # since 2^w y^N = X_N + e_N.  At y = lo, X_n <= 2^w y^n and floors only
-    # lower the sums, and Li2 and -log(1-y) increase with y.
-    _, man, exp, bc = hi
     if bc < -exp:  # hi < 1/2
         c = 2
     else:
         one = 1 << -exp
         c = -(-one // (one - man))
-    err = n_terms + c * (1 + n_terms.bit_length()) + -(-(x_last + c) * c // (n_terms + 1))
+    err = _error_count(n_terms, c, x_last)
     return s2_lo, s2_hi + err, s1_lo, s1_hi + err
 
 
-def _log_product_raw(y_raw, s1_lo: int, s1_hi: int, w: int, prec: int) -> tuple:
-    """Integer bounds at scale 2^-w on log(x) log(1-x) = |log y| S1 >= 0,
-    y = x or 1-x, from one interval log at ``prec`` bits and the bounds
-    s1_lo <= S1 <= s1_hi on S1 = -log(1-y) at that scale."""
-    log_lo, log_hi = mpi_log(y_raw, prec)
+def _log_product_raw(y, s1_lo: int, s1_hi: int, prec: int) -> tuple:
+    """Integer bounds on log(x) log(1-x) = |log y| S1 >= 0, y = x or 1-x,
+    at the scale of the bounds s1_lo <= S1 <= s1_hi on S1 = -log(1-y),
+    from one log at ``prec`` bits; y is an exact p/q <= 1/2 or a dyadic
+    interval inside (0, 1)."""
+    if isinstance(y, Fraction):
+        # |log y| = log Y with Y = q/p >= 2.  For y = 1/q, Y_lo = Y = q; else
+        # Y_lo = floor(2^prec Y) 2^-prec lies within 2^-prec below Y, so
+        # log Y - log Y_lo <= (Y - Y_lo)/Y_lo < 2^-prec / 2.  One log rounded
+        # down gives l = m 2^e with l <= log Y_lo <= l + 2^e, m having at
+        # most prec bits.  As l > 1/2, 2^(prec+e) > m 2^e > 1/2, so
+        # e >= -prec and the slack 2^-prec / 2 is below 2^e: so
+        # m 2^e <= |log y| <= (m + 2) 2^e, or (m + 1) 2^e for y = 1/q.
+        p, q = y.numerator, y.denominator
+        k = 0 if p == 1 else prec
+        _, man, exp, _ = mpf_log(from_man_exp((q << k) // p, -k), prec, round_floor)
+        return _shift(man * s1_lo, exp), _shift((man + 1 + (p > 1)) * s1_hi, exp, up=True)
+    log_lo, log_hi = mpi_log(y, prec)
     # both logs are negative, so |log y| lies in [-log_hi, -log_lo]
     _, man_hi, exp_hi, _ = log_hi
     _, man_lo, exp_lo, _ = log_lo
@@ -199,44 +251,58 @@ def _one_minus(x):
     return ErrorBoundedValue.from_fraction_pair(1 - hi, 1 - lo)
 
 
-def _dilog_raw(x, guard: int, rogers: bool):
-    """Raw enclosure of L(x), or of Li2(x) when not ``rogers``, under the
-    current precision context; x inside (0, 1): a Fraction, an
-    ErrorBoundedValue or a ScaledInterval, whose branch test and 1 - x are
-    integer operations and whose (0, 1) check reads the integers' signs.
+def _dilog_raw(x, rogers: bool) -> ScaledInterval:
+    """Integer bounds on L(x), or on Li2(x) when not ``rogers``, at the
+    kernel's scale under the current precision context; x inside (0, 1): a
+    Fraction, an ErrorBoundedValue or a ScaledInterval, whose branch test
+    and 1 - x are integer operations and whose (0, 1) check reads the
+    integers' signs.
 
     With y = x at or below 1/2, and P = log(x) log(1-x) = |log y| S1:
     L = Li2(y) + P/2 and Li2(x) = Li2(y).  Above 1/2, with y = 1-x, the
     Euler reflection gives L = pi^2/6 - L(y) and
     Li2(x) = pi^2/6 - Li2(y) - P.
     """
-    prec = iv.prec
-    w = prec + _GUARD_BITS
+    w = iv.prec + _GUARD_BITS
     low = _branch_is_low(x)
-    y_raw = _raw(x if low else _one_minus(x), w)
-    (sign_lo, man_lo, _, _), (_, man_hi, exp_hi, bc_hi) = y_raw
-    # y < 2^(exp_hi + bc_hi), so the enclosure of y lies inside (0, 1)
-    # unless its lower end is at most 0 or that power exceeds 1
-    if sign_lo or not man_lo or exp_hi + bc_hi > 0:
-        raise DomainError("argument enclosure not separated inside (0, 1)")
+    if isinstance(x, Fraction):
+        if not 0 < x.numerator < x.denominator:
+            raise DomainError(f"argument {x} outside the open interval (0, 1)")
+        y = x if low else 1 - x
+        # y < 2^size, as p < 2^bits(p) and q >= 2^(bits(q)-1)
+        size = y.numerator.bit_length() - y.denominator.bit_length() + 1
+    else:
+        y = _raw(x if low else _one_minus(x), w)
+        (sign_lo, man_lo, _, _), (_, man_hi, exp_hi, bc_hi) = y
+        size = exp_hi + bc_hi
+        # y < 2^size, so the enclosure of y lies inside (0, 1) unless its
+        # lower end is at most 0 or that power exceeds 1
+        if sign_lo or not man_lo or size > 0:
+            raise DomainError("argument enclosure not separated inside (0, 1)")
     # below 1/2 the scale follows the size of y, so that small arguments
     # keep w bits relative to their value; above, pi^2/6 sets the size
-    scale = w - (exp_hi + bc_hi) if low else w
-    lo, hi, s1_lo, s1_hi = _li2_series_raw(y_raw, scale, guard)
+    scale = w - size if low else w
+    lo, hi, s1_lo, s1_hi = _li2_series_raw(y, scale)
     if rogers or not low:
-        p_lo, p_hi = _log_product_raw(y_raw, s1_lo, s1_hi, scale, w)
+        p_lo, p_hi = _log_product_raw(y, s1_lo, s1_hi, w)
         if rogers:
             p_lo, p_hi = p_lo >> 1, -(-p_hi >> 1)
         lo, hi = lo + p_lo, hi + p_hi
     if not low:
         z_lo, z_hi = _zeta2_fixed(w)
         lo, hi = z_lo - hi, z_hi - lo
-    return from_man_exp(lo, -scale, prec, round_floor), from_man_exp(hi, -scale, prec, round_ceiling)
+    return ScaledInterval(lo, hi, scale)
 
 
-def _rogers_eval(x, guard: int):
-    """Interval Rogers L under the current precision context; x in (0, 1)."""
-    return iv.make_mpf(_dilog_raw(x, guard, True))
+def _rogers_eval(x) -> ScaledInterval:
+    """Integer bounds on the Rogers L at the kernel's scale under the
+    current precision context; x inside (0, 1)."""
+    return _dilog_raw(x, True)
+
+
+def _rogers_interval(x):
+    """Interval Rogers L at the current precision; x inside (0, 1)."""
+    return iv.make_mpf(_raw(_rogers_eval(x), iv.prec))
 
 
 def _unit_eval(x, rogers: bool):
@@ -247,7 +313,7 @@ def _unit_eval(x, rogers: bool):
             return iv.mpf(0)
         if x == 1:
             return _pi_squared_over(6)
-    return iv.make_mpf(_dilog_raw(x, _GUARD_TERMS, rogers))
+    return iv.make_mpf(_raw(_dilog_raw(x, rogers), iv.prec))
 
 
 def _at_budget(budget: PrecisionBudget, evaluator) -> ErrorBoundedValue:
@@ -314,9 +380,9 @@ def abel_residual(x: Argument, y: Argument, budget: PrecisionBudget = DEFAULT_BU
                 if not (0 < lo and hi < 1):
                     raise DomainError("five-term argument not separated inside (0, 1)")
                 args.append(a)
-        total = _rogers_eval(x, _GUARD_TERMS) + _rogers_eval(y, _GUARD_TERMS)
+        total = _rogers_interval(x) + _rogers_interval(y)
         for a in args:
-            total = total - _rogers_eval(a, _GUARD_TERMS)
+            total = total - _rogers_interval(a)
         return total
 
     return _at_budget(budget, evaluate)

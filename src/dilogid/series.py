@@ -64,7 +64,7 @@ from .enclosure import (
 )
 from .exactnum import QuadraticElement, exact_sqrt, quad_interval, quad_pow, quad_to_real
 from .lucas import Coefficient, LucasParams, PreconditionError, _coeff_sign, lucas_uv
-from .rogers import _GUARD_TERMS, _pi_squared_over, _rogers_eval, _shift, rogers_l
+from .rogers import _pi_squared_over, _raw, _rogers_eval, _rogers_interval, _shift, rogers_l
 
 DEFAULT_MAX_TERMS = 10000
 # precision of tail bounds and ratio caps; it must differ from every
@@ -353,7 +353,9 @@ def _lambert_terms(form: LambertForm, w: int) -> Iterator[ScaledInterval]:
     upper one, and t grows with K, x and sigma x < 1, so its lower bound
     takes every lower bound and floors, its upper bound the rest."""
     one = 1 << w
-    (k_lo, k_hi), (s_lo, s_hi), (r_lo, r_hi) = (_scaled_bounds(v, w) for v in (form.k, form.s, form.rho))
+    (k_lo, k_hi), (r_lo, r_hi) = _scaled_bounds(form.k, w), _scaled_bounds(form.rho, w)
+    # s is rho in every Lucas and sinh-theta form
+    s_lo, s_hi = (r_lo, r_hi) if form.s is form.rho else _scaled_bounds(form.s, w)
     # sigma = s rho
     g_lo, g_hi = s_lo * r_lo >> w, -(-s_hi * r_hi >> w)
     x_lo = x_hi = one
@@ -399,6 +401,11 @@ def _lambert_scale(form: LambertForm, cap: Fraction, budget: PrecisionBudget, ma
 # ---------------------------------------------------------------------------
 
 
+def _scaled_enclosure(lo: int, hi: int, scale: int, prec: int) -> ErrorBoundedValue:
+    """[lo 2^-scale, hi 2^-scale] rounded outward to ``prec`` bits."""
+    return ErrorBoundedValue(*(mp.make_mpf(end) for end in _raw(ScaledInterval(lo, hi, scale), prec)))
+
+
 def _evaluate_series_report(
     identity_id: str,
     parameters: dict,
@@ -406,34 +413,43 @@ def _evaluate_series_report(
     terms: Iterable,
     tail,
     row_tail: Callable[[int, object], object],
-    rhs_fn: Callable[[int], object],
+    rhs_fn: Callable[[], object],
     trace: Optional[list] = None,
-    guard: int = _GUARD_TERMS,
 ) -> IdentityReport:
     """Sum enclosures of L over the kept ``terms`` (scaled intervals or
     Fractions, which the kernel checks to lie in (0, 1)) in one interval
-    context at the working precision with ``guard`` guard terms per
-    evaluation, evaluate the closed form ``rhs_fn(guard)`` in the same
-    context, and report.  ``tail`` bounds the omitted terms;
+    context at the working precision, evaluate the closed form ``rhs_fn()``
+    in the same context, and report.  ``tail`` bounds the omitted terms;
     ``row_tail(kept, first_omitted)`` bounds the terms after the first
     ``kept``, for the rows of a trace.
     ``IdentityReport.build`` fails a residual whose radius misses the
-    tolerance."""
-    with interval_precision(budget.working_bits):
-        rows: list = []
-        n_terms = 0
-        acc = iv.mpf(0)
+    tolerance.
+
+    The kernel's integer bounds on each L are added exactly, at the finest
+    scale 2^-scale met so far, so a term far below the working precision
+    keeps its size; the lhs is rounded outward to the working precision
+    once, at the end."""
+    prec = budget.working_bits
+    with interval_precision(prec):
+        partials: list = []
+        n_terms = lo = hi = scale = 0
         for term in terms:
-            acc = acc + _rogers_eval(term, guard)
+            value = _rogers_eval(term)
+            if value.scale > scale:
+                lo, hi, scale = lo << (value.scale - scale), hi << (value.scale - scale), value.scale
+            shift = scale - value.scale
+            lo += value.lo << shift
+            hi += value.hi << shift
             n_terms += 1
             if trace is not None:
-                rows.append((term, ErrorBoundedValue.from_interval(acc)))
-        rhs_iv = rhs_fn(guard)
-        res_iv = acc - rhs_iv
-        lhs = ErrorBoundedValue.from_interval(acc)
+                partials.append((term, lo, hi, scale))
+        lhs = _scaled_enclosure(lo, hi, scale, prec)
+        rhs_iv = rhs_fn()
+        res_iv = lhs.interval() - rhs_iv
         rhs = ErrorBoundedValue.from_interval(rhs_iv)
         residual = ErrorBoundedValue.from_interval(res_iv)
     if trace is not None:
+        rows = [(term, _scaled_enclosure(*partial, prec)) for term, *partial in partials]
         trace.extend(_trace_rows(rows, tail, row_tail))
     return IdentityReport.build(
         identity_id,
@@ -504,8 +520,8 @@ def theorem_main_verify(
     _check_form(form, _theorem_terms(inst))
     third = abs(a - b) / (1 - min(a, b))
 
-    def rhs_fn(guard):
-        return _rogers_eval(a, guard) + _rogers_eval(b, guard) - _rogers_eval(third, guard)
+    def rhs_fn():
+        return _rogers_interval(a) + _rogers_interval(b) - _rogers_interval(third)
 
     parameters = {"a": _rational_str(a), "b": _rational_str(b)}
     return _lambert_report("theorem-main", parameters, form, cap, budget, max_terms, trace, rhs_fn)
@@ -535,8 +551,8 @@ def corollary_verify(
     cap = _certified_cap(form.rho)
     _check_form(form, (corollary_remark_term(t, n + 1) for n in count()))
 
-    def rhs_fn(guard):
-        return _rogers_eval(form.rho, guard)  # rho = (1-t)/(1+t)
+    def rhs_fn():
+        return _rogers_interval(form.rho)  # rho = (1-t)/(1+t)
 
     return _lambert_report("corollary", {"t": _rational_str(t)}, form, cap, budget, max_terms, trace, rhs_fn)
 
@@ -624,9 +640,9 @@ def _lucas_verify(params, k, budget, max_terms, trace) -> IdentityReport:
     form = _lucas_form(_lucas_rhs_arg(params, k))
     _check_form(form, exact_terms, checked)
 
-    def rhs_fn(guard):
+    def rhs_fn():
         rho = form.rho
-        return _rogers_eval(rho if isinstance(rho, Fraction) else quad_to_real(rho, iv.prec + 16), guard)
+        return _rogers_interval(rho if isinstance(rho, Fraction) else quad_to_real(rho, iv.prec + 16))
 
     parameters = {"P": _coeff_str(params.p), "Q": _coeff_str(params.q), "k": str(k)}
     return _lambert_report(identity_id, parameters, form, cap, budget, max_terms, trace, rhs_fn)
@@ -814,7 +830,7 @@ def _richmond_szekeres(budget: PrecisionBudget, max_terms: int, trace: Optional[
     last = max_terms + 1
     tail = _richmond_tail(last)
 
-    def rhs_fn(guard):
+    def rhs_fn():
         return _pi_squared_over(6)
 
     def row_tail(kept, first_omitted):
@@ -823,9 +839,7 @@ def _richmond_szekeres(budget: PrecisionBudget, max_terms: int, trace: Optional[
     # a generator, so that tens of thousands of terms are never held
     terms = (Fraction(1, m * m) for m in range(2, last + 1))
     parameters = {"terms": str(max_terms)}
-    return _evaluate_series_report(
-        "richmond-szekeres", parameters, budget, terms, tail, row_tail, rhs_fn, trace, guard=2
-    )
+    return _evaluate_series_report("richmond-szekeres", parameters, budget, terms, tail, row_tail, rhs_fn, trace)
 
 
 def _sinh_theta(
@@ -843,8 +857,8 @@ def _sinh_theta(
         form = _lucas_form(rho)
         rhs_arg = ErrorBoundedValue.from_interval(rho)
 
-    def rhs_fn(guard):
-        return _rogers_eval(rhs_arg, guard)
+    def rhs_fn():
+        return _rogers_interval(rhs_arg)
 
     parameters = {"theta": _rational_str(theta)}
     return _lambert_report("sinh-theta", parameters, form, cap, budget, max_terms, trace, rhs_fn)

@@ -18,9 +18,10 @@ from dilogid.enclosure import (
 )
 from dilogid.exactnum import QuadraticElement, quad_to_real
 from dilogid.rogers import (
-    _GUARD_TERMS,
     _dilog_raw,
     _li2_series_raw,
+    _log_product_raw,
+    _raw,
     abel_residual,
     li2,
     reflection_residual,
@@ -274,7 +275,8 @@ def test_kernel_contains_polylog(bits, y, reflected, interval):
         x = ends[0]
     for rogers in (False, True):
         with interval_precision(bits):
-            lower, upper = (mpf_to_fraction(mp.make_mpf(end)) for end in _dilog_raw(x, _GUARD_TERMS, rogers))
+            ends_raw = _raw(_dilog_raw(x, rogers), bits)
+            lower, upper = (mpf_to_fraction(mp.make_mpf(end)) for end in ends_raw)
         # L and Li2 increase on (0, 1), so the image of an interval lies
         # between the values at its ends
         references = [_polylog_reference(end, rogers, bits) for end in ends]
@@ -293,13 +295,58 @@ def test_fixed_point_sums_bound_the_series(n_terms, y, bits):
     an upper endpoint a rounding above 1/2 may."""
     w = bits + 20
     y_raw = rational_bounds(y.numerator, y.denominator, w)
-    if n_terms is None:
-        s2_lo, s2_hi, s1_lo, s1_hi = _li2_series_raw(y_raw, w, 0)
-    else:
-        with mock.patch("dilogid.rogers._series_terms_needed", lambda sup, bits, guard: n_terms):
-            s2_lo, s2_hi, s1_lo, s1_hi = _li2_series_raw(y_raw, w, 0)
+    s2_lo, s2_hi, s1_lo, s1_hi = _sums_with_terms(y_raw, w, n_terms)
     with mp.workprec(w + 64):
         lo, hi = (mp.make_mpf(end) for end in y_raw)
         scale = mp.mpf(2) ** w
         assert s2_lo <= scale * mp.polylog(2, lo) and scale * mp.polylog(2, hi) <= s2_hi
         assert s1_lo <= -scale * mp.log(1 - lo) and -scale * mp.log(1 - hi) <= s1_hi
+
+
+def _sums_with_terms(y, w, n_terms):
+    """``_li2_series_raw`` with its own term count, or with ``n_terms``."""
+    if n_terms is None:
+        return _li2_series_raw(y, w)
+    with mock.patch("dilogid.rogers._series_terms_needed", lambda decay, bits: n_terms):
+        return _li2_series_raw(y, w)
+
+
+@pytest.mark.parametrize("n_terms", [None, 1, 4])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(y=_rationals_up_to(), bits=st.sampled_from(KERNEL_BITS))
+@example(y=Fraction(1, 2), bits=60)
+@example(y=Fraction(1, 10 ** 40), bits=60)
+@example(y=Fraction(7, 10 ** 40), bits=60)
+def test_exact_stream_sums_bound_the_series(n_terms, y, bits):
+    """The single stream X_n = floor(X_(n-1) p/q) of an exact y = p/q <= 1/2
+    gives sums at scale 2^-w that bound 2^w Li2(y) and -2^w log(1-y) from
+    both sides, whatever the number of terms; below 2^-w, where 2^w y < 1,
+    the lower sums must be 0."""
+    w = bits + 20
+    s2_lo, s2_hi, s1_lo, s1_hi = _sums_with_terms(y, w, n_terms)
+    with mp.workprec(2 * w + 64):
+        ys = mp.mpf(y.numerator) / y.denominator
+        scale = mp.mpf(2) ** w
+        assert s2_lo <= scale * mp.polylog(2, ys) <= s2_hi
+        assert s1_lo <= -scale * mp.log(1 - ys) <= s1_hi
+
+
+@pytest.mark.parametrize("prec", KERNEL_BITS)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(y=_rationals_up_to(), s1=st.integers(min_value=1, max_value=2 ** 1200))
+@example(y=Fraction(1, 2), s1=2 ** 1200)
+@example(y=Fraction(1, 3), s1=2 ** 1200)
+@example(y=Fraction(5, 13), s1=2 ** 1200)
+@example(y=Fraction(3, 8), s1=2 ** 1200)
+@example(y=Fraction(6, 13), s1=2 ** 1200)
+def test_exact_log_product_bounds(prec, y, s1):
+    """One log of q/p encloses |log y| S1 for an exact y = p/q <= 1/2 and
+    an exact S1: the bounds hold at the integer scale, before any rounding
+    to the working precision could hide a missing ulp or slack.  The log
+    of the dyadic bound of q/p rounds down to within the slack below
+    log(q/p) of its next float at 5/13 (60 bits), 3/8 (146 and 430 bits)
+    and 6/13 (430 and 1100 bits): there the ulp alone falls short."""
+    p_lo, p_hi = _log_product_raw(y, s1, s1, prec)
+    with mp.workprec(2 * prec + 1300):
+        exact = -mp.log(mp.mpf(y.numerator) / y.denominator) * s1
+        assert p_lo <= exact <= p_hi

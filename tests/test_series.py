@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath import iv, mp
 
-from dilogid.enclosure import DomainError, PrecisionBudget, mpf_to_fraction
+from dilogid.enclosure import DomainError, PrecisionBudget, ScaledInterval, mpf_to_fraction
 from dilogid.exactnum import QuadraticElement
 from dilogid.lucas import LucasParams, PreconditionError, lucas_uv
 from dilogid.rogers import rogers_l
@@ -15,6 +16,7 @@ from dilogid.series import (
     PellSolution,
     TwoParamInstance,
     UsageError,
+    _evaluate_series_report,
     bridgeman_divisibility_check,
     bridgeman_verify,
     catalog_verify,
@@ -49,6 +51,26 @@ def random_instance(rng, max_den=50):
         a, b = random_unit_fraction(rng, max_den), random_unit_fraction(rng, max_den)
         if a != b:
             return TwoParamInstance(a, b)
+
+
+class TestSummationDriver:
+    """The driver adds the kernel's integer bounds exactly and rounds the
+    lhs outward once; here the kernel returns chosen bounds, a coarse
+    2^-10 and then [1 - 2^-s, 1 + 2^-s] at a scale s finer than the working
+    precision, so that a rounding in the wrong direction, or a sum that
+    stays at the coarse scale, leaves the exact sum outside the lhs."""
+
+    def test_lhs_encloses_the_exact_sum(self, monkeypatch):
+        s = B40.working_bits + 40
+        values = iter([ScaledInterval(1, 1, 10), ScaledInterval((1 << s) - 1, (1 << s) + 1, s)])
+        monkeypatch.setattr("dilogid.series._rogers_eval", lambda term: next(values))
+        zero = mp.mpf(0)
+        report = _evaluate_series_report("driver", {}, B40, range(2), zero, lambda *_: zero, lambda: iv.mpf(0))
+        lo, hi = report.lhs.endpoints()
+        middle = 1 + Fraction(1, 1 << 10)
+        assert lo <= middle - Fraction(1, 1 << s) and middle + Fraction(1, 1 << s) <= hi
+        assert hi - lo <= Fraction(4, 1 << B40.working_bits)
+        assert report.terms_used == 2
 
 
 class TestLemmaSequences:
