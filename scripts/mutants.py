@@ -74,8 +74,8 @@ MUTANTS = [
     # the driver's exact integer sum and its one outward rounding
     Mutant(
         "upper sum left at the coarser scale", SERIES,
-        "lo << (value.scale - scale), hi << (value.scale - scale), value.scale",
-        "lo << (value.scale - scale), hi, value.scale",
+        "lo << (t_scale - scale), hi << (t_scale - scale), t_scale",
+        "lo << (t_scale - scale), hi, t_scale",
         (DRIVER,),
     ),
     Mutant(

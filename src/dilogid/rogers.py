@@ -266,11 +266,12 @@ def _dilog_raw(x, rogers: bool) -> ScaledInterval:
     w = iv.prec + _GUARD_BITS
     low = _branch_is_low(x)
     if isinstance(x, Fraction):
-        if not 0 < x.numerator < x.denominator:
+        p, q = x.numerator, x.denominator
+        if not 0 < p < q:
             raise DomainError(f"argument {x} outside the open interval (0, 1)")
         y = x if low else 1 - x
-        # y < 2^size, as p < 2^bits(p) and q >= 2^(bits(q)-1)
-        size = y.numerator.bit_length() - y.denominator.bit_length() + 1
+        # y = p/q or (q-p)/q < 2^size, as p < 2^bits(p) and q >= 2^(bits(q)-1)
+        size = (p if low else q - p).bit_length() - q.bit_length() + 1
     else:
         y = _raw(x if low else _one_minus(x), w)
         (sign_lo, man_lo, _, _), (_, man_hi, exp_hi, bc_hi) = y

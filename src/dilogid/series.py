@@ -434,12 +434,11 @@ def _evaluate_series_report(
         partials: list = []
         n_terms = lo = hi = scale = 0
         for term in terms:
-            value = _rogers_eval(term)
-            if value.scale > scale:
-                lo, hi, scale = lo << (value.scale - scale), hi << (value.scale - scale), value.scale
-            shift = scale - value.scale
-            lo += value.lo << shift
-            hi += value.hi << shift
+            t_lo, t_hi, t_scale = _rogers_eval(term)
+            if t_scale > scale:
+                lo, hi, scale = lo << (t_scale - scale), hi << (t_scale - scale), t_scale
+            lo += t_lo << (scale - t_scale)
+            hi += t_hi << (scale - t_scale)
             n_terms += 1
             if trace is not None:
                 partials.append((term, lo, hi, scale))
