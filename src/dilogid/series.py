@@ -431,7 +431,7 @@ def _evaluate_series_report(
     once, at the end."""
     prec = budget.working_bits
     with interval_precision(prec):
-        partials: list = []
+        rows: list = []
         n_terms = lo = hi = scale = 0
         for term in terms:
             t_lo, t_hi, t_scale = _rogers_eval(term)
@@ -441,14 +441,13 @@ def _evaluate_series_report(
             hi += t_hi << (scale - t_scale)
             n_terms += 1
             if trace is not None:
-                partials.append((term, lo, hi, scale))
+                rows.append((term, _scaled_enclosure(lo, hi, scale, prec)))
         lhs = _scaled_enclosure(lo, hi, scale, prec)
         rhs_iv = rhs_fn()
         res_iv = lhs.interval() - rhs_iv
         rhs = ErrorBoundedValue.from_interval(rhs_iv)
         residual = ErrorBoundedValue.from_interval(res_iv)
     if trace is not None:
-        rows = [(term, _scaled_enclosure(*partial, prec)) for term, *partial in partials]
         trace.extend(_trace_rows(rows, tail, row_tail))
     return IdentityReport.build(
         identity_id,
