@@ -1,12 +1,15 @@
 """Exact quadratic-field arithmetic."""
 
+import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from dilogid.enclosure import DomainError
+from dilogid import exactnum
+from dilogid.enclosure import DomainError, interval_precision
 from dilogid.exactnum import (
     QuadraticElement,
     RadicandMismatchError,
@@ -117,6 +120,65 @@ class TestQuadToReal:
     def test_negative_radicand_rejected(self):
         with pytest.raises(DomainError):
             QuadraticElement(1, 1, -2)
+
+
+def _convergents(d: int):
+    """Convergents p/q of sqrt(d), d not a square, from its continued fraction."""
+    a0 = math.isqrt(d)
+    m, den, a = 0, 1, a0
+    p0, q0, p, q = 1, 0, a0, 1
+    while True:
+        yield p, q
+        m = den * a - m
+        den = (d - m * m) // den
+        a = (a0 + m) // den
+        p0, q0, p, q = p, q, a * p + p0, a * q + q0
+
+
+def _near_cancelling(d: int, kind: str, n: int, delta: int) -> QuadraticElement:
+    """p + delta - q sqrt(d) for the n-th convergent p/q of sqrt(d), or the
+    n-th power of the Pell unit among the convergents, or of its conjugate,
+    with delta added to the rational part."""
+    convergents = _convergents(d)
+    if kind == "convergent":
+        for _ in range(n):
+            next(convergents)
+        p, q = next(convergents)
+        return quad(p + delta, -q, d)
+    p, q = next((p, q) for p, q in convergents if abs(p * p - d * q * q) == 1)
+    power = quad_pow(quad(p, q if kind == "unit" else -q, d), n)
+    return power + delta
+
+
+NONSQUARE = st.integers(2, 200).filter(lambda d: math.isqrt(d) ** 2 != d)
+SCALE = st.fractions(min_value=-1000, max_value=1000, max_denominator=1000).filter(bool)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    NONSQUARE,
+    st.sampled_from(["convergent", "unit", "conjugate"]),
+    st.integers(0, 300),
+    st.integers(-1, 1),
+    SCALE,
+    st.integers(53, 1200),
+)
+def test_quad_to_real_one_pass_near_cancellation(d, kind, n, delta, scale, precision):
+    """One precision context, an enclosure of x and a radius within
+    2^(4-precision) |x|, however much a + b sqrt(D) cancels."""
+    x = _near_cancelling(d, kind, n, delta) * scale
+    entries = []
+
+    def counting(bits):
+        entries.append(bits)
+        return interval_precision(bits)
+
+    with mock.patch.object(exactnum, "interval_precision", counting):
+        enc = quad_to_real(x, precision)
+    assert len(entries) == 1
+    lo, hi = enc.endpoints()
+    assert (x - lo).sign() >= 0 and (hi - x).sign() >= 0
+    assert (abs(x) * Fraction(2) ** (4 - precision) - enc.radius).sign() >= 0
 
 
 class TestFieldAxioms:

@@ -1,6 +1,7 @@
 """Series identity verifiers: two-parameter theorem, Lucas branches,
 the parameter reduction, the Pell correspondence, and tail bounds."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from mpmath import iv, mp
 
 from dilogid.enclosure import DomainError, PrecisionBudget, ScaledInterval, mpf_to_fraction
 from dilogid.exactnum import QuadraticElement
+from dilogid.harness import run_cli
 from dilogid.lucas import LucasParams, PreconditionError, lucas_uv
 from dilogid.rogers import rogers_l
 from dilogid.series import (
@@ -577,6 +579,23 @@ class TestCatalog:
         via_catalog = catalog_verify("fib-even", B40, k=1)
         direct = lucas_pos_verify(LucasParams(3, 1), 1, B40)
         assert via_catalog == direct
+
+    # closed-form arguments |Q|^k / alpha^(2k) of 10^-250 and below, whose
+    # parts a + b sqrt(D) cancel in all but their last few hundred digits
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--identity", "fib-even", "--k", "300"],
+            ["--identity", "fib-even", "--k", "2000"],
+            ["--identity", "pell", "--k", "301"],
+            ["--identity", "lucas-pos", "--P", "3", "--Q", "1", "--k", "250"],
+        ],
+        ids=["fib-even-300", "fib-even-2000", "pell-301", "lucas-pos-3-1-250"],
+    )
+    def test_tiny_closed_form_argument(self, monkeypatch, capsys, args):
+        monkeypatch.delenv("DILOG_DIGITS", raising=False)
+        assert run_cli(["verify", *args]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
 
     def test_sqrt5_entries(self):
         odd = catalog_verify("sqrt5-k-odd", B40, k=1)
