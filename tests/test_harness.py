@@ -299,7 +299,7 @@ class TestCliVerify:
         code = run_cli(["verify", "--identity", "repunit-x", "--digits", "20"])
         captured = capsys.readouterr()
         assert code == 0
-        assert json.loads(captured.out)["identity_id"] == "lucas-pos"
+        assert json.loads(captured.out)["identity_id"] == "repunit-x"
 
 
 class TestSuiteAndProperties:
