@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Mutation check of the proofs behind the L kernel and the series driver.
+"""Mutation check of the proofs behind the L kernel, the series driver, the
+rational converter and the Q(sqrt(D)) conversion.
 
 Each mutant is one textual change to a file under src/ and the tests that
 must catch it.  The script copies src/ to a temporary directory, first runs
@@ -26,6 +27,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+ENCLOSURE = "dilogid/enclosure.py"
+EXACTNUM = "dilogid/exactnum.py"
 ROGERS = "dilogid/rogers.py"
 SERIES = "dilogid/series.py"
 
@@ -34,6 +37,10 @@ INTERVAL_SUMS = "tests/test_rogers.py::test_fixed_point_sums_bound_the_series"
 EXACT_LOG = "tests/test_rogers.py::test_exact_log_product_bounds"
 KERNEL = "tests/test_rogers.py::test_kernel_contains_polylog[146]"
 DRIVER = "tests/test_series.py::TestSummationDriver"
+CONVERTER = "tests/test_exact_terms.py::test_converter_matches_from_rational"
+PAIRS = "tests/test_exact_terms.py::test_branch_and_one_minus_on_pairs"
+FORM_CHECK = "tests/test_lambert_form.py::test_five_index_check_accepts_the_form_and_rejects_wrong_ones"
+NEAR_CANCELLATION = "tests/test_exactnum.py::test_quad_to_real_one_pass_near_cancellation"
 
 
 class Mutant(NamedTuple):
@@ -115,6 +122,56 @@ MUTANTS = [
     Mutant(
         "inverted scale shift", ROGERS,
         "scale = w - size if low else w", "scale = w + size if low else w", (KERNEL,),
+    ),
+    # the one rational converter, first checked by hand with 6cd6fea
+    Mutant(
+        "no sticky bit in the quotient", ENCLOSURE,
+        "man = MPZ((quot << 1) | (rem != 0))", "man = MPZ(quot << 1)", (CONVERTER,),
+    ),
+    Mutant(
+        "quotient 6 bits short", ENCLOSURE,
+        "shift = prec + 3 - p.bit_length() + q.bit_length()", "shift = prec - 3 - p.bit_length() + q.bit_length()",
+        (CONVERTER,),
+    ),
+    # the branch test and 1 - x on exact and integer-pair arguments
+    Mutant(
+        "< for <= in the exact branch test", ROGERS,
+        "return 2 * x.numerator <= x.denominator", "return 2 * x.numerator < x.denominator", (PAIRS,),
+    ),
+    Mutant(
+        "< for <= in the integer-pair branch test", ROGERS,
+        "return x.lo + x.hi <= 1 << x.scale", "return x.lo + x.hi < 1 << x.scale", (PAIRS,),
+    ),
+    Mutant(
+        "1 - x one unit off", ROGERS,
+        "one = 1 << x.scale", "one = (1 << x.scale) - 1", (PAIRS,),
+    ),
+    # the five-index check of a Lambert form, which replaced the corollary's
+    # exact per-term check
+    Mutant(
+        "Lambert-form check disabled", SERIES,
+        "if form.term(n) != expected:", "if False:", (FORM_CHECK,),
+    ),
+    # L from one kernel, first checked by hand with a8ceed7
+    Mutant(
+        "log product not halved", ROGERS,
+        "p_lo, p_hi = p_lo >> 1, -(-p_hi >> 1)", "p_lo, p_hi = p_lo, p_hi",
+        ("tests/test_rogers.py::TestRogersL::test_special_value_half",),
+    ),
+    Mutant(
+        "Li2 for L in the series kernel", ROGERS,
+        "return _dilog_raw(x, True)", "return _dilog_raw(x, False)",
+        ("tests/test_series.py::TestLucasPos::test_fib_even_rhs_argument",),
+    ),
+    Mutant(
+        "no boundary point 1", ROGERS,
+        "        if x == 1:\n            return _pi_squared_over(6)\n", "",
+        ("tests/test_rogers.py::TestRogersL::test_boundary_values",),
+    ),
+    # a + b sqrt(D) with opposite signs as the norm over the conjugate
+    Mutant(
+        "no conjugate form", EXACTNUM,
+        "    if a and (a > 0) != (b > 0):\n", "    if False:\n", (NEAR_CANCELLATION,),
     ),
 ]
 
