@@ -224,13 +224,10 @@ def quad_pow(x: QuadraticElement, n: int) -> QuadraticElement:
 
 
 def quad_interval(x):
-    """Interval of a rational or of a + b*sqrt(D) at the current precision.
-
-    When a and b have opposite signs, a + b*sqrt(D) cancels; it is then the
-    exact norm over the conjugate, N(x) / (a - b*sqrt(D)), whose two parts
-    share a sign (Cohen, GTM 138).  Either way nothing cancels, so the
-    interval is a few ulps wide relative to |x|.
-    """
+    """Interval of a rational or of a + b*sqrt(D) at the current precision,
+    a few ulps wide relative to the value: when a and b have opposite signs
+    it is the exact norm over the conjugate, N(x) / (a - b*sqrt(D)), whose
+    parts share a sign, so nothing cancels (Cohen, GTM 138)."""
     rv = x.rational_value() if isinstance(x, QuadraticElement) else x
     if rv is not None:
         return iv_from_fraction(rv)
@@ -242,11 +239,8 @@ def quad_interval(x):
 
 
 def quad_to_real(x: QuadraticElement, precision: int) -> ErrorBoundedValue:
-    """Enclosure of the real value with radius <= 2^(4-precision) * |x|.
-
-    ``quad_interval`` is a few ulps wide relative to |x|, so one pass with
-    16 guard bits meets the bound.
-    """
+    """Enclosure of the real value with radius <= 2^(4-precision) * |x|, in
+    one pass: ``quad_interval`` is a few ulps wide relative to |x|."""
     if precision < 8:
         raise ValueError("precision must be at least 8 bits")
     with interval_precision(precision + 16):

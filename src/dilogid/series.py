@@ -969,7 +969,6 @@ class IdentitySpec:
                 raise UsageError(f"identity {self.name} requires parameter {key!r}")
             else:
                 values[key] = default
-        # the report names the requested identity, not the family that verified it
         return replace(self.verify(budget, max_terms, trace, **values), identity_id=self.name)
 
 
