@@ -582,8 +582,8 @@ class TestCatalog:
         assert via_catalog.identity_id == "fib-even"
         assert replace(via_catalog, identity_id=direct.identity_id) == direct
 
-    # closed-form arguments |Q|^k / alpha^(2k) of 10^-250 and below, whose
-    # parts a + b sqrt(D) cancel in all but their last few hundred digits
+    # closed-form arguments |Q|^k / alpha^(2k) below 10^-200: a + b sqrt(D)
+    # whose parts, above 10^200, cancel down to that size
     @pytest.mark.parametrize(
         "args",
         [
