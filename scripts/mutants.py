@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Mutation check of the proofs behind the L kernel, the series driver, the
-rational converter and the Q(sqrt(D)) conversion.
+"""Mutation check of the proofs behind the L kernel, the series driver and
+its truncation, the rational converter and the Q(sqrt(D)) conversion.
 
 Each mutant is one textual change to a file under src/ and the tests that
 must catch it.  The script copies src/ to a temporary directory, first runs
@@ -41,6 +41,8 @@ CONVERTER = "tests/test_exact_terms.py::test_converter_matches_from_rational"
 PAIRS = "tests/test_exact_terms.py::test_branch_and_one_minus_on_pairs"
 FORM_CHECK = "tests/test_lambert_form.py::test_five_index_check_accepts_the_form_and_rejects_wrong_ones"
 NEAR_CANCELLATION = "tests/test_exactnum.py::test_quad_to_real_one_pass_near_cancellation"
+TAIL_BOUNDARY = "tests/test_exact_terms.py::test_tail_check_at_the_certified_boundary"
+TAIL_CALLS = "tests/test_exact_terms.py::test_truncation_certifies_few_terms"
 
 
 class Mutant(NamedTuple):
@@ -145,6 +147,24 @@ MUTANTS = [
     Mutant(
         "1 - x one unit off", ROGERS,
         "one = 1 << x.scale", "one = (1 << x.scale) - 1", (PAIRS,),
+    ),
+    # the float test that refuses terms before the certified tail bound
+    Mutant(
+        "1 - r with the wrong sign in the truncation threshold", SERIES,
+        "- _LN2 + log(float(1 - cap))", "- _LN2 - log(float(1 - cap))", (TAIL_CALLS,),
+    ),
+    Mutant(
+        "float error margin with the wrong sign", SERIES,
+        "log(_PI2_6_BELOW - x) - margin > threshold", "log(_PI2_6_BELOW - x) + margin > threshold",
+        (TAIL_BOUNDARY,),
+    ),
+    Mutant(
+        "term rounded up in the float test", SERIES,
+        "x = log(hi >> k)", "x = log((hi >> k) + 1)", (TAIL_BOUNDARY,),
+    ),
+    Mutant(
+        "pi^2/6 rounded up in the float test", SERIES,
+        "_PI2_6_BELOW = 1.6449340668482264", "_PI2_6_BELOW = 1.645", (TAIL_BOUNDARY,),
     ),
     # the five-index check of a Lambert form, which replaced the corollary's
     # exact per-term check

@@ -30,6 +30,13 @@ geometric sequence t_N rho^j, as for s >= 0
     t_(n+1) / t_n = rho ((1 - s rho^(n+1)) / (1 - s rho^(n+2)))^2 <= rho;
 
 the ratio cap is rho or a certified upper bound on it (``_certified_cap``).
+The truncation point is the first term whose certified 96-bit tail bound
+(``tail_bound``) fits in half the tolerance, but a float test on each
+term's integer bounds decides almost every term without it: it compares
+ln t + ln(pi^2/6 - ln t), the log of the bound's first part less ln(1 - rho),
+with ln(tol/2) + ln(1 - rho), computed once per series, and refuses only
+beyond a margin that covers its float error (``_tail_small_enough``).  The
+certified bound then runs on the last term or two and on the final tail.
 
 The terms are integer enclosures at a scale 2^-w, generated once
 (``_lambert_terms``): rho^n steps as a scaled integer with floors at the
@@ -46,7 +53,7 @@ from dataclasses import dataclass, field, replace
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from itertools import chain, count, islice
-from math import isqrt
+from math import isqrt, log
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from mpmath import iv, mp
@@ -70,6 +77,9 @@ DEFAULT_MAX_TERMS = 10000
 # precision of tail bounds and ratio caps; it must differ from every
 # summation pass, because the benchmark tracer counts passes by it
 _TAIL_BITS = 96
+_LN2, _LN10 = log(2), log(10)
+# the double nearest pi^2/6 = 1.64493406684822643647..., which lies below it
+_PI2_6_BELOW = 1.6449340668482264
 
 
 class UsageError(ValueError):
@@ -251,23 +261,57 @@ def _certified_cap(cap) -> Fraction:
     return sup
 
 
-def _log10_upper(value: Fraction) -> float:
-    # An upper bound on log10 of a positive rational: num < 2^bits(num) and
-    # den >= 2^(bits(den)-1).  On the dyadic upper bound of a term it lies
-    # within a bit of the term, so the pre-filter of _tail_small_enough
-    # refuses only terms t > 10^-(digits+1) / 2, where tail_bound is at
-    # least t (pi^2/6 + log(1/t)) > 10^-digits / 2 for digits >= 3 and
-    # refuses them too: the truncation index is tail_bound's alone.
-    return (value.numerator.bit_length() - value.denominator.bit_length() + 1) * 0.30103
+def _log_threshold(cap: Fraction, digits: int) -> float:
+    """ln(tol/2) + ln(1 - cap) for the tolerance tol = 10^-digits, in
+    floats: the level ``_tail_small_enough`` tests a term's log bound against."""
+    return -digits * _LN10 - _LN2 + log(float(1 - cap))
 
 
-def _tail_small_enough(t: Fraction, cap, tolerance_half: Fraction, digits: int) -> bool:
-    if 2 * t.numerator > t.denominator:
+def _tail_small_enough(term: ScaledInterval, cap: Fraction, tolerance_half: Fraction, threshold: float) -> bool:
+    """Whether tail_bound(t, cap) <= tolerance_half for t = term.upper(),
+    given threshold = ``_log_threshold(cap, digits)`` and tolerance_half =
+    10^-digits / 2.  A float test on the term's integer bounds refuses
+    almost every term; only the rest pay for the certified call.
+
+    Why a refusal is tail_bound's decision too.  Let r = cap, with
+    2^-96 <= 1 - r < 1 (``_certified_cap``), and t <= 1/2.  tail_bound
+    encloses t ((pi^2/6 + ln 1/t) / (1-r) + r ln(1/r) / (1-r)^2) and
+    returns its upper end, which is at least the exact value, and that is
+    at least LB(t) = t (pi^2/6 + ln 1/t) / (1-r), as the second term is
+    non-negative.  t (c + ln 1/t) has the derivative c - 1 + ln(1/t) > 0 on
+    (0, 1/2] for c >= 1.  So with m the top 60 bits of hi, floored, t_lo =
+    m 2^(k-scale) <= t, and c the double below pi^2/6,
+
+        certified >= exact >= LB(t) >= LB(t_lo) >= t_lo (c + ln 1/t_lo) / (1-r).
+
+    The test refuses when x + ln(c - x) - margin > threshold, where x =
+    ln m + (k - scale) ln 2 is the float value of ln t_lo.  In exact
+    arithmetic its left side is ln LB(t_lo) + ln(1-r) - margin and the
+    threshold is ln(tol/2) + ln(1-r).  Float error: x carries four
+    roundings and the errors of the log and of the double ln 2, each within
+    2^-52 (|x| + 42), as |ln m| < 42; ln(c - x) adds x's error over
+    c - x > 2.3 and one more ulp; the threshold carries five roundings and
+    the errors of its log, of ln 10 and of ln 2, each within 2^-52
+    (|threshold| + 67), as |ln(1-r)| <= 67; the sum and the subtraction
+    two more.  The total stays below 2^-46 (64 + |x| + |threshold|), under
+    the margin 2^-40 (128 + |x| + |threshold|).  The error and the margin
+    grow together with the sizes, so this holds at any digits: at
+    d = 10^4, ln t is about -23 000, the error below 7 10^-10 and the
+    margin 4 10^-8.  A refusal therefore means LB(t_lo) > tol/2, so the
+    certified bound exceeds tol/2 and its comparison refuses as well: the
+    truncation index is tail_bound's alone.
+    """
+    hi, scale = term.hi, term.scale
+    if 2 * hi > 1 << scale:
         return False
-    if t.numerator > 0 and _log10_upper(t) > -(digits + 1):
-        return False
+    if hi:
+        k = max(0, hi.bit_length() - 60)
+        x = log(hi >> k) + (k - scale) * _LN2
+        margin = (128 - x - threshold) * 2.0 ** -40
+        if x + log(_PI2_6_BELOW - x) - margin > threshold:
+            return False
     try:
-        bound = tail_bound(t, cap)
+        bound = tail_bound(term.upper(), cap)
     except DomainError:
         return False
     return mpf_to_fraction(bound) <= tolerance_half
@@ -482,11 +526,11 @@ def _choose_truncation(term_iter: Iterable, ratio_cap, budget: PrecisionBudget, 
     if max_terms < 1:
         raise UsageError("max_terms must be positive")
     tol_half = budget.tolerance / 2
+    threshold = _log_threshold(ratio_cap, budget.target_digits)
     kept: list = []
     for term in term_iter:
-        upper = term.upper()
-        if len(kept) >= max_terms or (kept and _tail_small_enough(upper, ratio_cap, tol_half, budget.target_digits)):
-            return kept, tail_bound(upper, ratio_cap)
+        if len(kept) >= max_terms or (kept and _tail_small_enough(term, ratio_cap, tol_half, threshold)):
+            return kept, tail_bound(term.upper(), ratio_cap)
         kept.append(term)
     raise AssertionError("term iterator exhausted unexpectedly")
 

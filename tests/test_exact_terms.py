@@ -5,9 +5,11 @@ negative controls of the summed stream."""
 
 from fractions import Fraction
 from itertools import islice
+from math import log
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from mpmath import mp
 from mpmath.libmp import from_rational, round_ceiling, round_floor
 
 from dilogid import series
@@ -18,6 +20,7 @@ from dilogid.rogers import _branch_is_low, _one_minus, _raw
 from dilogid.series import (
     TwoParamInstance,
     _check_form,
+    _log_threshold,
     _tail_small_enough,
     _two_param_form,
     corollary_remark_term,
@@ -121,19 +124,84 @@ def test_scaled_intervals_convert_like_their_fractions(lo, width, scale, prec):
     assert _raw(ScaledInterval(lo, hi, scale), prec) == (lower, upper)
 
 
+# caps near 1 and, as for Lucas series of large k, near 0
+CAPS = {text: Fraction(text) for text in ("1/2", "9/10", "93/100", "191/200", "99/100")}
+CAPS.update({"1-2^-90": 1 - Fraction(1, 1 << 90), "2^-64": Fraction(1, 1 << 64)})
+TAIL_DIGITS = [12, 40, 300, 3000]
+
+
+def _certified_accepts(term: ScaledInterval, cap: Fraction, half: Fraction) -> bool:
+    return mpf_to_fraction(tail_bound(term.upper(), cap)) <= half
+
+
 @settings(max_examples=60, deadline=None)
-@given(UNIT, st.integers(0, 40), st.sampled_from([("9/10", 12), ("191/200", 40), ("1/2", 100)]))
-def test_tail_checks_on_pairs(pq, extra, cap_digits):
-    cap, digits = Fraction(cap_digits[0]), cap_digits[1]
-    # terms from 10^-(digits+7) to 10^-(digits+1), around the pre-filter
-    # threshold, enclosed at scales from the term's size on; the truncation
-    # reads the upper end, a dyadic rational, and the pre-filter on it
-    # refuses only where tail_bound refuses too
-    p, q = pq[0], pq[1] * 10 ** (digits + 1)
-    upper = _scaled(p, q, q.bit_length() + 4 * digits + extra).upper()
-    assert upper.denominator & (upper.denominator - 1) == 0
+@given(UNIT, st.integers(0, 40), st.sampled_from(sorted(CAPS.values())), st.sampled_from(TAIL_DIGITS))
+def test_tail_checks_on_pairs(pq, extra, cap, digits):
+    # terms from 10^-(digits+7) to 10^-(digits+1), times about 1 - cap,
+    # around the certified boundary, enclosed at scales from the term's size
+    # on; the check refuses only where tail_bound refuses too
+    p, q = pq[0], pq[1] * 10 ** (digits + 1) * (cap.denominator // (cap.denominator - cap.numerator))
+    term = _scaled(p, q, q.bit_length() + 4 * digits + extra)
     half = Fraction(1, 2 * 10 ** digits)
-    assert _tail_small_enough(upper, cap, half, digits) == (mpf_to_fraction(tail_bound(upper, cap)) <= half)
+    threshold = _log_threshold(cap, digits)
+    assert _tail_small_enough(term, cap, half, threshold) == _certified_accepts(term, cap, half)
+
+
+def test_float_pi_squared_over_six_lies_below():
+    with mp.workprec(200):
+        assert Fraction(series._PI2_6_BELOW) < mpf_to_fraction(mp.pi ** 2 / 6)
+
+
+@pytest.mark.parametrize("bits", [12, 200])
+@pytest.mark.parametrize("digits", TAIL_DIGITS)
+@pytest.mark.parametrize("cap", CAPS)
+def test_tail_check_at_the_certified_boundary(cap, digits, bits):
+    # at a scale where the boundary term has about ``bits`` bits, bisect for
+    # the largest upper end that tail_bound accepts: the check decides as
+    # tail_bound there and one unit either side.  Near cap 0 the certified
+    # bound lies within 10^-15 of the float test's lower bound, so its margin
+    # and the rounding of t decide there.
+    cap = CAPS[cap]
+    half = Fraction(1, 2 * 10 ** digits)
+    threshold = _log_threshold(cap, digits)
+    # -log2 of the boundary term t, from t (pi^2/6 + ln 1/t) = e^threshold
+    e = -threshold / log(2)
+    for _ in range(3):
+        e = (log(1.645 + e * log(2)) - threshold) / log(2)
+    scale = bits + int(e)
+
+    def accepts(hi):
+        return _certified_accepts(ScaledInterval(hi, hi, scale), cap, half)
+
+    lo, hi = 1, 1 << (bits + 3)
+    assert accepts(lo) and not accepts(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if accepts(mid) else (lo, mid)
+    for end in (lo - 1, lo, hi):
+        term = ScaledInterval(end, end, scale)
+        assert _tail_small_enough(term, cap, half, threshold) == accepts(end), end - lo
+
+
+@pytest.mark.parametrize(
+    "name, params, digits",
+    [("theorem-main", {"a": "1/50", "b": "3/47"}, 40), ("corollary", {"t": "1/50"}, 40), ("fib-even", {"k": "1"}, 300)],
+)
+def test_truncation_certifies_few_terms(monkeypatch, name, params, digits):
+    # the float test refuses every term but the last one or two before the
+    # truncation point, so tail_bound runs at most twice there and once
+    # for the final tail, where ratios near 0.96 put 2000 terms before it
+    calls = []
+    original = series.tail_bound
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(series, "tail_bound", counted)
+    report = series.IDENTITIES[name].run(PrecisionBudget.for_digits(digits), series.DEFAULT_MAX_TERMS, None, params)
+    assert report.verdict == "pass"
+    assert len(calls) <= 3
 
 
 PARAMETER = st.integers(2, 400).flatmap(lambda q: st.builds(Fraction, st.integers(1, q - 1), st.just(q)))
