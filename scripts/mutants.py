@@ -43,6 +43,7 @@ FORM_CHECK = "tests/test_lambert_form.py::test_five_index_check_accepts_the_form
 NEAR_CANCELLATION = "tests/test_exactnum.py::test_quad_to_real_one_pass_near_cancellation"
 TAIL_BOUNDARY = "tests/test_exact_terms.py::test_tail_check_at_the_certified_boundary"
 TAIL_CALLS = "tests/test_exact_terms.py::test_truncation_certifies_few_terms"
+SCALED = "tests/test_exact_terms.py::test_scaled_enclosures_keep_their_endpoints"
 
 
 class Mutant(NamedTuple):
@@ -180,13 +181,19 @@ MUTANTS = [
     ),
     Mutant(
         "Li2 for L in the series kernel", ROGERS,
-        "return _dilog_raw(x, True)", "return _dilog_raw(x, False)",
+        "def _rogers_eval(x, rogers: bool = True)", "def _rogers_eval(x, rogers: bool = False)",
         ("tests/test_series.py::TestLucasPos::test_fib_even_rhs_argument",),
     ),
     Mutant(
         "no boundary point 1", ROGERS,
         "        if x == 1:\n            return _pi_squared_over(6)\n", "",
         ("tests/test_rogers.py::TestRogersL::test_boundary_values",),
+    ),
+    # an enclosure's endpoints read as integers at one scale, where it
+    # enters the kernel
+    Mutant(
+        "enclosure scale from the lower endpoint only", ENCLOSURE,
+        "scale = max(0, -e_lo, -e_hi)", "scale = max(0, -e_lo)", (SCALED,),
     ),
     # a + b sqrt(D) with opposite signs as the norm over the conjugate
     Mutant(

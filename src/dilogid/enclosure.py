@@ -147,6 +147,17 @@ class ErrorBoundedValue:
     def zero(cls) -> "ErrorBoundedValue":
         return cls.exact(0)
 
+    def scaled(self) -> ScaledInterval:
+        """The endpoints exactly, as integers at one scale 2^-scale, scale
+        >= 0; a binary exponent beyond +-2^20 raises PrecisionError, as in
+        ``mpf_to_fraction``."""
+        (s_lo, m_lo, e_lo, _), (s_hi, m_hi, e_hi, _) = self.lower._mpf_, self.upper._mpf_
+        if max(abs(e_lo), abs(e_hi)) > 1 << 20:
+            raise PrecisionError("value too far from 1 for an exact rational (binary exponent beyond +-2^20)")
+        scale = max(0, -e_lo, -e_hi)
+        lo, hi = int(m_lo) << (scale + e_lo), int(m_hi) << (scale + e_hi)
+        return ScaledInterval(-lo if s_lo else lo, -hi if s_hi else hi, scale)
+
     def interval(self):
         """View as an mpmath interval under the current iv context."""
         return iv.make_mpf((self.lower._mpf_, self.upper._mpf_))

@@ -25,11 +25,12 @@ log(x) log(1-x) = |log y| S1.
   * An exact argument (a Fraction) has an exact y = p/q <= 1/2: one power
     stream steps X_n = floor(X_(n-1) p / q), and one point log of q/p,
     rounded down and widened by one ulp, encloses |log y|.
-  * An interval argument (an ErrorBoundedValue or a ScaledInterval) is
-    enclosed by dyadic endpoints m 2^-k: one stream steps
-    X_n = floor(X_(n-1) m / 2^k) at each endpoint, the lower one's sums
-    being lower bounds and the upper one's carrying the error count, and
-    one interval log encloses |log y|.
+  * An interval argument is a ScaledInterval; an ErrorBoundedValue enters
+    as one, its endpoints read exactly (``ErrorBoundedValue.scaled``).  Its
+    y is rounded outward to dyadic endpoints m 2^-k of w bits (below): one
+    stream steps X_n = floor(X_(n-1) m / 2^k) at each endpoint, the lower
+    one's sums being lower bounds and the upper one's carrying the error
+    count, and one interval log encloses |log y|.
 
 With w = working precision + 20 guard bits, s = w above 1/2, where the
 result lies near pi^2/6, and s = w + z below, where y < 2^-z: a small
@@ -61,14 +62,23 @@ from .enclosure import (
 
 Argument = Union[int, Fraction, ErrorBoundedValue]
 
-_HALF = Fraction(1, 2)
 # bits of the fixed-point scale beyond the working precision: they keep the
 # error count of a few thousand units far below one unit of the result
 _GUARD_BITS = 20
 
 
 def _validate_unit_arg(x: Argument, open_interval: bool = False):
-    """Return a Fraction or interval-backed argument confined to [0, 1]."""
+    """Return a Fraction or a ScaledInterval confined to [0, 1]; an
+    enclosure's endpoints are read exactly, once."""
+    if isinstance(x, ErrorBoundedValue):
+        x = x.scaled()
+        if x.lo != x.hi:
+            # genuine intervals must be separated from both boundary points
+            if not (0 < x.lo and x.hi < 1 << x.scale):
+                raise DomainError("argument enclosure must lie strictly inside (0, 1)")
+            return x
+        # collapse exact dyadic points to the rational path
+        x = Fraction(x.lo, 1 << x.scale)
     if isinstance(x, int):
         x = Fraction(x)
     if isinstance(x, Fraction):
@@ -76,15 +86,6 @@ def _validate_unit_arg(x: Argument, open_interval: bool = False):
             raise DomainError(f"argument {x} outside the open interval (0, 1)")
         if not (0 <= x <= 1):
             raise DomainError(f"argument {x} outside [0, 1]")
-        return x
-    if isinstance(x, ErrorBoundedValue):
-        lo, hi = x.endpoints()
-        if lo == hi:
-            # collapse exact dyadic points to the rational path
-            return _validate_unit_arg(lo, open_interval)
-        # genuine intervals must be separated from both boundary points
-        if not (0 < lo and hi < 1):
-            raise DomainError("argument enclosure must lie strictly inside (0, 1)")
         return x
     raise TypeError(f"unsupported argument type {type(x).__name__}")
 
@@ -97,9 +98,7 @@ def _raw_from_fraction(value: Fraction, prec: int):
 def _raw(x, prec: int):
     if isinstance(x, Fraction):
         return _raw_from_fraction(x, prec)
-    if isinstance(x, ScaledInterval):
-        return from_man_exp(x.lo, -x.scale, prec, round_floor), from_man_exp(x.hi, -x.scale, prec, round_ceiling)
-    return (x.lower._mpf_, x.upper._mpf_)
+    return from_man_exp(x.lo, -x.scale, prec, round_floor), from_man_exp(x.hi, -x.scale, prec, round_ceiling)
 
 
 def _shift(n: int, e: int, up: bool = False) -> int:
@@ -235,28 +234,21 @@ def _pi_squared_over(divisor: int):
 def _branch_is_low(x) -> bool:
     if isinstance(x, Fraction):
         return 2 * x.numerator <= x.denominator
-    if isinstance(x, ScaledInterval):
-        return x.lo + x.hi <= 1 << x.scale
-    lo, hi = x.endpoints()
-    return (lo + hi) / 2 <= _HALF
+    return x.lo + x.hi <= 1 << x.scale
 
 
 def _one_minus(x):
     if isinstance(x, Fraction):
         return 1 - x
-    if isinstance(x, ScaledInterval):
-        one = 1 << x.scale
-        return ScaledInterval(one - x.hi, one - x.lo, x.scale)
-    lo, hi = x.endpoints()
-    return ErrorBoundedValue.from_fraction_pair(1 - hi, 1 - lo)
+    one = 1 << x.scale
+    return ScaledInterval(one - x.hi, one - x.lo, x.scale)
 
 
-def _dilog_raw(x, rogers: bool) -> ScaledInterval:
+def _rogers_eval(x, rogers: bool = True) -> ScaledInterval:
     """Integer bounds on L(x), or on Li2(x) when not ``rogers``, at the
     kernel's scale under the current precision context; x inside (0, 1): a
-    Fraction, an ErrorBoundedValue or a ScaledInterval, whose branch test
-    and 1 - x are integer operations and whose (0, 1) check reads the
-    integers' signs.
+    Fraction or a ScaledInterval, whose branch test and 1 - x are integer
+    operations and whose (0, 1) check reads the integers' signs.
 
     With y = x at or below 1/2, and P = log(x) log(1-x) = |log y| S1:
     L = Li2(y) + P/2 and Li2(x) = Li2(y).  Above 1/2, with y = 1-x, the
@@ -295,26 +287,16 @@ def _dilog_raw(x, rogers: bool) -> ScaledInterval:
     return ScaledInterval(lo, hi, scale)
 
 
-def _rogers_eval(x) -> ScaledInterval:
-    """Integer bounds on the Rogers L at the kernel's scale under the
-    current precision context; x inside (0, 1)."""
-    return _dilog_raw(x, True)
-
-
-def _rogers_interval(x):
-    """Interval Rogers L at the current precision; x inside (0, 1)."""
-    return iv.make_mpf(_raw(_rogers_eval(x), iv.prec))
-
-
-def _unit_eval(x, rogers: bool):
-    """Interval L, or Li2 when not ``rogers``, at a validated argument in
-    [0, 1]: the boundary points 0 and 1 take their closed values."""
+def _rogers_interval(x, rogers: bool = True):
+    """Interval L, or Li2 when not ``rogers``, at the current precision at a
+    validated argument in [0, 1]: the boundary points 0 and 1 take their
+    closed values."""
     if isinstance(x, Fraction):
         if x == 0:
             return iv.mpf(0)
         if x == 1:
             return _pi_squared_over(6)
-    return iv.make_mpf(_raw(_dilog_raw(x, rogers), iv.prec))
+    return iv.make_mpf(_raw(_rogers_eval(x, rogers), iv.prec))
 
 
 def _at_budget(budget: PrecisionBudget, evaluator) -> ErrorBoundedValue:
@@ -333,14 +315,14 @@ def li2(x: Argument, budget: PrecisionBudget = DEFAULT_BUDGET) -> ErrorBoundedVa
     working precision: the integer sums behind it carry 20 guard bits, at a
     scale that follows the size of x up to 1/2 and is absolute above."""
     x = _validate_unit_arg(x)
-    return _at_budget(budget, lambda: _unit_eval(x, False))
+    return _at_budget(budget, lambda: _rogers_interval(x, False))
 
 
 def rogers_l(x: Argument, budget: PrecisionBudget = DEFAULT_BUDGET) -> ErrorBoundedValue:
     """Enclosure of the Rogers dilogarithm with its boundary values; its
     radius is that of ``li2``: a few units in the last place for exact x."""
     x = _validate_unit_arg(x)
-    return _at_budget(budget, lambda: _unit_eval(x, True))
+    return _at_budget(budget, lambda: _rogers_interval(x))
 
 
 def reflection_residual(x: Argument, budget: PrecisionBudget = DEFAULT_BUDGET) -> ErrorBoundedValue:
@@ -348,7 +330,7 @@ def reflection_residual(x: Argument, budget: PrecisionBudget = DEFAULT_BUDGET) -
     x = _validate_unit_arg(x)
 
     def evaluate():
-        return _unit_eval(x, True) + _unit_eval(_one_minus(x), True) - _pi_squared_over(6)
+        return _rogers_interval(x) + _rogers_interval(_one_minus(x)) - _pi_squared_over(6)
 
     return _at_budget(budget, evaluate)
 
@@ -365,22 +347,18 @@ def abel_residual(x: Argument, y: Argument, budget: PrecisionBudget = DEFAULT_BU
 
     def evaluate():
         # the three five-term arguments: exact for rational x and y, else
-        # enclosures checked to lie inside (0, 1)
+        # enclosures checked on their integers to lie inside (0, 1)
         if isinstance(x, Fraction) and isinstance(y, Fraction):
             xy = x * y
             args = [xy, x * (1 - y) / (1 - xy), y * (1 - x) / (1 - xy)]
         else:
-            xi = x.interval() if isinstance(x, ErrorBoundedValue) else iv.make_mpf(_raw(x, iv.prec))
-            yi = y.interval() if isinstance(y, ErrorBoundedValue) else iv.make_mpf(_raw(y, iv.prec))
+            xi, yi = (iv.make_mpf(_raw(v, iv.prec)) for v in (x, y))
             xy = xi * yi
             denom = 1 - xy
-            args = []
-            for a in (xy, xi * (1 - yi) / denom, yi * (1 - xi) / denom):
-                a = ErrorBoundedValue.from_interval(a)
-                lo, hi = a.endpoints()
-                if not (0 < lo and hi < 1):
-                    raise DomainError("five-term argument not separated inside (0, 1)")
-                args.append(a)
+            args = [xy, xi * (1 - yi) / denom, yi * (1 - xi) / denom]
+            args = [ErrorBoundedValue.from_interval(a).scaled() for a in args]
+            if not all(0 < a.lo and a.hi < 1 << a.scale for a in args):
+                raise DomainError("five-term argument not separated inside (0, 1)")
         total = _rogers_interval(x) + _rogers_interval(y)
         for a in args:
             total = total - _rogers_interval(a)

@@ -36,7 +36,8 @@ term's integer bounds decides almost every term without it: it compares
 ln t + ln(pi^2/6 - ln t), the log of the bound's first part less ln(1 - rho),
 with ln(tol/2) + ln(1 - rho), computed once per series, and refuses only
 beyond a margin that covers its float error (``_tail_small_enough``).  The
-certified bound then runs on the last term or two and on the final tail.
+certified bound then runs on the last term or two, and the one it accepts
+is the final tail.
 
 The terms are integer enclosures at a scale 2^-w, generated once
 (``_lambert_terms``): rho^n steps as a scaled integer with floors at the
@@ -267,11 +268,12 @@ def _log_threshold(cap: Fraction, digits: int) -> float:
     return -digits * _LN10 - _LN2 + log(float(1 - cap))
 
 
-def _tail_small_enough(term: ScaledInterval, cap: Fraction, tolerance_half: Fraction, threshold: float) -> bool:
-    """Whether tail_bound(t, cap) <= tolerance_half for t = term.upper(),
-    given threshold = ``_log_threshold(cap, digits)`` and tolerance_half =
-    10^-digits / 2.  A float test on the term's integer bounds refuses
-    almost every term; only the rest pay for the certified call.
+def _tail_small_enough(term: ScaledInterval, cap: Fraction, tolerance_half: Fraction, threshold: float):
+    """The certified tail_bound(t, cap) for t = term.upper() when it is at
+    most tolerance_half, else None, given threshold =
+    ``_log_threshold(cap, digits)`` and tolerance_half = 10^-digits / 2.  A
+    float test on the term's integer bounds refuses almost every term; only
+    the rest pay for the certified call.
 
     Why a refusal is tail_bound's decision too.  Let r = cap, with
     2^-96 <= 1 - r < 1 (``_certified_cap``), and t <= 1/2.  tail_bound
@@ -303,18 +305,18 @@ def _tail_small_enough(term: ScaledInterval, cap: Fraction, tolerance_half: Frac
     """
     hi, scale = term.hi, term.scale
     if 2 * hi > 1 << scale:
-        return False
+        return None
     if hi:
         k = max(0, hi.bit_length() - 60)
         x = log(hi >> k) + (k - scale) * _LN2
         margin = (128 - x - threshold) * 2.0 ** -40
         if x + log(_PI2_6_BELOW - x) - margin > threshold:
-            return False
+            return None
     try:
         bound = tail_bound(term.upper(), cap)
     except DomainError:
-        return False
-    return mpf_to_fraction(bound) <= tolerance_half
+        return None
+    return bound if mpf_to_fraction(bound) <= tolerance_half else None
 
 
 # ---------------------------------------------------------------------------
@@ -522,15 +524,18 @@ def _trace_rows(rows, final_tail, row_tail):
 
 def _choose_truncation(term_iter: Iterable, ratio_cap, budget: PrecisionBudget, max_terms: int) -> tuple[list, object]:
     """Read scaled-interval terms until the certified tail after them fits
-    in half the tolerance.  Returns (the kept terms, the tail bound)."""
+    in half the tolerance, or ``max_terms`` are kept.  Returns (the kept
+    terms, the tail bound)."""
     if max_terms < 1:
         raise UsageError("max_terms must be positive")
     tol_half = budget.tolerance / 2
     threshold = _log_threshold(ratio_cap, budget.target_digits)
     kept: list = []
     for term in term_iter:
-        if len(kept) >= max_terms or (kept and _tail_small_enough(term, ratio_cap, tol_half, threshold)):
+        if len(kept) >= max_terms:
             return kept, tail_bound(term.upper(), ratio_cap)
+        if kept and (bound := _tail_small_enough(term, ratio_cap, tol_half, threshold)) is not None:
+            return kept, bound
         kept.append(term)
     raise AssertionError("term iterator exhausted unexpectedly")
 
@@ -684,7 +689,7 @@ def _lucas_verify(params, k, budget, max_terms, trace) -> IdentityReport:
 
     def rhs_fn():
         rho = form.rho
-        return _rogers_interval(rho if isinstance(rho, Fraction) else quad_to_real(rho, iv.prec + 16))
+        return _rogers_interval(rho if isinstance(rho, Fraction) else quad_to_real(rho, iv.prec + 16).scaled())
 
     parameters = {"P": _coeff_str(params.p), "Q": _coeff_str(params.q), "k": str(k)}
     return _lambert_report(identity_id, parameters, form, cap, budget, max_terms, trace, rhs_fn)
@@ -897,7 +902,7 @@ def _sinh_theta(
         rho = decay * decay  # 1/alpha^2
         cap = _certified_cap(rho)
         form = _lucas_form(rho)
-        rhs_arg = ErrorBoundedValue.from_interval(rho)
+        rhs_arg = ErrorBoundedValue.from_interval(rho).scaled()
 
     def rhs_fn():
         return _rogers_interval(rhs_arg)

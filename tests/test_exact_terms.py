@@ -10,10 +10,17 @@ from math import log
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import mp
-from mpmath.libmp import from_rational, round_ceiling, round_floor
+from mpmath.libmp import from_man_exp, from_rational, round_ceiling, round_floor
 
 from dilogid import series
-from dilogid.enclosure import PrecisionBudget, ScaledInterval, mpf_to_fraction, rational_bounds
+from dilogid.enclosure import (
+    ErrorBoundedValue,
+    PrecisionBudget,
+    PrecisionError,
+    ScaledInterval,
+    mpf_to_fraction,
+    rational_bounds,
+)
 from dilogid.exactnum import QuadraticElement
 from dilogid.harness import emit_report
 from dilogid.rogers import _branch_is_low, _one_minus, _raw
@@ -124,6 +131,30 @@ def test_scaled_intervals_convert_like_their_fractions(lo, width, scale, prec):
     assert _raw(ScaledInterval(lo, hi, scale), prec) == (lower, upper)
 
 
+MANTISSAS = st.integers(-(1 << 300), 1 << 300)
+
+
+@settings(max_examples=200, deadline=None)
+@given(MANTISSAS, st.integers(-2000, 2000), MANTISSAS, st.integers(-2000, 2000))
+@example(-3, -1, 1, -2)  # a negative lower end, the upper end at the finer scale
+@example(1, -2, 3, -1)  # the lower end at the finer scale
+@example(5, 10, 7, 3)  # both ends integers: scale 0
+def test_scaled_enclosures_keep_their_endpoints(m_a, e_a, m_b, e_b):
+    # the endpoints of an enclosure, read as integers at one scale, are its
+    # endpoints exactly, whichever of them has the finer exponent
+    lower, upper = sorted(mp.make_mpf(from_man_exp(m, e)) for m, e in ((m_a, e_a), (m_b, e_b)))
+    pair = ErrorBoundedValue(lower, upper).scaled()
+    assert pair.scale >= 0
+    assert Fraction(pair.lo, 1 << pair.scale) == mpf_to_fraction(lower)
+    assert Fraction(pair.hi, 1 << pair.scale) == mpf_to_fraction(upper)
+
+
+def test_scaled_enclosure_refuses_far_exponents():
+    tiny = mp.make_mpf(from_man_exp(1, -(1 << 21)))
+    with pytest.raises(PrecisionError):
+        ErrorBoundedValue(tiny, mp.mpf(0.5)).scaled()
+
+
 # caps near 1 and, as for Lucas series of large k, near 0
 CAPS = {text: Fraction(text) for text in ("1/2", "9/10", "93/100", "191/200", "99/100")}
 CAPS.update({"1-2^-90": 1 - Fraction(1, 1 << 90), "2^-64": Fraction(1, 1 << 64)})
@@ -144,7 +175,9 @@ def test_tail_checks_on_pairs(pq, extra, cap, digits):
     term = _scaled(p, q, q.bit_length() + 4 * digits + extra)
     half = Fraction(1, 2 * 10 ** digits)
     threshold = _log_threshold(cap, digits)
-    assert _tail_small_enough(term, cap, half, threshold) == _certified_accepts(term, cap, half)
+    bound = _tail_small_enough(term, cap, half, threshold)
+    assert (bound is not None) == _certified_accepts(term, cap, half)
+    assert bound is None or bound == tail_bound(term.upper(), cap)
 
 
 def test_float_pi_squared_over_six_lies_below():
@@ -180,7 +213,9 @@ def test_tail_check_at_the_certified_boundary(cap, digits, bits):
         lo, hi = (mid, hi) if accepts(mid) else (lo, mid)
     for end in (lo - 1, lo, hi):
         term = ScaledInterval(end, end, scale)
-        assert _tail_small_enough(term, cap, half, threshold) == accepts(end), end - lo
+        bound = _tail_small_enough(term, cap, half, threshold)
+        assert (bound is not None) == accepts(end), end - lo
+        assert bound is None or bound == tail_bound(term.upper(), cap)
 
 
 @pytest.mark.parametrize(
@@ -189,8 +224,8 @@ def test_tail_check_at_the_certified_boundary(cap, digits, bits):
 )
 def test_truncation_certifies_few_terms(monkeypatch, name, params, digits):
     # the float test refuses every term but the last one or two before the
-    # truncation point, so tail_bound runs at most twice there and once
-    # for the final tail, where ratios near 0.96 put 2000 terms before it
+    # truncation point, so tail_bound runs at most twice, and the bound it
+    # accepts is the final tail; ratios near 0.96 put 2000 terms before it
     calls = []
     original = series.tail_bound
 
@@ -201,7 +236,7 @@ def test_truncation_certifies_few_terms(monkeypatch, name, params, digits):
     monkeypatch.setattr(series, "tail_bound", counted)
     report = series.IDENTITIES[name].run(PrecisionBudget.for_digits(digits), series.DEFAULT_MAX_TERMS, None, params)
     assert report.verdict == "pass"
-    assert len(calls) <= 3
+    assert len(calls) <= 2
 
 
 PARAMETER = st.integers(2, 400).flatmap(lambda q: st.builds(Fraction, st.integers(1, q - 1), st.just(q)))

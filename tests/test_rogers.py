@@ -18,10 +18,11 @@ from dilogid.enclosure import (
 )
 from dilogid.exactnum import QuadraticElement, quad_to_real
 from dilogid.rogers import (
-    _dilog_raw,
     _li2_series_raw,
     _log_product_raw,
     _raw,
+    _rogers_eval,
+    _validate_unit_arg,
     abel_residual,
     li2,
     reflection_residual,
@@ -174,6 +175,39 @@ class TestAbel:
             assert abel_residual(x, y, B50).contains_zero()
 
 
+class TestEnclosureArguments:
+    """An enclosure enters the kernel once, as a ScaledInterval."""
+
+    def test_abel_with_one_exact_and_one_enclosure_argument(self):
+        # the exact argument is converted to an interval for the five-term
+        # arguments, the enclosure read on its integers
+        arg = quad_to_real(INV_PHI_SQ, 260)
+        for x, y in ((Fraction(3, 10), arg), (arg, Fraction(3, 10))):
+            res = abel_residual(x, y, B50)
+            assert res.contains_zero() and res.radius <= TOL50
+
+    @pytest.mark.parametrize("x", [Fraction(1, 3), Fraction(2, 3), Fraction(1, 10 ** 30)])
+    def test_endpoints_finer_than_the_kernel_scale(self, x):
+        # endpoints of 4x the working bits, past the kernel's scale of
+        # working bits + 20, are rounded outward to it: still an enclosure
+        bits = 4 * B50.working_bits
+        arg = ErrorBoundedValue(*(mp.make_mpf(end) for end in rational_bounds(x.numerator, x.denominator, bits)))
+        assert arg.scaled().scale >= bits
+        for value, reference in ((li2(arg, B50), li2_reference(x)), (rogers_l(arg, B50), rogers_reference(x))):
+            assert_encloses(value, reference)
+            assert value.radius <= TOL50
+
+    @pytest.mark.parametrize("x", [Fraction(0), Fraction(3, 8), Fraction(5, 8), Fraction(1)])
+    def test_zero_width_enclosure_takes_the_exact_path(self, x):
+        point = ErrorBoundedValue.exact(x)
+        exact = _validate_unit_arg(point)
+        assert isinstance(exact, Fraction) and exact == x
+        for evaluate in (li2, rogers_l, reflection_residual):
+            from_point, from_fraction = evaluate(point, B50), evaluate(x, B50)
+            assert from_point.lower._mpf_ == from_fraction.lower._mpf_
+            assert from_point.upper._mpf_ == from_fraction.upper._mpf_
+
+
 class TestEnclosureDiscipline:
     def test_monotonicity_seeded(self):
         budget = PrecisionBudget.for_digits(30)
@@ -262,6 +296,7 @@ def _polylog_reference(x: Fraction, rogers: bool, bits: int) -> Fraction:
 @given(y=_rationals_up_to(), reflected=st.booleans(), interval=st.booleans())
 @example(y=Fraction(1, 2), reflected=False, interval=False)
 @example(y=Fraction(1, 2), reflected=False, interval=True)
+@example(y=Fraction(1, 3), reflected=True, interval=True)
 @example(y=Fraction(1, 10 ** 200), reflected=False, interval=False)
 @example(y=Fraction(1, 10 ** 200), reflected=True, interval=False)
 @example(y=Fraction(1, 10 ** 200), reflected=True, interval=True)
@@ -275,7 +310,7 @@ def test_kernel_contains_polylog(bits, y, reflected, interval):
         x = ends[0]
     for rogers in (False, True):
         with interval_precision(bits):
-            ends_raw = _raw(_dilog_raw(x, rogers), bits)
+            ends_raw = _raw(_rogers_eval(x.scaled() if interval else x, rogers), bits)
             lower, upper = (mpf_to_fraction(mp.make_mpf(end)) for end in ends_raw)
         # L and Li2 increase on (0, 1), so the image of an interval lies
         # between the values at its ends
