@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Mutation check of the proofs behind the L kernel, the series driver and
-its truncation, the rational converter and the Q(sqrt(D)) conversion.
+its truncation, the rational converter, the Q(sqrt(D)) conversion and the
+working precision's error budget.
 
 Each mutant is one textual change to a file under src/ and the tests that
 must catch it.  The script copies src/ to a temporary directory, first runs
@@ -34,6 +35,7 @@ SERIES = "dilogid/series.py"
 
 EXACT_SUMS = "tests/test_rogers.py::test_exact_stream_sums_bound_the_series"
 INTERVAL_SUMS = "tests/test_rogers.py::test_fixed_point_sums_bound_the_series"
+WIDE_SUMS = "tests/test_rogers.py::test_fixed_point_sums_bound_a_wide_interval"
 EXACT_LOG = "tests/test_rogers.py::test_exact_log_product_bounds"
 KERNEL = "tests/test_rogers.py::test_kernel_contains_polylog[146]"
 DRIVER = "tests/test_series.py::TestSummationDriver"
@@ -44,6 +46,12 @@ NEAR_CANCELLATION = "tests/test_exactnum.py::test_quad_to_real_one_pass_near_can
 TAIL_BOUNDARY = "tests/test_exact_terms.py::test_tail_check_at_the_certified_boundary"
 TAIL_CALLS = "tests/test_exact_terms.py::test_truncation_certifies_few_terms"
 SCALED = "tests/test_exact_terms.py::test_scaled_enclosures_keep_their_endpoints"
+BUDGET = "tests/test_series.py::TestWorkingPrecision"
+SMALL_THETA_RADIUS = f"{BUDGET}::test_small_theta_residual_within_the_radius_budget"
+TAIL_BITS_INVARIANT = f"{BUDGET}::test_no_working_precision_is_the_tail_bits"
+WIDE_WIDTH = "tests/test_rogers.py::test_wide_interval_sums_stay_near_the_growth"
+DEFAULT_CAP_GOLDEN = "tests/test_golden.py::test_negative_rational_as_separate_argument_matches_golden"
+STARTED_STREAM = "tests/test_lambert_form.py::test_started_streams_contain_exact_terms_at_coarse_scales"
 
 
 class Mutant(NamedTuple):
@@ -102,7 +110,23 @@ MUTANTS = [
     # the interval kernel's proofs, first checked by hand with 9f0958b
     Mutant(
         "interval streams without their error count", ROGERS,
-        "return s2_lo, s2_hi + err, s1_lo, s1_hi + err", "return s2_lo, s2_hi, s1_lo, s1_hi", (INTERVAL_SUMS,),
+        "err = _error_count(n_terms, c, x_last)", "err = 0", (INTERVAL_SUMS,),
+    ),
+    # one stream per interval argument: the upper bounds rise from the
+    # lower end's sums by y_hi - y_lo times each series' slope at y_hi
+    Mutant(
+        "interval upper bounds of -log(1-y) without the rise", ROGERS,
+        "s1_hi = s1 + err + -(-((top - bottom) << w) // (one - top))", "s1_hi = s1 + err", (WIDE_SUMS,),
+    ),
+    Mutant(
+        "interval upper bounds of Li2 without the rise", ROGERS,
+        "return s2, s2 + err + -(-(top - bottom) * s1_hi // top), s1, s1_hi", "return s2, s2 + err, s1, s1_hi",
+        (WIDE_SUMS,),
+    ),
+    Mutant(
+        "Li2's rise at the slope 1/(1-y_hi)", ROGERS,
+        "return s2, s2 + err + -(-(top - bottom) * s1_hi // top), s1, s1_hi", "return s2, s2 + s1_hi - s1, s1, s1_hi",
+        (WIDE_WIDTH,),
     ),
     Mutant(
         "error count without its floor term", ROGERS,
@@ -161,7 +185,7 @@ MUTANTS = [
     ),
     Mutant(
         "term rounded up in the float test", SERIES,
-        "x = log(hi >> k)", "x = log((hi >> k) + 1)", (TAIL_BOUNDARY,),
+        "x = log(lo >> k)", "x = log((lo >> k) + 1)", (TAIL_BOUNDARY,),
     ),
     Mutant(
         "pi^2/6 rounded up in the float test", SERIES,
@@ -195,6 +219,30 @@ MUTANTS = [
         "enclosure scale from the lower endpoint only", ENCLOSURE,
         "scale = max(0, -e_lo, -e_hi)", "scale = max(0, -e_lo)", (SCALED,),
     ),
+    # the working precision's guard bits, and sinh-theta's K and rho at the
+    # terms' scale: the residual radius stays within 2^4 units of the working
+    # precision; G = 9 makes ceil(d log2 10) + G = 96 at d = 26
+    Mutant(
+        "24 fewer guard bits", ENCLOSURE,
+        "math.ceil(self.target_digits * LOG2_10) + 33", "math.ceil(self.target_digits * LOG2_10) + 9",
+        (TAIL_BITS_INVARIANT,),
+    ),
+    Mutant(
+        "sinh-theta's rho back at the working precision", SERIES,
+        "form = form_at(_lambert_scale(coarse, cap, budget, max_terms) + _cut_off_bits(cap) + 8)",
+        "form = form_at(budget.working_bits)", (SMALL_THETA_RADIUS,),
+    ),
+    # the tail is certified from the cut-off term enclosed again, so that it
+    # does not follow the terms' scale, and with it the term cap
+    Mutant(
+        "cut-off term at the stream's scale", SERIES,
+        "_lambert_stream(form, term.scale + bits - term.hi.bit_length(), n)", "_lambert_stream(form, term.scale, n)",
+        (DEFAULT_CAP_GOLDEN,),
+    ),
+    Mutant(
+        "started stream's upper power rounded down", SERIES,
+        "_scaled_power(r_hi, start, w, up=True)", "_scaled_power(r_hi, start, w)", (STARTED_STREAM,),
+    ),
     # a + b sqrt(D) with opposite signs as the norm over the conjugate
     Mutant(
         "no conjugate form", EXACTNUM,
@@ -204,8 +252,8 @@ MUTANTS = [
 
 EQUIVALENT = [
     Equivalent(
-        "c = 1 below 1/2", ROGERS,
-        "c = 2\n", "c = 1\n",
+        "c = 1 in the exact stream", ROGERS,
+        "_error_count(n_terms, 2, x_last)", "_error_count(n_terms, 1, x_last)",
         "it drops at most 2 + 2 bits(N) units from a count whose N units for the floors exceed their "
         "actual loss, about N/2, by far more: no longer proved, but no input comes near the difference",
     ),

@@ -244,7 +244,39 @@ def _as_ebv(value) -> ErrorBoundedValue:
 
 @dataclass(frozen=True)
 class PrecisionBudget:
-    """Target accuracy; the working precision follows from it."""
+    """Target accuracy; the working precision follows from it.
+
+    The working precision is p = ceil(d log2 10) + G bits for d target
+    digits, with G = 33 guard bits, so a unit u = 2^-p is at most
+    2^-G 10^-d.  A verification passes only if its residual radius is at
+    most 10^-d; that radius is the sum of four parts, bounded in u:
+
+      * the series terms' enclosures: under 1 u, since ``_lambert_scale``
+        gives them bits(max_terms) + 2 bits(c) and more beyond p, for a
+        ratio cap with 1/(1-cap) <= c;
+      * the L kernel's error counts: its sums run 20 bits finer than p,
+        relative to the size of t, and L(t) comes out within
+        (p + 40) 2^-15.9 t u (measured for t from 10^-100 to 999/1000 at
+        15 to 3000 digits); as t <= L(t) and sum L(t_j) <= pi^2/6 when
+        the identity holds, a series adds under (p + 40) 2^-15.1 u, under
+        1 u for d <= 10^4;
+      * closed-form arguments enclosed at the working precision (a Lucas
+        rho, radius <= 2^(4-p) rho by ``quad_to_real``): x L'(x) <=
+        (1 + ln(1/(1-x)))/2 < 2^5.1 below the certified cap 1 - 2^-96, so
+        under 2^9.1 u;
+      * the outward roundings to p bits: at most 2 u for the lhs, whose
+        value lies below 2, 14 u for a right-hand side of three values of
+        L and its two sums, and 1 u for the residual.
+
+    The worst case is thus below 2^9.2 u, and G >= 10 would pass every
+    identity that holds; every registry instance at 15, 40, 100 and 300
+    digits measures at most 2^2.2 u.  G = 33 keeps even the worst case
+    2^23 below the tolerance, so no verdict turns on the last bits of a
+    part, and the reported enclosures show about nine digits beyond the
+    requested ones.  It is 33, not 32, because ceil(d log2 10) skips 63
+    and takes 64 at d = 19: no working precision is then the 96 bits at
+    which tail bounds and ratio caps are computed (``series._TAIL_BITS``).
+    """
 
     target_digits: int
 
@@ -258,8 +290,8 @@ class PrecisionBudget:
 
     @property
     def working_bits(self) -> int:
-        """The target's bits plus 96 guard bits."""
-        return math.ceil(self.target_digits * LOG2_10) + 96
+        """The target's bits plus 33 guard bits (see the class docstring)."""
+        return math.ceil(self.target_digits * LOG2_10) + 33
 
     @property
     def tolerance(self) -> Fraction:

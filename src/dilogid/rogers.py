@@ -28,9 +28,11 @@ log(x) log(1-x) = |log y| S1.
   * An interval argument is a ScaledInterval; an ErrorBoundedValue enters
     as one, its endpoints read exactly (``ErrorBoundedValue.scaled``).  Its
     y is rounded outward to dyadic endpoints m 2^-k of w bits (below): one
-    stream steps X_n = floor(X_(n-1) m / 2^k) at each endpoint, the lower
-    one's sums being lower bounds and the upper one's carrying the error
-    count, and one interval log encloses |log y|.
+    stream steps X_n = floor(X_(n-1) m / 2^k) at the lower endpoint, whose
+    sums are the lower bounds; the upper bounds add the error count and the
+    rise across the interval, y_hi - y_lo times each series' slope at
+    y_hi, which bounds it on the interval, rounded up; one interval log
+    encloses |log y|.
 
 With w = working precision + 20 guard bits, s = w above 1/2, where the
 result lies near pi^2/6, and s = w + z below, where y < 2^-z: a small
@@ -172,28 +174,31 @@ def _li2_series_raw(y, w: int) -> tuple:
     The sums of the powers of y, or of y's lower end, are lower bounds:
     there X_n <= 2^w y^n, floors only lower the sums, and Li2 and
     -log(1-y) increase with y.  The upper bounds add ``_error_count`` to
-    the sums of the powers of y, or of y's upper end.  The floor of X p/q
-    loses less than one unit, just as that of X m / 2^k does, so the count
-    holds for both; y <= 1/2 gives c = 2, and y_hi, which may lie a
-    rounding above 1/2, gives c = ceil(1/(1-y_hi))."""
+    the same sums.  The floor of X p/q loses less than one unit, just as
+    that of X m / 2^k does, so the count holds for both; y <= 1/2 gives
+    c = 2, and an interval c = ceil(1/(1-y_hi)) >= 1/(1-y_lo), which is
+    2 too unless y_hi lies a rounding above 1/2.  An interval's upper
+    bounds also add the rise from y_lo to y_hi, rounded up: the slope
+    (-log(1-y))' = 1/(1-y) is at most 1/(1-y_hi), so S1_hi adds
+    2^w (y_hi - y_lo) / (1 - y_hi); the slope Li2'(y) = -log(1-y)/y =
+    1 + y/2 + y^2/3 + ... increases with y, to -log(1-y_hi)/y_hi <=
+    2^-w S1_hi / y_hi, so S2_hi adds (y_hi - y_lo) S1_hi / y_hi."""
     if isinstance(y, Fraction):
         p, q = y.numerator, y.denominator
         n_terms = _series_terms_needed(math.log2(q) - math.log2(p), w)
         s2, s1, x_last = _exact_power_sums(p, q, w, n_terms)
         err = _error_count(n_terms, 2, x_last)
         return s2, s2 + err, s1, s1 + err
-    lo, hi = y
-    _, man, exp, bc = hi
-    n_terms = _series_terms_needed(-(math.log2(man) + exp), w)
-    s2_lo, s1_lo, _ = _power_sums(lo, w, n_terms)
-    s2_hi, s1_hi, x_last = _power_sums(hi, w, n_terms)
-    if bc < -exp:  # hi < 1/2
-        c = 2
-    else:
-        one = 1 << -exp
-        c = -(-one // (one - man))
+    (_, man_lo, exp_lo, _), (_, man_hi, exp_hi, _) = y
+    n_terms = _series_terms_needed(-(math.log2(man_hi) + exp_hi), w)
+    s2, s1, x_last = _power_sums(y[0], w, n_terms)
+    # y_lo = bottom 2^-k and y_hi = top 2^-k, integers at one scale
+    k = -min(exp_lo, exp_hi)
+    one, top, bottom = 1 << k, man_hi << (k + exp_hi), man_lo << (k + exp_lo)
+    c = -(-one // (one - top))
     err = _error_count(n_terms, c, x_last)
-    return s2_lo, s2_hi + err, s1_lo, s1_hi + err
+    s1_hi = s1 + err + -(-((top - bottom) << w) // (one - top))
+    return s2, s2 + err + -(-(top - bottom) * s1_hi // top), s1, s1_hi
 
 
 def _log_product_raw(y, s1_lo: int, s1_hi: int, prec: int) -> tuple:

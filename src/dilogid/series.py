@@ -75,8 +75,9 @@ from .lucas import Coefficient, LucasParams, PreconditionError, _coeff_sign, luc
 from .rogers import _pi_squared_over, _raw, _rogers_eval, _rogers_interval, _shift, rogers_l
 
 DEFAULT_MAX_TERMS = 10000
-# precision of tail bounds and ratio caps; it must differ from every
-# summation pass, because the benchmark tracer counts passes by it
+# precision of tail bounds and ratio caps.  Invariant: no working precision
+# equals it, PrecisionBudget(d).working_bits != _TAIL_BITS for every d,
+# because the benchmark tracer tells summation passes from tail bounds by it
 _TAIL_BITS = 96
 _LN2, _LN10 = log(2), log(10)
 # the double nearest pi^2/6 = 1.64493406684822643647..., which lies below it
@@ -268,12 +269,15 @@ def _log_threshold(cap: Fraction, digits: int) -> float:
     return -digits * _LN10 - _LN2 + log(float(1 - cap))
 
 
-def _tail_small_enough(term: ScaledInterval, cap: Fraction, tolerance_half: Fraction, threshold: float):
-    """The certified tail_bound(t, cap) for t = term.upper() when it is at
-    most tolerance_half, else None, given threshold =
-    ``_log_threshold(cap, digits)`` and tolerance_half = 10^-digits / 2.  A
-    float test on the term's integer bounds refuses almost every term; only
-    the rest pay for the certified call.
+def _tail_small_enough(
+    term: ScaledInterval, cap: Fraction, tolerance_half: Fraction, threshold: float, upper=ScaledInterval.upper
+):
+    """The certified tail_bound(t, cap) for t = upper(term), any upper bound
+    on the term's value, when it is at most tolerance_half, else None, given
+    threshold = ``_log_threshold(cap, digits)`` and tolerance_half =
+    10^-digits / 2.
+    A float test on the term's integer bounds refuses almost every term;
+    only the rest pay for the certified call.
 
     Why a refusal is tail_bound's decision too.  Let r = cap, with
     2^-96 <= 1 - r < 1 (``_certified_cap``), and t <= 1/2.  tail_bound
@@ -281,8 +285,9 @@ def _tail_small_enough(term: ScaledInterval, cap: Fraction, tolerance_half: Frac
     returns its upper end, which is at least the exact value, and that is
     at least LB(t) = t (pi^2/6 + ln 1/t) / (1-r), as the second term is
     non-negative.  t (c + ln 1/t) has the derivative c - 1 + ln(1/t) > 0 on
-    (0, 1/2] for c >= 1.  So with m the top 60 bits of hi, floored, t_lo =
-    m 2^(k-scale) <= t, and c the double below pi^2/6,
+    (0, 1/2] for c >= 1.  So with m the top 60 bits of lo, floored, t_lo =
+    m 2^(k-scale) <= t, as lo bounds the term's value from below, and c the
+    double below pi^2/6,
 
         certified >= exact >= LB(t) >= LB(t_lo) >= t_lo (c + ln 1/t_lo) / (1-r).
 
@@ -303,17 +308,17 @@ def _tail_small_enough(term: ScaledInterval, cap: Fraction, tolerance_half: Frac
     certified bound exceeds tol/2 and its comparison refuses as well: the
     truncation index is tail_bound's alone.
     """
-    hi, scale = term.hi, term.scale
-    if 2 * hi > 1 << scale:
+    lo, scale = term.lo, term.scale
+    if 2 * term.hi > 1 << scale:
         return None
-    if hi:
-        k = max(0, hi.bit_length() - 60)
-        x = log(hi >> k) + (k - scale) * _LN2
+    if lo:
+        k = max(0, lo.bit_length() - 60)
+        x = log(lo >> k) + (k - scale) * _LN2
         margin = (128 - x - threshold) * 2.0 ** -40
         if x + log(_PI2_6_BELOW - x) - margin > threshold:
             return None
     try:
-        bound = tail_bound(term.upper(), cap)
+        bound = tail_bound(upper(term), cap)
     except DomainError:
         return None
     return bound if mpf_to_fraction(bound) <= tolerance_half else None
@@ -394,17 +399,39 @@ def _scaled_bounds(value, w: int) -> tuple[int, int]:
 
 
 def _lambert_terms(form: LambertForm, w: int) -> Iterator[ScaledInterval]:
-    """Enclosures at scale 2^-w of t = K x / (1 - sigma x)^2, x = rho^n: x
-    steps from 2^w with floors by the lower bound on rho and ceilings by the
-    upper one, and t grows with K, x and sigma x < 1, so its lower bound
-    takes every lower bound and floors, its upper bound the rest."""
+    """The summands' enclosures at scale 2^-w from n = 0 (``_lambert_stream``)."""
+    return _lambert_stream(form, w, 0)
+
+
+def _scaled_power(r: int, n: int, w: int, up: bool = False) -> int:
+    """2^w (r 2^-w)^n, each of its 2 bits(n) products, square and multiply
+    from n's top bit, floored, or ceiled if ``up``.
+
+    To first order, with rho = r 2^-w < 1 and c >= 1/(1-rho): a unit lost
+    where the power so far is rho^m moves the result by at most
+    (n/m) rho^(n-m) <= c units, as j rho^(j-1) <= c for real j >= 1, so the
+    result lies within 2 bits(n) c units of 2^w rho^n."""
+    x = 1 << w
+    for bit in bin(n)[2:]:
+        x = -(-x * x >> w) if up else x * x >> w
+        if bit == "1":
+            x = -(-x * r >> w) if up else x * r >> w
+    return x
+
+
+def _lambert_stream(form: LambertForm, w: int, start: int) -> Iterator[ScaledInterval]:
+    """Enclosures at scale 2^-w of t = K x / (1 - sigma x)^2, x = rho^n, for
+    n >= start: x starts at ``_scaled_power`` and steps with floors by the
+    lower bound on rho and ceilings by the upper one, and t grows with K, x
+    and sigma x < 1, so its lower bound takes every lower bound and floors,
+    its upper bound the rest."""
     one = 1 << w
     (k_lo, k_hi), (r_lo, r_hi) = _scaled_bounds(form.k, w), _scaled_bounds(form.rho, w)
     # s is rho in every Lucas and sinh-theta form
     s_lo, s_hi = (r_lo, r_hi) if form.s is form.rho else _scaled_bounds(form.s, w)
     # sigma = s rho
     g_lo, g_hi = s_lo * r_lo >> w, -(-s_hi * r_hi >> w)
-    x_lo = x_hi = one
+    x_lo, x_hi = _scaled_power(r_lo, start, w), _scaled_power(r_hi, start, w, up=True)
     while True:
         # 2^w (1 - sigma x), from below and from above
         d_lo = one + (-g_hi * x_hi >> w)
@@ -432,9 +459,9 @@ def _lambert_scale(form: LambertForm, cap: Fraction, budget: PrecisionBudget, ma
     L'(t) < w on [2^-w, 1 - 2^-w], which holds every enclosure the kernel
     accepts, so N <= max_terms terms widen the lhs by less than
     N w 2^5 c^2 2^-w, below 2^-working_bits at this w.  The first term
-    t_0 >= K gets -log2(K) more bits, to stay separated from 0.  sinh-theta's
-    rho is enclosed at the working precision, so its terms widen the lhs by
-    a few N w c^2 2^-working_bits instead.
+    t_0 >= K gets -log2(K) more bits, to stay separated from 0.
+    sinh-theta's interval K and rho are enclosed within 1/8 unit as well,
+    also at a cut-off term's finer scale (``_sinh_theta``).
     """
     c = -(-cap.denominator // (cap.denominator - cap.numerator))
     w = budget.working_bits + max(0, -_log2_floor(form.k)) + max_terms.bit_length() + 2 * c.bit_length() + 5
@@ -522,30 +549,58 @@ def _trace_rows(rows, final_tail, row_tail):
     return out
 
 
-def _choose_truncation(term_iter: Iterable, ratio_cap, budget: PrecisionBudget, max_terms: int) -> tuple[list, object]:
+def _choose_truncation(
+    term_iter: Iterable, ratio_cap, budget: PrecisionBudget, max_terms: int, cut_off_upper: Callable
+) -> tuple[list, object]:
     """Read scaled-interval terms until the certified tail after them fits
-    in half the tolerance, or ``max_terms`` are kept.  Returns (the kept
-    terms, the tail bound)."""
+    in half the tolerance, or ``max_terms`` are kept.  The tail after the
+    n-th term, read as ``term``, is certified from the upper bound
+    ``cut_off_upper(n, term)``.  Returns (the kept terms, the tail bound)."""
     if max_terms < 1:
         raise UsageError("max_terms must be positive")
     tol_half = budget.tolerance / 2
     threshold = _log_threshold(ratio_cap, budget.target_digits)
     kept: list = []
+    # the term read while n terms are kept is the n-th
+    upper = lambda term: cut_off_upper(len(kept), term)  # noqa: E731
     for term in term_iter:
         if len(kept) >= max_terms:
-            return kept, tail_bound(term.upper(), ratio_cap)
-        if kept and (bound := _tail_small_enough(term, ratio_cap, tol_half, threshold)) is not None:
+            return kept, tail_bound(upper(term), ratio_cap)
+        if kept and (bound := _tail_small_enough(term, ratio_cap, tol_half, threshold, upper)) is not None:
             return kept, bound
         kept.append(term)
     raise AssertionError("term iterator exhausted unexpectedly")
 
 
+def _cut_off_bits(cap: Fraction) -> int:
+    """Bits, _TAIL_BITS + 2 bits(c) + 32 with c = ceil(1/(1-cap)), of the
+    upper end of a term enclosed again before the tail after it is
+    certified (``_lambert_report``).
+
+    ``tail_bound`` reads the term to _TAIL_BITS bits.  At the stream's scale
+    2^-w, which grows with bits(max_terms), a term below 10^-digits has
+    fewer, so the tail would change with the term cap.  At the scale where
+    its upper end has these bits, x lies within 2 bits(n) c units
+    (``_scaled_power``), and the count of ``_lambert_scale`` puts the
+    bounds at most (8 bits(n) + 27) c^2 < 2^(10 + 2 bits(c)) units apart
+    for n < 2^64: under 2^-115 of the term."""
+    c = -(-cap.denominator // (cap.denominator - cap.numerator))
+    return _TAIL_BITS + 2 * c.bit_length() + 32
+
+
 def _lambert_report(identity_id, parameters, form, cap, budget, max_terms, trace, rhs_fn) -> IdentityReport:
     """Truncate and sum a Lambert-form series whose term ratio is at most
-    ``cap``; each term is generated once."""
+    ``cap``; each term is generated once, at ``_lambert_scale``'s scale, and
+    the term whose tail is certified once more, finer (``_cut_off_bits``)."""
     terms = _lambert_terms(form, _lambert_scale(form, cap, budget, max_terms))
-    kept, tail = _choose_truncation(terms, cap, budget, max_terms)
-    row_tail = lambda _, first_omitted: tail_bound(first_omitted.upper(), cap)  # noqa: E731
+    bits = _cut_off_bits(cap)
+
+    def cut_off_upper(n, term):
+        # the n-th term again, at the scale where its upper end has ``bits`` bits
+        return next(_lambert_stream(form, term.scale + bits - term.hi.bit_length(), n)).upper()
+
+    kept, tail = _choose_truncation(terms, cap, budget, max_terms, cut_off_upper)
+    row_tail = lambda n, first_omitted: tail_bound(cut_off_upper(n, first_omitted), cap)  # noqa: E731
     return _evaluate_series_report(identity_id, parameters, budget, kept, tail, row_tail, rhs_fn, trace)
 
 
@@ -689,7 +744,7 @@ def _lucas_verify(params, k, budget, max_terms, trace) -> IdentityReport:
 
     def rhs_fn():
         rho = form.rho
-        return _rogers_interval(rho if isinstance(rho, Fraction) else quad_to_real(rho, iv.prec + 16).scaled())
+        return _rogers_interval(rho if isinstance(rho, Fraction) else quad_to_real(rho, iv.prec).scaled())
 
     parameters = {"P": _coeff_str(params.p), "Q": _coeff_str(params.q), "k": str(k)}
     return _lambert_report(identity_id, parameters, form, cap, budget, max_terms, trace, rhs_fn)
@@ -896,13 +951,21 @@ def _sinh_theta(
     sum_{n>=2} L(sinh^2(theta)/sinh^2(n theta)) = L(e^(-2 theta))."""
     if theta <= 0:
         raise DomainError("theta must be positive")
-    with interval_precision(budget.working_bits):
-        growth = iv.exp(iv_from_fraction(theta))
-        decay = 1 / growth
-        rho = decay * decay  # 1/alpha^2
-        cap = _certified_cap(rho)
-        form = _lucas_form(rho)
-        rhs_arg = ErrorBoundedValue.from_interval(rho).scaled()
+
+    def form_at(bits):
+        with interval_precision(bits):
+            decay = 1 / iv.exp(iv_from_fraction(theta))
+            return _lucas_form(decay * decay)  # rho = 1/alpha^2
+
+    # the cap and the size of K at the tails' precision, as for a Lucas
+    # series; then K and rho, below 1 and a few ulps wide at v + 8 bits,
+    # within 1/8 unit of the finest scale 2^-v a term is read at, a cut-off
+    # term's, at most _cut_off_bits finer than the terms' scale 2^-w, w as
+    # the coarse K gives it
+    coarse = form_at(_TAIL_BITS)
+    cap = _certified_cap(coarse.rho)
+    form = form_at(_lambert_scale(coarse, cap, budget, max_terms) + _cut_off_bits(cap) + 8)
+    rhs_arg = ErrorBoundedValue.from_interval(form.rho).scaled()
 
     def rhs_fn():
         return _rogers_interval(rhs_arg)

@@ -163,6 +163,48 @@ def test_enclosures_contain_exact_terms_at_coarse_scales(k, rho, s, w):
         assert pair.lo <= form.term(n) * (1 << w) <= pair.hi, n
 
 
+@settings(max_examples=200, deadline=None)
+@given(UNIT, UNIT, UNIT, st.integers(4, 48), st.integers(0, 3000))
+def test_started_streams_contain_exact_terms_at_coarse_scales(k, rho, s, w, start):
+    # rho^start by square and multiply, each product floored or ceiled
+    form = LambertForm(k, rho, s)
+    try:
+        terms = list(islice(series._lambert_stream(form, w, start), 3))
+    except PrecisionError:
+        assume(False)
+    for n, pair in enumerate(terms, start):
+        assert pair.lo <= form.term(n) * (1 << w) <= pair.hi, n
+
+
+def _two_parameter_row(a, b, n):
+    form = _two_param_form(TwoParamInstance(a, b))
+    return form, _certified_cap(form.rho), n
+
+
+def _lucas_row(params, k, n):
+    return _lucas_form(_lucas_rhs_arg(params, k)), _ratio_cap_sup(params, k), n
+
+
+CUT_OFF = {
+    "theorem-main(1/50,3/47)": _two_parameter_row(Fraction(1, 50), Fraction(3, 47), 2000),
+    "corollary(1/2)": _two_parameter_row(Fraction(3, 4), Fraction(1, 4), 40),
+    "fib-even": _lucas_row(LucasParams(3, 1), 1, 40),
+    "sqrt5-k-even": _lucas_row(LucasParams(QuadraticElement.sqrt_of(5), 1), 2, 40),
+}
+
+
+@pytest.mark.parametrize("form, cap, n", CUT_OFF.values(), ids=CUT_OFF.keys())
+def test_cut_off_term_keeps_the_tail_bits(form, cap, n):
+    # enclosed again where its upper end has _cut_off_bits bits, a term's
+    # bounds agree to 2^-115 of it, whatever the stream's scale
+    bits = series._cut_off_bits(cap)
+    for w in (200, 211, 260):
+        term = next(series._lambert_stream(form, w, n))
+        fine = next(series._lambert_stream(form, term.scale + bits - term.hi.bit_length(), n))
+        assert fine.hi.bit_length() >= bits - 1
+        assert (fine.hi - fine.lo) << 115 <= fine.lo
+
+
 def test_unseparated_denominator_is_refused():
     # sigma = 999/1000 rounds up to 1 at 4 bits
     with pytest.raises(PrecisionError):

@@ -338,6 +338,46 @@ def test_fixed_point_sums_bound_the_series(n_terms, y, bits):
         assert s1_lo <= -scale * mp.log(1 - lo) and -scale * mp.log(1 - hi) <= s1_hi
 
 
+@pytest.mark.parametrize("n_terms", [None, 1, 4])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(y=_rationals_up_to(Fraction(3, 5)), bits=st.sampled_from(KERNEL_BITS))
+def test_fixed_point_sums_bound_a_wide_interval(n_terms, y, bits):
+    """On the wide interval [y (1 - 2^-8), y] the upper sums, which come
+    from the lower end's stream, need the rise across the interval on top
+    of the error count: the one-ulp intervals above do not."""
+    w = bits + 20
+    y_lo = y * (1 - Fraction(1, 256))
+    y_raw = (rational_bounds(y_lo.numerator, y_lo.denominator, w)[0],
+             rational_bounds(y.numerator, y.denominator, w)[1])
+    s2_lo, s2_hi, s1_lo, s1_hi = _sums_with_terms(y_raw, w, n_terms)
+    with mp.workprec(w + 64):
+        lo, hi = (mp.make_mpf(end) for end in y_raw)
+        scale = mp.mpf(2) ** w
+        assert s2_lo <= scale * mp.polylog(2, lo) and scale * mp.polylog(2, hi) <= s2_hi
+        assert s1_lo <= -scale * mp.log(1 - lo) and -scale * mp.log(1 - hi) <= s1_hi
+
+
+@pytest.mark.parametrize(
+    "y_lo, y_hi, li2_ratio, log_ratio",
+    [(Fraction(1, 4), Fraction(1, 3), Fraction(105, 100), Fraction(107, 100)),
+     (Fraction(3, 10), Fraction(1, 2), Fraction(119, 100), Fraction(119, 100))],
+)
+def test_wide_interval_sums_stay_near_the_growth(y_lo, y_hi, li2_ratio, log_ratio):
+    """The rises bound each series' slope at y_hi, Li2's by -log(1-y_hi)/y_hi:
+    the widths of the sums stay within these ratios of the growth of Li2
+    and of -log(1-y) across the interval (1.047 and 1.061, 1.182 and 1.189
+    measured); the slope 1/(1-y_hi) for both would give Li2 1.27 and 1.56."""
+    w = 120
+    y_raw = (rational_bounds(y_lo.numerator, y_lo.denominator, w)[0],
+             rational_bounds(y_hi.numerator, y_hi.denominator, w)[1])
+    s2_lo, s2_hi, s1_lo, s1_hi = _li2_series_raw(y_raw, w)
+    with mp.workprec(w + 64):
+        lo, hi = (mp.mpf(y.numerator) / y.denominator for y in (y_lo, y_hi))
+        scale = mp.mpf(2) ** w
+        assert s2_hi - s2_lo <= li2_ratio * scale * (mp.polylog(2, hi) - mp.polylog(2, lo))
+        assert s1_hi - s1_lo <= log_ratio * scale * (mp.log(1 - lo) - mp.log(1 - hi))
+
+
 def _sums_with_terms(y, w, n_terms):
     """``_li2_series_raw`` with its own term count, or with ``n_terms``."""
     if n_terms is None:

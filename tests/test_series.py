@@ -12,13 +12,14 @@ from mpmath import iv, mp
 
 from dilogid.enclosure import DomainError, PrecisionBudget, ScaledInterval, mpf_to_fraction
 from dilogid.exactnum import QuadraticElement
-from dilogid.harness import run_cli
+from dilogid.harness import RunConfig, registry, run_cli, run_identity
 from dilogid.lucas import LucasParams, PreconditionError, lucas_uv
 from dilogid.rogers import rogers_l
 from dilogid.series import (
     PellSolution,
     TwoParamInstance,
     UsageError,
+    _TAIL_BITS,
     _evaluate_series_report,
     bridgeman_divisibility_check,
     bridgeman_verify,
@@ -620,6 +621,33 @@ class TestCatalog:
     def test_unknown_override(self):
         with pytest.raises(UsageError):
             catalog_verify("fib-even", B40, theta=Fraction(1))
+
+
+class TestWorkingPrecision:
+    """The working precision is the target's bits plus G = 33 guard bits
+    (``PrecisionBudget``); the residual radius stays within 2^4 units of
+    it, at most 2^-(G-4) 10^-digits, far below the worst case of its
+    docstring."""
+
+    @staticmethod
+    def radius_budget(budget):
+        return Fraction(16, 1 << budget.working_bits)
+
+    def test_no_working_precision_is_the_tail_bits(self):
+        assert all(PrecisionBudget(d).working_bits != _TAIL_BITS for d in range(1, 10001))
+
+    @pytest.mark.parametrize("digits", [15, 40, 100, 300])
+    def test_registry_residuals_within_the_radius_budget(self, digits):
+        for entry in registry():
+            report = run_identity(RunConfig(entry.config.identity_id, entry.config.parameters, digits, 2000))
+            assert report.residual.radius <= self.radius_budget(PrecisionBudget(digits)), entry.name
+
+    def test_small_theta_residual_within_the_radius_budget(self):
+        # c = 1/(1 - e^(-2 theta)) is about 50 000: enclosed at the working
+        # precision, K and rho would widen the lhs by about 2^20 of its units
+        report = catalog_verify("sinh-theta", B40, max_terms=2000, theta=Fraction(1, 100000))
+        assert report.terms_used == 2000
+        assert report.residual.radius <= self.radius_budget(B40)
 
 
 @settings(max_examples=20, deadline=None)

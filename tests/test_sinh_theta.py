@@ -1,9 +1,9 @@
 """The numeric-parameter Lucas series at P = 2cosh(theta), Q = 1:
 sum_{n>=2} L(sinh^2(theta)/sinh^2(n theta)) = L(e^(-2 theta)).
 
-Its terms are integer enclosures of the Lambert form with rho = e^(-2 theta)
-enclosed once at the working precision, so a small theta needs neither
-more bits nor a second pass.
+Its terms are integer enclosures of the Lambert form with K and
+rho = e^(-2 theta) enclosed once, at the finest scale a term is read at,
+so a small theta needs neither more working bits nor a second pass.
 """
 
 import json
@@ -33,8 +33,8 @@ def test_theta_one_hundredth_passes(capsys, monkeypatch):
 
 def test_theta_one_fifteenth_at_100_digits_runs_once(monkeypatch):
     budget = PrecisionBudget(100)
-    opened = []
-    original = series.interval_precision
+    opened, scales = [], []
+    original, terms = series.interval_precision, series._lambert_terms
 
     @contextmanager
     def recording(bits):
@@ -42,11 +42,18 @@ def test_theta_one_fifteenth_at_100_digits_runs_once(monkeypatch):
         with original(bits) as ctx:
             yield ctx
 
+    def recording_terms(form, w):
+        # the finest scale: a cut-off term's, at most _cut_off_bits finer
+        scales.append(w + series._cut_off_bits(series._certified_cap(form.rho)))
+        return terms(form, w)
+
     monkeypatch.setattr(series, "interval_precision", recording)
+    monkeypatch.setattr(series, "_lambert_terms", recording_terms)
     report = catalog_verify("sinh-theta", budget, theta="1/15")
     assert report.verdict == "pass"
-    # the terms, then the sum; every other context is a 96-bit tail bound
-    assert [bits for bits in opened if bits != series._TAIL_BITS] == [budget.working_bits] * 2
+    # K and rho at v + 8 bits for the finest scale 2^-v, then the sum;
+    # every other context is a 96-bit ratio cap or tail bound
+    assert [bits for bits in opened if bits != series._TAIL_BITS] == [scales[0] + 8, budget.working_bits]
 
 
 def test_perturbed_term_fails(monkeypatch):
