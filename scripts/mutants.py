@@ -52,6 +52,11 @@ TAIL_BITS_INVARIANT = f"{BUDGET}::test_no_working_precision_is_the_tail_bits"
 WIDE_WIDTH = "tests/test_rogers.py::test_wide_interval_sums_stay_near_the_growth"
 DEFAULT_CAP_GOLDEN = "tests/test_golden.py::test_negative_rational_as_separate_argument_matches_golden"
 STARTED_STREAM = "tests/test_lambert_form.py::test_started_streams_contain_exact_terms_at_coarse_scales"
+WRONG_FORMS = (
+    "tests/test_lambert_form.py::test_verifier_rejects_a_wrong_two_parameter_form",
+    "tests/test_lambert_form.py::test_verifier_rejects_a_wrong_lucas_form",
+)
+TWO_PARAMETER_GOLDENS = "tests/test_golden.py::test_two_parameter_report_matches_golden"
 
 
 class Mutant(NamedTuple):
@@ -196,6 +201,16 @@ MUTANTS = [
     Mutant(
         "Lambert-form check disabled", SERIES,
         "if form.term(n) != expected:", "if False:", (FORM_CHECK,),
+    ),
+    # the one verifier of every geometric series: its one form check and
+    # its one closed form, a signed sum of L
+    Mutant(
+        "form check skipped in the one verifier", SERIES,
+        "    if exact is not None:\n        _check_form(form, *exact)\n", "", WRONG_FORMS,
+    ),
+    Mutant(
+        "closed-form sign dropped", SERIES,
+        "sum(sign * _rogers_interval(argument(x))", "sum(_rogers_interval(argument(x))", (TWO_PARAMETER_GOLDENS,),
     ),
     # L from one kernel, first checked by hand with a8ceed7
     Mutant(

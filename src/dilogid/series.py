@@ -9,21 +9,27 @@ tail_bound + 10^-digits, and fail when the residual radius misses
 10^-digits.  ``IDENTITIES`` at the end is the one table of identities.
 
 Every series but Richmond-Szekeres has summands of one Lambert form,
-t_n = K rho^n / (1 - s rho^(n+1))^2 for n >= 0 (``LambertForm``):
+t_n = K rho^n / (1 - s rho^(n+1))^2 for n >= 0 (``LambertForm``), and one
+verifier, ``_lambert_report``, checks a family's form against its exact
+generator (``_check_form``, once per instance), sums it and evaluates its
+closed form, a signed sum of L.  The two-parameter series, with b < a (the
+summand is symmetric), has rho = (1-a)/(1-b), K = b (a-b)^2 / (a (1-b)^2),
+s = b/a and the closed form L(a) + L(b) - L((a-b)/(1-b)).  Every other
+family is its corollary at one t, the series at ((1+t)/2, (1-t)/2), whose
+form is rho = s = (1-t)/(1+t), K = rho (1-rho)^2 (``_lucas_form``) and
+whose closed form is L(rho); each family maps its parameters to rho:
 
-  * two-parameter series, with b < a (the summand is symmetric):
-    rho = (1-a)/(1-b), K = b (a-b)^2 / (a (1-b)^2), s = b/a;
-  * the corollary at t = p/q, the same at ((1+t)/2, (1-t)/2):
-    rho = s = (q-p)/(q+p), K = 4 p^2 rho / (q+p)^2;
+  * the corollary itself: rho = (1-t)/(1+t);
   * Lucas series with Q > 0, from their index 1, by Binet's formula:
-    rho = (beta/alpha)^k = (Q/alpha^2)^k, K = rho (1-rho)^2, s = rho, and
-    with Q < 0, odd k: the parity sub-series interleaved as A_1, B_1, A_2,
-    ... are the Q > 0 series at (sqrt(D), -Q), with roots alpha and -beta,
-    so rho = (|Q|/alpha^2)^k (Bridgeman's series are Lucas series);
-  * sinh-theta, the Q > 0 form at (2 cosh(theta), 1, 1): rho = e^(-2 theta).
+    rho = (beta/alpha)^k = (Q/alpha^2)^k, at t = U_k sqrt(D) / V_k; with
+    Q < 0, odd k: the parity sub-series interleaved as A_1, B_1, A_2, ...
+    are the Q > 0 series at (sqrt(D), -Q), with roots alpha and -beta, so
+    rho = (|Q|/alpha^2)^k;
+  * Bridgeman's series of a Pell unit u, the k = 1 Lucas series at
+    (2a, +-1): rho = 1/u^2;
+  * sinh-theta, the Q > 0 form at (2 cosh(theta), 1, 1): rho = e^(-2 theta),
+    at t = tanh(theta), whose terms are transcendental and not checked.
 
-A Lucas rho is the closed form's argument.  Each exact description is
-checked against an exact generator once per instance (``_check_form``).
 The tails use L(x) <= x (pi^2/6 + log(1/x)) on (0, 1/2] over the
 geometric sequence t_N rho^j, as for s >= 0
 
@@ -71,7 +77,7 @@ from .enclosure import (
     mpf_to_fraction,
 )
 from .exactnum import QuadraticElement, exact_sqrt, quad_interval, quad_pow, quad_to_real
-from .lucas import Coefficient, LucasParams, PreconditionError, _coeff_sign, lucas_uv
+from .lucas import Coefficient, LucasParams, PreconditionError, _coeff_sign, lucas_uv, transform_params
 from .rogers import _pi_squared_over, _raw, _rogers_eval, _rogers_interval, _shift, rogers_l
 
 DEFAULT_MAX_TERMS = 10000
@@ -363,11 +369,12 @@ def _check_form(form: LambertForm, exact_terms: Iterable, count: int = 5) -> Non
     constants of its own: a b (a-b)^2 X / (a (1-b) - b (1-a) X)^2 for the
     two-parameter summand once (1-b)^(2n) cancels, 4 t^2 rho X / ((1+t)^2
     (1 - rho^2 X)^2) for the remark form and, by Binet's formula,
-    (1-rho)^2 rho X / (1 - rho^2 X)^2 for the Lucas terms.  Their difference
-    has a numerator of degree at most 4 in X, which vanishes identically
-    if it vanishes at the five distinct X = 1, rho, ..., rho^4.  The Q < 0
-    Lucas generator interleaves two such functions, one per parity of n,
-    so it is checked at five pairs (count = 10).
+    (1-rho)^2 rho X / (1 - rho^2 X)^2 for the Lucas terms and Bridgeman's,
+    with X = u^(-2n).  Their difference has a numerator of degree at most 4
+    in X, which vanishes identically if it vanishes at the five distinct
+    X = 1, rho, ..., rho^4.  The Q < 0 Lucas generator and Bridgeman's for
+    a negative Pell unit interleave two such functions, one per parity of
+    n, so they are checked at five pairs (count = 10).
     """
     for n, expected in enumerate(islice(exact_terms, count)):
         if form.term(n) != expected:
@@ -427,7 +434,7 @@ def _lambert_stream(form: LambertForm, w: int, start: int) -> Iterator[ScaledInt
     its upper bound the rest."""
     one = 1 << w
     (k_lo, k_hi), (r_lo, r_hi) = _scaled_bounds(form.k, w), _scaled_bounds(form.rho, w)
-    # s is rho in every Lucas and sinh-theta form
+    # s is rho in the corollary's form, which every family but theorem-main takes
     s_lo, s_hi = (r_lo, r_hi) if form.s is form.rho else _scaled_bounds(form.s, w)
     # sigma = s rho
     g_lo, g_hi = s_lo * r_lo >> w, -(-s_hi * r_hi >> w)
@@ -588,10 +595,29 @@ def _cut_off_bits(cap: Fraction) -> int:
     return _TAIL_BITS + 2 * c.bit_length() + 32
 
 
-def _lambert_report(identity_id, parameters, form, cap, budget, max_terms, trace, rhs_fn) -> IdentityReport:
-    """Truncate and sum a Lambert-form series whose term ratio is at most
-    ``cap``; each term is generated once, at ``_lambert_scale``'s scale, and
-    the term whose tail is certified once more, finer (``_cut_off_bits``)."""
+def _lambert_report(identity_id, parameters, form, cap, budget, max_terms, trace, exact, closed_form) -> IdentityReport:
+    """The one verifier of a geometric series: a Lambert form whose term
+    ratio is at most ``cap``, checked against ``exact``, an exact generator
+    of the summands and the count of them that proves the form, or None
+    for transcendental terms; summed against the closed form, the sum of
+    sign L(x) over the pairs (sign, x) of ``closed_form``, each x a Fraction,
+    a Q(sqrt(D)) value or an mpmath interval.  Each term is generated once,
+    at ``_lambert_scale``'s scale, and the term whose tail is certified once
+    more, finer (``_cut_off_bits``)."""
+    if exact is not None:
+        _check_form(form, *exact)
+
+    def argument(x):
+        # the kernel's argument: x, or its enclosure at the working precision
+        if isinstance(x, Fraction):
+            return x
+        if isinstance(x, QuadraticElement):
+            return quad_to_real(x, iv.prec).scaled()
+        return ErrorBoundedValue.from_interval(x).scaled()
+
+    def rhs_fn():
+        return sum(sign * _rogers_interval(argument(x)) for sign, x in closed_form)
+
     terms = _lambert_terms(form, _lambert_scale(form, cap, budget, max_terms))
     bits = _cut_off_bits(cap)
 
@@ -618,15 +644,10 @@ def theorem_main_verify(
     """Verify sum L(x_n y_n) = L(a) + L(b) - L(|a-b|/(1-min(a,b)))."""
     a, b = inst.a, inst.b
     form = _two_param_form(inst)
-    cap = _certified_cap(form.rho)
-    _check_form(form, _theorem_terms(inst))
-    third = abs(a - b) / (1 - min(a, b))
-
-    def rhs_fn():
-        return _rogers_interval(a) + _rogers_interval(b) - _rogers_interval(third)
-
+    closed_form = ((1, a), (1, b), (-1, abs(a - b) / (1 - min(a, b))))
     parameters = {"a": _rational_str(a), "b": _rational_str(b)}
-    return _lambert_report("theorem-main", parameters, form, cap, budget, max_terms, trace, rhs_fn)
+    return _lambert_report("theorem-main", parameters, form, _certified_cap(form.rho), budget, max_terms, trace,
+                           (_theorem_terms(inst), 5), closed_form)
 
 
 def corollary_remark_term(t: Fraction, m: int) -> Fraction:
@@ -643,20 +664,17 @@ def corollary_verify(
     """Verify the one-parameter specialization summing to L((1-t)/(1+t)).
 
     The instance is the two-parameter series at (a, b) = ((1+t)/2, (1-t)/2),
-    re-indexed from 1; its Lambert form is checked exactly against the
-    simplified closed form ``corollary_remark_term``.
+    re-indexed from 1, whose Lambert form is ``_lucas_form`` at
+    rho = (1-t)/(1+t); it is checked exactly against the simplified closed
+    form ``corollary_remark_term``.
     """
     t = Fraction(t)
     if not (0 < t < 1):
         raise DomainError("parameter must lie in (0, 1)")
-    form = _two_param_form(TwoParamInstance((1 + t) / 2, (1 - t) / 2))
-    cap = _certified_cap(form.rho)
-    _check_form(form, (corollary_remark_term(t, n + 1) for n in count()))
-
-    def rhs_fn():
-        return _rogers_interval(form.rho)  # rho = (1-t)/(1+t)
-
-    return _lambert_report("corollary", {"t": _rational_str(t)}, form, cap, budget, max_terms, trace, rhs_fn)
+    form = _lucas_form((1 - t) / (1 + t))
+    exact = (corollary_remark_term(t, n + 1) for n in count()), 5
+    return _lambert_report("corollary", {"t": _rational_str(t)}, form, _certified_cap(form.rho), budget, max_terms,
+                           trace, exact, ((1, form.rho),))
 
 
 # ---------------------------------------------------------------------------
@@ -721,10 +739,7 @@ def _lucas_rhs_arg(params: LucasParams, k: int):
     alpha = params.alpha_exact()
     if alpha is None:
         raise PreconditionError("exact closed form requires sqrt(D) in the ring")
-    qk = params.q ** k if _coeff_sign(params.q) > 0 else -(params.q ** k)
-    if isinstance(alpha, QuadraticElement) and not isinstance(qk, QuadraticElement):
-        qk = QuadraticElement.from_rational(qk, alpha.radicand)
-    arg = qk / quad_pow(alpha, 2 * k)
+    arg = abs(params.q) ** k / quad_pow(alpha, 2 * k)
     if not (arg.sign() > 0 and (arg - 1).sign() < 0):
         raise AssertionError("closed-form argument outside (0, 1)")
     return arg
@@ -735,19 +750,14 @@ def _lucas_verify(params, k, budget, max_terms, trace) -> IdentityReport:
     interleaved (A_1, B_1, A_2, ...): that is the Q > 0 series at
     (sqrt(D), -Q), with the same Lambert form and ratio cap (|Q|/alpha^2)^k."""
     if _coeff_sign(params.q) > 0:
-        identity_id, exact_terms, checked = "lucas-pos", _lucas_pos_terms(params, k), 5
+        identity_id, exact = "lucas-pos", (_lucas_pos_terms(params, k), 5)
     else:
-        identity_id, exact_terms, checked = "lucas-neg", chain.from_iterable(_lucas_neg_terms(params, k)), 10
+        identity_id, exact = "lucas-neg", (chain.from_iterable(_lucas_neg_terms(params, k)), 10)
+    # the interval cap first: it refuses a k too large for the exact power
     cap = _ratio_cap_sup(params, k)
     form = _lucas_form(_lucas_rhs_arg(params, k))
-    _check_form(form, exact_terms, checked)
-
-    def rhs_fn():
-        rho = form.rho
-        return _rogers_interval(rho if isinstance(rho, Fraction) else quad_to_real(rho, iv.prec).scaled())
-
     parameters = {"P": _coeff_str(params.p), "Q": _coeff_str(params.q), "k": str(k)}
-    return _lambert_report(identity_id, parameters, form, cap, budget, max_terms, trace, rhs_fn)
+    return _lambert_report(identity_id, parameters, form, cap, budget, max_terms, trace, exact, ((1, form.rho),))
 
 
 def lucas_pos_verify(
@@ -793,31 +803,23 @@ def neg_from_pos_split_check(params: LucasParams, k: int, n_terms: int) -> bool:
     """Exact check that the Q > 0 series at (P', Q') = (sqrt(D), -Q) reproduces,
     term by term, the Q < 0 series (odd k, split by parity) or the plain
     U-ratio series (even k)."""
-    from .lucas import transform_params
-
     if not params.is_rational:
         raise PreconditionError("split check requires rational parameters")
     if _coeff_sign(params.q) >= 0:
         raise PreconditionError("split check requires Q < 0")
     if not isinstance(k, int) or k < 1:
         raise PreconditionError("k must be a positive integer")
-    transformed = transform_params(params)
-    pos_terms = _lucas_pos_terms(transformed, k)
-    vk = lucas_uv(params, k).v
-    uk = lucas_uv(params, k).u
-    d, q = params.d, params.q
+    pos_terms = _lucas_pos_terms(transform_params(params), k)
+    first, d, q = lucas_uv(params, k), params.d, params.q
     for n in range(1, n_terms + 1):
-        summand = next(pos_terms)
-        u_next = lucas_uv(params, k * (n + 1)).u
-        v_next = lucas_uv(params, k * (n + 1)).v
-        if k % 2 == 1:
-            if n % 2 == 1:
-                expected = -vk * vk * q ** (k * n) / (d * u_next * u_next)
-            else:
-                expected = vk * vk * q ** (k * n) / (v_next * v_next)
+        following = lucas_uv(params, k * (n + 1))
+        if k % 2 == 0:
+            expected = first.u ** 2 * q ** (k * n) / following.u ** 2
+        elif n % 2 == 1:
+            expected = -first.v ** 2 * q ** (k * n) / (d * following.u ** 2)
         else:
-            expected = uk * uk * q ** (k * n) / (u_next * u_next)
-        if summand != expected:
+            expected = first.v ** 2 * q ** (k * n) / following.v ** 2
+        if next(pos_terms) != expected:
             return False
     return True
 
@@ -840,13 +842,9 @@ class PellLucasCorrespondence:
     def b_k(self, k: int) -> Fraction:
         return self.solution.b * lucas_uv(self.params, k).u
 
-    def power_components(self, k: int) -> tuple[Fraction, Fraction]:
-        power = quad_pow(self.solution.unit(), k)
-        return power.rat_part, power.rad_part
-
     def roundtrip_ok(self, k: int) -> bool:
-        rat, rad = self.power_components(k)
-        return rat == self.a_k(k) and rad == self.b_k(k)
+        power = quad_pow(self.solution.unit(), k)
+        return power.rat_part == self.a_k(k) and power.rad_part == self.b_k(k)
 
 
 def pell_to_lucas(sol: PellSolution) -> PellLucasCorrespondence:
@@ -880,37 +878,36 @@ def bridgeman_verify(
 
     Positive solutions: L(1/u^2) = sum_{k>=2} L(1/U_k(2a,1)^2);
     negative solutions: the two-series form with V_1(2a,-1) = 2a and
-    D = 4 b^2 n.  In both cases the series is exactly the k = 1 Lucas
-    series under pell_to_lucas; its Lambert form is checked exactly against
-    the original b^2/b_k^2 (resp. a^2/(n b_{2k}^2), a^2/a_{2k+1}^2) forms,
-    computed independently from powers of u.
+    D = 4 b^2 n.  In both cases the series is the k = 1 Lucas series under
+    pell_to_lucas, whose rho is checked to be 1/u^2 exactly; its Lambert
+    form is checked exactly against the original b^2/b_k^2 (resp.
+    a^2/(n b_{2k}^2), a^2/a_{2k+1}^2) forms, computed independently from
+    powers of u, and the Lucas terms are not generated.
     """
     params = pell_to_lucas(sol).params
     a, b, n = sol.a, sol.b, sol.n
     u = sol.unit()
-    # the closed-form argument 1/u^2 is the Lucas one, and Bridgeman's own
-    # terms, from exact powers of u, are functions of rho^n = u^(-2n) of the
-    # kind that _check_form compares, one per parity of n for a negative
-    # solution: five indices (pairs) prove every term of the Lambert form
-    rho = QuadraticElement.from_rational(1, Fraction(n)) / quad_pow(u, 2)
-    if rho != _lucas_rhs_arg(params, 1):
+    cap = _ratio_cap_sup(params, 1)
+    rho = _lucas_rhs_arg(params, 1)
+    if rho != QuadraticElement.from_rational(1, Fraction(n)) / quad_pow(u, 2):
         raise AssertionError("1/u^2 does not match the Lucas closed-form argument")
+    # Bridgeman's own terms, from exact powers of u, are functions of
+    # rho^n = u^(-2n) of the kind that _check_form compares, one per parity
+    # of n for a negative solution: five indices (pairs) prove every term
     if sol.sign > 0:
-        original, checked = (b * b / quad_pow(u, m + 1).rad_part ** 2 for m in count(1)), 5
+        exact = (b * b / quad_pow(u, m + 1).rad_part ** 2 for m in count(1)), 5
     else:
         pairs = ((a * a / (n * quad_pow(u, 2 * m).rad_part ** 2), a * a / quad_pow(u, 2 * m + 1).rat_part ** 2)
                  for m in count(1))
-        original, checked = chain.from_iterable(pairs), 10
-    _check_form(_lucas_form(rho), original, checked)
-
-    report = _lucas_verify(params, 1, budget, max_terms, trace)
+        exact = chain.from_iterable(pairs), 10
+    form = _lucas_form(rho)
     parameters = {
         "a": _rational_str(a),
         "b": _rational_str(b),
         "n": str(n),
         "sign": "+1" if sol.sign > 0 else "-1",
     }
-    return replace(report, identity_id="bridgeman", parameters=parameters)
+    return _lambert_report("bridgeman", parameters, form, cap, budget, max_terms, trace, exact, ((1, form.rho),))
 
 
 # ---------------------------------------------------------------------------
@@ -965,13 +962,8 @@ def _sinh_theta(
     coarse = form_at(_TAIL_BITS)
     cap = _certified_cap(coarse.rho)
     form = form_at(_lambert_scale(coarse, cap, budget, max_terms) + _cut_off_bits(cap) + 8)
-    rhs_arg = ErrorBoundedValue.from_interval(form.rho).scaled()
-
-    def rhs_fn():
-        return _rogers_interval(rhs_arg)
-
     parameters = {"theta": _rational_str(theta)}
-    return _lambert_report("sinh-theta", parameters, form, cap, budget, max_terms, trace, rhs_fn)
+    return _lambert_report("sinh-theta", parameters, form, cap, budget, max_terms, trace, None, ((1, form.rho),))
 
 
 def _sqrt5(k: int, odd: bool, budget, max_terms, trace=None) -> IdentityReport:

@@ -28,6 +28,7 @@ from dilogid.series import (
     TwoParamInstance,
     _check_form,
     _log_threshold,
+    _lucas_form,
     _tail_small_enough,
     _two_param_form,
     corollary_remark_term,
@@ -287,7 +288,7 @@ def test_scaled_pairs_give_the_same_reports(monkeypatch):
 
 def test_corollary_check_accepts_equal_values_in_other_form():
     t = Fraction(2, 7)
-    form = _two_param_form(TwoParamInstance((1 + t) / 2, (1 - t) / 2))
+    form = _lucas_form((1 - t) / (1 + t))
     remark = [corollary_remark_term(t, n + 1) for n in range(5)]
     # the same values as Q(sqrt(5)) elements
     embedded = [QuadraticElement.from_rational(value, 5) for value in remark]

@@ -1,8 +1,8 @@
 """Byte-for-byte comparison with golden reports and traces.
 
 The files under tests/golden/ were produced by an earlier implementation:
-the JSON report of every registry instance at 40 and 100 digits with a cap
-of 2000 terms, and the --trace CSVs of two identities at 30 digits.  Any
+the JSON report of every registry instance at 40, 100 and 300 digits with
+a cap of 2000 terms, and the --trace CSVs of two identities at 30 digits.  Any
 change to them is a change of the report format or of a certified value.
 """
 
@@ -25,7 +25,7 @@ def _slug(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9]+", "-", name).strip("-")
 
 
-@pytest.mark.parametrize("digits", [40, 100])
+@pytest.mark.parametrize("digits", [40, 100, 300])
 @pytest.mark.parametrize("entry", registry(), ids=lambda entry: entry.name)
 def test_registry_report_matches_golden(entry, digits):
     config = RunConfig(entry.config.identity_id, entry.config.parameters, digits, 2000)
@@ -50,7 +50,7 @@ def test_trace_csv_matches_golden(tmp_path, stem, args):
 
 def test_every_golden_report_is_checked():
     names = {f"{_slug(entry.name)}.json" for entry in registry()}
-    for digits in (40, 100):
+    for digits in (40, 100, 300):
         assert {path.name for path in (GOLDEN / f"registry-d{digits}").iterdir()} == names
 
 

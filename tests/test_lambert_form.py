@@ -27,7 +27,7 @@ from dilogid.enclosure import (
 )
 from dilogid.exactnum import QuadraticElement
 from dilogid.harness import run_cli
-from dilogid.lucas import LucasParams
+from dilogid.lucas import LucasParams, lucas_uv
 from dilogid.series import (
     DEFAULT_MAX_TERMS,
     LambertForm,
@@ -95,7 +95,7 @@ def test_two_parameter_enclosures_contain_the_exact_terms(a, b):
 @settings(max_examples=15, deadline=None)
 @given(PARAMETER)
 def test_corollary_enclosures_contain_the_exact_terms(t):
-    form = _two_param_form(TwoParamInstance((1 + t) / 2, (1 - t) / 2))
+    form = _lucas_form((1 - t) / (1 + t))
     exact = (corollary_remark_term(t, n + 1) for n in range(N_TERMS))
     _assert_encloses(_generated(form, _certified_cap(form.rho)), exact)
 
@@ -187,7 +187,7 @@ def _lucas_row(params, k, n):
 
 CUT_OFF = {
     "theorem-main(1/50,3/47)": _two_parameter_row(Fraction(1, 50), Fraction(3, 47), 2000),
-    "corollary(1/2)": _two_parameter_row(Fraction(3, 4), Fraction(1, 4), 40),
+    "corollary(1/2)": (_lucas_form(Fraction(1, 3)), Fraction(1, 3), 40),
     "fib-even": _lucas_row(LucasParams(3, 1), 1, 40),
     "sqrt5-k-even": _lucas_row(LucasParams(QuadraticElement.sqrt_of(5), 1), 2, 40),
 }
@@ -229,7 +229,7 @@ def _wrong_forms(form):
 EXACT_FAMILIES = [
     ("theorem-main", lambda: (_two_param_form(TwoParamInstance(Fraction(1, 50), Fraction(3, 47))),
                               _theorem_terms(TwoParamInstance(Fraction(1, 50), Fraction(3, 47))), 5)),
-    ("corollary", lambda: (_two_param_form(TwoParamInstance(Fraction(2, 3), Fraction(1, 3))),
+    ("corollary", lambda: (_lucas_form(Fraction(1, 2)),
                            (corollary_remark_term(Fraction(1, 3), n + 1) for n in range(10)), 5)),
     ("lucas-pos", lambda: (_lucas_form(_lucas_rhs_arg(LucasParams(5, 6), 1)), _lucas_pos_terms(LucasParams(5, 6), 1), 5)),
     ("lucas-neg", lambda: (_lucas_form(_lucas_rhs_arg(LucasParams(3, -2), 5)),
@@ -281,14 +281,32 @@ def test_bridgeman_checks_the_form_against_powers_of_u(monkeypatch, sol):
         bridgeman_verify(sol, B40)
 
 
-@pytest.mark.parametrize(
-    "verify",
-    [
-        lambda: theorem_main_verify(TwoParamInstance(Fraction(2, 3), Fraction(1, 3)), B40),
-        lambda: corollary_verify(Fraction(1, 3), B40),
-    ],
-    ids=["theorem-main", "corollary"],
-)
+CRITERION_9 = [PellSolution(3, 2, 2), PellSolution(1, 1, 2), PellSolution(2, 1, 5), PellSolution(5, 2, 6),
+               PellSolution(8, 3, 7)]
+
+
+@pytest.mark.parametrize("sol", CRITERION_9, ids=lambda sol: f"{sol.a}-{sol.b}-{sol.n}")
+def test_bridgeman_terms_are_the_lucas_terms(monkeypatch, sol):
+    # the lemma that makes Bridgeman's series the k = 1 Lucas series of
+    # pell_to_lucas: the terms its one form check reads, from powers of u,
+    # are the Lucas terms at 20 indices (pairs for a negative solution)
+    checked = []
+    original = series._check_form
+
+    def recording(form, exact, count=5):
+        checked.append(list(islice(exact, 4 * count)))
+        original(form, iter(checked[-1]), count)
+
+    monkeypatch.setattr(series, "_check_form", recording)
+    assert bridgeman_verify(sol, B40).verdict == "pass"
+    params = pell_to_lucas(sol).params
+    lucas = _lucas_pos_terms(params, 1) if sol.sign > 0 else chain.from_iterable(_lucas_neg_terms(params, 1))
+    assert len(checked) == 1
+    assert checked[0] == list(islice(lucas, 20 if sol.sign > 0 else 40))
+
+
+@pytest.mark.parametrize("verify", [lambda: theorem_main_verify(TwoParamInstance(Fraction(2, 3), Fraction(1, 3)), B40)],
+                         ids=["theorem-main"])
 @pytest.mark.parametrize("which", range(4), ids=["K", "rho", "s", "shift"])
 def test_verifier_rejects_a_wrong_two_parameter_form(monkeypatch, verify, which):
     original = series._two_param_form
@@ -297,11 +315,18 @@ def test_verifier_rejects_a_wrong_two_parameter_form(monkeypatch, verify, which)
         verify()
 
 
+# every geometric family but theorem-main takes the corollary's form
 @pytest.mark.parametrize("which", range(4), ids=["K", "rho", "s", "shift"])
 @pytest.mark.parametrize(
     "verify",
-    [lambda: lucas_pos_verify(LucasParams(3, 1), 1, B40), lambda: lucas_neg_verify(LucasParams(1, -1), 1, B40)],
-    ids=["lucas-pos", "lucas-neg"],
+    [
+        lambda: corollary_verify(Fraction(1, 3), B40),
+        lambda: lucas_pos_verify(LucasParams(3, 1), 1, B40),
+        lambda: lucas_neg_verify(LucasParams(1, -1), 1, B40),
+        lambda: bridgeman_verify(PellSolution(3, 2, 2), B40),
+        lambda: bridgeman_verify(PellSolution(1, 1, 2), B40),
+    ],
+    ids=["corollary", "lucas-pos", "lucas-neg", "bridgeman-3-2-2", "bridgeman-1-1-2"],
 )
 def test_verifier_rejects_a_wrong_lucas_form(monkeypatch, verify, which):
     original = series._lucas_form
@@ -373,3 +398,32 @@ def test_trace_of_a_q_sqrt_d_series(tmp_path):
         assert run_cli(["verify", "--identity", "sqrt5-k-odd", "--digits", "30", "--trace", str(trace)]) == 0
     rows = trace.read_text().splitlines()
     assert rows[1].startswith("0,0.2000") and len(rows) == 1 + 76
+
+
+# ---------------------------------------------------------------------------
+# every family but theorem-main is the corollary at t = (1 - rho)/(1 + rho)
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("t", [Fraction(1, 3), Fraction(1, 50), Fraction(6, 119), Fraction(9, 10)], ids=str)
+def test_corollary_form_is_the_lucas_form(t):
+    # the two-parameter form at ((1+t)/2, (1-t)/2), exactly
+    assert _two_param_form(TwoParamInstance((1 + t) / 2, (1 - t) / 2)) == _lucas_form((1 - t) / (1 + t))
+
+
+# (P, Q, k) with a rational rho = (Q/alpha^2)^k, and t = U_k sqrt(D) / V_k
+RATIONAL_RHO = [((5, 6, 1), Fraction(1, 5)), ((3, 2, 1), Fraction(1, 3)), ((3, 2, 2), Fraction(3, 5)),
+                ((5, 6, 3), Fraction(19, 35))]
+
+
+@pytest.mark.parametrize("pqk, t", RATIONAL_RHO, ids=[str(t) for _, t in RATIONAL_RHO])
+def test_corollary_at_the_lucas_t_gives_the_lucas_report(pqk, t):
+    p, q, k = pqk
+    params = LucasParams(p, q)
+    uv = lucas_uv(params, k)
+    assert uv.u * params.sqrt_d_exact() / uv.v == t
+    corollary, lucas = corollary_verify(t, B40), lucas_pos_verify(params, k, B40)
+    assert (corollary.lhs, corollary.rhs, corollary.residual, corollary.terms_used) == (
+        lucas.lhs, lucas.rhs, lucas.residual, lucas.terms_used)
+    # the Lucas cap is certified from an interval, at or above rho
+    assert corollary.tail_bound <= lucas.tail_bound
