@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Mutation check of the proofs behind the L kernel, the series driver and
 its truncation, the rational converter, the Q(sqrt(D)) conversion and the
-working precision's error budget.
+working precision's error budget, and the exact layer: the integer
+Q(sqrt(D)) arithmetic and the Lucas doubling over Z.
 
 Each mutant is one textual change to a file under src/ and the tests that
 must catch it.  The script copies src/ to a temporary directory, first runs
@@ -10,6 +11,8 @@ each mutant to a fresh copy and runs only that mutant's tests against it;
 the mutant is killed when one of them fails.  It prints one line per
 mutant, and one per equivalent mutant with the reason no test can catch it,
 and exits with status 1 if a mutant survives or no longer applies.
+pytest runs with ``--hypothesis-seed=0``, so a property test draws the same
+examples on every run and a mutant's fate does not depend on the run.
 
 Run from anywhere, with pytest and hypothesis installed:
 
@@ -30,6 +33,7 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 ENCLOSURE = "dilogid/enclosure.py"
 EXACTNUM = "dilogid/exactnum.py"
+LUCAS = "dilogid/lucas.py"
 ROGERS = "dilogid/rogers.py"
 SERIES = "dilogid/series.py"
 
@@ -57,6 +61,9 @@ WRONG_FORMS = (
     "tests/test_lambert_form.py::test_verifier_rejects_a_wrong_lucas_form",
 )
 TWO_PARAMETER_GOLDENS = "tests/test_golden.py::test_two_parameter_report_matches_golden"
+REDUCED_TRIPLES = "tests/test_exactnum.py::test_reduced_triples_fixed_examples"
+RATIONAL_RADICAND = "tests/test_exactnum.py::test_products_over_a_rational_radicand"
+RATIONAL_LUCAS = "tests/test_lucas.py::test_integer_doubling_matches_naive_at_fixed_parameters"
 
 
 class Mutant(NamedTuple):
@@ -200,7 +207,7 @@ MUTANTS = [
     # exact per-term check
     Mutant(
         "Lambert-form check disabled", SERIES,
-        "if form.term(n) != expected:", "if False:", (FORM_CHECK,),
+        "if form.k * x != expected * (1 - sigma * x) ** 2:", "if False:", (FORM_CHECK,),
     ),
     # the one verifier of every geometric series: its one form check and
     # its one closed form, a signed sum of L
@@ -258,6 +265,21 @@ MUTANTS = [
         "started stream's upper power rounded down", SERIES,
         "_scaled_power(r_hi, start, w, up=True)", "_scaled_power(r_hi, start, w)", (STARTED_STREAM,),
     ),
+    # (A + B sqrt(D)) / C in lowest terms over D = Dn / Dd, and the Lucas
+    # doubling over Z at (lam P, lam^2 Q)
+    Mutant(
+        "gcd reduction skipped", EXACTNUM,
+        "g = math.gcd(a, b, c)", "g = 1", (REDUCED_TRIPLES,),
+    ),
+    Mutant(
+        "radicand denominator dropped in __mul__", EXACTNUM,
+        "sa * a * dd + sb * b * dn, (sa * b + sb * a) * dd, self._c * c * dd",
+        "sa * a + sb * b * dn, sa * b + sb * a, self._c * c", (RATIONAL_RADICAND,),
+    ),
+    Mutant(
+        "lambda power off by one in lucas_uv", LUCAS,
+        "Fraction(u, lam ** max(n - 1, 0))", "Fraction(u, lam ** n)", (RATIONAL_LUCAS,),
+    ),
     # a + b sqrt(D) with opposite signs as the norm over the conjugate
     Mutant(
         "no conjugate form", EXACTNUM,
@@ -285,7 +307,7 @@ EQUIVALENT = [
 
 def _run(tests, src: Path) -> int:
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--hypothesis-seed=0", *tests]
     return subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, timeout=900).returncode
 
 

@@ -1,19 +1,24 @@
 """Exact arithmetic in real quadratic extensions Q(sqrt(D)).
 
-Rationals are stdlib ``fractions.Fraction`` (always stored reduced with a
-positive denominator, which is exactly the invariant we need).  A
-QuadraticElement is an exact value a + b*sqrt(D) with rational a, b and a
-shared nonnegative rational radicand D.  Perfect-square radicands are
-permitted; such elements are secretly rational and equality handles them.
+Rationals are stdlib ``fractions.Fraction``.  A QuadraticElement is an exact
+value (A + B*sqrt(D)) / C held as three integers with C > 0 and
+gcd(A, B, C) = 1, over a nonnegative rational radicand D = Dn / Dd
+(Cohen, GTM 138).  A ring operation forms the integer triple of its result
+directly (a product or quotient is multiplied through by Dd, so that D
+enters as the integers Dn and Dd) and reduces it with one ``math.gcd``; it
+builds no Fraction.  The reduced triple is unique, so equal elements over
+one radicand have equal triples.  ``rat_part`` = A/C and ``rad_part`` = B/C
+are read as Fractions.  Perfect-square radicands are permitted; such
+elements are secretly rational and equality handles them.
 
-Sign determination never touches floating point: it uses the signs of the
-two components and the exact comparison a^2 vs b^2*D.
+Sign determination never touches floating point: it uses the signs of A
+and B and the exact comparison A^2 Dd vs B^2 Dn.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from typing import Optional
 
@@ -42,22 +47,71 @@ def exact_sqrt(value: Fraction) -> Optional[Fraction]:
     return None
 
 
-@dataclass(frozen=True, eq=False)
+_set = object.__setattr__
+
+
+def _element(a: int, b: int, c: int, field: tuple) -> "QuadraticElement":
+    """(a + b sqrt(D)) / c, c != 0, over field = (Dn, Dd, D), reduced by one gcd."""
+    g = math.gcd(a, b, c)
+    if c < 0:
+        g = -g
+    x = object.__new__(QuadraticElement)
+    _set(x, "_a", a // g)
+    _set(x, "_b", b // g)
+    _set(x, "_c", c // g)
+    _set(x, "_field", field)
+    return x
+
+
+def _rational(a: int, b: int, c: int, field: tuple) -> Optional[Fraction]:
+    """The value (a + b sqrt(D)) / c as a Fraction, or None when it is irrational."""
+    if not b:
+        return Fraction(a, c)
+    rn, rd = math.isqrt(field[0]), math.isqrt(field[1])
+    if rn * rn != field[0] or rd * rd != field[1]:
+        return None
+    return Fraction(a * rd + b * rn, c * rd)
+
+
 class QuadraticElement:
-    """Exact a + b*sqrt(D) with rational a, b and radicand D >= 0."""
+    """Exact a + b*sqrt(D) with rational a, b and radicand D >= 0, held as
+    integers (A + B*sqrt(D)) / C in lowest terms."""
 
-    rat_part: Fraction
-    rad_part: Fraction
-    radicand: Fraction
+    __slots__ = ("_a", "_b", "_c", "_field")
 
-    def __post_init__(self):
-        object.__setattr__(self, "rat_part", Fraction(self.rat_part))
-        object.__setattr__(self, "rad_part", Fraction(self.rad_part))
-        object.__setattr__(self, "radicand", Fraction(self.radicand))
-        if self.radicand < 0:
+    def __init__(self, rat_part, rad_part, radicand):
+        a, b, d = Fraction(rat_part), Fraction(rad_part), Fraction(radicand)
+        if d < 0:
             raise DomainError("radicand must be nonnegative")
-        if self.radicand == 0 and self.rad_part != 0:
-            object.__setattr__(self, "rad_part", Fraction(0))
+        if d == 0:
+            b = Fraction(0)
+        # over the lcm of the denominators the triple is already in lowest terms
+        c = a.denominator * b.denominator // math.gcd(a.denominator, b.denominator)
+        _set(self, "_a", a.numerator * (c // a.denominator))
+        _set(self, "_b", b.numerator * (c // b.denominator))
+        _set(self, "_c", c)
+        _set(self, "_field", (d.numerator, d.denominator, d))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return QuadraticElement, (self.rat_part, self.rad_part, self.radicand)
+
+    @property
+    def rat_part(self) -> Fraction:
+        return Fraction(self._a, self._c)
+
+    @property
+    def rad_part(self) -> Fraction:
+        return Fraction(self._b, self._c)
+
+    @property
+    def radicand(self) -> Fraction:
+        return self._field[2]
 
     # -- construction helpers -------------------------------------------------
 
@@ -69,92 +123,89 @@ class QuadraticElement:
     def sqrt_of(cls, radicand) -> "QuadraticElement":
         return cls(Fraction(0), Fraction(1), Fraction(radicand))
 
-    def _coerce(self, other) -> "QuadraticElement":
+    def _parts(self, other) -> tuple:
+        """The triple (A, B, C) of other over this element's radicand."""
         if isinstance(other, QuadraticElement):
-            if other.radicand != self.radicand:
-                raise RadicandMismatchError(
-                    f"radicand mismatch: {self.radicand} vs {other.radicand}"
-                )
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadraticElement.from_rational(other, self.radicand)
+            f, g = self._field, other._field
+            if f is not g and (f[0] != g[0] or f[1] != g[1]):
+                raise RadicandMismatchError(f"radicand mismatch: {f[2]} vs {g[2]}")
+            return other._a, other._b, other._c
+        if isinstance(other, int):
+            return other, 0, 1
+        if isinstance(other, Fraction):
+            return other.numerator, 0, other.denominator
         raise TypeError(f"cannot combine QuadraticElement with {type(other).__name__}")
 
     # -- ring arithmetic ------------------------------------------------------
 
     def __add__(self, other):
-        o = self._coerce(other)
-        return QuadraticElement(self.rat_part + o.rat_part, self.rad_part + o.rad_part, self.radicand)
+        a, b, c = self._parts(other)
+        sc = self._c
+        return _element(self._a * c + a * sc, self._b * c + b * sc, sc * c, self._field)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        return QuadraticElement(self.rat_part - o.rat_part, self.rad_part - o.rad_part, self.radicand)
+        a, b, c = self._parts(other)
+        sc = self._c
+        return _element(self._a * c - a * sc, self._b * c - b * sc, sc * c, self._field)
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        return _element(*self._parts(other), self._field) - self
 
     def __neg__(self):
-        return QuadraticElement(-self.rat_part, -self.rad_part, self.radicand)
+        return _element(-self._a, -self._b, self._c, self._field)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        a, b, d = self.rat_part, self.rad_part, self.radicand
-        c, e = o.rat_part, o.rad_part
-        return QuadraticElement(a * c + b * e * d, a * e + b * c, d)
+        a, b, c = self._parts(other)
+        sa, sb = self._a, self._b
+        dn, dd, _ = self._field
+        return _element(sa * a * dd + sb * b * dn, (sa * b + sb * a) * dd, self._c * c * dd, self._field)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        n = o.norm()
+        a, b, c = self._parts(other)
+        sa, sb = self._a, self._b
+        dn, dd, _ = self._field
+        n = a * a * dd - b * b * dn  # c^2 Dd N(other)
         if n == 0:
             # norm vanishes only for zero or perfect-square cancellation
-            rv = o.rational_value()
+            rv = _rational(a, b, c, self._field)
             if rv is None or rv == 0:
                 raise ZeroDivisionError("division by zero quadratic element")
-            return QuadraticElement(self.rat_part / rv, self.rad_part / rv, self.radicand)
-        num = self * o.conjugate()
-        return QuadraticElement(num.rat_part / n, num.rad_part / n, self.radicand)
+            return _element(sa * rv.denominator, sb * rv.denominator, self._c * rv.numerator, self._field)
+        # times the conjugate (a - b sqrt(D)) / c over the norm
+        return _element(c * (sa * a * dd - sb * b * dn), c * (sb * a - sa * b) * dd, self._c * n, self._field)
 
     def __rtruediv__(self, other):
-        return self._coerce(other) / self
+        return _element(*self._parts(other), self._field) / self
 
     def __pow__(self, exponent: int):
         return quad_pow(self, exponent)
 
     def conjugate(self) -> "QuadraticElement":
-        return QuadraticElement(self.rat_part, -self.rad_part, self.radicand)
+        return _element(self._a, -self._b, self._c, self._field)
 
     def norm(self) -> Fraction:
-        return self.rat_part * self.rat_part - self.radicand * self.rad_part * self.rad_part
+        dn, dd, _ = self._field
+        return Fraction(self._a * self._a * dd - self._b * self._b * dn, self._c * self._c * dd)
 
     # -- exact predicates -----------------------------------------------------
 
     def rational_value(self) -> Optional[Fraction]:
         """The exact rational value, when the element happens to be rational."""
-        if self.rad_part == 0:
-            return self.rat_part
-        s = exact_sqrt(self.radicand)
-        if s is not None:
-            return self.rat_part + self.rad_part * s
-        return None
+        return _rational(self._a, self._b, self._c, self._field)
 
     def sign(self) -> int:
         rv = self.rational_value()
         if rv is not None:
             return (rv > 0) - (rv < 0)
-        a, b, d = self.rat_part, self.rad_part, self.radicand
-        # sqrt(d) irrational and b != 0 here
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: |a| vs |b|*sqrt(d); equality would force d square
-        if a * a > b * b * d:
+        a, b = self._a, self._b
+        dn, dd, _ = self._field
+        # sqrt(D) irrational and b != 0 here: the sign of b, unless a has the
+        # other sign and a^2 > b^2 D; equality would force D square
+        if a and (a > 0) != (b > 0) and a * a * dd > b * b * dn:
             return 1 if a > 0 else -1
         return 1 if b > 0 else -1
 
@@ -164,12 +215,16 @@ class QuadraticElement:
             return rv is not None and rv == other
         if not isinstance(other, QuadraticElement):
             return NotImplemented
+        f, g = self._field, other._field
+        same_radicand = f[0] == g[0] and f[1] == g[1]
+        if same_radicand and self._a == other._a and self._b == other._b and self._c == other._c:
+            return True
         rv_self = self.rational_value()
         rv_other = other.rational_value()
         if rv_self is not None or rv_other is not None:
             return rv_self is not None and rv_other is not None and rv_self == rv_other
-        if self.radicand == other.radicand:
-            return self.rat_part == other.rat_part and self.rad_part == other.rad_part
+        if same_radicand:
+            return False
         # both irrational over different radicands: equal iff the radicands
         # generate the same field, i.e. D1*D2 is a perfect square
         s = exact_sqrt(self.radicand * other.radicand)
@@ -212,7 +267,7 @@ def quad_pow(x: QuadraticElement, n: int) -> QuadraticElement:
     """Exact n-th power by binary exponentiation, n >= 0."""
     if not isinstance(n, int) or n < 0:
         raise DomainError("exponent must be a nonnegative integer")
-    result = QuadraticElement.from_rational(1, x.radicand)
+    result = _element(1, 0, 1, x._field)
     base = x
     while n:
         if n & 1:

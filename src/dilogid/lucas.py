@@ -1,7 +1,7 @@
 """Lucas sequences U_n(P,Q), V_n(P,Q) over exact coefficient rings.
 
-Evaluation is by fast doubling; the plain linear recurrence is retained as
-a test oracle.  Coefficients may be rationals or quadratic elements over a
+Evaluation is by fast doubling, over the integers for rational parameters;
+the plain linear recurrence is retained as a test oracle.  Coefficients may be rationals or quadratic elements over a
 shared radicand, so the parameter transformation P' = sqrt(P^2-4Q),
 Q' = -Q stays inside exact arithmetic.
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Union
 
 from .exactnum import QuadraticElement, exact_sqrt
@@ -117,15 +117,31 @@ class LucasPair:
 
 
 def lucas_uv(params: LucasParams, n: int) -> LucasPair:
-    """Exact (U_n, V_n) by fast doubling; bit-identical to the recurrence."""
+    """Exact (U_n, V_n) by fast doubling; bit-identical to the recurrence.
+
+    Rational parameters run over the integers by homogeneity.  With lam the
+    lcm of the denominators of P and Q, the roots of x^2 - lam P x + lam^2 Q
+    are lam alpha and lam beta, so U_n(P, Q) = lam^(1-n) U_n(lam P, lam^2 Q)
+    and V_n(P, Q) = lam^(-n) V_n(lam P, lam^2 Q); over Z the step
+    (P U + V)/2 = U_(k+1) is an exact halving.
+    """
     if not isinstance(n, int) or n < 0:
         raise PreconditionError("index must be a nonnegative integer")
     p, q, d = params.p, params.q, params.d
-    u, v, qn = params._zero(), 2 * params._one(), params._one()
+    if params.is_rational:
+        lam = lcm(p.denominator, q.denominator)
+        p, q = p.numerator * (lam // p.denominator), q.numerator * (lam // q.denominator) * lam
+        d, halve = p * p - 4 * q, (lambda x: x >> 1)
+        u, v, qn = 0, 2, 1
+    else:
+        halve = (lambda x: x / 2)
+        u, v, qn = params._zero(), 2 * params._one(), params._one()
     for bit_pos in reversed(range(n.bit_length())):
         u, v, qn = u * v, v * v - 2 * qn, qn * qn
         if (n >> bit_pos) & 1:
-            u, v, qn = (p * u + v) / 2, (d * u + p * v) / 2, qn * q
+            u, v, qn = halve(p * u + v), halve(d * u + p * v), qn * q
+    if params.is_rational:
+        u, v = Fraction(u, lam ** max(n - 1, 0)), Fraction(v, lam ** n)
     return LucasPair(n, u, v)
 
 

@@ -374,11 +374,15 @@ def _check_form(form: LambertForm, exact_terms: Iterable, count: int = 5) -> Non
     in X, which vanishes identically if it vanishes at the five distinct
     X = 1, rho, ..., rho^4.  The Q < 0 Lucas generator and Bridgeman's for
     a negative Pell unit interleave two such functions, one per parity of
-    n, so they are checked at five pairs (count = 10).
+    n, so they are checked at five pairs (count = 10).  Each index steps
+    X by one multiplication and compares K X with t_n (1 - s rho X)^2,
+    which is the same test, as s and rho lie in (0, 1).
     """
+    sigma, x = form.s * form.rho, 1
     for n, expected in enumerate(islice(exact_terms, count)):
-        if form.term(n) != expected:
+        if form.k * x != expected * (1 - sigma * x) ** 2:
             raise AssertionError(f"summand {n} does not match the Lambert form")
+        x = x * form.rho
 
 
 def _log2_floor(value) -> int:

@@ -17,6 +17,8 @@ from dilogid.exactnum import (
     quad_pow,
     quad_to_real,
 )
+from dilogid.lucas import LucasParams
+from dilogid.series import _lucas_rhs_arg
 
 from conftest import sqrt_bracket
 
@@ -273,3 +275,193 @@ def test_norm_multiplicativity_property(a, b, c, e, d):
     x = QuadraticElement(a, b, Fraction(d))
     y = QuadraticElement(c, e, Fraction(d))
     assert (x * y).norm() == x.norm() * y.norm()
+
+
+# -- the integer representation (A + B sqrt(D)) / C --------------------------
+#
+# The reference below evaluates the same formulas over Fraction components
+# (a, b) of a + b sqrt(D); its sign refines an isqrt bracket of sqrt(D), so
+# it shares no code with QuadraticElement.sign.
+
+RADICANDS = [Fraction(5), Fraction(2), Fraction(13), Fraction(5, 4), Fraction(8, 9),
+             Fraction(4), Fraction(9, 4), Fraction(0)]
+COMPONENT = st.fractions(min_value=-20, max_value=20, max_denominator=30)
+
+
+def _parts(x):
+    return x.rat_part, x.rad_part
+
+
+def _triple(x):
+    return x._a, x._b, x._c
+
+
+def _reference_element(a, b, d):
+    return (a, b if d else Fraction(0))
+
+
+def _reference_rational(a, b, d):
+    s = exact_sqrt(d)
+    if b == 0:
+        return a
+    return None if s is None else a + b * s
+
+
+def _reference_sign(a, b, d):
+    rv = _reference_rational(a, b, d)
+    if rv is not None:
+        return (rv > 0) - (rv < 0)
+    # a + b sqrt(D) is irrational, so a fine enough bracket excludes 0
+    bits = 8
+    while True:
+        root = math.isqrt(d.numerator * d.denominator << 2 * bits)
+        ends = [a + b * Fraction(r, d.denominator << bits) for r in (root, root + 1)]
+        if min(ends) > 0 or max(ends) < 0:
+            return 1 if ends[0] > 0 else -1
+        bits *= 2
+
+
+def _reference_quotient(x, y, d):
+    (a, b), (c, e) = x, y
+    norm = c * c - e * e * d
+    if norm == 0:
+        rv = _reference_rational(c, e, d)
+        return a / rv, b / rv
+    return (a * c - b * e * d) / norm, (b * c - a * e) / norm
+
+
+def _assert_reduced(x):
+    a, b, c = _triple(x)
+    assert all(isinstance(v, int) for v in (a, b, c))
+    assert c > 0 and math.gcd(a, b, c) == 1
+    if x.radicand == 0:
+        assert b == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(COMPONENT, COMPONENT, COMPONENT, COMPONENT, st.sampled_from(RADICANDS))
+def test_ring_operations_match_fraction_formulas(a, b, c, e, d):
+    x, y = QuadraticElement(a, b, d), QuadraticElement(c, e, d)
+    (a, b), (c, e) = _reference_element(a, b, d), _reference_element(c, e, d)
+    expected = {
+        "+": (a + c, b + e),
+        "-": (a - c, b - e),
+        "*": (a * c + b * e * d, a * e + b * c),
+        "neg": (-a, -b),
+        "conjugate": (a, -b),
+    }
+    results = {"+": x + y, "-": x - y, "*": x * y, "neg": -x, "conjugate": x.conjugate()}
+    if _reference_sign(c, e, d) != 0:
+        expected["/"] = _reference_quotient((a, b), (c, e), d)
+        results["/"] = x / y
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    for op, result in results.items():
+        _assert_reduced(result)
+        assert _parts(result) == expected[op], op
+        assert result.radicand == d
+    assert x.norm() == a * a - b * b * d
+    assert x.rational_value() == _reference_rational(a, b, d)
+    # rational operands on either side
+    assert _parts(x * c) == _parts(c * x) == (a * c, b * c)
+    assert _parts(c - x) == (c - a, -b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(COMPONENT, COMPONENT, COMPONENT, COMPONENT, st.sampled_from(RADICANDS))
+def test_sign_order_and_equality_match_the_reference(a, b, c, e, d):
+    x, y = QuadraticElement(a, b, d), QuadraticElement(c, e, d)
+    (a, b), (c, e) = _reference_element(a, b, d), _reference_element(c, e, d)
+    assert x.sign() == _reference_sign(a, b, d)
+    difference = _reference_sign(a - c, b - e, d)
+    assert (x < y, x <= y, x > y, x >= y) == (difference < 0, difference <= 0, difference > 0, difference >= 0)
+    assert (x == y) == (difference == 0) == (y == x)
+    assert (x != y) == (difference != 0)
+    assert abs(x).sign() == abs(_reference_sign(a, b, d))
+
+
+@settings(max_examples=200, deadline=None)
+@given(COMPONENT, COMPONENT, COMPONENT, COMPONENT, st.sampled_from(RADICANDS))
+def test_equal_values_have_equal_triples(a, b, c, e, d):
+    x, y = QuadraticElement(a, b, d), QuadraticElement(c, e, d)
+    assert _triple(x + y - y) == _triple(x)
+    assert _triple(QuadraticElement(*_parts(x), d)) == _triple(x)
+    if y.norm() != 0:
+        assert _triple(x * y / y) == _triple(x)
+        assert _triple(x / y * y) == _triple(x)
+
+
+def test_reduced_triples_fixed_examples():
+    assert _triple(quad(Fraction(2, 4), Fraction(3, 6), 5)) == (1, 1, 2)
+    assert _triple(quad(Fraction(6, 4), 0, 5)) == (3, 0, 2)
+    assert _triple(quad(0, 0, 7)) == (0, 0, 1)
+    assert _triple(quad(-3, 6, 2) / 3) == (-1, 2, 1)
+    phi = quad(Fraction(1, 2), Fraction(1, 2), 5)
+    assert _triple(phi * phi) == (3, 1, 2)
+    assert _triple(phi + phi.conjugate()) == (1, 0, 1)
+    assert _triple(1 / phi) == (-1, 1, 2)
+    assert _triple(quad(3, 2, 2) * quad(3, -2, 2)) == (1, 0, 1)
+
+
+def test_products_over_a_rational_radicand():
+    # sqrt(5/4) squared is 5/4, not 5; sqrt(8/9) squared is 8/9
+    x = quad(1, 1, Fraction(5, 4))
+    assert _parts(x * x) == (Fraction(9, 4), Fraction(2))
+    assert _parts(x * x.conjugate()) == (Fraction(-1, 4), 0) and x.norm() == Fraction(-1, 4)
+    r = QuadraticElement.sqrt_of(Fraction(8, 9))
+    assert r * r == Fraction(8, 9)
+    assert _parts(quad(Fraction(1, 3), 2, Fraction(8, 9)) * quad(3, Fraction(-1, 2), Fraction(8, 9))) == (
+        Fraction(1, 9), Fraction(35, 6))
+    assert _parts(1 / x) == (Fraction(-4), Fraction(4))
+
+
+def test_division_by_a_norm_zero_element_over_a_square_radicand():
+    for d, zero, nonzero, value in (
+        (4, quad(2, -1, 4), quad(1, Fraction(1, 2), 4), 2),
+        (Fraction(9, 4), quad(Fraction(3, 2), -1, Fraction(9, 4)), quad(Fraction(3, 2), 1, Fraction(9, 4)), 3),
+    ):
+        assert zero.norm() == 0 and nonzero.norm() == 0 and nonzero == value
+        x = quad(5, 7, d)
+        assert _parts(x / nonzero) == (Fraction(5, value), Fraction(7, value))
+        assert x / nonzero * value == x
+        with pytest.raises(ZeroDivisionError):
+            x / zero
+        with pytest.raises(ZeroDivisionError):
+            1 / zero
+
+
+# (P, Q), k and the str and repr of the registry's closed-form argument
+# rho = |Q|^k / alpha^(2k); (3, 2) has the square radicand 1
+SQRT5 = QuadraticElement.sqrt_of(5)
+REGISTRY_RHO_TEXT = [
+    ((3, 1), 1, "7/2 + -3/2*sqrt(5)", "QuadraticElement(Fraction(7, 2), Fraction(-3, 2), Fraction(5, 1))"),
+    ((4, 1), 1, "7 + -2*sqrt(12)", "QuadraticElement(Fraction(7, 1), Fraction(-2, 1), Fraction(12, 1))"),
+    ((3, 2), 1, "5/4 + -3/4*sqrt(1)", "QuadraticElement(Fraction(5, 4), Fraction(-3, 4), Fraction(1, 1))"),
+    ((1, -1), 1, "3/2 + -1/2*sqrt(5)", "QuadraticElement(Fraction(3, 2), Fraction(-1, 2), Fraction(5, 1))"),
+    ((2, -1), 1, "3 + -1*sqrt(8)", "QuadraticElement(Fraction(3, 1), Fraction(-1, 1), Fraction(8, 1))"),
+    ((1, -3), 1, "7/6 + -1/6*sqrt(13)", "QuadraticElement(Fraction(7, 6), Fraction(-1, 6), Fraction(13, 1))"),
+    ((6, 1), 1, "17 + -3*sqrt(32)", "QuadraticElement(Fraction(17, 1), Fraction(-3, 1), Fraction(32, 1))"),
+    ((SQRT5, 1), 1, "3/2 + -1/2*sqrt(5)", "QuadraticElement(Fraction(3, 2), Fraction(-1, 2), Fraction(5, 1))"),
+    ((SQRT5, 1), 2, "7/2 + -3/2*sqrt(5)", "QuadraticElement(Fraction(7, 2), Fraction(-3, 2), Fraction(5, 1))"),
+    ((Fraction(3, 2), Fraction(1, 7)), 2, "2993/32 + -1155/16*sqrt(47/28)",
+     "QuadraticElement(Fraction(2993, 32), Fraction(-1155, 16), Fraction(47, 28))"),
+]
+
+
+@pytest.mark.parametrize("params, k, text, representation", REGISTRY_RHO_TEXT)
+def test_registry_rho_text_is_unchanged(params, k, text, representation):
+    rho = _lucas_rhs_arg(LucasParams(*params), k)
+    assert (str(rho), repr(rho)) == (text, representation)
+    assert eval(representation) == rho
+
+
+def test_elements_are_immutable_and_unhashable():
+    x = quad(1, 2, 3)
+    with pytest.raises(AttributeError):
+        x._a = 5
+    with pytest.raises(AttributeError):
+        x.rat_part = Fraction(5)
+    with pytest.raises(TypeError):
+        hash(x)
+    assert _triple(x) == (1, 2, 1)

@@ -212,3 +212,36 @@ def test_doubling_equals_naive_property(p, q, n):
     params = LucasParams(p, q)
     fast, slow = lucas_uv(params, n), lucas_uv_naive(params, n)
     assert fast.u == slow.u and fast.v == slow.v
+
+
+# lucas_uv runs rational parameters over Z at (lam P, lam^2 Q), lam the lcm
+# of their denominators; these have lam > 1
+POSITIVE_P = st.fractions(min_value=Fraction(1, 12), max_value=Fraction(30), max_denominator=12)
+RATIONAL_Q = st.fractions(min_value=Fraction(-30), max_value=Fraction(30), max_denominator=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=POSITIVE_P, q=RATIONAL_Q, n=st.integers(min_value=0, max_value=300), quadratic=st.booleans())
+def test_integer_doubling_equals_naive(p, q, n, quadratic):
+    """Exact equality with the recurrence at rational (P, Q), and at their
+    transform (sqrt(D), -Q) over Q(sqrt(D)), for n <= 300."""
+    if q == 0 or p * p - 4 * q <= 0:
+        return
+    params = LucasParams(p, q)
+    if quadratic:
+        params = transform_params(params)
+    fast, slow = lucas_uv(params, n), lucas_uv_naive(params, n)
+    assert fast.index == n and fast.u == slow.u and fast.v == slow.v
+    assert type(fast.u) is type(slow.u) and type(fast.v) is type(slow.v)
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [(Fraction(3, 2), Fraction(-5, 7)), (Fraction(5, 3), Fraction(1, 2)), (Fraction(1, 6), Fraction(-1, 4)),
+     (QuadraticElement.sqrt_of(5), 1), (QuadraticElement(Fraction(1, 2), Fraction(1, 3), 7), Fraction(-2, 5))],
+)
+def test_integer_doubling_matches_naive_at_fixed_parameters(p, q):
+    params = LucasParams(p, q)
+    for n in (0, 1, 2, 3, 7, 64, 65, 300):
+        fast, slow = lucas_uv(params, n), lucas_uv_naive(params, n)
+        assert fast.u == slow.u and fast.v == slow.v, n
