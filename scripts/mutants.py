@@ -55,7 +55,7 @@ SMALL_THETA_RADIUS = f"{BUDGET}::test_small_theta_residual_within_the_radius_bud
 TAIL_BITS_INVARIANT = f"{BUDGET}::test_no_working_precision_is_the_tail_bits"
 WIDE_WIDTH = "tests/test_rogers.py::test_wide_interval_sums_stay_near_the_growth"
 DEFAULT_CAP_GOLDEN = "tests/test_golden.py::test_negative_rational_as_separate_argument_matches_golden"
-STARTED_STREAM = "tests/test_lambert_form.py::test_started_streams_contain_exact_terms_at_coarse_scales"
+TIGHT_CUT_OFF = "tests/test_lambert_form.py::test_cut_off_bound_is_tight_above_the_exact_term"
 WRONG_FORMS = (
     "tests/test_lambert_form.py::test_verifier_rejects_a_wrong_two_parameter_form",
     "tests/test_lambert_form.py::test_verifier_rejects_a_wrong_lucas_form",
@@ -251,19 +251,19 @@ MUTANTS = [
     ),
     Mutant(
         "sinh-theta's rho back at the working precision", SERIES,
-        "form = form_at(_lambert_scale(coarse, cap, budget, max_terms) + _cut_off_bits(cap) + 8)",
+        "form = form_at(_lambert_scale(coarse, cap, budget, max_terms) + _CUT_OFF_BITS + 8)",
         "form = form_at(budget.working_bits)", (SMALL_THETA_RADIUS,),
     ),
-    # the tail is certified from the cut-off term enclosed again, so that it
-    # does not follow the terms' scale, and with it the term cap
+    # the tail is certified from an upper bound on the cut-off term, computed
+    # from its formula finer than the tails' precision, so that it does not
+    # follow the terms' scale, and with it the term cap
     Mutant(
-        "cut-off term at the stream's scale", SERIES,
-        "_lambert_stream(form, term.scale + bits - term.hi.bit_length(), n)", "_lambert_stream(form, term.scale, n)",
-        (DEFAULT_CAP_GOLDEN,),
+        "cut-off bound at the tails' precision", SERIES,
+        "_CUT_OFF_BITS = _TAIL_BITS + 64", "_CUT_OFF_BITS = _TAIL_BITS", (TIGHT_CUT_OFF, DEFAULT_CAP_GOLDEN),
     ),
     Mutant(
-        "started stream's upper power rounded down", SERIES,
-        "_scaled_power(r_hi, start, w, up=True)", "_scaled_power(r_hi, start, w)", (STARTED_STREAM,),
+        "cut-off bound read from the lower endpoint", SERIES,
+        "(k * x / (1 - s * rho * x) ** 2)._mpi_[1]", "(k * x / (1 - s * rho * x) ** 2)._mpi_[0]", (TIGHT_CUT_OFF,),
     ),
     # (A + B sqrt(D)) / C in lowest terms over D = Dn / Dd, and the Lucas
     # doubling over Z at (lam P, lam^2 Q)

@@ -50,7 +50,9 @@ The terms are integer enclosures at a scale 2^-w, generated once
 lower end of rho's enclosure and ceilings at the upper end, and a term's
 bounds are integer floor and ceiling divisions, so they hold by induction
 with no error term.  Their width, under 2^5 (1/(1-rho))^2 units whatever
-n, sets w (``_lambert_scale``).
+n, sets w (``_lambert_scale``).  The tail after them is certified from
+the cut-off term's formula in interval arithmetic (``_term_upper``), not
+from its enclosure at 2^-w, so it does not follow the term cap.
 """
 
 from __future__ import annotations
@@ -85,6 +87,8 @@ DEFAULT_MAX_TERMS = 10000
 # equals it, PrecisionBudget(d).working_bits != _TAIL_BITS for every d,
 # because the benchmark tracer tells summation passes from tail bounds by it
 _TAIL_BITS = 96
+# precision of the upper bound on a cut-off term that tail_bound reads (``_term_upper``)
+_CUT_OFF_BITS = _TAIL_BITS + 64
 _LN2, _LN10 = log(2), log(10)
 # the double nearest pi^2/6 = 1.64493406684822643647..., which lies below it
 _PI2_6_BELOW = 1.6449340668482264
@@ -410,39 +414,18 @@ def _scaled_bounds(value, w: int) -> tuple[int, int]:
 
 
 def _lambert_terms(form: LambertForm, w: int) -> Iterator[ScaledInterval]:
-    """The summands' enclosures at scale 2^-w from n = 0 (``_lambert_stream``)."""
-    return _lambert_stream(form, w, 0)
-
-
-def _scaled_power(r: int, n: int, w: int, up: bool = False) -> int:
-    """2^w (r 2^-w)^n, each of its 2 bits(n) products, square and multiply
-    from n's top bit, floored, or ceiled if ``up``.
-
-    To first order, with rho = r 2^-w < 1 and c >= 1/(1-rho): a unit lost
-    where the power so far is rho^m moves the result by at most
-    (n/m) rho^(n-m) <= c units, as j rho^(j-1) <= c for real j >= 1, so the
-    result lies within 2 bits(n) c units of 2^w rho^n."""
-    x = 1 << w
-    for bit in bin(n)[2:]:
-        x = -(-x * x >> w) if up else x * x >> w
-        if bit == "1":
-            x = -(-x * r >> w) if up else x * r >> w
-    return x
-
-
-def _lambert_stream(form: LambertForm, w: int, start: int) -> Iterator[ScaledInterval]:
     """Enclosures at scale 2^-w of t = K x / (1 - sigma x)^2, x = rho^n, for
-    n >= start: x starts at ``_scaled_power`` and steps with floors by the
-    lower bound on rho and ceilings by the upper one, and t grows with K, x
-    and sigma x < 1, so its lower bound takes every lower bound and floors,
-    its upper bound the rest."""
+    n >= 0: x starts at 2^w and steps with floors by the lower bound on rho
+    and ceilings by the upper one, and t grows with K, x and sigma x < 1, so
+    its lower bound takes every lower bound and floors, its upper bound the
+    rest."""
     one = 1 << w
     (k_lo, k_hi), (r_lo, r_hi) = _scaled_bounds(form.k, w), _scaled_bounds(form.rho, w)
     # s is rho in the corollary's form, which every family but theorem-main takes
     s_lo, s_hi = (r_lo, r_hi) if form.s is form.rho else _scaled_bounds(form.s, w)
     # sigma = s rho
     g_lo, g_hi = s_lo * r_lo >> w, -(-s_hi * r_hi >> w)
-    x_lo, x_hi = _scaled_power(r_lo, start, w), _scaled_power(r_hi, start, w, up=True)
+    x_lo = x_hi = one
     while True:
         # 2^w (1 - sigma x), from below and from above
         d_lo = one + (-g_hi * x_hi >> w)
@@ -471,13 +454,31 @@ def _lambert_scale(form: LambertForm, cap: Fraction, budget: PrecisionBudget, ma
     accepts, so N <= max_terms terms widen the lhs by less than
     N w 2^5 c^2 2^-w, below 2^-working_bits at this w.  The first term
     t_0 >= K gets -log2(K) more bits, to stay separated from 0.
-    sinh-theta's interval K and rho are enclosed within 1/8 unit as well,
-    also at a cut-off term's finer scale (``_sinh_theta``).
+    sinh-theta's interval K and rho are enclosed within 1/8 unit as well
+    (``_sinh_theta``).
     """
     c = -(-cap.denominator // (cap.denominator - cap.numerator))
     w = budget.working_bits + max(0, -_log2_floor(form.k)) + max_terms.bit_length() + 2 * c.bit_length() + 5
     # 2^bits(2w) > 2w >= the final scale, which bounds L'
     return w + (2 * w).bit_length()
+
+
+def _term_upper(form: LambertForm, n: int) -> Fraction:
+    """An upper bound on t_n, K x / (1 - s rho x)^2 with x = rho^n, the
+    upper end of its interval at _CUT_OFF_BITS bits, for the tail after the
+    first n terms.
+
+    K, rho and s enter through ``quad_interval``, a few ulps wide relative
+    to each, or as the intervals they are.  To first order the result lies
+    within 2^4 c (n + 4) 2^-_CUT_OFF_BITS of t_n relative to it, with
+    c = 1/(1 - s rho): in ulps, x is at most 2n + 2 wide relative to it and
+    1 - s rho x at most c (2n + 8) + 1.  That is under 2^-118 for
+    c (n + 4) < 2^38, so ``tail_bound``, which reads the bound to _TAIL_BITS
+    bits, reads t_n, whatever the terms' scale and so whatever the term cap."""
+    with interval_precision(_CUT_OFF_BITS):
+        k, rho, s = (quad_interval(v) if isinstance(v, (Fraction, QuadraticElement)) else v for v in form)
+        x = rho ** n
+        return mpf_to_fraction(mp.make_mpf((k * x / (1 - s * rho * x) ** 2)._mpi_[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +497,7 @@ def _evaluate_series_report(
     budget: PrecisionBudget,
     terms: Iterable,
     tail,
-    row_tail: Callable[[int, object], object],
+    row_tail: Callable[[int], object],
     rhs_fn: Callable[[], object],
     trace: Optional[list] = None,
 ) -> IdentityReport:
@@ -504,8 +505,8 @@ def _evaluate_series_report(
     Fractions, which the kernel checks to lie in (0, 1)) in one interval
     context at the working precision, evaluate the closed form ``rhs_fn()``
     in the same context, and report.  ``tail`` bounds the omitted terms;
-    ``row_tail(kept, first_omitted)`` bounds the terms after the first
-    ``kept``, for the rows of a trace.
+    ``row_tail(kept)`` bounds the terms after the first ``kept``, for the
+    rows of a trace.
     ``IdentityReport.build`` fails a residual whose radius misses the
     tolerance.
 
@@ -551,7 +552,7 @@ def _trace_rows(rows, final_tail, row_tail):
         running = final_tail
         if n + 1 < len(rows):
             try:
-                running = row_tail(n + 1, rows[n + 1][0])
+                running = row_tail(n + 1)
             except DomainError:
                 running = None
         if isinstance(term, ScaledInterval):
@@ -561,19 +562,19 @@ def _trace_rows(rows, final_tail, row_tail):
 
 
 def _choose_truncation(
-    term_iter: Iterable, ratio_cap, budget: PrecisionBudget, max_terms: int, cut_off_upper: Callable
+    term_iter: Iterable, ratio_cap, budget: PrecisionBudget, max_terms: int, term_upper: Callable[[int], Fraction]
 ) -> tuple[list, object]:
     """Read scaled-interval terms until the certified tail after them fits
     in half the tolerance, or ``max_terms`` are kept.  The tail after the
-    n-th term, read as ``term``, is certified from the upper bound
-    ``cut_off_upper(n, term)``.  Returns (the kept terms, the tail bound)."""
+    first n terms is certified from ``term_upper(n)``, an upper bound on
+    the n-th term.  Returns (the kept terms, the tail bound)."""
     if max_terms < 1:
         raise UsageError("max_terms must be positive")
     tol_half = budget.tolerance / 2
     threshold = _log_threshold(ratio_cap, budget.target_digits)
     kept: list = []
     # the term read while n terms are kept is the n-th
-    upper = lambda term: cut_off_upper(len(kept), term)  # noqa: E731
+    upper = lambda term: term_upper(len(kept))  # noqa: E731
     for term in term_iter:
         if len(kept) >= max_terms:
             return kept, tail_bound(upper(term), ratio_cap)
@@ -583,22 +584,6 @@ def _choose_truncation(
     raise AssertionError("term iterator exhausted unexpectedly")
 
 
-def _cut_off_bits(cap: Fraction) -> int:
-    """Bits, _TAIL_BITS + 2 bits(c) + 32 with c = ceil(1/(1-cap)), of the
-    upper end of a term enclosed again before the tail after it is
-    certified (``_lambert_report``).
-
-    ``tail_bound`` reads the term to _TAIL_BITS bits.  At the stream's scale
-    2^-w, which grows with bits(max_terms), a term below 10^-digits has
-    fewer, so the tail would change with the term cap.  At the scale where
-    its upper end has these bits, x lies within 2 bits(n) c units
-    (``_scaled_power``), and the count of ``_lambert_scale`` puts the
-    bounds at most (8 bits(n) + 27) c^2 < 2^(10 + 2 bits(c)) units apart
-    for n < 2^64: under 2^-115 of the term."""
-    c = -(-cap.denominator // (cap.denominator - cap.numerator))
-    return _TAIL_BITS + 2 * c.bit_length() + 32
-
-
 def _lambert_report(identity_id, parameters, form, cap, budget, max_terms, trace, exact, closed_form) -> IdentityReport:
     """The one verifier of a geometric series: a Lambert form whose term
     ratio is at most ``cap``, checked against ``exact``, an exact generator
@@ -606,8 +591,8 @@ def _lambert_report(identity_id, parameters, form, cap, budget, max_terms, trace
     for transcendental terms; summed against the closed form, the sum of
     sign L(x) over the pairs (sign, x) of ``closed_form``, each x a Fraction,
     a Q(sqrt(D)) value or an mpmath interval.  Each term is generated once,
-    at ``_lambert_scale``'s scale, and the term whose tail is certified once
-    more, finer (``_cut_off_bits``)."""
+    at ``_lambert_scale``'s scale, and the tail after the first n is
+    certified from the n-th term's own formula (``_term_upper``)."""
     if exact is not None:
         _check_form(form, *exact)
 
@@ -623,14 +608,8 @@ def _lambert_report(identity_id, parameters, form, cap, budget, max_terms, trace
         return sum(sign * _rogers_interval(argument(x)) for sign, x in closed_form)
 
     terms = _lambert_terms(form, _lambert_scale(form, cap, budget, max_terms))
-    bits = _cut_off_bits(cap)
-
-    def cut_off_upper(n, term):
-        # the n-th term again, at the scale where its upper end has ``bits`` bits
-        return next(_lambert_stream(form, term.scale + bits - term.hi.bit_length(), n)).upper()
-
-    kept, tail = _choose_truncation(terms, cap, budget, max_terms, cut_off_upper)
-    row_tail = lambda n, first_omitted: tail_bound(cut_off_upper(n, first_omitted), cap)  # noqa: E731
+    kept, tail = _choose_truncation(terms, cap, budget, max_terms, lambda n: _term_upper(form, n))
+    row_tail = lambda n: tail_bound(_term_upper(form, n), cap)  # noqa: E731
     return _evaluate_series_report(identity_id, parameters, budget, kept, tail, row_tail, rhs_fn, trace)
 
 
@@ -936,7 +915,7 @@ def _richmond_szekeres(budget: PrecisionBudget, max_terms: int, trace: Optional[
     def rhs_fn():
         return _pi_squared_over(6)
 
-    def row_tail(kept, first_omitted):
+    def row_tail(kept):
         return _richmond_tail(kept + 1)  # the first ``kept`` terms end at n = kept + 1
 
     # a generator, so that tens of thousands of terms are never held
@@ -959,13 +938,12 @@ def _sinh_theta(
             return _lucas_form(decay * decay)  # rho = 1/alpha^2
 
     # the cap and the size of K at the tails' precision, as for a Lucas
-    # series; then K and rho, below 1 and a few ulps wide at v + 8 bits,
-    # within 1/8 unit of the finest scale 2^-v a term is read at, a cut-off
-    # term's, at most _cut_off_bits finer than the terms' scale 2^-w, w as
-    # the coarse K gives it
+    # series; then K and rho, below 1 and a few ulps wide at w + 8 bits,
+    # within 1/8 unit of the terms' scale 2^-w, w as the coarse K gives it,
+    # and _CUT_OFF_BITS more, so that ``_term_upper`` reads them as exact
     coarse = form_at(_TAIL_BITS)
     cap = _certified_cap(coarse.rho)
-    form = form_at(_lambert_scale(coarse, cap, budget, max_terms) + _cut_off_bits(cap) + 8)
+    form = form_at(_lambert_scale(coarse, cap, budget, max_terms) + _CUT_OFF_BITS + 8)
     parameters = {"theta": _rational_str(theta)}
     return _lambert_report("sinh-theta", parameters, form, cap, budget, max_terms, trace, None, ((1, form.rho),))
 

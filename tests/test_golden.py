@@ -2,7 +2,7 @@
 
 The files under tests/golden/ were produced by an earlier implementation:
 the JSON report of every registry instance at 40, 100 and 300 digits with
-a cap of 2000 terms, and the --trace CSVs of two identities at 30 digits.  Any
+a cap of 2000 terms, and the --trace CSVs of three identities at 30 digits.  Any
 change to them is a change of the report format or of a certified value.
 """
 
@@ -38,6 +38,7 @@ def test_registry_report_matches_golden(entry, digits):
     [
         ("corollary-t-1-3", ["--identity", "corollary", "--t", "1/3"]),
         ("fib-lucas-neg", ["--identity", "fib-lucas-neg"]),
+        ("sinh-theta-1-10", ["--identity", "sinh-theta", "--theta", "1/10"]),
     ],
 )
 def test_trace_csv_matches_golden(tmp_path, stem, args):

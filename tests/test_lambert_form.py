@@ -14,7 +14,7 @@ from itertools import chain, islice
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from mpmath import iv
+from mpmath import iv, mp
 
 from dilogid import series
 from dilogid.enclosure import (
@@ -163,46 +163,54 @@ def test_enclosures_contain_exact_terms_at_coarse_scales(k, rho, s, w):
         assert pair.lo <= form.term(n) * (1 << w) <= pair.hi, n
 
 
+def _assert_tight(bound, term):
+    # t_n <= bound <= t_n (1 + 2^-118): tail_bound, which reads the bound to
+    # 96 bits, reads the term itself unless it lies that close below a
+    # 96-bit number
+    assert term <= bound <= term * (1 + Fraction(1, 1 << 118))
+
+
 @settings(max_examples=200, deadline=None)
-@given(UNIT, UNIT, UNIT, st.integers(4, 48), st.integers(0, 3000))
-def test_started_streams_contain_exact_terms_at_coarse_scales(k, rho, s, w, start):
-    # rho^start by square and multiply, each product floored or ceiled
+@given(UNIT, UNIT, UNIT, st.integers(0, 3000))
+def test_cut_off_bound_is_tight_above_the_exact_term(k, rho, s, n):
     form = LambertForm(k, rho, s)
-    try:
-        terms = list(islice(series._lambert_stream(form, w, start), 3))
-    except PrecisionError:
-        assume(False)
-    for n, pair in enumerate(terms, start):
-        assert pair.lo <= form.term(n) * (1 << w) <= pair.hi, n
+    _assert_tight(series._term_upper(form, n), form.term(n))
 
 
 def _two_parameter_row(a, b, n):
-    form = _two_param_form(TwoParamInstance(a, b))
-    return form, _certified_cap(form.rho), n
+    return _two_param_form(TwoParamInstance(a, b)), n
 
 
 def _lucas_row(params, k, n):
-    return _lucas_form(_lucas_rhs_arg(params, k)), _ratio_cap_sup(params, k), n
+    return _lucas_form(_lucas_rhs_arg(params, k)), n
 
 
 CUT_OFF = {
     "theorem-main(1/50,3/47)": _two_parameter_row(Fraction(1, 50), Fraction(3, 47), 2000),
-    "corollary(1/2)": (_lucas_form(Fraction(1, 3)), Fraction(1, 3), 40),
+    "corollary(1/2)": (_lucas_form(Fraction(1, 3)), 40),
     "fib-even": _lucas_row(LucasParams(3, 1), 1, 40),
     "sqrt5-k-even": _lucas_row(LucasParams(QuadraticElement.sqrt_of(5), 1), 2, 40),
 }
 
 
-@pytest.mark.parametrize("form, cap, n", CUT_OFF.values(), ids=CUT_OFF.keys())
-def test_cut_off_term_keeps_the_tail_bits(form, cap, n):
-    # enclosed again where its upper end has _cut_off_bits bits, a term's
-    # bounds agree to 2^-115 of it, whatever the stream's scale
-    bits = series._cut_off_bits(cap)
-    for w in (200, 211, 260):
-        term = next(series._lambert_stream(form, w, n))
-        fine = next(series._lambert_stream(form, term.scale + bits - term.hi.bit_length(), n))
-        assert fine.hi.bit_length() >= bits - 1
-        assert (fine.hi - fine.lo) << 115 <= fine.lo
+@pytest.mark.parametrize("form, n", CUT_OFF.values(), ids=CUT_OFF.keys())
+def test_cut_off_bound_of_a_registry_form_is_tight(form, n):
+    # against the exact rational or Q(sqrt(D)) term
+    _assert_tight(series._term_upper(form, n), form.term(n))
+
+
+@pytest.mark.parametrize("n", [0, 1, 40, 361, 3000])
+def test_cut_off_bound_of_sinh_theta_contains_the_term(n):
+    # sinh^2(theta) / sinh^2((n+2) theta) at theta = 1/10, by mpmath at 100
+    # digits, against the form's intervals at 400 bits
+    with interval_precision(400):
+        decay = 1 / iv.exp(iv_from_fraction(Fraction(1, 10)))
+        form = _lucas_form(decay * decay)
+    with mp.workdps(100):
+        theta = mp.mpf(1) / 10
+        term = series.mpf_to_fraction(mp.sinh(theta) ** 2 / mp.sinh((n + 2) * theta) ** 2)
+    error = Fraction(1, 10 ** 95)
+    assert term * (1 - error) <= series._term_upper(form, n) <= term * (1 + error) * (1 + Fraction(1, 1 << 118))
 
 
 def test_unseparated_denominator_is_refused():

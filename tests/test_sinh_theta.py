@@ -2,8 +2,9 @@
 sum_{n>=2} L(sinh^2(theta)/sinh^2(n theta)) = L(e^(-2 theta)).
 
 Its terms are integer enclosures of the Lambert form with K and
-rho = e^(-2 theta) enclosed once, at the finest scale a term is read at,
-so a small theta needs neither more working bits nor a second pass.
+rho = e^(-2 theta) enclosed once, finer than the terms' scale by the bits
+of the cut-off term's bound, so a small theta needs neither more working
+bits nor a second pass.
 """
 
 import json
@@ -43,17 +44,19 @@ def test_theta_one_fifteenth_at_100_digits_runs_once(monkeypatch):
             yield ctx
 
     def recording_terms(form, w):
-        # the finest scale: a cut-off term's, at most _cut_off_bits finer
-        scales.append(w + series._cut_off_bits(series._certified_cap(form.rho)))
+        scales.append(w)
         return terms(form, w)
 
     monkeypatch.setattr(series, "interval_precision", recording)
     monkeypatch.setattr(series, "_lambert_terms", recording_terms)
     report = catalog_verify("sinh-theta", budget, theta="1/15")
     assert report.verdict == "pass"
-    # K and rho at v + 8 bits for the finest scale 2^-v, then the sum;
-    # every other context is a 96-bit ratio cap or tail bound
-    assert [bits for bits in opened if bits != series._TAIL_BITS] == [scales[0] + 8, budget.working_bits]
+    # K and rho at w + _CUT_OFF_BITS + 8 bits for the terms' scale 2^-w,
+    # then the sum; every other context is a 96-bit ratio cap or tail bound
+    # or a cut-off term's bound
+    skipped = (series._TAIL_BITS, series._CUT_OFF_BITS)
+    assert [bits for bits in opened if bits not in skipped] == [scales[0] + series._CUT_OFF_BITS + 8,
+                                                                budget.working_bits]
 
 
 def test_perturbed_term_fails(monkeypatch):
