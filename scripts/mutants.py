@@ -110,19 +110,20 @@ MUTANTS = [
     ),
     Mutant(
         "accumulated upper bound rounded down", ROGERS,
-        "from_man_exp(x.hi, -x.scale, prec, round_ceiling)", "from_man_exp(x.hi, -x.scale, prec, round_floor)",
-        (DRIVER,),
+        "hi.bit_length(), prec, round_ceiling)", "hi.bit_length(), prec, round_floor)", (DRIVER,),
     ),
     Mutant(
         "final outward rounding reversed", ROGERS,
-        "return from_man_exp(x.lo, -x.scale, prec, round_floor), from_man_exp(x.hi, -x.scale, prec, round_ceiling)",
-        "return from_man_exp(x.lo, -x.scale, prec, round_ceiling), from_man_exp(x.hi, -x.scale, prec, round_floor)",
+        "lo.bit_length(), prec, round_floor),\n"
+        "                normalize(int(hi < 0), MPZ(abs(hi)), -scale, hi.bit_length(), prec, round_ceiling)",
+        "lo.bit_length(), prec, round_ceiling),\n"
+        "                normalize(int(hi < 0), MPZ(abs(hi)), -scale, hi.bit_length(), prec, round_floor)",
         (DRIVER,),
     ),
     # the interval kernel's proofs, first checked by hand with 9f0958b
     Mutant(
         "interval streams without their error count", ROGERS,
-        "err = _error_count(n_terms, c, x_last)", "err = 0", (INTERVAL_SUMS,),
+        "err = _error_count(n_terms, c, x)", "err = 0", (INTERVAL_SUMS,),
     ),
     # one stream per interval argument: the upper bounds rise from the
     # lower end's sums by y_hi - y_lo times each series' slope at y_hi
@@ -185,23 +186,21 @@ MUTANTS = [
         "1 - x one unit off", ROGERS,
         "one = 1 << x.scale", "one = (1 << x.scale) - 1", (PAIRS,),
     ),
-    # the float test that refuses terms before the certified tail bound
+    # the integer cut-off that refuses terms before the certified tail bound
     Mutant(
-        "1 - r with the wrong sign in the truncation threshold", SERIES,
-        "- _LN2 + log(float(1 - cap))", "- _LN2 - log(float(1 - cap))", (TAIL_CALLS,),
+        "pi^2/6 doubled in the cut-off's lower bound", SERIES,
+        "lb = t * (_pi_squared_over(6) + iv.log(1 / t)) / gap_iv",
+        "lb = t * (_pi_squared_over(3) + iv.log(1 / t)) / gap_iv", (TAIL_BOUNDARY,),
     ),
     Mutant(
-        "float error margin with the wrong sign", SERIES,
-        "log(_PI2_6_BELOW - x) - margin > threshold", "log(_PI2_6_BELOW - x) + margin > threshold",
-        (TAIL_BOUNDARY,),
+        "cut-off not certified", SERIES,
+        "if mpf_to_fraction(mp.make_mpf(lb._mpi_[0])) > tolerance_half:", "if True:", (TAIL_BOUNDARY,),
     ),
+    # a factor 2 low, the estimate is not certified within 64 rises, and
+    # the cut-off falls back to 2^w, which refuses nothing
     Mutant(
-        "term rounded up in the float test", SERIES,
-        "x = log(lo >> k)", "x = log((lo >> k) + 1)", (TAIL_BOUNDARY,),
-    ),
-    Mutant(
-        "pi^2/6 rounded up in the float test", SERIES,
-        "_PI2_6_BELOW = 1.6449340668482264", "_PI2_6_BELOW = 1.645", (TAIL_BOUNDARY,),
+        "cut-off estimate a factor 2 low", SERIES,
+        "e = x / log(2) + scale", "e = x / log(2) + scale - 1", (TAIL_CALLS,),
     ),
     # the five-index check of a Lambert form, which replaced the corollary's
     # exact per-term check
@@ -290,14 +289,14 @@ MUTANTS = [
 EQUIVALENT = [
     Equivalent(
         "c = 1 in the exact stream", ROGERS,
-        "_error_count(n_terms, 2, x_last)", "_error_count(n_terms, 1, x_last)",
+        "_error_count(n_terms, 2, x)", "_error_count(n_terms, 1, x)",
         "it drops at most 2 + 2 bits(N) units from a count whose N units for the floors exceed their "
         "actual loss, about N/2, by far more: no longer proved, but no input comes near the difference",
     ),
     Equivalent(
         "interval log endpoints swapped", ROGERS,
-        "return _shift(man_hi * s1_lo, exp_hi), _shift(man_lo * s1_hi, exp_lo, up=True)",
-        "return _shift(man_lo * s1_lo, exp_lo), _shift(man_hi * s1_hi, exp_hi, up=True)",
+        "(_, man_lo, exp_lo, _), (_, man_hi, exp_hi, _) = mpi_log(y, prec)",
+        "(_, man_hi, exp_hi, _), (_, man_lo, exp_lo, _) = mpi_log(y, prec)",
         "each bound then takes every factor at one end of y's enclosure, which bounds L(y) and "
         "Li2(y) + log(y) log(1-y) = pi^2/6 - Li2(1-y) there, and both increase with y; only the "
         "byte goldens under tests/golden/enclosures/ see the changed last bits",

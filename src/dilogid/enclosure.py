@@ -22,6 +22,8 @@ from mpmath import iv, mp
 from mpmath.libmp import MPZ, from_man_exp, fzero, mpf_neg, normalize, round_ceiling, round_floor
 
 LOG2_10 = math.log2(10)
+# binary exponents beyond +-2^20 have no exact rational here (mpf_to_fraction)
+_MAX_EXPONENT = 1 << 20
 
 
 class DomainError(ValueError):
@@ -97,7 +99,7 @@ def mpf_to_fraction(x) -> Fraction:
     sign, man, exp, _ = x._mpf_
     if man == 0 and exp != 0:
         raise ValueError("non-finite mpf has no rational value")
-    if abs(exp) > 1 << 20:
+    if abs(exp) > _MAX_EXPONENT:
         raise PrecisionError("value too far from 1 for an exact rational (binary exponent beyond +-2^20)")
     # int() strips the gmpy2.mpz type mpmath uses under its gmpy backend
     v = Fraction(int(man)) * Fraction(2) ** int(exp)
@@ -152,7 +154,7 @@ class ErrorBoundedValue:
         >= 0; a binary exponent beyond +-2^20 raises PrecisionError, as in
         ``mpf_to_fraction``."""
         (s_lo, m_lo, e_lo, _), (s_hi, m_hi, e_hi, _) = self.lower._mpf_, self.upper._mpf_
-        if max(abs(e_lo), abs(e_hi)) > 1 << 20:
+        if max(abs(e_lo), abs(e_hi)) > _MAX_EXPONENT:
             raise PrecisionError("value too far from 1 for an exact rational (binary exponent beyond +-2^20)")
         scale = max(0, -e_lo, -e_hi)
         lo, hi = int(m_lo) << (scale + e_lo), int(m_hi) << (scale + e_hi)
@@ -276,6 +278,15 @@ class PrecisionBudget:
     requested ones.  It is 33, not 32, because ceil(d log2 10) skips 63
     and takes 64 at d = 19: no working precision is then the 96 bits at
     which tail bounds and ratio caps are computed (``series._TAIL_BITS``).
+
+    The target is at most MAX_DIGITS, the most digits whose working
+    precision p is at most 2^20 bits.  A report reads its residual,
+    enclosed at p bits, as exact rationals (``mpf_to_fraction``), and the
+    endpoints of a p-bit enclosure of a value near 0 or 1 have binary
+    exponents near -p or below.  Past p = 2^20 they lie beyond the +-2^20
+    that ``mpf_to_fraction`` and ``ErrorBoundedValue.scaled`` accept, so no
+    run could produce a report: a larger target raises ValueError at once,
+    not after a run that cannot end in one.
     """
 
     target_digits: int
@@ -283,6 +294,8 @@ class PrecisionBudget:
     def __post_init__(self):
         if self.target_digits < 1:
             raise ValueError("target_digits must be positive")
+        if self.target_digits > MAX_DIGITS:
+            raise ValueError(f"target_digits must be at most {MAX_DIGITS}, or the working precision exceeds 2^20 bits")
 
     @classmethod
     def for_digits(cls, digits: int) -> "PrecisionBudget":
@@ -298,4 +311,6 @@ class PrecisionBudget:
         return Fraction(1, 10 ** self.target_digits)
 
 
+# the most d with ceil(d log2 10) + 33 <= 2^20 (see PrecisionBudget)
+MAX_DIGITS = int((_MAX_EXPONENT - 33) / LOG2_10)
 DEFAULT_BUDGET = PrecisionBudget.for_digits(40)

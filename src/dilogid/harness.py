@@ -172,6 +172,10 @@ class RunConfig:
 def _check_digits(digits: int) -> None:
     if digits < MIN_DIGITS:
         raise UsageError(f"digits must be at least {MIN_DIGITS}")
+    try:
+        PrecisionBudget.for_digits(digits)
+    except ValueError as exc:  # beyond the most digits any run can report
+        raise UsageError(f"digits: {exc}") from exc
 
 
 def default_digits() -> int:

@@ -34,6 +34,11 @@ log(x) log(1-x) = |log y| S1.
     y_hi, which bounds it on the interval, rounded up; one interval log
     encloses |log y|.
 
+The kernel tells the kinds apart by isinstance(x, ScaledInterval), and its
+helpers tell an exact y from a raw interval pair by isinstance(y, tuple):
+both checks run in C, where a miss of isinstance(x, Fraction), whose class
+is an ABC, would run ABCMeta.__instancecheck__ on every interval term.
+
 With w = working precision + 20 guard bits, s = w above 1/2, where the
 result lies near pi^2/6, and s = w + z below, where y < 2^-z: a small
 argument keeps w bits relative to its size, so li2(10^-200) is still
@@ -48,7 +53,7 @@ from functools import lru_cache
 from typing import Union
 
 from mpmath import iv
-from mpmath.libmp import from_man_exp, mpf_log, mpf_pi, round_ceiling, round_floor
+from mpmath.libmp import MPZ, from_man_exp, mpf_log, mpf_pi, normalize, round_ceiling, round_floor
 from mpmath.libmp.libmpi import mpi_log
 
 from .enclosure import (
@@ -98,9 +103,13 @@ def _raw_from_fraction(value: Fraction, prec: int):
 
 
 def _raw(x, prec: int):
-    if isinstance(x, Fraction):
-        return _raw_from_fraction(x, prec)
-    return from_man_exp(x.lo, -x.scale, prec, round_floor), from_man_exp(x.hi, -x.scale, prec, round_ceiling)
+    if isinstance(x, ScaledInterval):
+        # from_man_exp(lo, -scale, prec, round_floor) and its hi twin,
+        # normalized without its generic argument handling
+        lo, hi, scale = x
+        return (normalize(int(lo < 0), MPZ(abs(lo)), -scale, lo.bit_length(), prec, round_floor),
+                normalize(int(hi < 0), MPZ(abs(hi)), -scale, hi.bit_length(), prec, round_ceiling))
+    return _raw_from_fraction(x, prec)
 
 
 def _shift(n: int, e: int, up: bool = False) -> int:
@@ -118,33 +127,6 @@ def _series_terms_needed(decay: float, bits: int) -> int:
     # cap keeps pathological near-1 enclosures from stalling; the tail
     # bound still covers whatever the truncation omits
     return min(int(bits / max(decay, 1e-9)) + 1, 200 * bits + 1000)
-
-
-def _power_sums(y_raw, w: int, n_terms: int) -> tuple:
-    """(S2, S1, X_N) for y = m 2^-k: X_0 = 2^w, X_n = floor(X_(n-1) y),
-    S2 = sum floor(X_n/n^2) and S1 = sum floor(X_n/n) over n <= N."""
-    _, man, exp, _ = y_raw
-    k = -exp
-    x = 1 << w
-    s2 = s1 = 0
-    for n in range(1, n_terms + 1):
-        x = (x * man) >> k
-        q = x // n
-        s1 += q
-        s2 += q // n  # floor(floor(X/n)/n) = floor(X/n^2)
-    return s2, s1, x
-
-
-def _exact_power_sums(p: int, q: int, w: int, n_terms: int) -> tuple:
-    """``_power_sums`` for an exact y = p/q: X_n = floor(X_(n-1) p / q)."""
-    x = 1 << w
-    s2 = s1 = 0
-    for n in range(1, n_terms + 1):
-        x = x * p // q
-        t = x // n
-        s1 += t
-        s2 += t // n
-    return s2, s1, x
 
 
 def _error_count(n_terms: int, c: int, x_last: int) -> int:
@@ -169,34 +151,48 @@ def _li2_series_raw(y, w: int) -> tuple:
     """Integer bounds (S2_lo, S2_hi, S1_lo, S1_hi) at scale 2^-w with
     S2_lo <= 2^w Li2(y) <= S2_hi and S1_lo <= -2^w log(1-y) <= S1_hi for
     an exact y = p/q <= 1/2, a Fraction, or for every y in the dyadic
-    interval y_raw inside (0, 1).
+    interval y_raw inside (0, 1), a pair of raw mpf values.
 
-    The sums of the powers of y, or of y's lower end, are lower bounds:
-    there X_n <= 2^w y^n, floors only lower the sums, and Li2 and
-    -log(1-y) increase with y.  The upper bounds add ``_error_count`` to
-    the same sums.  The floor of X p/q loses less than one unit, just as
-    that of X m / 2^k does, so the count holds for both; y <= 1/2 gives
-    c = 2, and an interval c = ceil(1/(1-y_hi)) >= 1/(1-y_lo), which is
-    2 too unless y_hi lies a rounding above 1/2.  An interval's upper
-    bounds also add the rise from y_lo to y_hi, rounded up: the slope
-    (-log(1-y))' = 1/(1-y) is at most 1/(1-y_hi), so S1_hi adds
+    One power stream X_0 = 2^w, X_n = floor(X_(n-1) y) of y, or of y's lower
+    end, gives the sums S2 = sum floor(X_n/n^2) and S1 = sum floor(X_n/n)
+    over n <= N.  They are lower bounds: X_n <= 2^w y^n, floors only lower
+    the sums, and Li2 and -log(1-y) increase with y.  The upper bounds add
+    ``_error_count`` to the same sums.  The floor of X p/q loses less than
+    one unit, just as that of X m / 2^k does, so the count holds for both;
+    y <= 1/2 gives c = 2, and an interval c = ceil(1/(1-y_hi)) >=
+    1/(1-y_lo), which is 2 too unless y_hi lies a rounding above 1/2.  An
+    interval's upper bounds also add the rise from y_lo to y_hi, rounded
+    up: the slope (-log(1-y))' = 1/(1-y) is at most 1/(1-y_hi), so S1_hi adds
     2^w (y_hi - y_lo) / (1 - y_hi); the slope Li2'(y) = -log(1-y)/y =
     1 + y/2 + y^2/3 + ... increases with y, to -log(1-y_hi)/y_hi <=
     2^-w S1_hi / y_hi, so S2_hi adds (y_hi - y_lo) S1_hi / y_hi."""
-    if isinstance(y, Fraction):
+    x = 1 << w
+    s2 = s1 = 0
+    if not isinstance(y, tuple):
+        # X_n = floor(X_(n-1) p / q)
         p, q = y.numerator, y.denominator
         n_terms = _series_terms_needed(math.log2(q) - math.log2(p), w)
-        s2, s1, x_last = _exact_power_sums(p, q, w, n_terms)
-        err = _error_count(n_terms, 2, x_last)
+        for n in range(1, n_terms + 1):
+            x = x * p // q
+            t = x // n
+            s1 += t
+            s2 += t // n  # floor(floor(X/n)/n) = floor(X/n^2)
+        err = _error_count(n_terms, 2, x)
         return s2, s2 + err, s1, s1 + err
     (_, man_lo, exp_lo, _), (_, man_hi, exp_hi, _) = y
     n_terms = _series_terms_needed(-(math.log2(man_hi) + exp_hi), w)
-    s2, s1, x_last = _power_sums(y[0], w, n_terms)
+    # X_n = floor(X_(n-1) m / 2^k) at the lower end y_lo = m 2^-k
+    k = -exp_lo
+    for n in range(1, n_terms + 1):
+        x = (x * man_lo) >> k
+        t = x // n
+        s1 += t
+        s2 += t // n
     # y_lo = bottom 2^-k and y_hi = top 2^-k, integers at one scale
     k = -min(exp_lo, exp_hi)
     one, top, bottom = 1 << k, man_hi << (k + exp_hi), man_lo << (k + exp_lo)
     c = -(-one // (one - top))
-    err = _error_count(n_terms, c, x_last)
+    err = _error_count(n_terms, c, x)
     s1_hi = s1 + err + -(-((top - bottom) << w) // (one - top))
     return s2, s2 + err + -(-(top - bottom) * s1_hi // top), s1, s1_hi
 
@@ -206,7 +202,7 @@ def _log_product_raw(y, s1_lo: int, s1_hi: int, prec: int) -> tuple:
     at the scale of the bounds s1_lo <= S1 <= s1_hi on S1 = -log(1-y),
     from one log at ``prec`` bits; y is an exact p/q <= 1/2 or a dyadic
     interval inside (0, 1)."""
-    if isinstance(y, Fraction):
+    if not isinstance(y, tuple):
         # |log y| = log Y with Y = q/p >= 2.  For y = 1/q, Y_lo = Y = q; else
         # Y_lo = floor(2^prec Y) 2^-prec lies within 2^-prec below Y, so
         # log Y - log Y_lo <= (Y - Y_lo)/Y_lo < 2^-prec / 2.  One log rounded
@@ -217,12 +213,14 @@ def _log_product_raw(y, s1_lo: int, s1_hi: int, prec: int) -> tuple:
         p, q = y.numerator, y.denominator
         k = 0 if p == 1 else prec
         _, man, exp, _ = mpf_log(from_man_exp((q << k) // p, -k), prec, round_floor)
-        return _shift(man * s1_lo, exp), _shift((man + 1 + (p > 1)) * s1_hi, exp, up=True)
-    log_lo, log_hi = mpi_log(y, prec)
+        lo, hi = man * s1_lo, (man + 1 + (p > 1)) * s1_hi
+        # times 2^exp, the lower bound floored and the upper one ceiled
+        return (lo << exp, hi << exp) if exp >= 0 else (lo >> -exp, -(-hi >> -exp))
     # both logs are negative, so |log y| lies in [-log_hi, -log_lo]
-    _, man_hi, exp_hi, _ = log_hi
-    _, man_lo, exp_lo, _ = log_lo
-    return _shift(man_hi * s1_lo, exp_hi), _shift(man_lo * s1_hi, exp_lo, up=True)
+    (_, man_lo, exp_lo, _), (_, man_hi, exp_hi, _) = mpi_log(y, prec)
+    lo, hi = man_hi * s1_lo, man_lo * s1_hi
+    return (lo << exp_hi if exp_hi >= 0 else lo >> -exp_hi,
+            hi << exp_lo if exp_lo >= 0 else -(-hi >> -exp_lo))
 
 
 @lru_cache(maxsize=None)
@@ -237,16 +235,16 @@ def _pi_squared_over(divisor: int):
 
 
 def _branch_is_low(x) -> bool:
-    if isinstance(x, Fraction):
-        return 2 * x.numerator <= x.denominator
-    return x.lo + x.hi <= 1 << x.scale
+    if isinstance(x, ScaledInterval):
+        return x.lo + x.hi <= 1 << x.scale
+    return 2 * x.numerator <= x.denominator
 
 
 def _one_minus(x):
-    if isinstance(x, Fraction):
-        return 1 - x
-    one = 1 << x.scale
-    return ScaledInterval(one - x.hi, one - x.lo, x.scale)
+    if isinstance(x, ScaledInterval):
+        one = 1 << x.scale
+        return ScaledInterval(one - x.hi, one - x.lo, x.scale)
+    return 1 - x
 
 
 def _rogers_eval(x, rogers: bool = True) -> ScaledInterval:
@@ -262,21 +260,21 @@ def _rogers_eval(x, rogers: bool = True) -> ScaledInterval:
     """
     w = iv.prec + _GUARD_BITS
     low = _branch_is_low(x)
-    if isinstance(x, Fraction):
+    if isinstance(x, ScaledInterval):
+        y = _raw(x if low else _one_minus(x), w)
+        (sign_lo, man_lo, _, _), (_, _, exp_hi, bc_hi) = y
+        size = exp_hi + bc_hi
+        # y < 2^size, so the enclosure of y lies inside (0, 1) unless its
+        # lower end is at most 0 or that power exceeds 1
+        if sign_lo or not man_lo or size > 0:
+            raise DomainError("argument enclosure not separated inside (0, 1)")
+    else:
         p, q = x.numerator, x.denominator
         if not 0 < p < q:
             raise DomainError(f"argument {x} outside the open interval (0, 1)")
         y = x if low else 1 - x
         # y = p/q or (q-p)/q < 2^size, as p < 2^bits(p) and q >= 2^(bits(q)-1)
         size = (p if low else q - p).bit_length() - q.bit_length() + 1
-    else:
-        y = _raw(x if low else _one_minus(x), w)
-        (sign_lo, man_lo, _, _), (_, man_hi, exp_hi, bc_hi) = y
-        size = exp_hi + bc_hi
-        # y < 2^size, so the enclosure of y lies inside (0, 1) unless its
-        # lower end is at most 0 or that power exceeds 1
-        if sign_lo or not man_lo or size > 0:
-            raise DomainError("argument enclosure not separated inside (0, 1)")
     # below 1/2 the scale follows the size of y, so that small arguments
     # keep w bits relative to their value; above, pi^2/6 sets the size
     scale = w - size if low else w
@@ -296,7 +294,7 @@ def _rogers_interval(x, rogers: bool = True):
     """Interval L, or Li2 when not ``rogers``, at the current precision at a
     validated argument in [0, 1]: the boundary points 0 and 1 take their
     closed values."""
-    if isinstance(x, Fraction):
+    if not isinstance(x, ScaledInterval):
         if x == 0:
             return iv.mpf(0)
         if x == 1:

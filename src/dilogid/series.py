@@ -37,13 +37,13 @@ geometric sequence t_N rho^j, as for s >= 0
 
 the ratio cap is rho or a certified upper bound on it (``_certified_cap``).
 The truncation point is the first term whose certified 96-bit tail bound
-(``tail_bound``) fits in half the tolerance, but a float test on each
-term's integer bounds decides almost every term without it: it compares
-ln t + ln(pi^2/6 - ln t), the log of the bound's first part less ln(1 - rho),
-with ln(tol/2) + ln(1 - rho), computed once per series, and refuses only
-beyond a margin that covers its float error (``_tail_small_enough``).  The
-certified bound then runs on the last term or two, and the one it accepts
-is the final tail.
+(``tail_bound``) fits in half the tolerance, but one integer comparison
+refuses almost every term without it: once per series, ``_integer_cut_off``
+certifies an integer M at the terms' scale 2^-w beyond which the bound's
+first part, t (pi^2/6 + ln 1/t) / (1 - rho), exceeds half the tolerance,
+and a term whose integer lower end exceeds M is refused.  The certified
+bound then runs on the last term or two (``_tail_small_enough``), and the
+one it accepts is the final tail.
 
 The terms are integer enclosures at a scale 2^-w, generated once
 (``_lambert_terms``): rho^n steps as a scaled integer with floors at the
@@ -62,7 +62,7 @@ from dataclasses import dataclass, field, replace
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from itertools import chain, count, islice
-from math import isqrt, log
+from math import isqrt, log, pi
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from mpmath import iv, mp
@@ -89,9 +89,6 @@ DEFAULT_MAX_TERMS = 10000
 _TAIL_BITS = 96
 # precision of the upper bound on a cut-off term that tail_bound reads (``_term_upper``)
 _CUT_OFF_BITS = _TAIL_BITS + 64
-_LN2, _LN10 = log(2), log(10)
-# the double nearest pi^2/6 = 1.64493406684822643647..., which lies below it
-_PI2_6_BELOW = 1.6449340668482264
 
 
 class UsageError(ValueError):
@@ -273,60 +270,56 @@ def _certified_cap(cap) -> Fraction:
     return sup
 
 
-def _log_threshold(cap: Fraction, digits: int) -> float:
-    """ln(tol/2) + ln(1 - cap) for the tolerance tol = 10^-digits, in
-    floats: the level ``_tail_small_enough`` tests a term's log bound against."""
-    return -digits * _LN10 - _LN2 + log(float(1 - cap))
+def _integer_cut_off(scale: int, cap: Fraction, tolerance_half: Fraction) -> int:
+    """An integer M such that the lower end of a _TAIL_BITS-bit interval
+    evaluation of LB(M 2^-scale) exceeds tolerance_half, where
+    LB(t) = t (pi^2/6 + ln 1/t) / (1 - cap); 2^scale if none is certified.
+
+    Why a term whose integer lower end lo exceeds M is refused by
+    ``tail_bound`` too.  Any upper bound t on its value exceeds M 2^-scale.
+    tail_bound refuses t > 1/2, and on (0, 1/2] returns at least the exact
+    t ((pi^2/6 + ln 1/t) / (1-cap) + cap ln(1/cap) / (1-cap)^2) >= LB(t);
+    LB increases on (0, 1], as its derivative is (pi^2/6 - 1 + ln 1/t) /
+    (1-cap) > 0, so LB(t) >= LB(M 2^-scale) > tolerance_half.
+
+    M starts at a float estimate of where LB crosses tolerance_half, taken
+    in log space, as at 300 digits or more that crossing lies near or below
+    the smallest double, and rises by a factor 1 + 2^-10 until certified."""
+    one = 1 << scale
+    # x = ln t at the crossing solves x = target - ln(pi^2/6 - x), target =
+    # ln(tolerance_half (1 - cap)) <= ln(1/20), so x <= target and each step
+    # shrinks the error by 1/(pi^2/6 - x) < 1/4: 40 steps reach the float root
+    gap = 1 - cap
+    target = (log(tolerance_half.numerator) - log(tolerance_half.denominator)
+              + log(gap.numerator) - log(gap.denominator))
+    x = target
+    for _ in range(40):
+        x = target - log(pi * pi / 6 - x)
+    # the crossing, 2^e units of 2^-scale, floored as m 2^k with m < 2^53
+    e = x / log(2) + scale
+    k = max(0, int(e) - 52)
+    m = max(1, int(2.0 ** (e - k)) << k)
+    with interval_precision(_TAIL_BITS):
+        gap_iv = 1 - iv_from_fraction(cap)
+        # 64 rises span a factor 1.06, far beyond the estimate's float error
+        for _ in range(64):
+            if m >= one:
+                break
+            t = iv.make_mpf(_raw(ScaledInterval(m, m, scale), _TAIL_BITS))
+            lb = t * (_pi_squared_over(6) + iv.log(1 / t)) / gap_iv
+            if mpf_to_fraction(mp.make_mpf(lb._mpi_[0])) > tolerance_half:
+                return m
+            m += (m >> 10) + 1
+    return one
 
 
-def _tail_small_enough(
-    term: ScaledInterval, cap: Fraction, tolerance_half: Fraction, threshold: float, upper=ScaledInterval.upper
-):
+def _tail_small_enough(term: ScaledInterval, cap: Fraction, tolerance_half: Fraction, upper=ScaledInterval.upper):
     """The certified tail_bound(t, cap) for t = upper(term), any upper bound
-    on the term's value, when it is at most tolerance_half, else None, given
-    threshold = ``_log_threshold(cap, digits)`` and tolerance_half =
-    10^-digits / 2.
-    A float test on the term's integer bounds refuses almost every term;
-    only the rest pay for the certified call.
-
-    Why a refusal is tail_bound's decision too.  Let r = cap, with
-    2^-96 <= 1 - r < 1 (``_certified_cap``), and t <= 1/2.  tail_bound
-    encloses t ((pi^2/6 + ln 1/t) / (1-r) + r ln(1/r) / (1-r)^2) and
-    returns its upper end, which is at least the exact value, and that is
-    at least LB(t) = t (pi^2/6 + ln 1/t) / (1-r), as the second term is
-    non-negative.  t (c + ln 1/t) has the derivative c - 1 + ln(1/t) > 0 on
-    (0, 1/2] for c >= 1.  So with m the top 60 bits of lo, floored, t_lo =
-    m 2^(k-scale) <= t, as lo bounds the term's value from below, and c the
-    double below pi^2/6,
-
-        certified >= exact >= LB(t) >= LB(t_lo) >= t_lo (c + ln 1/t_lo) / (1-r).
-
-    The test refuses when x + ln(c - x) - margin > threshold, where x =
-    ln m + (k - scale) ln 2 is the float value of ln t_lo.  In exact
-    arithmetic its left side is ln LB(t_lo) + ln(1-r) - margin and the
-    threshold is ln(tol/2) + ln(1-r).  Float error: x carries four
-    roundings and the errors of the log and of the double ln 2, each within
-    2^-52 (|x| + 42), as |ln m| < 42; ln(c - x) adds x's error over
-    c - x > 2.3 and one more ulp; the threshold carries five roundings and
-    the errors of its log, of ln 10 and of ln 2, each within 2^-52
-    (|threshold| + 67), as |ln(1-r)| <= 67; the sum and the subtraction
-    two more.  The total stays below 2^-46 (64 + |x| + |threshold|), under
-    the margin 2^-40 (128 + |x| + |threshold|).  The error and the margin
-    grow together with the sizes, so this holds at any digits: at
-    d = 10^4, ln t is about -23 000, the error below 7 10^-10 and the
-    margin 4 10^-8.  A refusal therefore means LB(t_lo) > tol/2, so the
-    certified bound exceeds tol/2 and its comparison refuses as well: the
-    truncation index is tail_bound's alone.
-    """
-    lo, scale = term.lo, term.scale
-    if 2 * term.hi > 1 << scale:
+    on the term's value, when it is at most tolerance_half, else None.
+    ``_choose_truncation`` calls it only on the terms that
+    ``_integer_cut_off`` does not refuse: the last one or two."""
+    if 2 * term.hi > 1 << term.scale:
         return None
-    if lo:
-        k = max(0, lo.bit_length() - 60)
-        x = log(lo >> k) + (k - scale) * _LN2
-        margin = (128 - x - threshold) * 2.0 ** -40
-        if x + log(_PI2_6_BELOW - x) - margin > threshold:
-            return None
     try:
         bound = tail_bound(upper(term), cap)
     except DomainError:
@@ -463,20 +456,29 @@ def _lambert_scale(form: LambertForm, cap: Fraction, budget: PrecisionBudget, ma
     return w + (2 * w).bit_length()
 
 
+def _enclosed_form(form: LambertForm) -> LambertForm:
+    """The form with its exact K, rho and s enclosed at _CUT_OFF_BITS bits by
+    ``quad_interval`` and its intervals as they are: what ``_term_upper``
+    reads, enclosed once per report rather than once per term bound."""
+    with interval_precision(_CUT_OFF_BITS):
+        return LambertForm(*(quad_interval(v) if isinstance(v, (Fraction, QuadraticElement)) else v for v in form))
+
+
 def _term_upper(form: LambertForm, n: int) -> Fraction:
     """An upper bound on t_n, K x / (1 - s rho x)^2 with x = rho^n, the
     upper end of its interval at _CUT_OFF_BITS bits, for the tail after the
     first n terms.
 
-    K, rho and s enter through ``quad_interval``, a few ulps wide relative
-    to each, or as the intervals they are.  To first order the result lies
-    within 2^4 c (n + 4) 2^-_CUT_OFF_BITS of t_n relative to it, with
+    K, rho and s enter as ``_enclosed_form`` gives them: through
+    ``quad_interval``, a few ulps wide relative to each, or as the intervals
+    they are.  To first order the result lies within
+    2^4 c (n + 4) 2^-_CUT_OFF_BITS of t_n relative to it, with
     c = 1/(1 - s rho): in ulps, x is at most 2n + 2 wide relative to it and
     1 - s rho x at most c (2n + 8) + 1.  That is under 2^-118 for
     c (n + 4) < 2^38, so ``tail_bound``, which reads the bound to _TAIL_BITS
     bits, reads t_n, whatever the terms' scale and so whatever the term cap."""
     with interval_precision(_CUT_OFF_BITS):
-        k, rho, s = (quad_interval(v) if isinstance(v, (Fraction, QuadraticElement)) else v for v in form)
+        k, rho, s = _enclosed_form(form)
         x = rho ** n
         return mpf_to_fraction(mp.make_mpf((k * x / (1 - s * rho * x) ** 2)._mpi_[1]))
 
@@ -567,18 +569,22 @@ def _choose_truncation(
     """Read scaled-interval terms until the certified tail after them fits
     in half the tolerance, or ``max_terms`` are kept.  The tail after the
     first n terms is certified from ``term_upper(n)``, an upper bound on
-    the n-th term.  Returns (the kept terms, the tail bound)."""
+    the n-th term; a term whose lower end exceeds the integer cut-off at the
+    terms' scale is refused without it.  Returns (the kept terms, the tail
+    bound)."""
     if max_terms < 1:
         raise UsageError("max_terms must be positive")
     tol_half = budget.tolerance / 2
-    threshold = _log_threshold(ratio_cap, budget.target_digits)
     kept: list = []
     # the term read while n terms are kept is the n-th
     upper = lambda term: term_upper(len(kept))  # noqa: E731
     for term in term_iter:
         if len(kept) >= max_terms:
             return kept, tail_bound(upper(term), ratio_cap)
-        if kept and (bound := _tail_small_enough(term, ratio_cap, tol_half, threshold, upper)) is not None:
+        if not kept:
+            # the terms share the first one's scale (``_lambert_terms``)
+            cut_off = _integer_cut_off(term.scale, ratio_cap, tol_half)
+        elif term.lo <= cut_off and (bound := _tail_small_enough(term, ratio_cap, tol_half, upper)) is not None:
             return kept, bound
         kept.append(term)
     raise AssertionError("term iterator exhausted unexpectedly")
@@ -592,7 +598,8 @@ def _lambert_report(identity_id, parameters, form, cap, budget, max_terms, trace
     sign L(x) over the pairs (sign, x) of ``closed_form``, each x a Fraction,
     a Q(sqrt(D)) value or an mpmath interval.  Each term is generated once,
     at ``_lambert_scale``'s scale, and the tail after the first n is
-    certified from the n-th term's own formula (``_term_upper``)."""
+    certified from the n-th term's own formula (``_term_upper``), its K,
+    rho and s enclosed once."""
     if exact is not None:
         _check_form(form, *exact)
 
@@ -608,8 +615,10 @@ def _lambert_report(identity_id, parameters, form, cap, budget, max_terms, trace
         return sum(sign * _rogers_interval(argument(x)) for sign, x in closed_form)
 
     terms = _lambert_terms(form, _lambert_scale(form, cap, budget, max_terms))
-    kept, tail = _choose_truncation(terms, cap, budget, max_terms, lambda n: _term_upper(form, n))
-    row_tail = lambda n: tail_bound(_term_upper(form, n), cap)  # noqa: E731
+    enclosed = _enclosed_form(form)
+    term_upper = lambda n: _term_upper(enclosed, n)  # noqa: E731
+    kept, tail = _choose_truncation(terms, cap, budget, max_terms, term_upper)
+    row_tail = lambda n: tail_bound(term_upper(n), cap)  # noqa: E731
     return _evaluate_series_report(identity_id, parameters, budget, kept, tail, row_tail, rhs_fn, trace)
 
 

@@ -27,7 +27,7 @@ from dilogid.rogers import _branch_is_low, _one_minus, _raw
 from dilogid.series import (
     TwoParamInstance,
     _check_form,
-    _log_threshold,
+    _integer_cut_off,
     _lucas_form,
     _tail_small_enough,
     _two_param_form,
@@ -132,6 +132,14 @@ def test_scaled_intervals_convert_like_their_fractions(lo, width, scale, prec):
     assert _raw(ScaledInterval(lo, hi, scale), prec) == (lower, upper)
 
 
+@pytest.mark.parametrize("lo, hi", [(-5, -3), (-5, 0), (0, 0), (0, 7), (-(1 << 300) - 1, 1 << 300)])
+def test_scaled_intervals_of_any_sign_convert_like_their_fractions(lo, hi):
+    for scale, prec in ((1, 53), (300, 60), (2, 400)):
+        lower = rational_bounds(lo, 1 << scale, prec)[0]
+        upper = rational_bounds(hi, 1 << scale, prec)[1]
+        assert _raw(ScaledInterval(lo, hi, scale), prec) == (lower, upper)
+
+
 MANTISSAS = st.integers(-(1 << 300), 1 << 300)
 
 
@@ -166,6 +174,14 @@ def _certified_accepts(term: ScaledInterval, cap: Fraction, half: Fraction) -> b
     return mpf_to_fraction(tail_bound(term.upper(), cap)) <= half
 
 
+def _tail_check(term: ScaledInterval, cap: Fraction, half: Fraction):
+    """The truncation's check: the integer comparison with the cut-off at
+    the term's scale, then ``_tail_small_enough``."""
+    if term.lo > _integer_cut_off(term.scale, cap, half):
+        return None
+    return _tail_small_enough(term, cap, half)
+
+
 @settings(max_examples=60, deadline=None)
 @given(UNIT, st.integers(0, 40), st.sampled_from(sorted(CAPS.values())), st.sampled_from(TAIL_DIGITS))
 def test_tail_checks_on_pairs(pq, extra, cap, digits):
@@ -175,15 +191,9 @@ def test_tail_checks_on_pairs(pq, extra, cap, digits):
     p, q = pq[0], pq[1] * 10 ** (digits + 1) * (cap.denominator // (cap.denominator - cap.numerator))
     term = _scaled(p, q, q.bit_length() + 4 * digits + extra)
     half = Fraction(1, 2 * 10 ** digits)
-    threshold = _log_threshold(cap, digits)
-    bound = _tail_small_enough(term, cap, half, threshold)
+    bound = _tail_check(term, cap, half)
     assert (bound is not None) == _certified_accepts(term, cap, half)
     assert bound is None or bound == tail_bound(term.upper(), cap)
-
-
-def test_float_pi_squared_over_six_lies_below():
-    with mp.workprec(200):
-        assert Fraction(series._PI2_6_BELOW) < mpf_to_fraction(mp.pi ** 2 / 6)
 
 
 @pytest.mark.parametrize("bits", [12, 200])
@@ -193,11 +203,12 @@ def test_tail_check_at_the_certified_boundary(cap, digits, bits):
     # at a scale where the boundary term has about ``bits`` bits, bisect for
     # the largest upper end that tail_bound accepts: the check decides as
     # tail_bound there and one unit either side.  Near cap 0 the certified
-    # bound lies within 10^-15 of the float test's lower bound, so its margin
-    # and the rounding of t decide there.
+    # bound lies within 10^-15 of the cut-off's lower bound LB, so the
+    # cut-off's certification decides there.
     cap = CAPS[cap]
     half = Fraction(1, 2 * 10 ** digits)
-    threshold = _log_threshold(cap, digits)
+    # ln(tol/2) + ln(1 - cap)
+    threshold = -digits * log(10) - log(2) + log(1 - cap)
     # -log2 of the boundary term t, from t (pi^2/6 + ln 1/t) = e^threshold
     e = -threshold / log(2)
     for _ in range(3):
@@ -214,19 +225,22 @@ def test_tail_check_at_the_certified_boundary(cap, digits, bits):
         lo, hi = (mid, hi) if accepts(mid) else (lo, mid)
     for end in (lo - 1, lo, hi):
         term = ScaledInterval(end, end, scale)
-        bound = _tail_small_enough(term, cap, half, threshold)
+        bound = _tail_check(term, cap, half)
         assert (bound is not None) == accepts(end), end - lo
         assert bound is None or bound == tail_bound(term.upper(), cap)
 
 
 @pytest.mark.parametrize(
     "name, params, digits",
-    [("theorem-main", {"a": "1/50", "b": "3/47"}, 40), ("corollary", {"t": "1/50"}, 40), ("fib-even", {"k": "1"}, 300)],
+    [("theorem-main", {"a": "1/50", "b": "3/47"}, 40), ("corollary", {"t": "1/50"}, 40), ("fib-even", {"k": "1"}, 300),
+     ("fib-even", {"k": "1"}, 1000)],
 )
 def test_truncation_certifies_few_terms(monkeypatch, name, params, digits):
-    # the float test refuses every term but the last one or two before the
-    # truncation point, so tail_bound runs at most twice, and the bound it
-    # accepts is the final tail; ratios near 0.96 put 2000 terms before it
+    # the integer cut-off refuses every term but the last one or two before
+    # the truncation point, so tail_bound runs at most twice, and the bound
+    # it accepts is the final tail; ratios near 0.96 put 2000 terms before
+    # it, and at 1000 digits the crossing term, about 10^-1000, lies below
+    # the smallest double
     calls = []
     original = series.tail_bound
 

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -23,7 +24,8 @@ from dilogid.harness import (
     run_suite,
     special_values_table,
 )
-from dilogid.series import UsageError
+from dilogid.enclosure import MAX_DIGITS, PrecisionBudget
+from dilogid.series import UsageError, catalog_verify
 
 from conftest import pi_squared_over
 
@@ -262,6 +264,30 @@ class TestCliVerify:
         )
         assert code == 0
         assert json.loads(out.read_text())["digits"] == 22
+
+    @pytest.mark.parametrize("digits", ["400000", "2000000", str(MAX_DIGITS + 1)])
+    def test_digits_past_any_report_exit_2_at_once(self, capsys, monkeypatch, digits):
+        # beyond MAX_DIGITS the working precision passes 2^20 bits, past the
+        # exponents an exact report can read: refused before any verification
+        monkeypatch.setattr("dilogid.harness.run_identity", None)
+        code = run_cli(["verify", "--identity", "corollary", "--t", "1/3", "--digits", digits])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: digits: target_digits must be at most {MAX_DIGITS}")
+        monkeypatch.setenv("DILOG_DIGITS", digits)
+        assert run_cli(["verify", "--identity", "repunit-x"]) == 2
+        assert run_cli(["suite"]) == 2
+
+    def test_digits_bound_is_the_working_precision_of_2_to_the_20(self):
+        assert PrecisionBudget.for_digits(MAX_DIGITS).working_bits <= 1 << 20
+        assert math.ceil((MAX_DIGITS + 1) * math.log2(10)) + 33 > 1 << 20
+        with pytest.raises(ValueError):
+            PrecisionBudget.for_digits(MAX_DIGITS + 1)
+        with pytest.raises(ValueError):
+            catalog_verify("corollary", PrecisionBudget.for_digits(400000), t="1/3")
+        with pytest.raises(UsageError):
+            RunConfig("corollary", {"t": "1/3"}, digits=2000000)
 
     @pytest.mark.parametrize(
         "args",

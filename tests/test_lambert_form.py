@@ -213,6 +213,33 @@ def test_cut_off_bound_of_sinh_theta_contains_the_term(n):
     assert term * (1 - error) <= series._term_upper(form, n) <= term * (1 + error) * (1 + Fraction(1, 1 << 118))
 
 
+@pytest.mark.parametrize("identity, params, digits", [
+    ("theorem-main", {"a": "12/29", "b": "9/26"}, 40),
+    ("q-minus-3", {"k": "1"}, 300),
+])
+def test_traced_rows_enclose_the_form_once(monkeypatch, identity, params, digits):
+    # each --trace row bounds its tail from the cut-off term's formula; K,
+    # rho and s are enclosed once per report, whatever the number of rows
+    # (q-minus-3's are Q(sqrt(13)) values).  The series need 870 and 1223
+    # terms, so both caps hold every row.
+    calls = []
+    original = series.quad_interval
+
+    def counted(value):
+        calls.append(value)
+        return original(value)
+
+    monkeypatch.setattr(series, "quad_interval", counted)
+    counts = []
+    for rows in (50, 500):
+        calls.clear()
+        trace: list = []
+        series.IDENTITIES[identity].run(PrecisionBudget.for_digits(digits), rows, trace, params)
+        assert len(trace) == rows
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
 def test_unseparated_denominator_is_refused():
     # sigma = 999/1000 rounds up to 1 at 4 bits
     with pytest.raises(PrecisionError):
