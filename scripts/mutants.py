@@ -2,7 +2,8 @@
 """Mutation check of the proofs behind the L kernel, the series driver and
 its truncation, the rational converter, the Q(sqrt(D)) conversion and the
 working precision's error budget, and the exact layer: the integer
-Q(sqrt(D)) arithmetic and the Lucas doubling over Z.
+Q(sqrt(D)) arithmetic, the Lucas doubling over Z, the stride-k streams of
+the Lucas summands and the form check's unreduced integer triples.
 
 Each mutant is one textual change to a file under src/ and the tests that
 must catch it.  The script copies src/ to a temporary directory, first runs
@@ -64,6 +65,10 @@ TWO_PARAMETER_GOLDENS = "tests/test_golden.py::test_two_parameter_report_matches
 REDUCED_TRIPLES = "tests/test_exactnum.py::test_reduced_triples_fixed_examples"
 RATIONAL_RADICAND = "tests/test_exactnum.py::test_products_over_a_rational_radicand"
 RATIONAL_LUCAS = "tests/test_lucas.py::test_integer_doubling_matches_naive_at_fixed_parameters"
+STRIDE_POS = "tests/test_lucas.py::test_stride_stream_matches_doubling_q_positive"
+STRIDE_NEG = "tests/test_lucas.py::test_stride_stream_matches_doubling_q_negative"
+RADICAL_PARTS = "tests/test_exact_terms.py::test_form_check_compares_the_radical_parts"
+SQUARE_RADICAND = "tests/test_exact_terms.py::test_form_check_folds_a_square_radicand"
 
 
 class Mutant(NamedTuple):
@@ -91,6 +96,19 @@ MUTANTS = [
     Mutant(
         "ceiling in the exact step", ROGERS,
         "x = x * p // q", "x = -(-x * p // q)", (EXACT_SUMS,),
+    ),
+    Mutant(
+        "ceiling in the exact step for p = 1", ROGERS,
+        "x //= q", "x = -(-x // q)", (EXACT_SUMS,),
+    ),
+    Mutant(
+        "exact error count without its last power", ROGERS,
+        "_error_count(n_terms, 2, x)", "_error_count(n_terms, 2, 0)", (EXACT_SUMS,),
+    ),
+    # the exact argument above 1/2 enters the kernel as y = (q - p, q)
+    Mutant(
+        "upper branch on (p, q) for (q - p, q)", ROGERS,
+        "y = x if low else (q - p, q)", "y = x", (KERNEL,),
     ),
     # one point log of q/p per exact L
     Mutant(
@@ -176,7 +194,7 @@ MUTANTS = [
     # the branch test and 1 - x on exact and integer-pair arguments
     Mutant(
         "< for <= in the exact branch test", ROGERS,
-        "return 2 * x.numerator <= x.denominator", "return 2 * x.numerator < x.denominator", (PAIRS,),
+        "return 2 * p <= q", "return 2 * p < q", (PAIRS,),
     ),
     Mutant(
         "< for <= in the integer-pair branch test", ROGERS,
@@ -206,7 +224,7 @@ MUTANTS = [
     # exact per-term check
     Mutant(
         "Lambert-form check disabled", SERIES,
-        "if form.k * x != expected * (1 - sigma * x) ** 2:", "if False:", (FORM_CHECK,),
+        "if not triples_equal(kx, mul(exact_triple(expected), mul(gap, gap))):", "if False:", (FORM_CHECK,),
     ),
     # the one verifier of every geometric series: its one form check and
     # its one closed form, a signed sum of L
@@ -231,7 +249,7 @@ MUTANTS = [
     ),
     Mutant(
         "no boundary point 1", ROGERS,
-        "        if x == 1:\n            return _pi_squared_over(6)\n", "",
+        "        if p == q:\n            return _pi_squared_over(6)\n", "",
         ("tests/test_rogers.py::TestRogersL::test_boundary_values",),
     ),
     # an enclosure's endpoints read as integers at one scale, where it
@@ -278,6 +296,38 @@ MUTANTS = [
     Mutant(
         "lambda power off by one in lucas_uv", LUCAS,
         "Fraction(u, lam ** max(n - 1, 0))", "Fraction(u, lam ** n)", (RATIONAL_LUCAS,),
+    ),
+    # the Lucas summands by the stride recurrences W_(m+k) = V_k W_m -
+    # Q^k W_(m-k), over Z at (lam P, lam^2 Q)
+    Mutant(
+        "Q for Q^k in the stride-k U stream", SERIES,
+        "v_k * u_hi - qk * u_lo", "v_k * u_hi - q * u_lo", (STRIDE_POS,),
+    ),
+    Mutant(
+        "Q^k for Q^2k in the stride-2k V stream", SERIES,
+        "v2k * v_hi - q2k * v_lo", "v2k * v_hi - qk * v_lo", (STRIDE_NEG,),
+    ),
+    # U_k's scale cancels from the Q > 0 terms (U_k / U_k(n+1))^2 Q^(kn),
+    # whose U stream is linear in it, but not from the Q < 0 terms, whose
+    # U_2k = U_k V_k meets V_k squared
+    Mutant(
+        "lambda power off by one in the integer streams", SERIES,
+        "pair.u.numerator * (lam ** (k - 1) // pair.u.denominator)",
+        "pair.u.numerator * (lam ** k // pair.u.denominator)", (STRIDE_NEG,),
+    ),
+    # the form check on unreduced triples (A + B sqrt(D)) / C
+    Mutant(
+        "form check on the rational parts only", EXACTNUM,
+        "return a * g == e * c and b * g == f * c", "return a * g == e * c", (RADICAL_PARTS,),
+    ),
+    Mutant(
+        "square radicand left unfolded", EXACTNUM,
+        "        if rn * rn == dn and rd * rd == dd:\n            return value._a * rd",
+        "        if False:\n            return value._a * rd", (SQUARE_RADICAND,),
+    ),
+    Mutant(
+        "three-product cross term without bf", EXACTNUM,
+        "cross = (a + b) * (e + f) - ae - bf if b and f", "cross = (a + b) * (e + f) - ae if b and f", (FORM_CHECK,),
     ),
     # a + b sqrt(D) with opposite signs as the norm over the conjugate
     Mutant(

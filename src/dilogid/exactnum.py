@@ -263,6 +263,56 @@ class QuadraticElement:
         return f"QuadraticElement({self.rat_part!r}, {self.rad_part!r}, {self.radicand!r})"
 
 
+# -- unreduced triples, for exact comparisons of products ------------------------
+
+
+def common_radicand(values) -> tuple:
+    """(Dn, Dd) of the one radicand D = Dn / Dd of the QuadraticElements
+    among ``values``, the field of ``triple_product``; (0, 1) when there are
+    none, or when D is a perfect square, whose elements ``exact_triple``
+    folds into rationals."""
+    fields = {value._field[:2] for value in values if isinstance(value, QuadraticElement)}
+    if len(fields) > 1:
+        raise RadicandMismatchError(f"radicand mismatch: {sorted(fields)}")
+    for dn, dd in fields:
+        if math.isqrt(dn) ** 2 != dn or math.isqrt(dd) ** 2 != dd:
+            return dn, dd
+    return 0, 1
+
+
+def exact_triple(value) -> tuple:
+    """Integers (A, B, C), C > 0, with value = (A + B sqrt(D)) / C: a
+    QuadraticElement's own, with sqrt(D) = rn / rd folded into A when D is
+    a perfect square, a Fraction's or an int's with B = 0."""
+    if isinstance(value, QuadraticElement):
+        dn, dd, _ = value._field
+        rn, rd = math.isqrt(dn), math.isqrt(dd)
+        if rn * rn == dn and rd * rd == dd:
+            return value._a * rd + value._b * rn, 0, value._c * rd
+        return value._a, value._b, value._c
+    if isinstance(value, Fraction):
+        return value.numerator, 0, value.denominator
+    return value, 0, 1
+
+
+def triple_product(x: tuple, y: tuple, field: tuple) -> tuple:
+    """The triple of the product of two triples over D = Dn / Dd, field =
+    (Dn, Dd), multiplied through by Dd and not reduced: no gcd."""
+    (a, b, c), (e, f, g), (dn, dd) = x, y, field
+    ae, bf = a * e, b * f
+    # a f + b e by one product, (a + b)(e + f) - ae - bf, when neither is rational
+    cross = (a + b) * (e + f) - ae - bf if b and f else a * f + b * e
+    return ae * dd + bf * dn, cross * dd, c * g * dd
+
+
+def triples_equal(x: tuple, y: tuple) -> bool:
+    """Whether two triples of one field hold one value: with C, C' > 0,
+    (A + B sqrt(D)) / C = (A' + B' sqrt(D)) / C' iff A C' = A' C and
+    B C' = B' C, as sqrt(D) is irrational or both B are 0."""
+    (a, b, c), (e, f, g) = x, y
+    return a * g == e * c and b * g == f * c
+
+
 def quad_pow(x: QuadraticElement, n: int) -> QuadraticElement:
     """Exact n-th power by binary exponentiation, n >= 0."""
     if not isinstance(n, int) or n < 0:

@@ -23,7 +23,7 @@ import random
 import re
 import sys
 from dataclasses import dataclass, field, replace
-from decimal import Decimal, localcontext
+from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Optional
@@ -70,9 +70,15 @@ def exact_decimal(value) -> str:
     k = den.bit_length() - 1
     if den != 1 << k:
         raise ValueError("value is not a dyadic rational")
-    # Decimal, unlike str, converts ints of any length (CPython caps str
-    # at sys.get_int_max_str_digits() digits)
-    digits = str(Decimal(v.numerator * 5 ** k))
+    # v = numerator 5^k / 10^k.  Decimal, unlike str, converts ints of any
+    # length (CPython caps str at sys.get_int_max_str_digits() digits), and
+    # its products and powers are subquadratic, where converting the int
+    # numerator 5^k is quadratic in its length.  The context holds every
+    # digit, and a rounding would raise Inexact
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax = MAX_PREC, MAX_EMAX
+        ctx.traps[Inexact] = True
+        digits = str(Decimal(v.numerator) * Decimal(5) ** k)
     if k == 0:
         return sign + digits
     if len(digits) <= k:

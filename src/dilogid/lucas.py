@@ -107,6 +107,14 @@ class LucasParams:
         return (self.p - s) / 2
 
 
+def _integer_parameters(params: LucasParams) -> tuple[int, int, int]:
+    """(lam, lam P, lam^2 Q) for rational P and Q, lam the lcm of their
+    denominators: integer parameters whose roots are lam alpha and lam beta."""
+    p, q = params.p, params.q
+    lam = lcm(p.denominator, q.denominator)
+    return lam, p.numerator * (lam // p.denominator), q.numerator * (lam // q.denominator) * lam
+
+
 @dataclass(frozen=True)
 class LucasPair:
     """Values (U_n, V_n) at one index."""
@@ -129,8 +137,7 @@ def lucas_uv(params: LucasParams, n: int) -> LucasPair:
         raise PreconditionError("index must be a nonnegative integer")
     p, q, d = params.p, params.q, params.d
     if params.is_rational:
-        lam = lcm(p.denominator, q.denominator)
-        p, q = p.numerator * (lam // p.denominator), q.numerator * (lam // q.denominator) * lam
+        lam, p, q = _integer_parameters(params)
         d, halve = p * p - 4 * q, (lambda x: x >> 1)
         u, v, qn = 0, 2, 1
     else:

@@ -22,9 +22,13 @@ bounds; each floor loses less than one unit, and that count plus the
 geometric tail bounds them from above (see ``_li2_series_raw``).  Then
 log(x) log(1-x) = |log y| S1.
 
-  * An exact argument (a Fraction) has an exact y = p/q <= 1/2: one power
-    stream steps X_n = floor(X_(n-1) p / q), and one point log of q/p,
-    rounded down and widened by one ulp, encloses |log y|.
+  * An exact argument is its coprime integer pair (p, q), read once where it
+    enters (``_validate_unit_arg``, the series' closed forms and terms), and
+    it travels through the kernel as that pair: no Fraction is built or read
+    again.  Its y is exact: (p, q) below 1/2, and (q - p, q) above, coprime
+    too, as gcd(q - p, q) = gcd(p, q) = 1.  One power stream steps
+    X_n = floor(X_(n-1) p / q), or floor(X_(n-1) / q) for p = 1, and one
+    point log of q/p, rounded down and widened by one ulp, encloses |log y|.
   * An interval argument is a ScaledInterval; an ErrorBoundedValue enters
     as one, its endpoints read exactly (``ErrorBoundedValue.scaled``).  Its
     y is rounded outward to dyadic endpoints m 2^-k of w bits (below): one
@@ -35,9 +39,10 @@ log(x) log(1-x) = |log y| S1.
     encloses |log y|.
 
 The kernel tells the kinds apart by isinstance(x, ScaledInterval), and its
-helpers tell an exact y from a raw interval pair by isinstance(y, tuple):
-both checks run in C, where a miss of isinstance(x, Fraction), whose class
-is an ABC, would run ABCMeta.__instancecheck__ on every interval term.
+helpers tell an exact y = (p, q) from a raw interval pair of mpf tuples by
+isinstance(y[0], int): both checks run in C, where a miss of
+isinstance(x, Fraction), whose class is an ABC, would run
+ABCMeta.__instancecheck__ on every interval term.
 
 With w = working precision + 20 guard bits, s = w above 1/2, where the
 result lies near pi^2/6, and s = w + z below, where y < 2^-z: a small
@@ -75,8 +80,9 @@ _GUARD_BITS = 20
 
 
 def _validate_unit_arg(x: Argument, open_interval: bool = False):
-    """Return a Fraction or a ScaledInterval confined to [0, 1]; an
-    enclosure's endpoints are read exactly, once."""
+    """Return the coprime pair (p, q), q > 0, of an exact x = p/q, or a
+    ScaledInterval, confined to [0, 1]; an enclosure's endpoints are read
+    exactly, once."""
     if isinstance(x, ErrorBoundedValue):
         x = x.scaled()
         if x.lo != x.hi:
@@ -93,13 +99,22 @@ def _validate_unit_arg(x: Argument, open_interval: bool = False):
             raise DomainError(f"argument {x} outside the open interval (0, 1)")
         if not (0 <= x <= 1):
             raise DomainError(f"argument {x} outside [0, 1]")
-        return x
+        return x.numerator, x.denominator
     raise TypeError(f"unsupported argument type {type(x).__name__}")
 
 
-def _raw_from_fraction(value: Fraction, prec: int):
-    """Raw interval of a Fraction, rounded outward."""
-    return rational_bounds(value.numerator, value.denominator, prec)
+def _raw_from_fraction(value: tuple, prec: int):
+    """Raw interval of an exact pair (p, q), the value p/q, rounded outward
+    (named for the Fraction it once took, the name the benchmark tracer
+    times as a conversion)."""
+    p, q = value
+    return rational_bounds(p, q, prec)
+
+
+def _coprime(p: int, q: int) -> tuple:
+    """The exact pair of p/q, q > 0, in lowest terms."""
+    g = math.gcd(p, q)
+    return p // g, q // g
 
 
 def _raw(x, prec: int):
@@ -125,8 +140,11 @@ def _series_terms_needed(decay: float, bits: int) -> int:
     power is zero, estimated in floating point.  Only the size of the tail
     depends on it; the error count holds for any N."""
     # cap keeps pathological near-1 enclosures from stalling; the tail
-    # bound still covers whatever the truncation omits
-    return min(int(bits / max(decay, 1e-9)) + 1, 200 * bits + 1000)
+    # bound still covers whatever the truncation omits.  min and max as
+    # comparisons: the same values without two builtin calls per L
+    n_terms = int(bits / (decay if decay > 1e-9 else 1e-9)) + 1
+    cap = 200 * bits + 1000
+    return n_terms if n_terms < cap else cap
 
 
 def _error_count(n_terms: int, c: int, x_last: int) -> int:
@@ -150,7 +168,7 @@ def _error_count(n_terms: int, c: int, x_last: int) -> int:
 def _li2_series_raw(y, w: int) -> tuple:
     """Integer bounds (S2_lo, S2_hi, S1_lo, S1_hi) at scale 2^-w with
     S2_lo <= 2^w Li2(y) <= S2_hi and S1_lo <= -2^w log(1-y) <= S1_hi for
-    an exact y = p/q <= 1/2, a Fraction, or for every y in the dyadic
+    an exact y = p/q <= 1/2, the pair (p, q), or for every y in the dyadic
     interval y_raw inside (0, 1), a pair of raw mpf values.
 
     One power stream X_0 = 2^w, X_n = floor(X_(n-1) y) of y, or of y's lower
@@ -168,15 +186,22 @@ def _li2_series_raw(y, w: int) -> tuple:
     2^-w S1_hi / y_hi, so S2_hi adds (y_hi - y_lo) S1_hi / y_hi."""
     x = 1 << w
     s2 = s1 = 0
-    if not isinstance(y, tuple):
+    if isinstance(y[0], int):
         # X_n = floor(X_(n-1) p / q)
-        p, q = y.numerator, y.denominator
+        p, q = y
         n_terms = _series_terms_needed(math.log2(q) - math.log2(p), w)
-        for n in range(1, n_terms + 1):
-            x = x * p // q
-            t = x // n
-            s1 += t
-            s2 += t // n  # floor(floor(X/n)/n) = floor(X/n^2)
+        if p == 1:
+            for n in range(1, n_terms + 1):
+                x //= q
+                t = x // n
+                s1 += t
+                s2 += t // n  # floor(floor(X/n)/n) = floor(X/n^2)
+        else:
+            for n in range(1, n_terms + 1):
+                x = x * p // q
+                t = x // n
+                s1 += t
+                s2 += t // n
         err = _error_count(n_terms, 2, x)
         return s2, s2 + err, s1, s1 + err
     (_, man_lo, exp_lo, _), (_, man_hi, exp_hi, _) = y
@@ -200,9 +225,9 @@ def _li2_series_raw(y, w: int) -> tuple:
 def _log_product_raw(y, s1_lo: int, s1_hi: int, prec: int) -> tuple:
     """Integer bounds on log(x) log(1-x) = |log y| S1 >= 0, y = x or 1-x,
     at the scale of the bounds s1_lo <= S1 <= s1_hi on S1 = -log(1-y),
-    from one log at ``prec`` bits; y is an exact p/q <= 1/2 or a dyadic
-    interval inside (0, 1)."""
-    if not isinstance(y, tuple):
+    from one log at ``prec`` bits; y is an exact p/q <= 1/2, the pair
+    (p, q), or a dyadic interval inside (0, 1)."""
+    if isinstance(y[0], int):
         # |log y| = log Y with Y = q/p >= 2.  For y = 1/q, Y_lo = Y = q; else
         # Y_lo = floor(2^prec Y) 2^-prec lies within 2^-prec below Y, so
         # log Y - log Y_lo <= (Y - Y_lo)/Y_lo < 2^-prec / 2.  One log rounded
@@ -210,7 +235,7 @@ def _log_product_raw(y, s1_lo: int, s1_hi: int, prec: int) -> tuple:
         # most prec bits.  As l > 1/2, 2^(prec+e) > m 2^e > 1/2, so
         # e >= -prec and the slack 2^-prec / 2 is below 2^e: so
         # m 2^e <= |log y| <= (m + 2) 2^e, or (m + 1) 2^e for y = 1/q.
-        p, q = y.numerator, y.denominator
+        p, q = y
         k = 0 if p == 1 else prec
         _, man, exp, _ = mpf_log(from_man_exp((q << k) // p, -k), prec, round_floor)
         lo, hi = man * s1_lo, (man + 1 + (p > 1)) * s1_hi
@@ -237,21 +262,24 @@ def _pi_squared_over(divisor: int):
 def _branch_is_low(x) -> bool:
     if isinstance(x, ScaledInterval):
         return x.lo + x.hi <= 1 << x.scale
-    return 2 * x.numerator <= x.denominator
+    p, q = x
+    return 2 * p <= q
 
 
 def _one_minus(x):
     if isinstance(x, ScaledInterval):
         one = 1 << x.scale
         return ScaledInterval(one - x.hi, one - x.lo, x.scale)
-    return 1 - x
+    p, q = x
+    return q - p, q
 
 
 def _rogers_eval(x, rogers: bool = True) -> ScaledInterval:
     """Integer bounds on L(x), or on Li2(x) when not ``rogers``, at the
-    kernel's scale under the current precision context; x inside (0, 1): a
-    Fraction or a ScaledInterval, whose branch test and 1 - x are integer
-    operations and whose (0, 1) check reads the integers' signs.
+    kernel's scale under the current precision context; x inside (0, 1): an
+    exact coprime pair (p, q) or a ScaledInterval, whose branch test and
+    1 - x are integer operations and whose (0, 1) check reads the integers'
+    signs.
 
     With y = x at or below 1/2, and P = log(x) log(1-x) = |log y| S1:
     L = Li2(y) + P/2 and Li2(x) = Li2(y).  Above 1/2, with y = 1-x, the
@@ -269,12 +297,12 @@ def _rogers_eval(x, rogers: bool = True) -> ScaledInterval:
         if sign_lo or not man_lo or size > 0:
             raise DomainError("argument enclosure not separated inside (0, 1)")
     else:
-        p, q = x.numerator, x.denominator
+        p, q = x
         if not 0 < p < q:
-            raise DomainError(f"argument {x} outside the open interval (0, 1)")
-        y = x if low else 1 - x
+            raise DomainError(f"argument {Fraction(p, q)} outside the open interval (0, 1)")
         # y = p/q or (q-p)/q < 2^size, as p < 2^bits(p) and q >= 2^(bits(q)-1)
-        size = (p if low else q - p).bit_length() - q.bit_length() + 1
+        y = x if low else (q - p, q)
+        size = y[0].bit_length() - q.bit_length() + 1
     # below 1/2 the scale follows the size of y, so that small arguments
     # keep w bits relative to their value; above, pi^2/6 sets the size
     scale = w - size if low else w
@@ -287,7 +315,8 @@ def _rogers_eval(x, rogers: bool = True) -> ScaledInterval:
     if not low:
         z_lo, z_hi = _zeta2_fixed(w)
         lo, hi = z_lo - hi, z_hi - lo
-    return ScaledInterval(lo, hi, scale)
+    # the tuple itself, without the named tuple's Python-level __new__
+    return tuple.__new__(ScaledInterval, (lo, hi, scale))
 
 
 def _rogers_interval(x, rogers: bool = True):
@@ -295,9 +324,10 @@ def _rogers_interval(x, rogers: bool = True):
     validated argument in [0, 1]: the boundary points 0 and 1 take their
     closed values."""
     if not isinstance(x, ScaledInterval):
-        if x == 0:
+        p, q = x
+        if p == 0:
             return iv.mpf(0)
-        if x == 1:
+        if p == q:
             return _pi_squared_over(6)
     return iv.make_mpf(_raw(_rogers_eval(x, rogers), iv.prec))
 
@@ -349,11 +379,13 @@ def abel_residual(x: Argument, y: Argument, budget: PrecisionBudget = DEFAULT_BU
     y = _validate_unit_arg(y, open_interval=True)
 
     def evaluate():
-        # the three five-term arguments: exact for rational x and y, else
-        # enclosures checked on their integers to lie inside (0, 1)
-        if isinstance(x, Fraction) and isinstance(y, Fraction):
-            xy = x * y
-            args = [xy, x * (1 - y) / (1 - xy), y * (1 - x) / (1 - xy)]
+        # the three five-term arguments: exact pairs for rational x and y,
+        # else enclosures checked on their integers to lie inside (0, 1)
+        if not isinstance(x, ScaledInterval) and not isinstance(y, ScaledInterval):
+            # xy, x(1-y)/(1-xy) and y(1-x)/(1-xy) over the common denominators
+            (px, qx), (py, qy) = x, y
+            den = qx * qy - px * py
+            args = [_coprime(px * py, qx * qy), _coprime(px * (qy - py), den), _coprime(py * (qx - px), den)]
         else:
             xi, yi = (iv.make_mpf(_raw(v, iv.prec)) for v in (x, y))
             xy = xi * yi

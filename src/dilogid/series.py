@@ -30,6 +30,17 @@ whose closed form is L(rho); each family maps its parameters to rho:
   * sinh-theta, the Q > 0 form at (2 cosh(theta), 1, 1): rho = e^(-2 theta),
     at t = tanh(theta), whose terms are transcendental and not checked.
 
+The exact Lucas generators step once per term, not k times, by the
+stride-k recurrence W_(m+k) = V_k W_m - Q^k W_(m-k) of both U and V
+(Ribenboim, "My Numbers, My Friends", ch. 1): U at the multiples of k for
+Q > 0; U at the multiples of 2k and V at the odd multiples of k, by the
+stride 2k, for Q < 0.  They start from one ``lucas_uv`` at k and run over Z
+at (lam P, lam^2 Q) for rational parameters, where every summand, of degree
+0, is unchanged (``_lucas_ring``), else over Q(sqrt(D)).  ``_check_form``
+compares them with the form as integer triples (A + B sqrt(D)) / C,
+multiplied through with no gcd between the products, so that at index k it
+costs a few products of integers of O(k) bits.
+
 The tails use L(x) <= x (pi^2/6 + log(1/x)) on (0, 1/2] over the
 geometric sequence t_N rho^j, as for s >= 0
 
@@ -57,6 +68,7 @@ from its enclosure at 2^-w, so it does not follow the term cap.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field, replace
 from decimal import Decimal, InvalidOperation
@@ -78,8 +90,26 @@ from .enclosure import (
     iv_from_fraction,
     mpf_to_fraction,
 )
-from .exactnum import QuadraticElement, exact_sqrt, quad_interval, quad_pow, quad_to_real
-from .lucas import Coefficient, LucasParams, PreconditionError, _coeff_sign, lucas_uv, transform_params
+from .exactnum import (
+    QuadraticElement,
+    common_radicand,
+    exact_sqrt,
+    exact_triple,
+    quad_interval,
+    quad_pow,
+    quad_to_real,
+    triple_product,
+    triples_equal,
+)
+from .lucas import (
+    Coefficient,
+    LucasParams,
+    PreconditionError,
+    _coeff_sign,
+    _integer_parameters,
+    lucas_uv,
+    transform_params,
+)
 from .rogers import _pi_squared_over, _raw, _rogers_eval, _rogers_interval, _shift, rogers_l
 
 DEFAULT_MAX_TERMS = 10000
@@ -372,14 +402,29 @@ def _check_form(form: LambertForm, exact_terms: Iterable, count: int = 5) -> Non
     X = 1, rho, ..., rho^4.  The Q < 0 Lucas generator and Bridgeman's for
     a negative Pell unit interleave two such functions, one per parity of
     n, so they are checked at five pairs (count = 10).  Each index steps
-    X by one multiplication and compares K X with t_n (1 - s rho X)^2,
-    which is the same test, as s and rho lie in (0, 1).
+    K X and sigma X = s rho X by one multiplication by rho each and
+    compares K X with t_n (1 - sigma X)^2, which is the same test, as s and
+    rho lie in (0, 1).  The values are integer triples (A + B sqrt(D)) / C,
+    multiplied through with no gcd between the products
+    (``exactnum.triple_product``) and compared by cross-multiplication, so
+    the test stays exact without reducing integers that at Lucas index k
+    have O(k) bits each.
     """
-    sigma, x = form.s * form.rho, 1
-    for n, expected in enumerate(islice(exact_terms, count)):
-        if form.k * x != expected * (1 - sigma * x) ** 2:
+    terms = list(islice(exact_terms, count))
+    field = common_radicand((*form, *terms))
+
+    def mul(x, y):
+        return triple_product(x, y, field)
+
+    k, rho, s = (exact_triple(value) for value in form)
+    kx, sx = k, mul(s, rho)
+    for n, expected in enumerate(terms):
+        if n:
+            kx, sx = mul(kx, rho), mul(sx, rho)
+        a, b, c = sx
+        gap = (c - a, -b, c)  # 1 - sigma X
+        if not triples_equal(kx, mul(exact_triple(expected), mul(gap, gap))):
             raise AssertionError(f"summand {n} does not match the Lambert form")
-        x = x * form.rho
 
 
 def _log2_floor(value) -> int:
@@ -503,8 +548,9 @@ def _evaluate_series_report(
     rhs_fn: Callable[[], object],
     trace: Optional[list] = None,
 ) -> IdentityReport:
-    """Sum enclosures of L over the kept ``terms`` (scaled intervals or
-    Fractions, which the kernel checks to lie in (0, 1)) in one interval
+    """Sum enclosures of L over the kept ``terms`` (scaled intervals or the
+    exact coprime pairs (p, q) of p/q, which the kernel checks to lie in
+    (0, 1)) in one interval
     context at the working precision, evaluate the closed form ``rhs_fn()``
     in the same context, and report.  ``tail`` bounds the omitted terms;
     ``row_tail(kept)`` bounds the terms after the first ``kept``, for the
@@ -559,6 +605,8 @@ def _trace_rows(rows, final_tail, row_tail):
                 running = None
         if isinstance(term, ScaledInterval):
             term = Fraction(term.lo + term.hi, 1 << (term.scale + 1))
+        else:
+            term = Fraction(*term)
         out.append({"n": n, "term": term, "lhs_partial": partial, "tail_bound": running})
     return out
 
@@ -604,9 +652,9 @@ def _lambert_report(identity_id, parameters, form, cap, budget, max_terms, trace
         _check_form(form, *exact)
 
     def argument(x):
-        # the kernel's argument: x, or its enclosure at the working precision
+        # the kernel's argument: x's exact pair, or its enclosure at the working precision
         if isinstance(x, Fraction):
-            return x
+            return x.numerator, x.denominator
         if isinstance(x, QuadraticElement):
             return quad_to_real(x, iv.prec).scaled()
         return ErrorBoundedValue.from_interval(x).scaled()
@@ -687,41 +735,62 @@ def _coeff_str(value: Coefficient) -> str:
     return str(value) if rv is None else _rational_str(rv)
 
 
+def _lucas_ring(params: LucasParams, k: int) -> tuple:
+    """(U_k, V_k, Q, D, quotient) for the streams of the Lucas summands, from
+    one ``lucas_uv``.
+
+    Each summand is a quotient of products of U, V, Q and D of degree 0,
+    where U_m has degree m - 1, V_m degree m, and Q and D degree 2.  So for
+    rational parameters it is the same at (lam P, lam^2 Q), whose U_m =
+    lam^(m-1) U_m(P, Q) and V_m = lam^m V_m(P, Q) are integers, as in
+    ``lucas_uv``: the streams run over Z, and each summand is one Fraction.
+    Otherwise they run over Q(sqrt(D)), and each summand is one quotient
+    there."""
+    pair = lucas_uv(params, k)
+    if not params.is_rational:
+        return pair.u, pair.v, params.q, params.d, operator.truediv
+    lam, p, q = _integer_parameters(params)
+    # the reduced denominators of U_k and V_k divide lam^(k-1) and lam^k
+    u = pair.u.numerator * (lam ** (k - 1) // pair.u.denominator)
+    v = pair.v.numerator * (lam ** k // pair.v.denominator)
+    return u, v, q, p * p - 4 * q, Fraction
+
+
 def _lucas_pos_terms(params: LucasParams, k: int) -> Iterator:
-    """U_k^2 Q^(kn) / U_{k(n+1)}^2 for n >= 1, exactly, from (U_k, U_{k+1})
-    by U_{m+1} = P U_m - Q U_{m-1}."""
-    p, q = params.p, params.q
-    u_lo, u_hi = lucas_uv(params, k).u, lucas_uv(params, k + 1).u
-    numer = u_lo * u_lo
+    """U_k^2 Q^(kn) / U_{k(n+1)}^2 for n >= 1, exactly.  U runs over the
+    multiples of k from U_0 = 0 and U_k, one step per term, by the stride-k
+    recurrence U_(m+k) = V_k U_m - Q^k U_(m-k) (Ribenboim, "My Numbers, My
+    Friends", ch. 1)."""
+    u_k, v_k, q, _, quotient = _lucas_ring(params, k)
     qk = q ** k
     qpow = qk
+    u_lo, u_hi = 0, u_k
     while True:
-        for _ in range(k):
-            u_lo, u_hi = u_hi, p * u_hi - q * u_lo
-        yield numer * qpow / (u_lo * u_lo)
+        u_lo, u_hi = u_hi, v_k * u_hi - qk * u_lo
+        # (U_k / U_k(n+1))^2 Q^(kn): one reduction of the unsquared quotient
+        yield quotient(u_k, u_hi) ** 2 * qpow
         qpow = qpow * qk
 
 
 def _lucas_neg_terms(params: LucasParams, k: int) -> Iterator:
-    """Pairs (A_n, B_n) of the two sub-series for Q < 0, odd k."""
-    vk = lucas_uv(params, k).v
-    vk2 = vk * vk
-    d = params.d
-    p, q = params.p, params.q
-    q2k = params.q ** (2 * k)
-    # one U stream in steps of k: U_2kn for A_n, then
-    # V_k(2n+1) = 2 U_(k(2n+1)+1) - P U_k(2n+1) for B_n
-    u_lo, u_hi = lucas_uv(params, 2 * k).u, lucas_uv(params, 2 * k + 1).u
-    qpow_a = params.q ** k
-    qpow_b = q2k
+    """Pairs (A_n, B_n) of the two sub-series for Q < 0, odd k:
+    A_n = -V_k^2 Q^(k(2n-1)) / (D U_2kn^2) and B_n = V_k^2 Q^(2kn) /
+    V_k(2n+1)^2.  U runs over the multiples of 2k from U_0 = 0 and
+    U_2k = U_k V_k, and V over the odd multiples of k from V_k and V_3k,
+    one step of each per pair, by the stride-2k recurrence
+    W_(m+2k) = V_2k W_m - Q^2k W_(m-2k) of both, V_2k = V_k^2 - 2 Q^k."""
+    u_k, v_k, q, d, quotient = _lucas_ring(params, k)
+    qk = q ** k
+    q2k = qk * qk
+    v2k = v_k * v_k - 2 * qk
+    u_lo, u_hi = 0, u_k * v_k
+    # V_3k = V_2k V_k - Q^2k V_-k, with Q^k V_-k = V_k
+    v_lo, v_hi = v_k, v2k * v_k - qk * v_k
+    qpow_a, qpow_b = qk, q2k
     while True:
-        a_term = -vk2 * qpow_a / (d * u_lo * u_lo)
-        for _ in range(k):
-            u_lo, u_hi = u_hi, p * u_hi - q * u_lo
-        v = 2 * u_hi - p * u_lo
-        yield a_term, vk2 * qpow_b / (v * v)
-        for _ in range(k):
-            u_lo, u_hi = u_hi, p * u_hi - q * u_lo
+        yield -quotient(v_k, u_hi) ** 2 * qpow_a / d, quotient(v_k, v_hi) ** 2 * qpow_b
+        u_lo, u_hi = u_hi, v2k * u_hi - q2k * u_lo
+        v_lo, v_hi = v_hi, v2k * v_hi - q2k * v_lo
         qpow_a = qpow_a * q2k
         qpow_b = qpow_b * q2k
 
@@ -927,8 +996,9 @@ def _richmond_szekeres(budget: PrecisionBudget, max_terms: int, trace: Optional[
     def row_tail(kept):
         return _richmond_tail(kept + 1)  # the first ``kept`` terms end at n = kept + 1
 
-    # a generator, so that tens of thousands of terms are never held
-    terms = (Fraction(1, m * m) for m in range(2, last + 1))
+    # a generator, so that tens of thousands of terms are never held; each
+    # term 1/m^2 is the exact pair (1, m^2), in lowest terms as it stands
+    terms = ((1, m * m) for m in range(2, last + 1))
     parameters = {"terms": str(max_terms)}
     return _evaluate_series_report("richmond-szekeres", parameters, budget, terms, tail, row_tail, rhs_fn, trace)
 

@@ -117,7 +117,8 @@ def test_branch_and_one_minus_on_pairs(pq, scale):
     one = 1 << scale
     assert _branch_is_low(pair) == (pair.lo + pair.hi <= one)
     if pair.lo == pair.hi:
-        assert _branch_is_low(pair) == _branch_is_low(_midpoint(pair))
+        midpoint = _midpoint(pair)
+        assert _branch_is_low(pair) == _branch_is_low((midpoint.numerator, midpoint.denominator))
     mirror = _one_minus(pair)
     assert (mirror.lo, mirror.hi, mirror.scale) == (one - pair.hi, one - pair.lo, scale)
     assert _midpoint(mirror) == 1 - _midpoint(pair)
@@ -311,3 +312,27 @@ def test_corollary_check_accepts_equal_values_in_other_form():
         wrong = remark[:n] + [remark[n] * (1 + Fraction(1, 10 ** 40))] + remark[n + 1:]
         with pytest.raises(AssertionError, match=f"summand {n}"):
             _check_form(form, iter(wrong))
+
+
+def test_form_check_compares_the_radical_parts():
+    # a summand t_n + 10^-40 sqrt(5) off a rational form: K X equals the
+    # rational part of t_n (1 - s rho X)^2, and only the radical part differs
+    t = Fraction(2, 7)
+    form = _lucas_form((1 - t) / (1 + t))
+    remark = [corollary_remark_term(t, n + 1) for n in range(5)]
+    for n in range(5):
+        wrong = remark[:n] + [remark[n] + QuadraticElement(0, Fraction(1, 10 ** 40), 5)] + remark[n + 1:]
+        with pytest.raises(AssertionError, match=f"summand {n}"):
+            _check_form(form, iter(wrong))
+
+
+def test_form_check_folds_a_square_radicand():
+    # v = (v - 2) + sqrt(4) holds a rational value with a radical part: it
+    # folds into A, and the check compares values, not triples
+    t = Fraction(2, 7)
+    form = _lucas_form((1 - t) / (1 + t))
+    remark = [corollary_remark_term(t, n + 1) for n in range(5)]
+    _check_form(form, iter(QuadraticElement(value - 2, 1, 4) for value in remark))
+    wrong = [QuadraticElement(value - 2, 1 + Fraction(1, 10 ** 40), 4) for value in remark]
+    with pytest.raises(AssertionError, match="summand 0"):
+        _check_form(form, iter(wrong))

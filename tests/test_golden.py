@@ -2,7 +2,8 @@
 
 The files under tests/golden/ were produced by an earlier implementation:
 the JSON report of every registry instance at 40, 100 and 300 digits with
-a cap of 2000 terms, and the --trace CSVs of three identities at 30 digits.  Any
+a cap of 2000 terms, the --trace CSVs of three identities at 30 digits and
+that of Richmond-Szekeres, whose terms are exact, at 15 digits.  Any
 change to them is a change of the report format or of a certified value.
 """
 
@@ -34,19 +35,20 @@ def test_registry_report_matches_golden(entry, digits):
 
 
 @pytest.mark.parametrize(
-    "stem, args",
+    "stem, args, digits",
     [
-        ("corollary-t-1-3", ["--identity", "corollary", "--t", "1/3"]),
-        ("fib-lucas-neg", ["--identity", "fib-lucas-neg"]),
-        ("sinh-theta-1-10", ["--identity", "sinh-theta", "--theta", "1/10"]),
+        ("corollary-t-1-3", ["--identity", "corollary", "--t", "1/3"], 30),
+        ("fib-lucas-neg", ["--identity", "fib-lucas-neg"], 30),
+        ("sinh-theta-1-10", ["--identity", "sinh-theta", "--theta", "1/10"], 30),
+        ("richmond-szekeres-30", ["--identity", "richmond-szekeres", "--max-terms", "30"], 15),
     ],
 )
-def test_trace_csv_matches_golden(tmp_path, stem, args):
+def test_trace_csv_matches_golden(tmp_path, stem, args, digits):
     trace = tmp_path / "trace.csv"
     with contextlib.redirect_stdout(io.StringIO()):
-        code = run_cli(["verify", *args, "--digits", "30", "--trace", str(trace)])
+        code = run_cli(["verify", *args, "--digits", str(digits), "--trace", str(trace)])
     assert code == 0
-    assert trace.read_bytes() == (GOLDEN / f"trace-{stem}-d30.csv").read_bytes()
+    assert trace.read_bytes() == (GOLDEN / f"trace-{stem}-d{digits}.csv").read_bytes()
 
 
 def test_every_golden_report_is_checked():

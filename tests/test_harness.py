@@ -3,8 +3,10 @@
 import io
 import json
 import math
+import random
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -47,6 +49,22 @@ class TestDecimalRendering:
         # and str by default (sys.get_int_max_str_digits() = 4300)
         value = Fraction(1, 2 ** 6200)
         assert parse_decimal(exact_decimal(value)) == value
+
+    @staticmethod
+    def _integer_formula(value: Fraction) -> str:
+        # the decimal digits of numerator 5^k converted as one int, k the
+        # binary exponent of the denominator: quadratic in k, but plain
+        k = value.denominator.bit_length() - 1
+        digits = str(Decimal(abs(value.numerator) * 5 ** k)).rjust(k + 1, "0")
+        sign = "-" if value < 0 else ""
+        return sign + digits if k == 0 else f"{sign}{digits[:-k]}.{digits[-k:]}"
+
+    @pytest.mark.parametrize("k", [0, 1, 7, 64, 1000, 4301, 40000, 300000])
+    def test_matches_the_integer_formula_on_random_dyadics(self, k):
+        rng = random.Random(k)
+        for bits in (1, rng.randint(2, 64), rng.randint(65, 3000)):
+            value = Fraction(rng.choice((1, -1)) * (rng.getrandbits(bits) | 1), 1 << k)
+            assert exact_decimal(value) == self._integer_formula(value)
 
     def test_non_dyadic_rejected(self):
         with pytest.raises(ValueError):

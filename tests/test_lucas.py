@@ -16,6 +16,7 @@ from dilogid.lucas import (
     transform_case_check,
     transform_params,
 )
+from dilogid.series import _lucas_neg_terms, _lucas_pos_terms
 
 CATALOG_PARAMS = [
     LucasParams(3, 1),
@@ -245,3 +246,29 @@ def test_integer_doubling_matches_naive_at_fixed_parameters(p, q):
     for n in (0, 1, 2, 3, 7, 64, 65, 300):
         fast, slow = lucas_uv(params, n), lucas_uv_naive(params, n)
         assert fast.u == slow.u and fast.v == slow.v, n
+
+
+# The summand streams of the Lucas series step once per term by the stride
+# recurrences W_(m+k) = V_k W_m - Q^k W_(m-k) over Z at (lam P, lam^2 Q), or
+# over Q(sqrt(D)): their terms equal those built from lucas_uv at each index.
+# Every Q^k differs from Q, so that a stride with Q in place of Q^k shows.
+SIXTH = QuadraticElement(Fraction(1, 2), Fraction(1, 3), 7)
+STRIDE_POS = [(LucasParams(3, 2), 2), (LucasParams(3, 2), 3), (LucasParams(Fraction(7, 3), Fraction(1, 2)), 3),
+              (transform_params(LucasParams(1, -3)), 2), (LucasParams(SIXTH, Fraction(2, 5)), 3)]
+STRIDE_NEG = [(LucasParams(1, -3), 3), (LucasParams(Fraction(3, 2), Fraction(-5, 7)), 3), (LucasParams(2, -1), 5),
+              (LucasParams(SIXTH, Fraction(-2, 5)), 3)]
+
+
+@pytest.mark.parametrize("params, k", STRIDE_POS, ids=["3-2-k2", "3-2-k3", "7/3-1/2-k3", "sqrt13-3-k2", "quadratic-k3"])
+def test_stride_stream_matches_doubling_q_positive(params, k):
+    q, first = params.q, lucas_uv(params, k)
+    for n, term in zip(range(1, 7), _lucas_pos_terms(params, k)):
+        assert term == first.u ** 2 * q ** (k * n) / lucas_uv(params, k * (n + 1)).u ** 2, n
+
+
+@pytest.mark.parametrize("params, k", STRIDE_NEG, ids=["1-(-3)-k3", "3/2-(-5/7)-k3", "2-(-1)-k5", "quadratic-k3"])
+def test_stride_stream_matches_doubling_q_negative(params, k):
+    q, d, first = params.q, params.d, lucas_uv(params, k)
+    for n, (a_term, b_term) in zip(range(1, 7), _lucas_neg_terms(params, k)):
+        assert a_term == -first.v ** 2 * q ** (k * (2 * n - 1)) / (d * lucas_uv(params, 2 * k * n).u ** 2), n
+        assert b_term == first.v ** 2 * q ** (2 * k * n) / lucas_uv(params, k * (2 * n + 1)).v ** 2, n

@@ -4,7 +4,8 @@ certbench/tracer.py replaces named dilogid functions with timing wrappers
 and lists the names it cannot find; a renamed hook silently reads 0 in the
 benchmark's per-layer table.  The tracer is loaded from its source file and
 used as the benchmark uses it, on two registry instances and sinh-theta at
-theta = 1/10, at 40 digits.
+theta = 1/10, at 40 digits, and on Richmond-Szekeres, whose exact terms take
+the kernel's exact-argument path, at 15 digits.
 """
 
 import types
@@ -32,11 +33,17 @@ def test_tracer_hooks_are_present_and_counted():
         run_identity(RunConfig("theorem-main", {"a": "2/3", "b": "1/3"}, 40))
         run_identity(RunConfig("fib-lucas-neg", {}, 40))
         run_identity(RunConfig("sinh-theta", {"theta": "1/10"}, 40))
+        interval_counts = dict(tracer.counts)
+        run_identity(RunConfig("richmond-szekeres", {}, 15, 50))
     finally:
         tracer.remove()
     assert set(tracer.missing) <= KNOWN_STALE
     # one summation pass per verification, told apart by the frame that
     # opens its precision context
-    assert tracer.counts["series.sum_passes"] == 3
+    assert tracer.counts["series.sum_passes"] == 4
+    # the exact path reaches the same hooks: one L per term, and its Li2
+    # terms counted through _series_terms_needed
+    assert tracer.counts["rogers.eval_calls"] == interval_counts["rogers.eval_calls"] + 50
+    assert tracer.counts["rogers.li2_terms"] > interval_counts["rogers.li2_terms"]
     for count in ("series.sum_passes", "rogers.eval_calls", "rogers.li2_terms", "enclosure.convert_calls"):
         assert tracer.counts[count] > 0, count
