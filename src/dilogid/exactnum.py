@@ -274,10 +274,9 @@ def common_radicand(values) -> tuple:
     fields = {value._field[:2] for value in values if isinstance(value, QuadraticElement)}
     if len(fields) > 1:
         raise RadicandMismatchError(f"radicand mismatch: {sorted(fields)}")
-    for dn, dd in fields:
-        if math.isqrt(dn) ** 2 != dn or math.isqrt(dd) ** 2 != dd:
-            return dn, dd
-    return 0, 1
+    dn, dd = fields.pop() if fields else (0, 1)
+    square = math.isqrt(dn) ** 2 == dn and math.isqrt(dd) ** 2 == dd
+    return (0, 1) if square else (dn, dd)
 
 
 def exact_triple(value) -> tuple:

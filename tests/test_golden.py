@@ -35,19 +35,20 @@ def test_registry_report_matches_golden(entry, digits):
 
 
 @pytest.mark.parametrize(
-    "stem, args, digits",
+    "stem, args",
     [
-        ("corollary-t-1-3", ["--identity", "corollary", "--t", "1/3"], 30),
-        ("fib-lucas-neg", ["--identity", "fib-lucas-neg"], 30),
-        ("sinh-theta-1-10", ["--identity", "sinh-theta", "--theta", "1/10"], 30),
-        ("richmond-szekeres-30", ["--identity", "richmond-szekeres", "--max-terms", "30"], 15),
+        ("corollary-t-1-3", ["--identity", "corollary", "--t", "1/3", "--digits", "30"]),
+        ("fib-lucas-neg", ["--identity", "fib-lucas-neg", "--digits", "30"]),
+        ("sinh-theta-1-10", ["--identity", "sinh-theta", "--theta", "1/10", "--digits", "30"]),
+        ("richmond-szekeres-30", ["--identity", "richmond-szekeres", "--max-terms", "30", "--digits", "15"]),
     ],
 )
-def test_trace_csv_matches_golden(tmp_path, stem, args, digits):
+def test_trace_csv_matches_golden(tmp_path, stem, args):
     trace = tmp_path / "trace.csv"
     with contextlib.redirect_stdout(io.StringIO()):
-        code = run_cli(["verify", *args, "--digits", str(digits), "--trace", str(trace)])
+        code = run_cli(["verify", *args, "--trace", str(trace)])
     assert code == 0
+    digits = args[args.index("--digits") + 1]
     assert trace.read_bytes() == (GOLDEN / f"trace-{stem}-d{digits}.csv").read_bytes()
 
 
