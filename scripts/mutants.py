@@ -48,7 +48,7 @@ CONVERTER = "tests/test_exact_terms.py::test_converter_matches_from_rational"
 PAIRS = "tests/test_exact_terms.py::test_branch_and_one_minus_on_pairs"
 FORM_CHECK = "tests/test_lambert_form.py::test_five_index_check_accepts_the_form_and_rejects_wrong_ones"
 NEAR_CANCELLATION = "tests/test_exactnum.py::test_quad_to_real_one_pass_near_cancellation"
-TAIL_BOUNDARY = "tests/test_exact_terms.py::test_tail_check_at_the_certified_boundary"
+TRUNCATION_SCAN = "tests/test_exact_terms.py::test_truncation_search_matches_a_scan"
 TAIL_CALLS = "tests/test_exact_terms.py::test_truncation_certifies_few_terms"
 SCALED = "tests/test_exact_terms.py::test_scaled_enclosures_keep_their_endpoints"
 BUDGET = "tests/test_series.py::TestWorkingPrecision"
@@ -204,21 +204,21 @@ MUTANTS = [
         "1 - x one unit off", ROGERS,
         "one = 1 << x.scale", "one = (1 << x.scale) - 1", (PAIRS,),
     ),
-    # the integer cut-off that refuses terms before the certified tail bound
+    # the truncation: a search over the certified tail after the first n
+    # terms, from a float estimate and the index before it
     Mutant(
-        "pi^2/6 doubled in the cut-off's lower bound", SERIES,
-        "lb = t * (_pi_squared_over(6) + iv.log(1 / t)) / gap_iv",
-        "lb = t * (_pi_squared_over(3) + iv.log(1 / t)) / gap_iv", (TAIL_BOUNDARY,),
+        "truncation point one index late", SERIES,
+        "n_terms = min(hi, max_terms)", "n_terms = min(hi + 1, max_terms)", (TRUNCATION_SCAN,),
+    ),
+    # the search still finds the first index, by bisection, but with more
+    # tail bounds than the two around a good estimate
+    Mutant(
+        "index before the estimate never tried", SERIES,
+        "for n in (guess, guess - 1):", "for n in (guess,):", (TAIL_CALLS,),
     ),
     Mutant(
-        "cut-off not certified", SERIES,
-        "if mpf_to_fraction(mp.make_mpf(lb._mpi_[0])) > tolerance_half:", "if True:", (TAIL_BOUNDARY,),
-    ),
-    # a factor 2 low, the estimate is not certified within 64 rises, and
-    # the cut-off falls back to 2^w, which refuses nothing
-    Mutant(
-        "cut-off estimate a factor 2 low", SERIES,
-        "e = x / log(2) + scale", "e = x / log(2) + scale - 1", (TAIL_CALLS,),
+        "estimate a factor 2 off", SERIES,
+        "target = _float_log(tolerance_half)", "target = _float_log(tolerance_half / 2)", (TAIL_CALLS,),
     ),
     # the five-index check of a Lambert form, which replaced the corollary's
     # exact per-term check

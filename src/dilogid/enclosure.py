@@ -54,9 +54,6 @@ class ScaledInterval(NamedTuple):
     hi: int
     scale: int
 
-    def upper(self) -> Fraction:
-        return Fraction(self.hi, 1 << self.scale)
-
 
 def rational_bounds(p: int, q: int, prec: int) -> tuple:
     """Raw mpf values of p/q, q > 0, rounded down and up to ``prec`` bits.

@@ -47,23 +47,22 @@ geometric sequence t_N rho^j, as for s >= 0
     t_(n+1) / t_n = rho ((1 - s rho^(n+1)) / (1 - s rho^(n+2)))^2 <= rho;
 
 the ratio cap is rho or a certified upper bound on it (``_certified_cap``).
-The truncation point is the first term whose certified 96-bit tail bound
-(``tail_bound``) fits in half the tolerance, but one integer comparison
-refuses almost every term without it: once per series, ``_integer_cut_off``
-certifies an integer M at the terms' scale 2^-w beyond which the bound's
-first part, t (pi^2/6 + ln 1/t) / (1 - rho), exceeds half the tolerance,
-and a term whose integer lower end exceeds M is refused.  The certified
-bound then runs on the last term or two (``_tail_small_enough``), and the
-one it accepts is the final tail.
+The tail after the first n terms is one function of n, f(n) =
+tail_bound(t, cap) for t the upper bound on t_n from its formula in
+interval arithmetic (``_term_upper``), which depends only on the form and
+the cap.  The truncation point N is the first n in [1, max_terms] with
+f(n) at most half the tolerance, else max_terms, and f(N) is the final
+tail (``_choose_truncation``): a float estimate of N from log K + n log rho
+and two certified evaluations of f around it, or a bisection when they
+miss.  Only then are the form checked and the first N terms generated.
 
 The terms are integer enclosures at a scale 2^-w, generated once
 (``_lambert_terms``): rho^n steps as a scaled integer with floors at the
 lower end of rho's enclosure and ceilings at the upper end, and a term's
 bounds are integer floor and ceiling divisions, so they hold by induction
 with no error term.  Their width, under 2^5 (1/(1-rho))^2 units whatever
-n, sets w (``_lambert_scale``).  The tail after them is certified from
-the cut-off term's formula in interval arithmetic (``_term_upper``), not
-from its enclosure at 2^-w, so it does not follow the term cap.
+n, sets w (``_lambert_scale``).  The tail is not read from them, so it
+does not follow the terms' scale or the term cap.
 """
 
 from __future__ import annotations
@@ -73,8 +72,9 @@ import re
 from dataclasses import dataclass, field, replace
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
+from functools import cache
 from itertools import chain, count, islice
-from math import isqrt, log, pi
+from math import isqrt, log, log1p, pi
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from mpmath import iv, mp
@@ -117,7 +117,7 @@ DEFAULT_MAX_TERMS = 10000
 # equals it, PrecisionBudget(d).working_bits != _TAIL_BITS for every d,
 # because the benchmark tracer tells summation passes from tail bounds by it
 _TAIL_BITS = 96
-# precision of the upper bound on a cut-off term that tail_bound reads (``_term_upper``)
+# precision of the upper bound on a term that tail_bound reads (``_term_upper``)
 _CUT_OFF_BITS = _TAIL_BITS + 64
 
 
@@ -300,61 +300,39 @@ def _certified_cap(cap) -> Fraction:
     return sup
 
 
-def _integer_cut_off(scale: int, cap: Fraction, tolerance_half: Fraction) -> int:
-    """An integer M such that the lower end of a _TAIL_BITS-bit interval
-    evaluation of LB(M 2^-scale) exceeds tolerance_half, where
-    LB(t) = t (pi^2/6 + ln 1/t) / (1 - cap); 2^scale if none is certified.
-
-    Why a term whose integer lower end lo exceeds M is refused by
-    ``tail_bound`` too.  Any upper bound t on its value exceeds M 2^-scale.
-    tail_bound refuses t > 1/2, and on (0, 1/2] returns at least the exact
-    t ((pi^2/6 + ln 1/t) / (1-cap) + cap ln(1/cap) / (1-cap)^2) >= LB(t);
-    LB increases on (0, 1], as its derivative is (pi^2/6 - 1 + ln 1/t) /
-    (1-cap) > 0, so LB(t) >= LB(M 2^-scale) > tolerance_half.
-
-    M starts at a float estimate of where LB crosses tolerance_half, taken
-    in log space, as at 300 digits or more that crossing lies near or below
-    the smallest double, and rises by a factor 1 + 2^-10 until certified."""
-    one = 1 << scale
-    # x = ln t at the crossing solves x = target - ln(pi^2/6 - x), target =
-    # ln(tolerance_half (1 - cap)) <= ln(1/20), so x <= target and each step
-    # shrinks the error by 1/(pi^2/6 - x) < 1/4: 40 steps reach the float root
-    gap = 1 - cap
-    target = (log(tolerance_half.numerator) - log(tolerance_half.denominator)
-              + log(gap.numerator) - log(gap.denominator))
-    x = target
-    for _ in range(40):
-        x = target - log(pi * pi / 6 - x)
-    # the crossing, 2^e units of 2^-scale, floored as m 2^k with m < 2^53
-    e = x / log(2) + scale
-    k = max(0, int(e) - 52)
-    m = max(1, int(2.0 ** (e - k)) << k)
-    with interval_precision(_TAIL_BITS):
-        gap_iv = 1 - iv_from_fraction(cap)
-        # 64 rises span a factor 1.06, far beyond the estimate's float error
-        for _ in range(64):
-            if m >= one:
-                break
-            t = iv.make_mpf(_raw(ScaledInterval(m, m, scale), _TAIL_BITS))
-            lb = t * (_pi_squared_over(6) + iv.log(1 / t)) / gap_iv
-            if mpf_to_fraction(mp.make_mpf(lb._mpi_[0])) > tolerance_half:
-                return m
-            m += (m >> 10) + 1
-    return one
-
-
-def _tail_small_enough(term: ScaledInterval, cap: Fraction, tolerance_half: Fraction, upper=ScaledInterval.upper):
-    """The certified tail_bound(t, cap) for t = upper(term), any upper bound
-    on the term's value, when it is at most tolerance_half, else None.
-    ``_choose_truncation`` calls it only on the terms that
-    ``_integer_cut_off`` does not refuse: the last one or two."""
-    if 2 * term.hi > 1 << term.scale:
-        return None
+def _tail_small_enough(n: int, tail_after: Callable[[int], object], tolerance_half: Fraction):
+    """The certified bound ``tail_after(n)`` on the tail after the first n
+    terms if it is at most tolerance_half, else None, as when the n-th term
+    exceeds 1/2."""
     try:
-        bound = tail_bound(upper(term), cap)
+        bound = tail_after(n)
     except DomainError:
         return None
     return bound if mpf_to_fraction(bound) <= tolerance_half else None
+
+
+def _float_log(x: Fraction) -> float:
+    """ln x for a positive rational, from its integers far below 1, where a
+    double underflows, and by log1p near 1, where it cancels."""
+    return log1p(float(x - 1)) if 2 * x > 1 else log(x.numerator) - log(x.denominator)
+
+
+def _truncation_estimate(enclosed: LambertForm, cap: Fraction, tolerance_half: Fraction) -> float:
+    """1 + the real n where K rho^n, from the upper ends of the enclosed K
+    and rho, meets the t at which the whole bound tail_bound(t, cap) =
+    t ((pi^2/6 - ln t) / (1 - cap) + cap ln(1/cap) / (1 - cap)^2) crosses
+    tolerance_half, in log space: t may lie below the smallest double."""
+    gap = float(1 - cap)
+    second = float(cap) * -_float_log(cap) / (gap * gap)
+    # x = ln t solves x = target - ln A(x), A the bracket above, target =
+    # ln tolerance_half <= ln(1/20), so x <= target and each step shrinks the
+    # error by 1/(gap A(x)) <= 1/(pi^2/6 - x) < 1/4: 40 steps reach the root
+    target = _float_log(tolerance_half)
+    x = target
+    for _ in range(40):
+        x = target - log((pi * pi / 6 - x) / gap + second)
+    ln_k, ln_rho = (_float_log(mpf_to_fraction(mp.make_mpf(v._mpi_[1]))) for v in enclosed[:2])
+    return (x - ln_k) / ln_rho + 1
 
 
 # ---------------------------------------------------------------------------
@@ -505,8 +483,11 @@ def _enclosed_form(form: LambertForm) -> LambertForm:
     """The form with its exact K, rho and s enclosed at _CUT_OFF_BITS bits by
     ``quad_interval`` and its intervals as they are: what ``_term_upper``
     reads, enclosed once per report rather than once per term bound."""
+    enclose = lambda v: quad_interval(v) if isinstance(v, (Fraction, QuadraticElement)) else v  # noqa: E731
     with interval_precision(_CUT_OFF_BITS):
-        return LambertForm(*(quad_interval(v) if isinstance(v, (Fraction, QuadraticElement)) else v for v in form))
+        rho = enclose(form.rho)
+        # s is rho in the corollary's form, which every family but theorem-main takes
+        return LambertForm(enclose(form.k), rho, rho if form.s is form.rho else enclose(form.s))
 
 
 def _term_upper(form: LambertForm, n: int) -> Fraction:
@@ -612,30 +593,46 @@ def _trace_rows(rows, final_tail, row_tail):
 
 
 def _choose_truncation(
-    term_iter: Iterable, ratio_cap, budget: PrecisionBudget, max_terms: int, term_upper: Callable[[int], Fraction]
-) -> tuple[list, object]:
-    """Read scaled-interval terms until the certified tail after them fits
-    in half the tolerance, or ``max_terms`` are kept.  The tail after the
-    first n terms is certified from ``term_upper(n)``, an upper bound on
-    the n-th term; a term whose lower end exceeds the integer cut-off at the
-    terms' scale is refused without it.  Returns (the kept terms, the tail
-    bound)."""
+    enclosed: LambertForm, cap: Fraction, budget: PrecisionBudget, max_terms: int, tail_after: Callable[[int], object]
+) -> tuple[int, object]:
+    """(N, f(N)) for f = ``tail_after``, the certified tail after the first
+    n terms of the ``enclosed`` form's series, and N the first n in
+    [1, max_terms] that ``_tail_small_enough`` accepts, else max_terms.
+
+    f(N) certifies the tail whatever N; that N is the first rests on f
+    decreasing.  ``_term_upper``'s bound grows with its upper bound on
+    rho^n, which falls by a factor cap <= 1 - 2^-96 or less per index, far
+    beyond its rounding at _CUT_OFF_BITS, so the bounds decrease with n,
+    and tail_bound, which grows with its argument up to its own rounding,
+    with them.  The search tries the estimate N'
+    (``_truncation_estimate``), clamped to [1, max_terms], and N' - 1, and
+    bisects over [0, max_terms + 1] when they miss the crossing, running f
+    once per index.  A term too small for an exact rational (PrecisionError)
+    counts as accepted: the search stops at or before it, and reading its
+    tail raises, as reading the terms in order would."""
     if max_terms < 1:
         raise UsageError("max_terms must be positive")
     tol_half = budget.tolerance / 2
-    kept: list = []
-    # the term read while n terms are kept is the n-th
-    upper = lambda term: term_upper(len(kept))  # noqa: E731
-    for term in term_iter:
-        if len(kept) >= max_terms:
-            return kept, tail_bound(upper(term), ratio_cap)
-        if not kept:
-            # the terms share the first one's scale (``_lambert_terms``)
-            cut_off = _integer_cut_off(term.scale, ratio_cap, tol_half)
-        elif term.lo <= cut_off and (bound := _tail_small_enough(term, ratio_cap, tol_half, upper)) is not None:
-            return kept, bound
-        kept.append(term)
-    raise AssertionError("term iterator exhausted unexpectedly")
+    tail_at = cache(tail_after)
+    lo, hi = 0, max_terms + 1
+
+    def probe(n):
+        nonlocal lo, hi
+        try:
+            fits = _tail_small_enough(n, tail_at, tol_half) is not None
+        except PrecisionError:
+            fits = True
+        lo, hi = (lo, n) if fits else (n, hi)
+
+    estimate = _truncation_estimate(enclosed, cap, tol_half)
+    guess = int(min(estimate, max_terms)) if estimate >= 1 else 1
+    for n in (guess, guess - 1):
+        if lo < n < hi:
+            probe(n)
+    while hi - lo > 1:
+        probe((lo + hi) // 2)
+    n_terms = min(hi, max_terms)
+    return n_terms, tail_at(n_terms)
 
 
 def _lambert_report(identity_id, parameters, form, cap, budget, max_terms, trace, exact, closed_form) -> IdentityReport:
@@ -644,10 +641,16 @@ def _lambert_report(identity_id, parameters, form, cap, budget, max_terms, trace
     of the summands and the count of them that proves the form, or None
     for transcendental terms; summed against the closed form, the sum of
     sign L(x) over the pairs (sign, x) of ``closed_form``, each x a Fraction,
-    a Q(sqrt(D)) value or an mpmath interval.  Each term is generated once,
-    at ``_lambert_scale``'s scale, and the tail after the first n is
-    certified from the n-th term's own formula (``_term_upper``), its K,
-    rho and s enclosed once."""
+    a Q(sqrt(D)) value or an mpmath interval.  The truncation comes first,
+    from the n-th term's own formula (``_term_upper``), its K, rho and s
+    enclosed once, so a tail out of reach stops before the form check; then
+    the first N terms are generated once, at ``_lambert_scale``'s scale."""
+    enclosed = _enclosed_form(form)
+
+    def tail_after(n):
+        return tail_bound(_term_upper(enclosed, n), cap)
+
+    n_terms, tail = _choose_truncation(enclosed, cap, budget, max_terms, tail_after)
     if exact is not None:
         _check_form(form, *exact)
 
@@ -662,12 +665,8 @@ def _lambert_report(identity_id, parameters, form, cap, budget, max_terms, trace
     def rhs_fn():
         return sum(sign * _rogers_interval(argument(x)) for sign, x in closed_form)
 
-    terms = _lambert_terms(form, _lambert_scale(form, cap, budget, max_terms))
-    enclosed = _enclosed_form(form)
-    term_upper = lambda n: _term_upper(enclosed, n)  # noqa: E731
-    kept, tail = _choose_truncation(terms, cap, budget, max_terms, term_upper)
-    row_tail = lambda n: tail_bound(term_upper(n), cap)  # noqa: E731
-    return _evaluate_series_report(identity_id, parameters, budget, kept, tail, row_tail, rhs_fn, trace)
+    terms = islice(_lambert_terms(form, _lambert_scale(form, cap, budget, max_terms)), n_terms)
+    return _evaluate_series_report(identity_id, parameters, budget, terms, tail, tail_after, rhs_fn, trace)
 
 
 # ---------------------------------------------------------------------------

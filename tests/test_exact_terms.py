@@ -9,7 +9,7 @@ from math import log
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
-from mpmath import mp
+from mpmath import iv, mp
 from mpmath.libmp import from_man_exp, from_rational, round_ceiling, round_floor
 
 from dilogid import series
@@ -18,17 +18,23 @@ from dilogid.enclosure import (
     PrecisionBudget,
     PrecisionError,
     ScaledInterval,
+    interval_precision,
+    iv_from_fraction,
     mpf_to_fraction,
     rational_bounds,
 )
 from dilogid.exactnum import QuadraticElement
 from dilogid.harness import emit_report
+from dilogid.lucas import LucasParams
 from dilogid.rogers import _branch_is_low, _one_minus, _raw
 from dilogid.series import (
+    LambertForm,
     TwoParamInstance,
+    _certified_cap,
     _check_form,
-    _integer_cut_off,
     _lucas_form,
+    _lucas_rhs_arg,
+    _ratio_cap_sup,
     _tail_small_enough,
     _two_param_form,
     corollary_remark_term,
@@ -171,30 +177,20 @@ CAPS.update({"1-2^-90": 1 - Fraction(1, 1 << 90), "2^-64": Fraction(1, 1 << 64)}
 TAIL_DIGITS = [12, 40, 300, 3000]
 
 
-def _certified_accepts(term: ScaledInterval, cap: Fraction, half: Fraction) -> bool:
-    return mpf_to_fraction(tail_bound(term.upper(), cap)) <= half
+def _tail_after(form: LambertForm, cap: Fraction):
+    """f(n), the certified tail after the first n terms, as the verifier builds it."""
+    enclosed = series._enclosed_form(form)
+    return enclosed, lambda n: tail_bound(series._term_upper(enclosed, n), cap)
 
 
-def _tail_check(term: ScaledInterval, cap: Fraction, half: Fraction):
-    """The truncation's check: the integer comparison with the cut-off at
-    the term's scale, then ``_tail_small_enough``."""
-    if term.lo > _integer_cut_off(term.scale, cap, half):
-        return None
-    return _tail_small_enough(term, cap, half)
-
-
-@settings(max_examples=60, deadline=None)
-@given(UNIT, st.integers(0, 40), st.sampled_from(sorted(CAPS.values())), st.sampled_from(TAIL_DIGITS))
-def test_tail_checks_on_pairs(pq, extra, cap, digits):
-    # terms from 10^-(digits+7) to 10^-(digits+1), times about 1 - cap,
-    # around the certified boundary, enclosed at scales from the term's size
-    # on; the check refuses only where tail_bound refuses too
-    p, q = pq[0], pq[1] * 10 ** (digits + 1) * (cap.denominator // (cap.denominator - cap.numerator))
-    term = _scaled(p, q, q.bit_length() + 4 * digits + extra)
-    half = Fraction(1, 2 * 10 ** digits)
-    bound = _tail_check(term, cap, half)
-    assert (bound is not None) == _certified_accepts(term, cap, half)
-    assert bound is None or bound == tail_bound(term.upper(), cap)
+def _scanned_truncation(tail_after, half: Fraction, max_terms: int):
+    """The truncation by a linear scan: the first n in [1, max_terms] that
+    ``_tail_small_enough`` accepts, else max_terms, and its tail."""
+    for n in range(1, max_terms + 1):
+        bound = _tail_small_enough(n, tail_after, half)
+        if bound is not None:
+            return n, bound
+    return max_terms, tail_after(max_terms)
 
 
 @pytest.mark.parametrize("bits", [12, 200])
@@ -202,10 +198,9 @@ def test_tail_checks_on_pairs(pq, extra, cap, digits):
 @pytest.mark.parametrize("cap", CAPS)
 def test_tail_check_at_the_certified_boundary(cap, digits, bits):
     # at a scale where the boundary term has about ``bits`` bits, bisect for
-    # the largest upper end that tail_bound accepts: the check decides as
-    # tail_bound there and one unit either side.  Near cap 0 the certified
-    # bound lies within 10^-15 of the cut-off's lower bound LB, so the
-    # cut-off's certification decides there.
+    # the largest t that tail_bound accepts; forms K rho^n with rho = cap
+    # whose t_2 lies there or one unit either side cross too close to it for
+    # the float estimate to tell, and the truncation still decides as a scan
     cap = CAPS[cap]
     half = Fraction(1, 2 * 10 ** digits)
     # ln(tol/2) + ln(1 - cap)
@@ -217,18 +212,81 @@ def test_tail_check_at_the_certified_boundary(cap, digits, bits):
     scale = bits + int(e)
 
     def accepts(hi):
-        return _certified_accepts(ScaledInterval(hi, hi, scale), cap, half)
+        return mpf_to_fraction(tail_bound(Fraction(hi, 1 << scale), cap)) <= half
 
     lo, hi = 1, 1 << (bits + 3)
     assert accepts(lo) and not accepts(hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if accepts(mid) else (lo, mid)
+    budget = PrecisionBudget.for_digits(digits)
     for end in (lo - 1, lo, hi):
-        term = ScaledInterval(end, end, scale)
-        bound = _tail_check(term, cap, half)
-        assert (bound is not None) == accepts(end), end - lo
-        assert bound is None or bound == tail_bound(term.upper(), cap)
+        enclosed, tail_after = _tail_after(LambertForm(Fraction(end, 1 << scale) / cap ** 2, cap, Fraction(0)), cap)
+        expected = _scanned_truncation(tail_after, half, 6)
+        assert series._choose_truncation(enclosed, cap, budget, 6, tail_after) == expected, end - lo
+
+
+def _rational_row(form, digits, max_terms):
+    return form, _certified_cap(form.rho), digits, max_terms
+
+
+def _lucas_row(params, k, digits, max_terms):
+    return _lucas_form(_lucas_rhs_arg(params, k)), _ratio_cap_sup(params, k), digits, max_terms
+
+
+def _sinh_theta_row(digits, max_terms):
+    with interval_precision(400):
+        decay = 1 / iv.exp(iv_from_fraction(Fraction(1, 10)))
+        form = _lucas_form(decay * decay)
+    return form, _certified_cap(form.rho), digits, max_terms
+
+
+SLOW = _two_param_form(TwoParamInstance(Fraction(1, 50), Fraction(3, 47)))
+NEAR_ONE = LambertForm(Fraction(1, 10 ** 50), 1 - Fraction(1, 1 << 90), Fraction(1, 2))
+SQRT5 = LucasParams(QuadraticElement.sqrt_of(5), 1)
+TRUNCATIONS = {
+    "theorem-main(1/50,3/47)": _rational_row(SLOW, 40, 2100),
+    "theorem-main(1/50,3/47)-capped": _rational_row(SLOW, 40, 600),
+    "corollary(1/3)-12": _rational_row(_lucas_form(Fraction(1, 2)), 12, 100),
+    "rho=2^-64-3000": _rational_row(_lucas_form(Fraction(1, 1 << 64)), 3000, 400),
+    # t_n below 2^-(2^20), beyond an exact rational, from n = 210 on
+    "rho=2^-5000": _rational_row(_lucas_form(Fraction(1, 1 << 5000)), 40, 1000),
+    "rho=1-2^-90-12": _rational_row(NEAR_ONE, 12, 50),
+    "rho=1-2^-90-capped": _rational_row(NEAR_ONE, 40, 50),
+    "fib-even-300": _lucas_row(LucasParams(3, 1), 1, 300, 500),
+    "sqrt5-k-even-100": _lucas_row(SQRT5, 2, 100, 500),
+    "sinh-theta(1/10)": _sinh_theta_row(40, 600),
+    "sinh-theta(1/10)-capped": _sinh_theta_row(40, 100),
+}
+
+
+@pytest.mark.parametrize("form, cap, digits, max_terms", TRUNCATIONS.values(), ids=TRUNCATIONS.keys())
+def test_truncation_search_matches_a_scan(monkeypatch, form, cap, digits, max_terms):
+    # exact, Q(sqrt(D)) and interval forms, caps near 0 and near 1, and the
+    # term cap reached; the search decides as the scan whatever its
+    # estimate: too early, too late, beyond the cap, negative or NaN
+    enclosed, tail_after = _tail_after(form, cap)
+    budget = PrecisionBudget.for_digits(digits)
+    expected = _scanned_truncation(tail_after, budget.tolerance / 2, max_terms)
+    assert series._choose_truncation(enclosed, cap, budget, max_terms, tail_after) == expected
+    for estimate in (0, max_terms, 10 ** 9, -5, float("nan")):
+        monkeypatch.setattr(series, "_truncation_estimate", lambda *args: estimate)
+        assert series._choose_truncation(enclosed, cap, budget, max_terms, tail_after) == expected, estimate
+
+
+def test_truncation_runs_before_the_form_check(monkeypatch):
+    # a series whose tail cannot be certified stops before the exact form
+    # check, which at Lucas index k multiplies integers of O(k) bits
+    def uncertified(*args):
+        raise PrecisionError("tail out of reach")
+
+    def checked(*args):
+        raise AssertionError("form checked before the truncation")
+
+    monkeypatch.setattr(series, "_choose_truncation", uncertified)
+    monkeypatch.setattr(series, "_check_form", checked)
+    with pytest.raises(PrecisionError):
+        corollary_verify(Fraction(1, 3), B40)
 
 
 @pytest.mark.parametrize(
@@ -237,9 +295,9 @@ def test_tail_check_at_the_certified_boundary(cap, digits, bits):
      ("fib-even", {"k": "1"}, 1000)],
 )
 def test_truncation_certifies_few_terms(monkeypatch, name, params, digits):
-    # the integer cut-off refuses every term but the last one or two before
-    # the truncation point, so tail_bound runs at most twice, and the bound
-    # it accepts is the final tail; ratios near 0.96 put 2000 terms before
+    # the search tries its estimate of the truncation point and the index
+    # before it, so tail_bound runs at most twice, and the bound it accepts
+    # is the final tail; ratios near 0.96 put 2000 terms before
     # it, and at 1000 digits the crossing term, about 10^-1000, lies below
     # the smallest double
     calls = []
