@@ -62,6 +62,10 @@ WRONG_FORMS = (
     "tests/test_lambert_form.py::test_verifier_rejects_a_wrong_lucas_form",
 )
 TWO_PARAMETER_GOLDENS = "tests/test_golden.py::test_two_parameter_report_matches_golden"
+TRACE_GOLDENS = (
+    "tests/test_golden.py::test_trace_csv_matches_golden",
+    "tests/test_golden.py::test_two_parameter_trace_csv_matches_golden",
+)
 REDUCED_TRIPLES = "tests/test_exactnum.py::test_reduced_triples_fixed_examples"
 RATIONAL_RADICAND = "tests/test_exactnum.py::test_products_over_a_rational_radicand"
 RATIONAL_LUCAS = "tests/test_lucas.py::test_integer_doubling_matches_naive_at_fixed_parameters"
@@ -191,14 +195,14 @@ MUTANTS = [
         "shift = prec + 3 - p.bit_length() + q.bit_length()", "shift = prec - 3 - p.bit_length() + q.bit_length()",
         (CONVERTER,),
     ),
-    # the branch test and 1 - x on exact and integer-pair arguments
+    # the kernel's branch test and 1 - x on exact and integer-pair arguments
     Mutant(
         "< for <= in the exact branch test", ROGERS,
-        "return 2 * p <= q", "return 2 * p < q", (PAIRS,),
+        "low = 2 * p <= q", "low = 2 * p < q", (PAIRS,),
     ),
     Mutant(
         "< for <= in the integer-pair branch test", ROGERS,
-        "return x.lo + x.hi <= 1 << x.scale", "return x.lo + x.hi < 1 << x.scale", (PAIRS,),
+        "low = x.lo + x.hi <= 1 << x.scale", "low = x.lo + x.hi < 1 << x.scale", (PAIRS,),
     ),
     Mutant(
         "1 - x one unit off", ROGERS,
@@ -208,7 +212,17 @@ MUTANTS = [
     # terms, from a float estimate and the index before it
     Mutant(
         "truncation point one index late", SERIES,
-        "n_terms = min(hi, max_terms)", "n_terms = min(hi + 1, max_terms)", (TRUNCATION_SCAN,),
+        "return min(hi, max_terms)", "return min(hi + 1, max_terms)", (TRUNCATION_SCAN,),
+    ),
+    # one tail function per series: the tail after the first n + 1 terms for
+    # trace row n, after every kept term for the report
+    Mutant(
+        "trace row n reads tail_after(n)", SERIES,
+        "running = tail_after(n + 1)", "running = tail_after(n)", TRACE_GOLDENS,
+    ),
+    Mutant(
+        "report reads tail_after(n_terms - 1)", SERIES,
+        "        tail_after(n_terms),\n", "        tail_after(n_terms - 1),\n", (TWO_PARAMETER_GOLDENS,),
     ),
     # the search still finds the first index, by bisection, but with more
     # tail bounds than the two around a good estimate

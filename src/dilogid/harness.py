@@ -224,9 +224,10 @@ class RegistryEntry:
 
 
 def registry() -> tuple:
-    """The paper's example instances with their cited closed-form values."""
+    """The paper's example instances with their cited closed-form values,
+    at DEFAULT_DIGITS: ``run_suite`` sets the digits of every run."""
     return tuple(
-        RegistryEntry(name, RunConfig(spec.name, dict(params), default_digits()), expected, cited_value)
+        RegistryEntry(name, RunConfig(spec.name, dict(params)), expected, cited_value)
         for spec in IDENTITIES.values()
         for name, params, expected, cited_value in spec.examples
     )

@@ -259,13 +259,6 @@ def _pi_squared_over(divisor: int):
     return iv.pi ** 2 / divisor
 
 
-def _branch_is_low(x) -> bool:
-    if isinstance(x, ScaledInterval):
-        return x.lo + x.hi <= 1 << x.scale
-    p, q = x
-    return 2 * p <= q
-
-
 def _one_minus(x):
     if isinstance(x, ScaledInterval):
         one = 1 << x.scale
@@ -287,8 +280,9 @@ def _rogers_eval(x, rogers: bool = True) -> ScaledInterval:
     Li2(x) = pi^2/6 - Li2(y) - P.
     """
     w = iv.prec + _GUARD_BITS
-    low = _branch_is_low(x)
     if isinstance(x, ScaledInterval):
+        # the branch follows the midpoint
+        low = x.lo + x.hi <= 1 << x.scale
         y = _raw(x if low else _one_minus(x), w)
         (sign_lo, man_lo, _, _), (_, _, exp_hi, bc_hi) = y
         size = exp_hi + bc_hi
@@ -300,6 +294,7 @@ def _rogers_eval(x, rogers: bool = True) -> ScaledInterval:
         p, q = x
         if not 0 < p < q:
             raise DomainError(f"argument {Fraction(p, q)} outside the open interval (0, 1)")
+        low = 2 * p <= q
         # y = p/q or (q-p)/q < 2^size, as p < 2^bits(p) and q >= 2^(bits(q)-1)
         y = x if low else (q - p, q)
         size = y[0].bit_length() - q.bit_length() + 1

@@ -47,22 +47,27 @@ geometric sequence t_N rho^j, as for s >= 0
     t_(n+1) / t_n = rho ((1 - s rho^(n+1)) / (1 - s rho^(n+2)))^2 <= rho;
 
 the ratio cap is rho or a certified upper bound on it (``_certified_cap``).
-The tail after the first n terms is one function of n, f(n) =
-tail_bound(t, cap) for t the upper bound on t_n from its formula in
-interval arithmetic (``_term_upper``), which depends only on the form and
-the cap.  The truncation point N is the first n in [1, max_terms] with
-f(n) at most half the tolerance, else max_terms, and f(N) is the final
-tail (``_choose_truncation``): a float estimate of N from log K + n log rho
-and two certified evaluations of f around it, or a bisection when they
-miss.  Only then are the form checked and the first N terms generated.
+Each series has one tail function, ``tail_after(n)``, the certified bound
+on the tail after its first n terms, built once per report and cached: for
+a Lambert form, tail_bound(t, cap) for t the upper bound on t_n from its
+formula in interval arithmetic (``_term_upper``), which depends only on
+the form and the cap.  It serves the truncation, the report and every
+``--trace`` row.  The truncation point N is the first n in [1, max_terms]
+with tail_after(n) at most half the tolerance, else max_terms
+(``_choose_truncation``): a float estimate of N from log K + n log rho and
+two certified evaluations around it, or a bisection when they miss.  Only
+then are the form checked and the first N terms generated.
 
-The terms are integer enclosures at a scale 2^-w, generated once
-(``_lambert_terms``): rho^n steps as a scaled integer with floors at the
-lower end of rho's enclosure and ceilings at the upper end, and a term's
-bounds are integer floor and ceiling divisions, so they hold by induction
-with no error term.  Their width, under 2^5 (1/(1-rho))^2 units whatever
-n, sets w (``_lambert_scale``).  The tail is not read from them, so it
-does not follow the terms' scale or the term cap.
+A form's exact K, rho and s, rationals or Q(sqrt(D)) values, become
+intervals in one place, ``_enclosed_form``: at _CUT_OFF_BITS bits for the
+tail, and once at w + 24 bits for the terms.  The terms are integer
+enclosures at a scale 2^-w, generated once (``_lambert_terms``): rho^n
+steps as a scaled integer with floors at the lower end of rho's enclosure
+and ceilings at the upper end, and a term's bounds are integer floor and
+ceiling divisions, so they hold by induction with no error term.  Their
+width, under 2^5 (1/(1-rho))^2 units whatever n, sets w
+(``_lambert_scale``).  The tail is not read from them, so it does not
+follow the terms' scale or the term cap.
 """
 
 from __future__ import annotations
@@ -418,23 +423,18 @@ def _log2_floor(value) -> int:
 
 
 def _scaled_bounds(value, w: int) -> tuple[int, int]:
-    """Integers lo <= 2^w value <= hi for a positive rational, Q(sqrt(D)) value or interval."""
-    if isinstance(value, QuadraticElement):
-        # within 2^(-w-4) of the value, as it lies below 1
-        value = quad_to_real(value, w + 8).interval()
-    if isinstance(value, Fraction):
-        num = value.numerator << w
-        return num // value.denominator, -(-num // value.denominator)
+    """Integers lo <= 2^w value <= hi for an interval: its endpoints floored and ceiled."""
     (s_lo, m_lo, e_lo, _), (s_hi, m_hi, e_hi, _) = value._mpi_
     return _shift(-m_lo if s_lo else m_lo, e_lo + w), _shift(-m_hi if s_hi else m_hi, e_hi + w, up=True)
 
 
 def _lambert_terms(form: LambertForm, w: int) -> Iterator[ScaledInterval]:
     """Enclosures at scale 2^-w of t = K x / (1 - sigma x)^2, x = rho^n, for
-    n >= 0: x starts at 2^w and steps with floors by the lower bound on rho
-    and ceilings by the upper one, and t grows with K, x and sigma x < 1, so
-    its lower bound takes every lower bound and floors, its upper bound the
-    rest."""
+    n >= 0, from a form of intervals (``_enclosed_form``), whose endpoints
+    are floored and ceiled at 2^-w: x starts at 2^w and steps with floors by
+    the lower bound on rho and ceilings by the upper one, and t grows with
+    K, x and sigma x < 1, so its lower bound takes every lower bound and
+    floors, its upper bound the rest."""
     one = 1 << w
     (k_lo, k_hi), (r_lo, r_hi) = _scaled_bounds(form.k, w), _scaled_bounds(form.rho, w)
     # s is rho in the corollary's form, which every family but theorem-main takes
@@ -457,8 +457,8 @@ def _lambert_scale(form: LambertForm, cap: Fraction, budget: PrecisionBudget, ma
     """Bits w of the scale 2^-w of ``_lambert_terms``.
 
     Widths in units of 2^-w, to first order.  Let c = ceil(1/(1-cap)) >=
-    1/(1-rho).  The bounds on K, s and rho are at most 3 wide (exact, or
-    enclosed within 1/8 unit, floored and ceiled), so those on sigma = s rho
+    1/(1-rho).  The bounds on K, s and rho are at most 3 wide (enclosed
+    within 1/8 unit, floored and ceiled), so those on sigma = s rho
     at most 7.  Each power stream stays within c units of 2^w rho^n at its
     end of rho's bounds and n rho^(n-1) <= c, so the bounds on x = rho^n lie
     at most 2c + 3c apart.  As sigma <= rho and K / (1-sigma)^2 = t_0 < 1,
@@ -479,32 +479,34 @@ def _lambert_scale(form: LambertForm, cap: Fraction, budget: PrecisionBudget, ma
     return w + (2 * w).bit_length()
 
 
-def _enclosed_form(form: LambertForm) -> LambertForm:
-    """The form with its exact K, rho and s enclosed at _CUT_OFF_BITS bits by
-    ``quad_interval`` and its intervals as they are: what ``_term_upper``
-    reads, enclosed once per report rather than once per term bound."""
-    enclose = lambda v: quad_interval(v) if isinstance(v, (Fraction, QuadraticElement)) else v  # noqa: E731
-    with interval_precision(_CUT_OFF_BITS):
-        rho = enclose(form.rho)
+def _enclosed_form(form: LambertForm, bits: int = _CUT_OFF_BITS) -> LambertForm:
+    """The form with its exact K, rho and s, rationals or Q(sqrt(D)) values,
+    enclosed at ``bits`` bits by ``quad_interval``, a few ulps wide relative
+    to each: the one place where they become intervals.  A form of
+    intervals, sinh-theta's, is returned as it is."""
+    if not isinstance(form.rho, (Fraction, QuadraticElement)):
+        return form
+    with interval_precision(bits):
+        rho = quad_interval(form.rho)
         # s is rho in the corollary's form, which every family but theorem-main takes
-        return LambertForm(enclose(form.k), rho, rho if form.s is form.rho else enclose(form.s))
+        return LambertForm(quad_interval(form.k), rho, rho if form.s is form.rho else quad_interval(form.s))
 
 
-def _term_upper(form: LambertForm, n: int) -> Fraction:
+def _term_upper(enclosed: LambertForm, n: int) -> Fraction:
     """An upper bound on t_n, K x / (1 - s rho x)^2 with x = rho^n, the
     upper end of its interval at _CUT_OFF_BITS bits, for the tail after the
     first n terms.
 
-    K, rho and s enter as ``_enclosed_form`` gives them: through
-    ``quad_interval``, a few ulps wide relative to each, or as the intervals
-    they are.  To first order the result lies within
+    K, rho and s enter as the ``enclosed`` form gives them, ``_enclosed_form``
+    at _CUT_OFF_BITS bits: a few ulps wide relative to each, or sinh-theta's
+    intervals, finer still.  To first order the result lies within
     2^4 c (n + 4) 2^-_CUT_OFF_BITS of t_n relative to it, with
     c = 1/(1 - s rho): in ulps, x is at most 2n + 2 wide relative to it and
     1 - s rho x at most c (2n + 8) + 1.  That is under 2^-118 for
     c (n + 4) < 2^38, so ``tail_bound``, which reads the bound to _TAIL_BITS
     bits, reads t_n, whatever the terms' scale and so whatever the term cap."""
     with interval_precision(_CUT_OFF_BITS):
-        k, rho, s = _enclosed_form(form)
+        k, rho, s = enclosed
         x = rho ** n
         return mpf_to_fraction(mp.make_mpf((k * x / (1 - s * rho * x) ** 2)._mpi_[1]))
 
@@ -524,20 +526,18 @@ def _evaluate_series_report(
     parameters: dict,
     budget: PrecisionBudget,
     terms: Iterable,
-    tail,
-    row_tail: Callable[[int], object],
+    tail_after: Callable[[int], object],
     rhs_fn: Callable[[], object],
     trace: Optional[list] = None,
 ) -> IdentityReport:
     """Sum enclosures of L over the kept ``terms`` (scaled intervals or the
     exact coprime pairs (p, q) of p/q, which the kernel checks to lie in
-    (0, 1)) in one interval
-    context at the working precision, evaluate the closed form ``rhs_fn()``
-    in the same context, and report.  ``tail`` bounds the omitted terms;
-    ``row_tail(kept)`` bounds the terms after the first ``kept``, for the
-    rows of a trace.
-    ``IdentityReport.build`` fails a residual whose radius misses the
-    tolerance.
+    (0, 1)) in one interval context at the working precision, evaluate the
+    closed form ``rhs_fn()`` in the same context, and report.  The series'
+    one tail function ``tail_after(kept)`` bounds the terms after the first
+    ``kept``: after all of them for the report, after the first n + 1 for
+    trace row n.  ``IdentityReport.build`` fails a residual whose radius
+    misses the tolerance.
 
     The kernel's integer bounds on each L are added exactly, at the finest
     scale 2^-scale met so far, so a term far below the working precision
@@ -562,7 +562,7 @@ def _evaluate_series_report(
         rhs = ErrorBoundedValue.from_interval(rhs_iv)
         residual = ErrorBoundedValue.from_interval(res_iv)
     if trace is not None:
-        trace.extend(_trace_rows(rows, tail, row_tail))
+        trace.extend(_trace_rows(rows, tail_after))
     return IdentityReport.build(
         identity_id,
         parameters,
@@ -570,20 +570,18 @@ def _evaluate_series_report(
         n_terms,
         lhs,
         rhs,
-        tail,
+        tail_after(n_terms),
         residual,
     )
 
 
-def _trace_rows(rows, final_tail, row_tail):
+def _trace_rows(rows, tail_after):
     out = []
     for n, (term, partial) in enumerate(rows):
-        running = final_tail
-        if n + 1 < len(rows):
-            try:
-                running = row_tail(n + 1)
-            except DomainError:
-                running = None
+        try:
+            running = tail_after(n + 1)
+        except DomainError:
+            running = None
         if isinstance(term, ScaledInterval):
             term = Fraction(term.lo + term.hi, 1 << (term.scale + 1))
         else:
@@ -594,10 +592,10 @@ def _trace_rows(rows, final_tail, row_tail):
 
 def _choose_truncation(
     enclosed: LambertForm, cap: Fraction, budget: PrecisionBudget, max_terms: int, tail_after: Callable[[int], object]
-) -> tuple[int, object]:
-    """(N, f(N)) for f = ``tail_after``, the certified tail after the first
-    n terms of the ``enclosed`` form's series, and N the first n in
-    [1, max_terms] that ``_tail_small_enough`` accepts, else max_terms.
+) -> int:
+    """N, the first n in [1, max_terms] that ``_tail_small_enough`` accepts,
+    else max_terms, for f = ``tail_after``, the certified tail after the
+    first n terms of the ``enclosed`` form's series.
 
     f(N) certifies the tail whatever N; that N is the first rests on f
     decreasing.  ``_term_upper``'s bound grows with its upper bound on
@@ -606,20 +604,19 @@ def _choose_truncation(
     and tail_bound, which grows with its argument up to its own rounding,
     with them.  The search tries the estimate N'
     (``_truncation_estimate``), clamped to [1, max_terms], and N' - 1, and
-    bisects over [0, max_terms + 1] when they miss the crossing, running f
-    once per index.  A term too small for an exact rational (PrecisionError)
-    counts as accepted: the search stops at or before it, and reading its
-    tail raises, as reading the terms in order would."""
+    bisects over [0, max_terms + 1] when they miss the crossing, never
+    trying an index twice.  A term too small for an exact rational
+    (PrecisionError) counts as accepted: the search stops at or before it,
+    and reading its tail raises, as reading the terms in order would."""
     if max_terms < 1:
         raise UsageError("max_terms must be positive")
     tol_half = budget.tolerance / 2
-    tail_at = cache(tail_after)
     lo, hi = 0, max_terms + 1
 
     def probe(n):
         nonlocal lo, hi
         try:
-            fits = _tail_small_enough(n, tail_at, tol_half) is not None
+            fits = _tail_small_enough(n, tail_after, tol_half) is not None
         except PrecisionError:
             fits = True
         lo, hi = (lo, n) if fits else (n, hi)
@@ -631,8 +628,7 @@ def _choose_truncation(
             probe(n)
     while hi - lo > 1:
         probe((lo + hi) // 2)
-    n_terms = min(hi, max_terms)
-    return n_terms, tail_at(n_terms)
+    return min(hi, max_terms)
 
 
 def _lambert_report(identity_id, parameters, form, cap, budget, max_terms, trace, exact, closed_form) -> IdentityReport:
@@ -641,16 +637,22 @@ def _lambert_report(identity_id, parameters, form, cap, budget, max_terms, trace
     of the summands and the count of them that proves the form, or None
     for transcendental terms; summed against the closed form, the sum of
     sign L(x) over the pairs (sign, x) of ``closed_form``, each x a Fraction,
-    a Q(sqrt(D)) value or an mpmath interval.  The truncation comes first,
-    from the n-th term's own formula (``_term_upper``), its K, rho and s
-    enclosed once, so a tail out of reach stops before the form check; then
-    the first N terms are generated once, at ``_lambert_scale``'s scale."""
+    a Q(sqrt(D)) value or an mpmath interval.  The series' one tail function,
+    cached, reads the n-th term's own formula (``_term_upper``) from the form
+    enclosed once at _CUT_OFF_BITS bits.  The truncation and the final tail
+    come first, so a tail out of reach stops before the form check; then
+    the first N terms are generated once, at ``_lambert_scale``'s scale
+    2^-w, from the form enclosed at w + 24 bits."""
     enclosed = _enclosed_form(form)
 
+    @cache
     def tail_after(n):
         return tail_bound(_term_upper(enclosed, n), cap)
 
-    n_terms, tail = _choose_truncation(enclosed, cap, budget, max_terms, tail_after)
+    n_terms = _choose_truncation(enclosed, cap, budget, max_terms, tail_after)
+    # an uncertifiable final tail raises here, before the form check; the
+    # report's read of it is then a cache hit
+    tail_after(n_terms)
     if exact is not None:
         _check_form(form, *exact)
 
@@ -665,8 +667,11 @@ def _lambert_report(identity_id, parameters, form, cap, budget, max_terms, trace
     def rhs_fn():
         return sum(sign * _rogers_interval(argument(x)) for sign, x in closed_form)
 
-    terms = islice(_lambert_terms(form, _lambert_scale(form, cap, budget, max_terms)), n_terms)
-    return _evaluate_series_report(identity_id, parameters, budget, terms, tail, tail_after, rhs_fn, trace)
+    w = _lambert_scale(form, cap, budget, max_terms)
+    # the precision of quad_to_real(v, w + 8): within 2^(-w-4) of each of
+    # K, rho and s, as they lie below 1
+    terms = islice(_lambert_terms(_enclosed_form(form, w + 24), w), n_terms)
+    return _evaluate_series_report(identity_id, parameters, budget, terms, tail_after, rhs_fn, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -986,20 +991,18 @@ def _richmond_tail(last: int):
 def _richmond_szekeres(budget: PrecisionBudget, max_terms: int, trace: Optional[list] = None) -> IdentityReport:
     """Partial sum of L(1/n^2) over 2 <= n <= N = max_terms + 1 plus the
     tail bound after N, bracketing pi^2/6."""
-    last = max_terms + 1
-    tail = _richmond_tail(last)
 
     def rhs_fn():
         return _pi_squared_over(6)
 
-    def row_tail(kept):
+    def tail_after(kept):
         return _richmond_tail(kept + 1)  # the first ``kept`` terms end at n = kept + 1
 
     # a generator, so that tens of thousands of terms are never held; each
     # term 1/m^2 is the exact pair (1, m^2), in lowest terms as it stands
-    terms = ((1, m * m) for m in range(2, last + 1))
+    terms = ((1, m * m) for m in range(2, max_terms + 2))
     parameters = {"terms": str(max_terms)}
-    return _evaluate_series_report("richmond-szekeres", parameters, budget, terms, tail, row_tail, rhs_fn, trace)
+    return _evaluate_series_report("richmond-szekeres", parameters, budget, terms, tail_after, rhs_fn, trace)
 
 
 def _sinh_theta(

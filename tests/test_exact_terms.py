@@ -12,8 +12,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import iv, mp
 from mpmath.libmp import from_man_exp, from_rational, round_ceiling, round_floor
 
-from dilogid import series
+from dilogid import rogers, series
 from dilogid.enclosure import (
+    DomainError,
     ErrorBoundedValue,
     PrecisionBudget,
     PrecisionError,
@@ -26,7 +27,7 @@ from dilogid.enclosure import (
 from dilogid.exactnum import QuadraticElement
 from dilogid.harness import emit_report
 from dilogid.lucas import LucasParams
-from dilogid.rogers import _branch_is_low, _one_minus, _raw
+from dilogid.rogers import _one_minus, _raw, _rogers_eval
 from dilogid.series import (
     LambertForm,
     TwoParamInstance,
@@ -111,23 +112,49 @@ def _midpoint(pair: ScaledInterval) -> Fraction:
     return Fraction(pair.lo + pair.hi, 1 << (pair.scale + 1))
 
 
+def _kernel_branch(x, prec):
+    """(y, reflected): the argument that ``_rogers_eval`` hands the power
+    sums at ``prec`` bits, and whether it reflects the result, or None when
+    it refuses x as outside (0, 1)."""
+    seen = []
+    li2_sums, zeta2 = rogers._li2_series_raw, rogers._zeta2_fixed
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(rogers, "_li2_series_raw", lambda y, w: seen.append(y) or li2_sums(y, w))
+        monkeypatch.setattr(rogers, "_zeta2_fixed", lambda w: seen.append("reflected") or zeta2(w))
+        try:
+            with interval_precision(prec):
+                _rogers_eval(x)
+        except DomainError:
+            return None
+    return seen[0], "reflected" in seen
+
+
 @settings(max_examples=200, deadline=None)
 @given(UNIT, SCALES)
 @example((1, 2), 1)
 @example((1, 2), 300)
 def test_branch_and_one_minus_on_pairs(pq, scale):
-    # integer endpoint pairs: the branch follows their midpoint, and 1 - x
-    # is exact, the mirror of the pair
+    # integer endpoint pairs: the kernel's branch follows their midpoint, and
+    # 1 - x is exact, the mirror of the pair; at a precision above the
+    # scale, the kernel sums the pair or its mirror unrounded
     p, q = pq
     pair = _scaled(p, q, scale)
     one = 1 << scale
-    assert _branch_is_low(pair) == (pair.lo + pair.hi <= one)
-    if pair.lo == pair.hi:
-        midpoint = _midpoint(pair)
-        assert _branch_is_low(pair) == _branch_is_low((midpoint.numerator, midpoint.denominator))
     mirror = _one_minus(pair)
     assert (mirror.lo, mirror.hi, mirror.scale) == (one - pair.hi, one - pair.lo, scale)
     assert _midpoint(mirror) == 1 - _midpoint(pair)
+    prec = scale + 64
+    w = prec + rogers._GUARD_BITS
+    low = pair.lo + pair.hi <= one
+    inside = 0 < pair.lo and pair.hi < one
+    expected = (_raw(pair if low else mirror, w), not low)
+    assert _kernel_branch(pair, prec) == (expected if inside else None)
+    if pair.lo == pair.hi:
+        # an exact midpoint takes the same branch, y = (p, q) or (q - p, q)
+        midpoint = _midpoint(pair)
+        m_p, m_q = midpoint.numerator, midpoint.denominator
+        expected = ((m_p, m_q) if low else (m_q - m_p, m_q), not low)
+        assert _kernel_branch((m_p, m_q), prec) == (expected if inside else None)
 
 
 @settings(max_examples=200, deadline=None)
@@ -178,7 +205,8 @@ TAIL_DIGITS = [12, 40, 300, 3000]
 
 
 def _tail_after(form: LambertForm, cap: Fraction):
-    """f(n), the certified tail after the first n terms, as the verifier builds it."""
+    """The enclosed form and f(n), the certified tail after the first n
+    terms, as the verifier builds them."""
     enclosed = series._enclosed_form(form)
     return enclosed, lambda n: tail_bound(series._term_upper(enclosed, n), cap)
 
@@ -223,7 +251,8 @@ def test_tail_check_at_the_certified_boundary(cap, digits, bits):
     for end in (lo - 1, lo, hi):
         enclosed, tail_after = _tail_after(LambertForm(Fraction(end, 1 << scale) / cap ** 2, cap, Fraction(0)), cap)
         expected = _scanned_truncation(tail_after, half, 6)
-        assert series._choose_truncation(enclosed, cap, budget, 6, tail_after) == expected, end - lo
+        n_terms = series._choose_truncation(enclosed, cap, budget, 6, tail_after)
+        assert (n_terms, tail_after(n_terms)) == expected, end - lo
 
 
 def _rational_row(form, digits, max_terms):
@@ -268,10 +297,12 @@ def test_truncation_search_matches_a_scan(monkeypatch, form, cap, digits, max_te
     enclosed, tail_after = _tail_after(form, cap)
     budget = PrecisionBudget.for_digits(digits)
     expected = _scanned_truncation(tail_after, budget.tolerance / 2, max_terms)
-    assert series._choose_truncation(enclosed, cap, budget, max_terms, tail_after) == expected
+    n_terms = series._choose_truncation(enclosed, cap, budget, max_terms, tail_after)
+    assert (n_terms, tail_after(n_terms)) == expected
     for estimate in (0, max_terms, 10 ** 9, -5, float("nan")):
         monkeypatch.setattr(series, "_truncation_estimate", lambda *args: estimate)
-        assert series._choose_truncation(enclosed, cap, budget, max_terms, tail_after) == expected, estimate
+        n_terms = series._choose_truncation(enclosed, cap, budget, max_terms, tail_after)
+        assert (n_terms, tail_after(n_terms)) == expected, estimate
 
 
 def test_truncation_runs_before_the_form_check(monkeypatch):

@@ -365,6 +365,17 @@ class TestSuiteAndProperties:
         assert len(lines) == len(registry())
         assert all(line.startswith("PASS") for line in lines)
 
+    @pytest.mark.parametrize("value", ["abc", "5"])
+    def test_suite_digits_ignore_the_environment(self, capsys, monkeypatch, value):
+        # --digits sets every suite run, so DILOG_DIGITS, which the registry
+        # does not read, changes nothing
+        argv = ["suite", "--digits", "15", "--max-terms", "50"]
+        monkeypatch.delenv("DILOG_DIGITS", raising=False)
+        unset = run_cli(argv), capsys.readouterr()
+        monkeypatch.setenv("DILOG_DIGITS", value)
+        assert (run_cli(argv), capsys.readouterr()) == unset
+        assert unset[0] == 0
+
     def test_properties_pass_quickly(self):
         stream = io.StringIO()
         ok = run_properties(seed=123, digits=20, points=5, stream=stream)

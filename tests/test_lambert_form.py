@@ -13,8 +13,9 @@ from fractions import Fraction
 from itertools import chain, islice
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import iv, mp
+from mpmath.libmp import from_man_exp
 
 from dilogid import series
 from dilogid.enclosure import (
@@ -35,6 +36,7 @@ from dilogid.series import (
     TwoParamInstance,
     _certified_cap,
     _check_form,
+    _enclosed_form,
     _lambert_scale,
     _lambert_terms,
     _lucas_form,
@@ -59,8 +61,9 @@ N_TERMS = 300
 
 
 def _generated(form, cap, budget=B40):
+    # as the verifier generates them: from the form enclosed at w + 24 bits
     w = _lambert_scale(form, cap, budget, DEFAULT_MAX_TERMS)
-    return list(islice(_lambert_terms(form, w), N_TERMS))
+    return list(islice(_lambert_terms(_enclosed_form(form, w + 24), w), N_TERMS))
 
 
 def _assert_encloses(enclosures, exact_terms, budget=B40):
@@ -156,11 +159,49 @@ def test_enclosures_contain_exact_terms_at_coarse_scales(k, rho, s, w):
     # at a scale of a few bits every rounding direction matters
     form = LambertForm(k, rho, s)
     try:
-        terms = list(islice(_lambert_terms(form, w), 40))
+        terms = list(islice(_lambert_terms(_enclosed_form(form, w + 24), w), 40))
     except PrecisionError:
         assume(False)
     for n, pair in enumerate(terms):
         assert pair.lo <= form.term(n) * (1 << w) <= pair.hi, n
+
+
+def _exact_bounds(x: Fraction, w: int) -> tuple:
+    """floor and ceiling of 2^w x, from the rational itself."""
+    num = x.numerator << w
+    return num // x.denominator, -(-num // x.denominator)
+
+
+DENOMINATOR_2_23 = st.integers(2, 1 << 23).flatmap(lambda q: st.builds(Fraction, st.integers(1, q - 1), st.just(q)))
+# 2^50 x lies 1/q above, or below, an integer at q = 2^23 - 1: the closest
+# that 2^w x comes to an integer it is not, for a denominator up to 2^23
+_Q = (1 << 23) - 1
+_ABOVE, _BELOW = Fraction(pow(2, -50, _Q), _Q), Fraction(_Q - pow(2, -50, _Q), _Q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(DENOMINATOR_2_23, DENOMINATOR_2_23, DENOMINATOR_2_23, st.integers(4, 600))
+@example(_ABOVE, _BELOW, _ABOVE, 50)
+@example(_BELOW, _ABOVE, _BELOW, 50)
+def test_rational_term_bounds_are_the_exact_floors(k, rho, s, w):
+    # a rational enclosed at w + 24 bits lies within 2^-24 units of 2^-w,
+    # closer than 2^w x comes to an integer it is not for a denominator up
+    # to 2^23: its floor and ceiling at 2^-w are the rational's own, and so
+    # are the terms, as the floors of the exact form would give them
+    form = LambertForm(k, rho, s)
+    enclosed = _enclosed_form(form, w + 24)
+    exact = [_exact_bounds(x, w) for x in form]
+    assert [series._scaled_bounds(v, w) for v in enclosed] == exact
+    with interval_precision(w + 8):
+        floors = LambertForm(*(iv.make_mpf((from_man_exp(lo, -w), from_man_exp(hi, -w))) for lo, hi in exact))
+
+    def first_terms(stream):
+        try:
+            return list(islice(stream, 30))
+        except PrecisionError as exc:
+            return str(exc)
+
+    assert first_terms(_lambert_terms(enclosed, w)) == first_terms(_lambert_terms(floors, w))
 
 
 def _assert_tight(bound, term):
@@ -174,7 +215,7 @@ def _assert_tight(bound, term):
 @given(UNIT, UNIT, UNIT, st.integers(0, 3000))
 def test_cut_off_bound_is_tight_above_the_exact_term(k, rho, s, n):
     form = LambertForm(k, rho, s)
-    _assert_tight(series._term_upper(form, n), form.term(n))
+    _assert_tight(series._term_upper(_enclosed_form(form), n), form.term(n))
 
 
 def _two_parameter_row(a, b, n):
@@ -196,7 +237,7 @@ CUT_OFF = {
 @pytest.mark.parametrize("form, n", CUT_OFF.values(), ids=CUT_OFF.keys())
 def test_cut_off_bound_of_a_registry_form_is_tight(form, n):
     # against the exact rational or Q(sqrt(D)) term
-    _assert_tight(series._term_upper(form, n), form.term(n))
+    _assert_tight(series._term_upper(_enclosed_form(form), n), form.term(n))
 
 
 @pytest.mark.parametrize("n", [0, 1, 40, 361, 3000])
@@ -243,7 +284,7 @@ def test_traced_rows_enclose_the_form_once(monkeypatch, identity, params, digits
 def test_unseparated_denominator_is_refused():
     # sigma = 999/1000 rounds up to 1 at 4 bits
     with pytest.raises(PrecisionError):
-        next(_lambert_terms(LambertForm(Fraction(1, 4), Fraction(999, 1000), Fraction(1)), 4))
+        next(_lambert_terms(_enclosed_form(LambertForm(Fraction(1, 4), Fraction(999, 1000), Fraction(1)), 28), 4))
 
 
 # ---------------------------------------------------------------------------

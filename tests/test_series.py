@@ -69,7 +69,7 @@ class TestSummationDriver:
         values = iter([ScaledInterval(1, 1, 10), ScaledInterval((1 << s) - 1, (1 << s) + 1, s)])
         monkeypatch.setattr("dilogid.series._rogers_eval", lambda term: next(values))
         zero = mp.mpf(0)
-        report = _evaluate_series_report("driver", {}, B40, range(2), zero, lambda *_: zero, lambda: iv.mpf(0))
+        report = _evaluate_series_report("driver", {}, B40, range(2), lambda kept: zero, lambda: iv.mpf(0))
         lo, hi = report.lhs.endpoints()
         middle = 1 + Fraction(1, 1 << 10)
         assert lo <= middle - Fraction(1, 1 << s) and middle + Fraction(1, 1 << s) <= hi
@@ -556,6 +556,24 @@ class TestTraceTails:
             and mpf_to_fraction(row["tail_bound"]) < final_lo - row["lhs_partial"].endpoints()[1]
         ]
         assert short == []
+
+    @pytest.mark.parametrize(
+        "name, params, max_terms",
+        [
+            ("corollary", {"t": "1/3"}, 2000),
+            ("theorem-main", {"a": "1/50", "b": "3/47"}, 20),
+            ("fib-lucas-neg", {}, 2000),
+            ("richmond-szekeres", {}, 30),
+        ],
+        ids=["corollary", "theorem-main-capped", "fib-lucas-neg", "richmond-szekeres"],
+    )
+    def test_last_row_tail_is_the_report_tail(self, name, params, max_terms):
+        # one tail function serves the report and every row: the last row's
+        # tail is the tail after every kept term
+        rows = []
+        report = catalog_verify(name, PrecisionBudget(20), max_terms, rows, **params)
+        assert len(rows) == report.terms_used
+        assert rows[-1]["tail_bound"] == report.tail_bound
 
 
 class TestCatalog:
