@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Mutation check of the proofs behind the L kernel, the series driver and
-its truncation, the rational converter, the Q(sqrt(D)) conversion and the
-working precision's error budget, and the exact layer: the integer
+its truncation, the rational converter, the Q(sqrt(D)) conversion, the
+working precision's error budget, the logs that exact arguments carry
+(Richmond-Szekeres' atanh stream), and the exact layer: the integer
 Q(sqrt(D)) arithmetic, the Lucas doubling over Z, the stride-k streams of
 the Lucas summands and the form check's unreduced integer triples.
 
@@ -73,6 +74,9 @@ STRIDE_POS = "tests/test_lucas.py::test_stride_stream_matches_doubling_q_positiv
 STRIDE_NEG = "tests/test_lucas.py::test_stride_stream_matches_doubling_q_negative"
 RADICAL_PARTS = "tests/test_exact_terms.py::test_form_check_compares_the_radical_parts"
 SQUARE_RADICAND = "tests/test_exact_terms.py::test_form_check_folds_a_square_radicand"
+ATANH = "tests/test_log_stream.py::test_atanh_bounds_contain_the_series"
+LOG_SQUARES = "tests/test_log_stream.py::test_log_squares_contain_mpmath"
+SUPPLIED_LOGS = "tests/test_log_stream.py::test_supplied_logs_give_the_bare_pairs_reports"
 
 
 class Mutant(NamedTuple):
@@ -342,6 +346,26 @@ MUTANTS = [
     Mutant(
         "three-product cross term without bf", EXACTNUM,
         "cross = (a + b) * (e + f) - ae - bf if b and f", "cross = (a + b) * (e + f) - ae if b and f", (FORM_CHECK,),
+    ),
+    # exact arguments that carry their logs: Richmond-Szekeres' log m^2 from
+    # log 4 = 4 atanh(1/3) and the increments 4 atanh(1/(2m+1)), each a
+    # fixed-point series with its error count, read by the kernel at 2^-b
+    Mutant(
+        "log increment at 2m - 1", SERIES,
+        "_atanh_raw(1, 2 * m + 1, b + 2)", "_atanh_raw(1, 2 * m - 1, b + 2)", (LOG_SQUARES,),
+    ),
+    Mutant(
+        "log 4 started as 2 atanh(1/3)", SERIES,
+        "lo, hi = _atanh_raw(1, 3, b + 2)", "lo, hi = _atanh_raw(1, 3, b + 1)", (LOG_SQUARES,),
+    ),
+    Mutant(
+        "atanh error count without its tail term", ROGERS,
+        "return lo, lo + n - 1 + -(-2 * (x + 1) // n)", "return lo, lo + n - 1", (ATANH,),
+    ),
+    Mutant(
+        "supplied log read at scale 2^-(b-1)", ROGERS,
+        "return s1_lo * lo >> b, -(-s1_hi * hi >> b)", "return s1_lo * lo >> (b - 1), -(-s1_hi * hi >> (b - 1))",
+        (SUPPLIED_LOGS,),
     ),
     # a + b sqrt(D) with opposite signs as the norm over the conjugate
     Mutant(

@@ -24,6 +24,7 @@ from mpmath.libmp import MPZ, from_man_exp, fzero, mpf_neg, normalize, round_cei
 LOG2_10 = math.log2(10)
 # binary exponents beyond +-2^20 have no exact rational here (mpf_to_fraction)
 _MAX_EXPONENT = 1 << 20
+_TOO_FAR = "value too far from 1 for an exact rational (binary exponent beyond +-2^20)"
 
 
 class DomainError(ValueError):
@@ -97,7 +98,7 @@ def mpf_to_fraction(x) -> Fraction:
     if man == 0 and exp != 0:
         raise ValueError("non-finite mpf has no rational value")
     if abs(exp) > _MAX_EXPONENT:
-        raise PrecisionError("value too far from 1 for an exact rational (binary exponent beyond +-2^20)")
+        raise PrecisionError(_TOO_FAR)
     # int() strips the gmpy2.mpz type mpmath uses under its gmpy backend
     v = Fraction(int(man)) * Fraction(2) ** int(exp)
     return -v if sign else v
@@ -152,7 +153,7 @@ class ErrorBoundedValue:
         ``mpf_to_fraction``."""
         (s_lo, m_lo, e_lo, _), (s_hi, m_hi, e_hi, _) = self.lower._mpf_, self.upper._mpf_
         if max(abs(e_lo), abs(e_hi)) > _MAX_EXPONENT:
-            raise PrecisionError("value too far from 1 for an exact rational (binary exponent beyond +-2^20)")
+            raise PrecisionError(_TOO_FAR)
         scale = max(0, -e_lo, -e_hi)
         lo, hi = int(m_lo) << (scale + e_lo), int(m_hi) << (scale + e_hi)
         return ScaledInterval(-lo if s_lo else lo, -hi if s_hi else hi, scale)

@@ -29,6 +29,9 @@ log(x) log(1-x) = |log y| S1.
     too, as gcd(q - p, q) = gcd(p, q) = 1.  One power stream steps
     X_n = floor(X_(n-1) p / q), or floor(X_(n-1) / q) for p = 1, and one
     point log of q/p, rounded down and widened by one ulp, encloses |log y|.
+    A pair at most 1/2 may carry its log, (p, q, (lo, hi, b)) with integer
+    bounds on |log y| = log(q/p) at scale 2^-b, which then replace the log
+    (Richmond-Szekeres steps them by ``_atanh_raw``); above, it is refused.
   * An interval argument is a ScaledInterval; an ErrorBoundedValue enters
     as one, its endpoints read exactly (``ErrorBoundedValue.scaled``).  Its
     y is rounded outward to dyadic endpoints m 2^-k of w bits (below): one
@@ -55,7 +58,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
+from typing import Optional, Union
 
 from mpmath import iv
 from mpmath.libmp import MPZ, from_man_exp, mpf_log, mpf_pi, normalize, round_ceiling, round_floor
@@ -165,6 +168,30 @@ def _error_count(n_terms: int, c: int, x_last: int) -> int:
     return n_terms + c * (1 + n_terms.bit_length()) + -(-(x_last + c) * c // (n_terms + 1))
 
 
+def _atanh_raw(u: int, k: int, b: int, n_terms: Optional[int] = None) -> tuple:
+    """Integers lo <= 2^b atanh(u/k) <= hi for integers 1 <= u, 2u <= k,
+    from the first ``n_terms`` terms of sum z^(2j+1)/(2j+1), z = u/k, or
+    from as many as it takes every further power to vanish.
+
+    The powers X_0 = floor(2^b u / k), X_j = floor(X_(j-1) u^2 / k^2) give
+    lo = sum floor(X_j/(2j+1)) over j < J.  With e_j = 2^b z^(2j+1) - X_j,
+    e_0 < 1 and 0 <= e_j < z^2 e_(j-1) + 1, as for ``_error_count``, so
+    e_j < 1/(1-z^2) <= 4/3.  Term j falls short of 2^b z^(2j+1)/(2j+1) by
+    less than 1 + e_j/(2j+1) < 2: 1 + e_0 at j = 0, 1 + 4/9 after.  The
+    rest, over j >= J, is at most 2^b z^(2J+1) / ((2J+1)(1-z^2)) <
+    (X_J + 4/3) (4/3) / (2J+1) <= 2 (X_J + 1) / (2J+1): so
+    hi = lo + 2J + ceil(2 (X_J + 1) / (2J+1))."""
+    uu, kk = u * u, k * k
+    x = (u << b) // k
+    # n = 2j + 1 runs over the odd denominators
+    lo, n, stop = 0, 1, -1 if n_terms is None else 2 * n_terms + 1
+    while x and n != stop:
+        lo += x // n
+        x = x * uu // kk
+        n += 2
+    return lo, lo + n - 1 + -(-2 * (x + 1) // n)
+
+
 def _li2_series_raw(y, w: int) -> tuple:
     """Integer bounds (S2_lo, S2_hi, S1_lo, S1_hi) at scale 2^-w with
     S2_lo <= 2^w Li2(y) <= S2_hi and S1_lo <= -2^w log(1-y) <= S1_hi for
@@ -188,7 +215,7 @@ def _li2_series_raw(y, w: int) -> tuple:
     s2 = s1 = 0
     if isinstance(y[0], int):
         # X_n = floor(X_(n-1) p / q)
-        p, q = y
+        p, q = y[0], y[1]
         n_terms = _series_terms_needed(math.log2(q) - math.log2(p), w)
         if p == 1:
             for n in range(1, n_terms + 1):
@@ -226,8 +253,12 @@ def _log_product_raw(y, s1_lo: int, s1_hi: int, prec: int) -> tuple:
     """Integer bounds on log(x) log(1-x) = |log y| S1 >= 0, y = x or 1-x,
     at the scale of the bounds s1_lo <= S1 <= s1_hi on S1 = -log(1-y),
     from one log at ``prec`` bits; y is an exact p/q <= 1/2, the pair
-    (p, q), or a dyadic interval inside (0, 1)."""
+    (p, q), or a dyadic interval inside (0, 1); an exact y that carries
+    its log, (p, q, (lo, hi, b)), takes S1 times those bounds, over 2^b."""
     if isinstance(y[0], int):
+        if len(y) > 2:
+            lo, hi, b = y[2]
+            return s1_lo * lo >> b, -(-s1_hi * hi >> b)
         # |log y| = log Y with Y = q/p >= 2.  For y = 1/q, Y_lo = Y = q; else
         # Y_lo = floor(2^prec Y) 2^-prec lies within 2^-prec below Y, so
         # log Y - log Y_lo <= (Y - Y_lo)/Y_lo < 2^-prec / 2.  One log rounded
@@ -270,7 +301,8 @@ def _one_minus(x):
 def _rogers_eval(x, rogers: bool = True) -> ScaledInterval:
     """Integer bounds on L(x), or on Li2(x) when not ``rogers``, at the
     kernel's scale under the current precision context; x inside (0, 1): an
-    exact coprime pair (p, q) or a ScaledInterval, whose branch test and
+    exact coprime pair (p, q), at most 1/2 also with bounds on its log
+    (``_log_product_raw``), or a ScaledInterval, whose branch test and
     1 - x are integer operations and whose (0, 1) check reads the integers'
     signs.
 
@@ -291,10 +323,12 @@ def _rogers_eval(x, rogers: bool = True) -> ScaledInterval:
         if sign_lo or not man_lo or size > 0:
             raise DomainError("argument enclosure not separated inside (0, 1)")
     else:
-        p, q = x
+        p, q = x[0], x[1]
         if not 0 < p < q:
             raise DomainError(f"argument {Fraction(p, q)} outside the open interval (0, 1)")
         low = 2 * p <= q
+        if not low and len(x) > 2:
+            raise DomainError("a supplied log needs an argument at most 1/2")
         # y = p/q or (q-p)/q < 2^size, as p < 2^bits(p) and q >= 2^(bits(q)-1)
         y = x if low else (q - p, q)
         size = y[0].bit_length() - q.bit_length() + 1
