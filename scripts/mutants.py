@@ -360,7 +360,7 @@ MUTANTS = [
     ),
     Mutant(
         "atanh error count without its tail term", ROGERS,
-        "return lo, lo + n - 1 + -(-2 * (x + 1) // n)", "return lo, lo + n - 1", (ATANH,),
+        "return lo, lo + n - 1 + -(-2 // n)", "return lo, lo + n - 1", (ATANH,),
     ),
     Mutant(
         "supplied log read at scale 2^-(b-1)", ROGERS,

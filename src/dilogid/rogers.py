@@ -29,9 +29,9 @@ log(x) log(1-x) = |log y| S1.
     too, as gcd(q - p, q) = gcd(p, q) = 1.  One power stream steps
     X_n = floor(X_(n-1) p / q), or floor(X_(n-1) / q) for p = 1, and one
     point log of q/p, rounded down and widened by one ulp, encloses |log y|.
-    A pair at most 1/2 may carry its log, (p, q, (lo, hi, b)) with integer
-    bounds on |log y| = log(q/p) at scale 2^-b, which then replace the log
-    (Richmond-Szekeres steps them by ``_atanh_raw``); above, it is refused.
+    A pair at most 1/2 may carry integer bounds on its log(q/p) at 2^-b,
+    (p, q, (lo, hi, b)), for the log (``_atanh_raw`` steps Richmond-Szekeres'
+    at b = ``_carried_log_bits``); above, it is refused.
   * An interval argument is a ScaledInterval; an ErrorBoundedValue enters
     as one, its endpoints read exactly (``ErrorBoundedValue.scaled``).  Its
     y is rounded outward to dyadic endpoints m 2^-k of w bits (below): one
@@ -58,7 +58,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Union
 
 from mpmath import iv
 from mpmath.libmp import MPZ, from_man_exp, mpf_log, mpf_pi, normalize, round_ceiling, round_floor
@@ -168,28 +168,34 @@ def _error_count(n_terms: int, c: int, x_last: int) -> int:
     return n_terms + c * (1 + n_terms.bit_length()) + -(-(x_last + c) * c // (n_terms + 1))
 
 
-def _atanh_raw(u: int, k: int, b: int, n_terms: Optional[int] = None) -> tuple:
-    """Integers lo <= 2^b atanh(u/k) <= hi for integers 1 <= u, 2u <= k,
-    from the first ``n_terms`` terms of sum z^(2j+1)/(2j+1), z = u/k, or
-    from as many as it takes every further power to vanish.
+def _atanh_raw(u: int, k: int, b: int) -> tuple:
+    """Integers lo <= 2^b atanh(u/k) <= hi for integers 1 <= u, 2u <= k.
 
     The powers X_0 = floor(2^b u / k), X_j = floor(X_(j-1) u^2 / k^2) give
-    lo = sum floor(X_j/(2j+1)) over j < J.  With e_j = 2^b z^(2j+1) - X_j,
-    e_0 < 1 and 0 <= e_j < z^2 e_(j-1) + 1, as for ``_error_count``, so
-    e_j < 1/(1-z^2) <= 4/3.  Term j falls short of 2^b z^(2j+1)/(2j+1) by
-    less than 1 + e_j/(2j+1) < 2: 1 + e_0 at j = 0, 1 + 4/9 after.  The
-    rest, over j >= J, is at most 2^b z^(2J+1) / ((2J+1)(1-z^2)) <
-    (X_J + 4/3) (4/3) / (2J+1) <= 2 (X_J + 1) / (2J+1): so
-    hi = lo + 2J + ceil(2 (X_J + 1) / (2J+1))."""
+    lo = sum floor(X_j/(2j+1)) over the J nonzero ones, X_J = 0.  With
+    e_j = 2^b z^(2j+1) - X_j, z = u/k, e_0 < 1 and 0 <= e_j < z^2 e_(j-1) + 1
+    as for ``_error_count``, so e_j < 1/(1-z^2) <= 4/3.  Term j falls short
+    of 2^b z^(2j+1)/(2j+1) by less than 1 + e_j/(2j+1) < 2.  The rest, over
+    j >= J, is at most e_J / ((2J+1)(1-z^2)) < (4/3)^2 / (2J+1), as X_J = 0:
+    so hi = lo + 2J + ceil(2 / (2J+1))."""
     uu, kk = u * u, k * k
     x = (u << b) // k
     # n = 2j + 1 runs over the odd denominators
-    lo, n, stop = 0, 1, -1 if n_terms is None else 2 * n_terms + 1
-    while x and n != stop:
+    lo, n = 0, 1
+    while x:
         lo += x // n
         x = x * uu // kk
         n += 2
-    return lo, lo + n - 1 + -(-2 * (x + 1) // n)
+    return lo, lo + n - 1 + -(-2 // n)
+
+
+def _carried_log_bits(n_logs: int) -> int:
+    """Scale 2^-b for carried logs, each a sum of at most N = ``n_logs`` terms
+    at most b units wide, in the current context: b = w + bits(2 N w), w as in
+    ``_rogers_eval``, keeps N b < 2^(b-w) while b <= 2w, two units of L's
+    scale once times S1 < 2^(w+1) (``_log_product_raw``)."""
+    w = iv.prec + _GUARD_BITS
+    return w + (2 * n_logs * w).bit_length()
 
 
 def _li2_series_raw(y, w: int) -> tuple:

@@ -117,7 +117,7 @@ from .lucas import (
     lucas_uv,
     transform_params,
 )
-from .rogers import _GUARD_BITS, _atanh_raw, _pi_squared_over, _raw, _rogers_eval, _rogers_interval, _shift, rogers_l
+from .rogers import _atanh_raw, _carried_log_bits, _pi_squared_over, _raw, _rogers_eval, _rogers_interval, _shift, rogers_l
 
 DEFAULT_MAX_TERMS = 10000
 # precision of tail bounds and ratio caps.  Invariant: no working precision
@@ -532,10 +532,10 @@ def _evaluate_series_report(
     rhs_fn: Callable[[], object],
     trace: Optional[list] = None,
 ) -> IdentityReport:
-    """Sum enclosures of L over the kept ``terms`` (scaled intervals or the
-    exact coprime pairs (p, q) of p/q, bare or with their logs, which the
-    kernel checks to lie in (0, 1)) in one interval context at the working
-    precision, evaluate the closed form ``rhs_fn()`` in the same context, and report.  The series'
+    """Sum enclosures of L over the kept ``terms`` (scaled intervals or exact
+    coprime pairs (p, q), bare or with their logs, which the kernel checks
+    to lie in (0, 1)) in one interval context at the working precision,
+    evaluate the closed form ``rhs_fn()`` in the same context, and report.  The series'
     one tail function ``tail_after(kept)`` bounds the terms after the first
     ``kept``: after all of them for the report, after the first n + 1 for
     trace row n.  ``IdentityReport.build`` fails a residual whose radius
@@ -822,9 +822,9 @@ def _lucas_verify(params, k, budget, max_terms, trace) -> IdentityReport:
         identity_id, exact = "lucas-neg", (chain.from_iterable(_lucas_neg_terms(params, k)), 10)
     # the interval cap first: it refuses a k too large for the exact power
     cap = _ratio_cap_sup(params, k)
-    # the tail after the first term reads t_1 = rho^2 (1-rho)^2 / (1-rho^3)^2 <= cap^2:
-    # below 2^-(2^20 + 1), no exact rational, found here before K is built
-    if cap.numerator ** 2 << (_MAX_EXPONENT + 1) < cap.denominator ** 2:
+    # the tail after the first term, t_1 = rho^2 (1-rho)^2 / (1-rho^3)^2 <= cap^2, has no exact
+    # rational below 2^-(2^20 + 1): refused before K is built, but after the precondition's error
+    if cap.numerator ** 2 << (_MAX_EXPONENT + 1) < cap.denominator ** 2 and params.alpha_exact() is not None:
         raise PrecisionError(_TOO_FAR)
     form = _lucas_form(_lucas_rhs_arg(params, k))
     parameters = {"P": _coeff_str(params.p), "Q": _coeff_str(params.q), "k": str(k)}
@@ -994,17 +994,13 @@ def _richmond_tail(last: int):
         return mp.make_mpf(((_pi_squared_over(6) + 2 * iv.log(m) + 2) / m)._mpi_[1])
 
 
-def _richmond_terms(budget: PrecisionBudget, max_terms: int) -> Iterator[tuple]:
-    """The terms 1/m^2, 2 <= m <= max_terms + 1, as the exact pairs (1, m^2),
-    coprime as they stand, with bounds (lo, hi, b) on log m^2 at scale 2^-b
-    from one stream: log 4 = 4 atanh(1/3), then log (m+1)^2 - log m^2 =
-    4 atanh(1/(2m+1)), each ``_atanh_raw`` at 2^-(b+2), which is 4 atanh at
-    2^-b.  Each is at most 2J + 2 <= b units wide, as its J nonzero powers
-    need 3^(2J-1) <= 2^(b+2); so N = max_terms logs are at most N b wide,
-    which b = w + bits(2 N w), w the kernel's bits, keeps under 2^(b-w) while
-    b <= 2w: under two units of L(1/m^2)'s scale once times S1 < 2^(w+1)."""
-    w = budget.working_bits + _GUARD_BITS
-    b = w + (2 * max_terms * w).bit_length()
+def _richmond_terms(max_terms: int) -> Iterator[tuple]:
+    """The exact pairs (1, m^2), 2 <= m <= max_terms + 1, with bounds (lo, hi, b)
+    on log m^2 from one stream: log 4 = 4 atanh(1/3), then 4 atanh(1/(2m+1))
+    per step, each ``_atanh_raw`` at 2^-(b+2), at most 2J + 1 <= b units as its
+    J nonzero powers need 3^(2J-1) <= 2^(b+2); b = ``_carried_log_bits``, read
+    in the kernel's precision context when the first term is."""
+    b = _carried_log_bits(max_terms)
     lo, hi = _atanh_raw(1, 3, b + 2)
     for m in range(2, max_terms + 2):
         yield 1, m * m, (lo, hi, b)
@@ -1023,7 +1019,7 @@ def _richmond_szekeres(budget: PrecisionBudget, max_terms: int, trace: Optional[
         return _richmond_tail(kept + 1)  # the first ``kept`` terms end at n = kept + 1
 
     # a generator, so that tens of thousands of terms are never held
-    terms = _richmond_terms(budget, max_terms)
+    terms = _richmond_terms(max_terms)
     parameters = {"terms": str(max_terms)}
     return _evaluate_series_report("richmond-szekeres", parameters, budget, terms, tail_after, rhs_fn, trace)
 

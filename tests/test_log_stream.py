@@ -20,9 +20,10 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
 from dilogid import series
-from dilogid.enclosure import DomainError, PrecisionBudget, PrecisionError, interval_precision
+from dilogid.enclosure import _MAX_EXPONENT, DomainError, PrecisionBudget, PrecisionError, interval_precision
+from dilogid.exactnum import QuadraticElement
 from dilogid.harness import emit_report
-from dilogid.lucas import LucasParams
+from dilogid.lucas import LucasParams, PreconditionError
 from dilogid.rogers import _GUARD_BITS, _atanh_raw, _log_product_raw, _rogers_eval
 from dilogid.series import (
     _evaluate_series_report,
@@ -41,56 +42,57 @@ def _atanh_arguments(draw):
     return draw(st.integers(min_value=1, max_value=k // 2)), k
 
 
-def _proved_width(u: int, k: int, b: int, n_terms) -> int:
-    """2J + ceil(2 (X_J + 1)/(2J + 1)) at the largest J the stream can sum:
-    every power it sums is nonzero, so 2^b z^(2j+1) >= 1 for each, and
-    X_J <= 2^b z^(2J+1)."""
+def _proved_width(u: int, k: int, b: int) -> int:
+    """2J + ceil(2/(2J + 1)) at the largest J the stream can sum: every
+    power it sums is nonzero, so 2^b z^(2j+1) >= 1 for each, and the count
+    grows with J."""
     z = Fraction(u, k)
-    nonzero = 0
-    while (z ** (2 * nonzero + 1)) * 2 ** b >= 1:
-        nonzero += 1
-    j = nonzero if n_terms is None else min(n_terms, nonzero)
-    return 2 * j + -(-2 * (z ** (2 * j + 1) * 2 ** b + 1) // (2 * j + 1))
+    j = 0
+    while (z ** (2 * j + 1)) * 2 ** b >= 1:
+        j += 1
+    return 2 * j + -(-2 // (2 * j + 1))
 
 
-@pytest.mark.parametrize("n_terms", [None, 1, 2])
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=120, deadline=None, derandomize=True)
 @given(arg=_atanh_arguments(), b=st.sampled_from(ATANH_BITS))
 @example(arg=(1, 3), b=60)
 @example(arg=(1, 2), b=60)
 @example(arg=(100000, 200001), b=430)
 @example(arg=(1, 200001), b=1100)
 @example(arg=(1, 3), b=8)
-def test_atanh_bounds_contain_the_series(n_terms, arg, b):
-    """lo <= 2^b atanh(u/k) <= hi at triple precision, also when the sum
-    stops after one or two terms and the tail term carries the rest; the
+@example(arg=(1, 200001), b=8)
+def test_atanh_bounds_contain_the_series(arg, b):
+    """lo <= 2^b atanh(u/k) <= hi at triple precision, also when 2^b u < k
+    leaves no nonzero power and the tail term carries the whole value; the
     width stays within the count the docstring proves."""
     u, k = arg
-    lo, hi = _atanh_raw(u, k, b, n_terms)
+    lo, hi = _atanh_raw(u, k, b)
     with mp.workprec(3 * b + 64):
         exact = mp.atanh(mp.mpf(u) / k) * mp.mpf(2) ** b
         assert lo <= exact <= hi
-    assert 0 <= hi - lo <= _proved_width(u, k, b, n_terms)
+    assert 0 <= hi - lo <= _proved_width(u, k, b)
 
 
 @pytest.mark.parametrize("digits", [15, 40, 300])
 def test_log_squares_contain_mpmath(digits):
     """The stream's bounds on log m^2 contain mpmath's value at every sampled
-    m up to 10^5 + 1, and stay within 2^-w of it, w the kernel's bits."""
+    m up to 10^5 + 1, and stay within 2^-w of it, w the kernel's bits in
+    the driver's precision context, where the stream reads its scale."""
     last = 10 ** 5 + 1
     budget = PrecisionBudget(digits)
     w = budget.working_bits + _GUARD_BITS
     rng = random.Random(digits)
     sample = {2, 3, 4, 5, 17, 256, 1000, 65537, last - 1, last} | {rng.randint(2, last) for _ in range(40)}
     checked = 0
-    for m, (one, square, (lo, hi, b)) in enumerate(_richmond_terms(budget, last - 1), start=2):
-        assert (one, square) == (1, m * m)
-        if m in sample:
-            with mp.workprec(3 * b):
-                exact = mp.log(square) * mp.mpf(2) ** b
-                assert lo <= exact <= hi
-            assert (hi - lo) << w <= 1 << b
-            checked += 1
+    with interval_precision(budget.working_bits):
+        for m, (one, square, (lo, hi, b)) in enumerate(_richmond_terms(last - 1), start=2):
+            assert (one, square) == (1, m * m)
+            if m in sample:
+                with mp.workprec(3 * b):
+                    exact = mp.log(square) * mp.mpf(2) ** b
+                    assert lo <= exact <= hi
+                assert (hi - lo) << w <= 1 << b
+                checked += 1
     assert checked == len(sample)
 
 
@@ -114,7 +116,7 @@ def test_supplied_logs_give_the_bare_pairs_reports(digits, n_terms):
     """The same report bytes and trace rows with the stream's logs as with
     the bare pairs (1, m^2), whose logs the kernel takes with mpf_log."""
     budget = PrecisionBudget(digits)
-    carried = _richmond_report(budget, n_terms, _richmond_terms(budget, n_terms))
+    carried = _richmond_report(budget, n_terms, _richmond_terms(n_terms))
     bare = _richmond_report(budget, n_terms, ((1, m * m) for m in range(2, n_terms + 2)))
     assert carried == bare
     assert emit_report(catalog_verify("richmond-szekeres", budget, max_terms=n_terms)) == carried[0]
@@ -173,3 +175,14 @@ class TestLucasTailOutOfReach:
         with mock.patch.object(series, "_lucas_rhs_arg", side_effect=ExactLayerReached):
             with pytest.raises(PrecisionError if refused else ExactLayerReached):
                 series.lucas_pos_verify(LucasParams(3, 1), k)
+
+    def test_without_sqrt_d_in_the_ring_the_precondition_stays(self):
+        """At P = 1 + sqrt(5), Q = 1, D = 2 + 2 sqrt(5) has no square root in
+        Q(sqrt(5)): at a k past the cap check, the error is still the
+        exact closed form's precondition, its cause."""
+        params, k = LucasParams(1 + QuadraticElement.sqrt_of(5), 1), 250000
+        assert params.alpha_exact() is None
+        cap = series._ratio_cap_sup(params, k)
+        assert cap.numerator ** 2 << (_MAX_EXPONENT + 1) < cap.denominator ** 2
+        with pytest.raises(PreconditionError, match="requires sqrt"):
+            series.lucas_pos_verify(params, k)
