@@ -281,7 +281,7 @@ MUTANTS = [
     # precision; G = 9 makes ceil(d log2 10) + G = 96 at d = 26
     Mutant(
         "24 fewer guard bits", ENCLOSURE,
-        "math.ceil(self.target_digits * LOG2_10) + 33", "math.ceil(self.target_digits * LOG2_10) + 9",
+        "_WORKING_GUARD_BITS = 33", "_WORKING_GUARD_BITS = 9",
         (TAIL_BITS_INVARIANT,),
     ),
     Mutant(

@@ -5,9 +5,9 @@ ErrorBoundedValue: a pair of exact binary-float endpoints guaranteed to
 bracket the true real number.  mpmath's interval context (``mpmath.iv``)
 supplies the directed-rounding primitives; this module adds exact endpoint
 bookkeeping, precision budgeting, and conversions from exact rationals.
-Endpoint arithmetic on ErrorBoundedValue itself (add/sub/neg) is done in
-exact rational arithmetic, so it never depends on any global precision
-setting.
+ErrorBoundedValue has no arithmetic of its own: sums run in the L kernel's
+integer bounds or in ``mpmath.iv``, and each result becomes an enclosure
+once.
 """
 
 from __future__ import annotations
@@ -19,12 +19,13 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from mpmath import iv, mp
-from mpmath.libmp import MPZ, from_man_exp, fzero, mpf_neg, normalize, round_ceiling, round_floor
+from mpmath.libmp import MPZ, fzero, normalize, round_ceiling, round_floor
 
 LOG2_10 = math.log2(10)
 # binary exponents beyond +-2^20 have no exact rational here (mpf_to_fraction)
 _MAX_EXPONENT = 1 << 20
 _TOO_FAR = "value too far from 1 for an exact rational (binary exponent beyond +-2^20)"
+_WORKING_GUARD_BITS = 33  # G of the working precision (see PrecisionBudget)
 
 
 class DomainError(ValueError):
@@ -104,14 +105,6 @@ def mpf_to_fraction(x) -> Fraction:
     return -v if sign else v
 
 
-def _mpf_from_dyadic(value: Fraction):
-    den = value.denominator
-    k = den.bit_length() - 1
-    if den != 1 << k:
-        raise ValueError("not a dyadic rational")
-    return mp.make_mpf(from_man_exp(value.numerator, -k))
-
-
 @dataclass(frozen=True)
 class ErrorBoundedValue:
     """Enclosure [lower, upper] of a real number, endpoints exact mpf values."""
@@ -138,14 +131,8 @@ class ErrorBoundedValue:
         return cls(mp.make_mpf(lo), mp.make_mpf(hi))
 
     @classmethod
-    def exact(cls, value) -> "ErrorBoundedValue":
-        """Zero-radius enclosure of an int or dyadic rational."""
-        x = _mpf_from_dyadic(Fraction(value))
-        return cls(x, x)
-
-    @classmethod
     def zero(cls) -> "ErrorBoundedValue":
-        return cls.exact(0)
+        return cls(mp.zero, mp.zero)
 
     def scaled(self) -> ScaledInterval:
         """The endpoints exactly, as integers at one scale 2^-scale, scale
@@ -205,41 +192,8 @@ class ErrorBoundedValue:
         hi_m = rational_bounds(hi.numerator, hi.denominator, bits)[1]
         return cls(mp.make_mpf(lo_m), mp.make_mpf(hi_m))
 
-    def __neg__(self) -> "ErrorBoundedValue":
-        # mpf unary minus rounds to the ambient context; raw negation is exact
-        return ErrorBoundedValue(
-            mp.make_mpf(mpf_neg(self.upper._mpf_)),
-            mp.make_mpf(mpf_neg(self.lower._mpf_)),
-        )
-
-    def __add__(self, other) -> "ErrorBoundedValue":
-        other = _as_ebv(other)
-        alo, ahi = self.endpoints()
-        blo, bhi = other.endpoints()
-        return ErrorBoundedValue.from_fraction_pair(alo + blo, ahi + bhi)
-
-    def __sub__(self, other) -> "ErrorBoundedValue":
-        return self + (-_as_ebv(other))
-
-    def __rsub__(self, other) -> "ErrorBoundedValue":
-        return _as_ebv(other) + (-self)
-
-    __radd__ = __add__
-
-    def abs_inf(self) -> Fraction:
-        lo, hi = self.endpoints()
-        if lo <= 0 <= hi:
-            return Fraction(0)
-        return min(abs(lo), abs(hi))
-
     def __repr__(self):
         return f"ErrorBoundedValue({mp.nstr(self.lower, 20)}, {mp.nstr(self.upper, 20)})"
-
-
-def _as_ebv(value) -> ErrorBoundedValue:
-    if isinstance(value, ErrorBoundedValue):
-        return value
-    return ErrorBoundedValue.from_fraction(value)
 
 
 @dataclass(frozen=True)
@@ -301,14 +255,14 @@ class PrecisionBudget:
 
     @property
     def working_bits(self) -> int:
-        """The target's bits plus 33 guard bits (see the class docstring)."""
-        return math.ceil(self.target_digits * LOG2_10) + 33
+        """The target's bits plus G guard bits (see the class docstring)."""
+        return math.ceil(self.target_digits * LOG2_10) + _WORKING_GUARD_BITS
 
     @property
     def tolerance(self) -> Fraction:
         return Fraction(1, 10 ** self.target_digits)
 
 
-# the most d with ceil(d log2 10) + 33 <= 2^20 (see PrecisionBudget)
-MAX_DIGITS = int((_MAX_EXPONENT - 33) / LOG2_10)
+# the most d with ceil(d log2 10) + G <= 2^20 (see PrecisionBudget)
+MAX_DIGITS = int((_MAX_EXPONENT - _WORKING_GUARD_BITS) / LOG2_10)
 DEFAULT_BUDGET = PrecisionBudget.for_digits(40)

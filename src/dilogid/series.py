@@ -307,15 +307,15 @@ def _certified_cap(cap) -> Fraction:
     return sup
 
 
-def _tail_small_enough(n: int, tail_after: Callable[[int], object], tolerance_half: Fraction):
-    """The certified bound ``tail_after(n)`` on the tail after the first n
-    terms if it is at most tolerance_half, else None, as when the n-th term
-    exceeds 1/2."""
+def _tail_small_enough(n: int, tail_after: Callable[[int], object], tolerance_half: Fraction) -> bool:
+    """Whether the certified bound ``tail_after(n)`` on the tail after the
+    first n terms is at most tolerance_half; not when the n-th term exceeds
+    1/2."""
     try:
         bound = tail_after(n)
     except DomainError:
-        return None
-    return bound if mpf_to_fraction(bound) <= tolerance_half else None
+        return False
+    return mpf_to_fraction(bound) <= tolerance_half
 
 
 def _float_log(x: Fraction) -> float:
@@ -618,7 +618,7 @@ def _choose_truncation(
     def probe(n):
         nonlocal lo, hi
         try:
-            fits = _tail_small_enough(n, tail_after, tol_half) is not None
+            fits = _tail_small_enough(n, tail_after, tol_half)
         except PrecisionError:
             fits = True
         lo, hi = (lo, n) if fits else (n, hi)
@@ -1065,7 +1065,7 @@ _RATIONAL_TEXT = re.compile(
 )
 # Fraction(Decimal) builds 10^|exponent|; beyond this exponent that power has
 # more than 2^20 bits, the scale at which mpf_to_fraction refuses a value
-_MAX_DECIMAL_EXPONENT = (1 << 20) * 30103 // 100000
+_MAX_DECIMAL_EXPONENT = _MAX_EXPONENT * 30103 // 100000
 
 
 def parse_decimal(value) -> Fraction:

@@ -215,9 +215,8 @@ def _scanned_truncation(tail_after, half: Fraction, max_terms: int):
     """The truncation by a linear scan: the first n in [1, max_terms] that
     ``_tail_small_enough`` accepts, else max_terms, and its tail."""
     for n in range(1, max_terms + 1):
-        bound = _tail_small_enough(n, tail_after, half)
-        if bound is not None:
-            return n, bound
+        if _tail_small_enough(n, tail_after, half):
+            return n, tail_after(n)
     return max_terms, tail_after(max_terms)
 
 

@@ -116,7 +116,10 @@ class TestQuadToReal:
     def test_radius_bound(self, element):
         for precision in (64, 128, 300):
             enc = quad_to_real(element, precision)
-            bound = Fraction(2) ** (4 - precision) * max(Fraction(1), enc.abs_inf())
+            lo, hi = enc.endpoints()
+            # min |y| over the enclosure, 0 when it holds 0
+            least = Fraction(0) if lo <= 0 <= hi else min(abs(lo), abs(hi))
+            bound = Fraction(2) ** (4 - precision) * max(Fraction(1), least)
             assert enc.radius <= bound
 
     def test_negative_radicand_rejected(self):

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from mpmath import mp
@@ -496,3 +497,11 @@ class TestBadInput:
     def test_integral_decimal_is_an_integer_parameter(self):
         reports = [run_identity(RunConfig("fib-lucas-neg", {"k": k}, 15, 5)) for k in ("3", "3.0", "6/2", "0.3e1")]
         assert all(report == reports[0] for report in reports)
+
+
+def test_readme_library_use_runs():
+    # the README's "Library use" block documents the public API: it must run
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})

@@ -199,7 +199,9 @@ class TestEnclosureArguments:
 
     @pytest.mark.parametrize("x", [Fraction(0), Fraction(3, 8), Fraction(5, 8), Fraction(1)])
     def test_zero_width_enclosure_takes_the_exact_path(self, x):
-        point = ErrorBoundedValue.exact(x)
+        # a dyadic x: both endpoints are x exactly
+        point = ErrorBoundedValue.from_fraction_pair(x, x)
+        assert point.endpoints() == (x, x)
         exact = _validate_unit_arg(point)
         assert exact == (x.numerator, x.denominator)
         for evaluate in (li2, rogers_l, reflection_residual):
@@ -242,6 +244,20 @@ class TestEnclosureDiscipline:
         wide = ErrorBoundedValue.from_fraction_pair(Fraction(1, 4), Fraction(1, 3))
         with pytest.raises(PrecisionError):
             rogers_l(wide, PrecisionBudget.for_digits(40))
+
+    def test_enclosures_have_no_arithmetic(self):
+        # sums run in the kernel's integer bounds or in mpmath.iv; an
+        # enclosure plus a rational must not silently lose precision
+        value = rogers_l(Fraction(1, 2), PrecisionBudget.for_digits(300))
+        for combine in (
+            lambda: value + Fraction(1, 3),
+            lambda: Fraction(1, 3) + value,
+            lambda: value - value,
+            lambda: 1 - value,
+            lambda: -value,
+        ):
+            with pytest.raises(TypeError):
+                combine()
 
 
 @settings(max_examples=40, deadline=None)

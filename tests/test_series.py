@@ -201,19 +201,18 @@ class TestTheoremVerify:
         budget = PrecisionBudget.for_digits(30)
         inst = INST
         n_cut = 12
-        total = None
+        # endpoints summed as exact rationals: [lo, hi] of each side
+        total_lo = total_hi = Fraction(0)
         for n in range(n_cut):
             x, y = xy_seq(inst, n)
-            term = rogers_l(x * y, budget)
-            total = term if total is None else total + term
+            lo, hi = rogers_l(x * y, budget).endpoints()
+            total_lo, total_hi = total_lo + lo, total_hi + hi
         xn, yn = xy_seq(inst, n_cut)
-        closed = (
-            rogers_l(inst.a, budget)
-            + rogers_l(inst.b, budget)
-            - rogers_l(xn, budget)
-            - rogers_l(yn, budget)
+        (a_lo, a_hi), (b_lo, b_hi), (x_lo, x_hi), (y_lo, y_hi) = (
+            rogers_l(arg, budget).endpoints() for arg in (inst.a, inst.b, xn, yn)
         )
-        assert (total - closed).contains_zero()
+        closed_lo, closed_hi = a_lo + b_lo - x_hi - y_hi, a_hi + b_hi - x_lo - y_lo
+        assert total_lo - closed_hi <= 0 <= total_hi - closed_lo
 
     def test_report_invariant(self):
         report = theorem_main_verify(INST, B40)
