@@ -15,8 +15,10 @@ that differs from its version at REV (default HEAD):
     raises the same error type as before;
   * a trace CSV keeps its rows and every value within 2^-40 relative.
 
-It prints one line per changed file and exits with status 1 if a check
-fails.  Run from anywhere:
+A golden removed since REV, or new since REV, staged or untracked,
+fails.  It prints one line per changed file and exits with status 1 if a
+check fails, and with status 2 and one ``error:`` line if REV is not a
+commit of the git checkout the script lies in.  Run from anywhere:
 
     python scripts/compare_goldens.py [REV]
 """
@@ -102,14 +104,31 @@ def _git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True).stdout
 
 
-def main(rev: str = "HEAD") -> int:
+def _problems(name: str, commit: str, old_names: set) -> list[str]:
+    if not (ROOT / name).exists():
+        return ["removed"]
+    if name not in old_names:
+        return ["new, no version to compare with"]
+    check = {".json": _check_report, ".txt": _check_enclosures, ".csv": _check_trace}[Path(name).suffix]
+    return check((ROOT / name).read_text(), _git("show", f"{commit}:{name}"))
+
+
+def main(rev: str = "HEAD", *extra: str) -> int:
+    if extra:
+        print("error: usage: compare_goldens.py [REV]", file=sys.stderr)
+        return 2
+    try:
+        # a REV such as --help is read as a revision, never as an option
+        commit = _git("rev-parse", "--verify", "--quiet", "--end-of-options", f"{rev}^{{commit}}").strip()
+        changed = _git("diff", "--name-only", commit, "--", GOLDEN).split()
+        changed += _git("ls-files", "--others", "--exclude-standard", "--", GOLDEN).split()
+        old_names = set(_git("ls-tree", "-r", "--name-only", commit, "--", GOLDEN).split())
+    except (OSError, subprocess.CalledProcessError):
+        print(f"error: {rev!r} is not a commit of a git checkout at {ROOT}", file=sys.stderr)
+        return 2
     failures = 0
-    changed = _git("diff", "--name-only", rev, "--", GOLDEN).split()
     for name in changed:
-        new = (ROOT / name).read_text()
-        old = _git("show", f"{rev}:{name}")
-        check = {".json": _check_report, ".txt": _check_enclosures, ".csv": _check_trace}[Path(name).suffix]
-        problems = check(new, old)
+        problems = _problems(name, commit, old_names)
         failures += bool(problems)
         print(f"{'FAIL' if problems else 'ok':>4}  {name}" + (f": {'; '.join(problems)}" if problems else ""))
     print(f"{len(changed)} changed goldens, {failures} failing")

@@ -77,6 +77,7 @@ SQUARE_RADICAND = "tests/test_exact_terms.py::test_form_check_folds_a_square_rad
 ATANH = "tests/test_log_stream.py::test_atanh_bounds_contain_the_series"
 LOG_SQUARES = "tests/test_log_stream.py::test_log_squares_contain_mpmath"
 SUPPLIED_LOGS = "tests/test_log_stream.py::test_supplied_logs_give_the_bare_pairs_reports"
+STREAM_SCALE = "tests/test_log_stream.py::test_stream_scale_does_not_depend_on_where_it_is_advanced"
 
 
 class Mutant(NamedTuple):
@@ -252,7 +253,8 @@ MUTANTS = [
     ),
     Mutant(
         "closed-form sign dropped", SERIES,
-        "sum(sign * _rogers_interval(argument(x))", "sum(_rogers_interval(argument(x))", (TWO_PARAMETER_GOLDENS,),
+        "sum(sign * _rogers_interval(argument(x), budget.working_bits)",
+        "sum(_rogers_interval(argument(x), budget.working_bits)", (TWO_PARAMETER_GOLDENS,),
     ),
     # L from one kernel, first checked by hand with a8ceed7
     Mutant(
@@ -262,7 +264,7 @@ MUTANTS = [
     ),
     Mutant(
         "Li2 for L in the series kernel", ROGERS,
-        "def _rogers_eval(x, rogers: bool = True)", "def _rogers_eval(x, rogers: bool = False)",
+        "def _rogers_eval(x, prec: int, rogers: bool = True)", "def _rogers_eval(x, prec: int, rogers: bool = False)",
         ("tests/test_series.py::TestLucasPos::test_fib_even_rhs_argument",),
     ),
     Mutant(
@@ -366,6 +368,13 @@ MUTANTS = [
         "supplied log read at scale 2^-(b-1)", ROGERS,
         "return s1_lo * lo >> b, -(-s1_hi * hi >> b)", "return s1_lo * lo >> (b - 1), -(-s1_hi * hi >> (b - 1))",
         (SUPPLIED_LOGS,),
+    ),
+    # the kernel's bits come from the precision it is given, never from
+    # mpmath's interval context where a caller happens to advance the stream
+    Mutant(
+        "kernel bits read from the ambient context", ROGERS,
+        "w = prec + _GUARD_BITS\n    return w + (2 * n_logs * w).bit_length()",
+        "w = iv.prec + _GUARD_BITS\n    return w + (2 * n_logs * w).bit_length()", (STREAM_SCALE,),
     ),
     # a + b sqrt(D) with opposite signs as the norm over the conjugate
     Mutant(

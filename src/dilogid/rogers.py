@@ -47,8 +47,10 @@ isinstance(y[0], int): both checks run in C, where a miss of
 isinstance(x, Fraction), whose class is an ABC, would run
 ABCMeta.__instancecheck__ on every interval term.
 
-With w = working precision + 20 guard bits, s = w above 1/2, where the
-result lies near pi^2/6, and s = w + z below, where y < 2^-z: a small
+Every kernel function takes the working precision as an argument, prec;
+only the entry points' interval sums and pi^2/6 at x = 1 read mpmath's
+interval context.  With w = prec + 20 guard bits, s = w above 1/2, where
+the result lies near pi^2/6, and s = w + z below, where y < 2^-z: a small
 argument keeps w bits relative to its size, so li2(10^-200) is still
 enclosed to the working precision relative to its value.
 """
@@ -189,12 +191,12 @@ def _atanh_raw(u: int, k: int, b: int) -> tuple:
     return lo, lo + n - 1 + -(-2 // n)
 
 
-def _carried_log_bits(n_logs: int) -> int:
+def _carried_log_bits(n_logs: int, prec: int) -> int:
     """Scale 2^-b for carried logs, each a sum of at most N = ``n_logs`` terms
-    at most b units wide, in the current context: b = w + bits(2 N w), w as in
-    ``_rogers_eval``, keeps N b < 2^(b-w) while b <= 2w, two units of L's
+    at most b units wide: b = w + bits(2 N w), w = ``prec`` + _GUARD_BITS as
+    in ``_rogers_eval``, keeps N b < 2^(b-w) while b <= 2w, two units of L's
     scale once times S1 < 2^(w+1) (``_log_product_raw``)."""
-    w = iv.prec + _GUARD_BITS
+    w = prec + _GUARD_BITS
     return w + (2 * n_logs * w).bit_length()
 
 
@@ -304,9 +306,9 @@ def _one_minus(x):
     return q - p, q
 
 
-def _rogers_eval(x, rogers: bool = True) -> ScaledInterval:
+def _rogers_eval(x, prec: int, rogers: bool = True) -> ScaledInterval:
     """Integer bounds on L(x), or on Li2(x) when not ``rogers``, at the
-    kernel's scale under the current precision context; x inside (0, 1): an
+    kernel's scale for the working precision ``prec``; x inside (0, 1): an
     exact coprime pair (p, q), at most 1/2 also with bounds on its log
     (``_log_product_raw``), or a ScaledInterval, whose branch test and
     1 - x are integer operations and whose (0, 1) check reads the integers'
@@ -317,7 +319,7 @@ def _rogers_eval(x, rogers: bool = True) -> ScaledInterval:
     Euler reflection gives L = pi^2/6 - L(y) and
     Li2(x) = pi^2/6 - Li2(y) - P.
     """
-    w = iv.prec + _GUARD_BITS
+    w = prec + _GUARD_BITS
     if isinstance(x, ScaledInterval):
         # the branch follows the midpoint
         low = x.lo + x.hi <= 1 << x.scale
@@ -354,23 +356,23 @@ def _rogers_eval(x, rogers: bool = True) -> ScaledInterval:
     return tuple.__new__(ScaledInterval, (lo, hi, scale))
 
 
-def _rogers_interval(x, rogers: bool = True):
-    """Interval L, or Li2 when not ``rogers``, at the current precision at a
+def _rogers_interval(x, prec: int, rogers: bool = True):
+    """Interval L, or Li2 when not ``rogers``, at ``prec`` bits at a
     validated argument in [0, 1]: the boundary points 0 and 1 take their
-    closed values."""
+    closed values, pi^2/6 in the current interval context."""
     if not isinstance(x, ScaledInterval):
         p, q = x
         if p == 0:
             return iv.mpf(0)
         if p == q:
             return _pi_squared_over(6)
-    return iv.make_mpf(_raw(_rogers_eval(x, rogers), iv.prec))
+    return iv.make_mpf(_raw(_rogers_eval(x, prec, rogers), prec))
 
 
 def _at_budget(budget: PrecisionBudget, evaluator) -> ErrorBoundedValue:
-    """One evaluation at the working precision, its radius within tolerance."""
+    """One evaluation ``evaluator(prec)`` at the working precision, its radius within tolerance."""
     with interval_precision(budget.working_bits):
-        result = ErrorBoundedValue.from_interval(evaluator())
+        result = ErrorBoundedValue.from_interval(evaluator(budget.working_bits))
     if result.radius > budget.tolerance:
         raise PrecisionError(f"radius {float(result.radius):.3e} above 10^-{budget.target_digits}")
     return result
@@ -383,22 +385,22 @@ def li2(x: Argument, budget: PrecisionBudget = DEFAULT_BUDGET) -> ErrorBoundedVa
     working precision: the integer sums behind it carry 20 guard bits, at a
     scale that follows the size of x up to 1/2 and is absolute above."""
     x = _validate_unit_arg(x)
-    return _at_budget(budget, lambda: _rogers_interval(x, False))
+    return _at_budget(budget, lambda prec: _rogers_interval(x, prec, False))
 
 
 def rogers_l(x: Argument, budget: PrecisionBudget = DEFAULT_BUDGET) -> ErrorBoundedValue:
     """Enclosure of the Rogers dilogarithm with its boundary values; its
     radius is that of ``li2``: a few units in the last place for exact x."""
     x = _validate_unit_arg(x)
-    return _at_budget(budget, lambda: _rogers_interval(x))
+    return _at_budget(budget, lambda prec: _rogers_interval(x, prec))
 
 
 def reflection_residual(x: Argument, budget: PrecisionBudget = DEFAULT_BUDGET) -> ErrorBoundedValue:
     """Enclosure of L(x) + L(1-x) - pi^2/6; must contain zero."""
     x = _validate_unit_arg(x)
 
-    def evaluate():
-        return _rogers_interval(x) + _rogers_interval(_one_minus(x)) - _pi_squared_over(6)
+    def evaluate(prec):
+        return _rogers_interval(x, prec) + _rogers_interval(_one_minus(x), prec) - _pi_squared_over(6)
 
     return _at_budget(budget, evaluate)
 
@@ -413,7 +415,7 @@ def abel_residual(x: Argument, y: Argument, budget: PrecisionBudget = DEFAULT_BU
     x = _validate_unit_arg(x, open_interval=True)
     y = _validate_unit_arg(y, open_interval=True)
 
-    def evaluate():
+    def evaluate(prec):
         # the three five-term arguments: exact pairs for rational x and y,
         # else enclosures checked on their integers to lie inside (0, 1)
         if not isinstance(x, ScaledInterval) and not isinstance(y, ScaledInterval):
@@ -422,16 +424,16 @@ def abel_residual(x: Argument, y: Argument, budget: PrecisionBudget = DEFAULT_BU
             den = qx * qy - px * py
             args = [_coprime(px * py, qx * qy), _coprime(px * (qy - py), den), _coprime(py * (qx - px), den)]
         else:
-            xi, yi = (iv.make_mpf(_raw(v, iv.prec)) for v in (x, y))
+            xi, yi = (iv.make_mpf(_raw(v, prec)) for v in (x, y))
             xy = xi * yi
             denom = 1 - xy
             args = [xy, xi * (1 - yi) / denom, yi * (1 - xi) / denom]
             args = [ErrorBoundedValue.from_interval(a).scaled() for a in args]
             if not all(0 < a.lo and a.hi < 1 << a.scale for a in args):
                 raise DomainError("five-term argument not separated inside (0, 1)")
-        total = _rogers_interval(x) + _rogers_interval(y)
+        total = _rogers_interval(x, prec) + _rogers_interval(y, prec)
         for a in args:
-            total = total - _rogers_interval(a)
+            total = total - _rogers_interval(a, prec)
         return total
 
     return _at_budget(budget, evaluate)

@@ -77,7 +77,7 @@ import re
 from dataclasses import dataclass, field, replace
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import chain, count, islice
 from math import isqrt, log, log1p, pi
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
@@ -534,31 +534,31 @@ def _evaluate_series_report(
 ) -> IdentityReport:
     """Sum enclosures of L over the kept ``terms`` (scaled intervals or exact
     coprime pairs (p, q), bare or with their logs, which the kernel checks
-    to lie in (0, 1)) in one interval context at the working precision,
-    evaluate the closed form ``rhs_fn()`` in the same context, and report.  The series'
-    one tail function ``tail_after(kept)`` bounds the terms after the first
-    ``kept``: after all of them for the report, after the first n + 1 for
-    trace row n.  ``IdentityReport.build`` fails a residual whose radius
-    misses the tolerance.
+    to lie in (0, 1)) at the working precision, evaluate the closed form
+    ``rhs_fn()`` and the residual in an interval context at it, and report.
+    The series' one tail function ``tail_after(kept)`` bounds the terms
+    after the first ``kept``: after all of them for the report, after the
+    first n + 1 for trace row n.  ``IdentityReport.build`` fails a residual
+    whose radius misses the tolerance.
 
     The kernel's integer bounds on each L are added exactly, at the finest
     scale 2^-scale met so far, so a term far below the working precision
     keeps its size; the lhs is rounded outward to the working precision
     once, at the end."""
     prec = budget.working_bits
+    rows: list = []
+    n_terms = lo = hi = scale = 0
+    for term in terms:
+        t_lo, t_hi, t_scale = _rogers_eval(term, prec)
+        if t_scale > scale:
+            lo, hi, scale = lo << (t_scale - scale), hi << (t_scale - scale), t_scale
+        lo += t_lo << (scale - t_scale)
+        hi += t_hi << (scale - t_scale)
+        n_terms += 1
+        if trace is not None:
+            rows.append((term, _scaled_enclosure(lo, hi, scale, prec)))
+    lhs = _scaled_enclosure(lo, hi, scale, prec)
     with interval_precision(prec):
-        rows: list = []
-        n_terms = lo = hi = scale = 0
-        for term in terms:
-            t_lo, t_hi, t_scale = _rogers_eval(term)
-            if t_scale > scale:
-                lo, hi, scale = lo << (t_scale - scale), hi << (t_scale - scale), t_scale
-            lo += t_lo << (scale - t_scale)
-            hi += t_hi << (scale - t_scale)
-            n_terms += 1
-            if trace is not None:
-                rows.append((term, _scaled_enclosure(lo, hi, scale, prec)))
-        lhs = _scaled_enclosure(lo, hi, scale, prec)
         rhs_iv = rhs_fn()
         res_iv = lhs.interval() - rhs_iv
         rhs = ErrorBoundedValue.from_interval(rhs_iv)
@@ -663,11 +663,11 @@ def _lambert_report(identity_id, parameters, form, cap, budget, max_terms, trace
         if isinstance(x, Fraction):
             return x.numerator, x.denominator
         if isinstance(x, QuadraticElement):
-            return quad_to_real(x, iv.prec).scaled()
+            return quad_to_real(x, budget.working_bits).scaled()
         return ErrorBoundedValue.from_interval(x).scaled()
 
     def rhs_fn():
-        return sum(sign * _rogers_interval(argument(x)) for sign, x in closed_form)
+        return sum(sign * _rogers_interval(argument(x), budget.working_bits) for sign, x in closed_form)
 
     w = _lambert_scale(form, cap, budget, max_terms)
     # the precision of quad_to_real(v, w + 8): within 2^(-w-4) of each of
@@ -994,13 +994,13 @@ def _richmond_tail(last: int):
         return mp.make_mpf(((_pi_squared_over(6) + 2 * iv.log(m) + 2) / m)._mpi_[1])
 
 
-def _richmond_terms(max_terms: int) -> Iterator[tuple]:
+def _richmond_terms(max_terms: int, prec: int) -> Iterator[tuple]:
     """The exact pairs (1, m^2), 2 <= m <= max_terms + 1, with bounds (lo, hi, b)
     on log m^2 from one stream: log 4 = 4 atanh(1/3), then 4 atanh(1/(2m+1))
     per step, each ``_atanh_raw`` at 2^-(b+2), at most 2J + 1 <= b units as its
-    J nonzero powers need 3^(2J-1) <= 2^(b+2); b = ``_carried_log_bits``, read
-    in the kernel's precision context when the first term is."""
-    b = _carried_log_bits(max_terms)
+    J nonzero powers need 3^(2J-1) <= 2^(b+2); b = ``_carried_log_bits`` for
+    the kernel's working precision ``prec``."""
+    b = _carried_log_bits(max_terms, prec)
     lo, hi = _atanh_raw(1, 3, b + 2)
     for m in range(2, max_terms + 2):
         yield 1, m * m, (lo, hi, b)
@@ -1019,7 +1019,7 @@ def _richmond_szekeres(budget: PrecisionBudget, max_terms: int, trace: Optional[
         return _richmond_tail(kept + 1)  # the first ``kept`` terms end at n = kept + 1
 
     # a generator, so that tens of thousands of terms are never held
-    terms = _richmond_terms(max_terms)
+    terms = _richmond_terms(max_terms, budget.working_bits)
     parameters = {"terms": str(max_terms)}
     return _evaluate_series_report("richmond-szekeres", parameters, budget, terms, tail_after, rhs_fn, trace)
 
@@ -1105,10 +1105,6 @@ def _pi2_over(divisor: int, budget: PrecisionBudget) -> ErrorBoundedValue:
         return ErrorBoundedValue.from_interval(iv.pi ** 2 / divisor)
 
 
-def _cited_pi2(divisor: int):
-    return lambda budget: _pi2_over(divisor, budget)
-
-
 def _cited_rogers(element: QuadraticElement):
     return lambda budget: rogers_l(quad_to_real(element, budget.working_bits), budget)
 
@@ -1172,10 +1168,10 @@ IDENTITIES = {
         IdentitySpec("theorem-main", {"a": _RATIONAL, "b": _RATIONAL},
                      _verifier(theorem_main_verify, lambda a, b: (TwoParamInstance(a, b),)),
                      "two-parameter series: sum of L(x_n y_n) = L(a) + L(b) - L(|a-b|/(1-min(a,b)))",
-                     (("theorem-main(2/3,1/3)", {"a": "2/3", "b": "1/3"}, _cited_pi2(12), "pi^2/12"),)),
+                     (("theorem-main(2/3,1/3)", {"a": "2/3", "b": "1/3"}, partial(_pi2_over, 12), "pi^2/12"),)),
         IdentitySpec("corollary", {"t": _RATIONAL}, _verifier(corollary_verify, lambda t: (t,)),
                      "one-parameter specialization summing to L((1-t)/(1+t))",
-                     (("corollary(1/3)", {"t": "1/3"}, _cited_pi2(12), "pi^2/12"),)),
+                     (("corollary(1/3)", {"t": "1/3"}, partial(_pi2_over, 12), "pi^2/12"),)),
         IdentitySpec("lucas-pos", _P_Q_K, _verifier(lucas_pos_verify, lambda P, Q, k: (LucasParams(P, Q), k)),
                      "Lucas series for Q > 0 summing to L(Q^k/alpha^(2k))"),
         IdentitySpec("lucas-neg", _P_Q_K, _verifier(lucas_neg_verify, lambda P, Q, k: (LucasParams(P, Q), k)),
@@ -1189,10 +1185,10 @@ IDENTITIES = {
                        "L(7-4*sqrt(3))"),)),
         IdentitySpec("repunit-x", _X_K, _verifier(lucas_pos_verify, lambda x, k: (LucasParams(x + 1, x), k)),
                      "base-x repunit series summing to L(1/x^k)",
-                     (("repunit-x(2)", {"x": "2", "k": "1"}, _cited_pi2(12), "L(1/2) = pi^2/12"),)),
+                     (("repunit-x(2)", {"x": "2", "k": "1"}, partial(_pi2_over, 12), "L(1/2) = pi^2/12"),)),
         IdentitySpec("fib-lucas-neg", _K, _verifier(lucas_neg_verify, lambda k: (LucasParams(1, -1), k)),
                      "Fibonacci/Lucas two-series identity summing to L(1/phi^(2k))",
-                     (("fib-lucas-neg", {"k": "1"}, _cited_pi2(15), "pi^2/15"),)),
+                     (("fib-lucas-neg", {"k": "1"}, partial(_pi2_over, 15), "pi^2/15"),)),
         IdentitySpec("pell", _K, _verifier(lucas_neg_verify, lambda k: (LucasParams(2, -1), k)),
                      "Pell/Pell-Lucas two-series identity",
                      (("pell", {"k": "1"}, _cited_rogers(QuadraticElement(3, -2, 2)), "L(1/(3+2*sqrt(2)))"),)),
@@ -1202,7 +1198,7 @@ IDENTITIES = {
                        "L(6/(7+sqrt(13)))"),)),
         IdentitySpec("sqrt5-k-odd", _K, _verifier(_sqrt5, lambda k: (k, True)),
                      "(P,Q) = (sqrt(5),1) series, odd k, recovering the Q<0 Fibonacci case",
-                     (("sqrt5-k-odd", {"k": "1"}, _cited_pi2(15), "L(1/phi^2) = pi^2/15"),)),
+                     (("sqrt5-k-odd", {"k": "1"}, partial(_pi2_over, 15), "L(1/phi^2) = pi^2/15"),)),
         IdentitySpec("sqrt5-k-even", {"k": (_integer, 2)}, _verifier(_sqrt5, lambda k: (k, False)),
                      "(P,Q) = (sqrt(5),1) series, even k, recovering the Fibonacci case",
                      (("sqrt5-k-even", {"k": "2"}, _cited_rogers(_PHI_INV4), "L(1/phi^4)"),)),
@@ -1212,7 +1208,7 @@ IDENTITIES = {
                      (("sinh-theta(1)", {"theta": "1"}, None, "L(e^-2)"),)),
         IdentitySpec("richmond-szekeres", {}, _richmond_szekeres,
                      "sum of L(1/n^2) from n=2 brackets pi^2/6",
-                     (("richmond-szekeres", {}, _cited_pi2(6), "pi^2/6"),)),
+                     (("richmond-szekeres", {}, partial(_pi2_over, 6), "pi^2/6"),)),
         IdentitySpec("bridgeman", _PELL,
                      _verifier(bridgeman_verify,
                                lambda pell_a, pell_b, pell_n: (PellSolution(pell_a, pell_b, pell_n),)),

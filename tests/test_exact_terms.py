@@ -122,8 +122,7 @@ def _kernel_branch(x, prec):
         monkeypatch.setattr(rogers, "_li2_series_raw", lambda y, w: seen.append(y) or li2_sums(y, w))
         monkeypatch.setattr(rogers, "_zeta2_fixed", lambda w: seen.append("reflected") or zeta2(w))
         try:
-            with interval_precision(prec):
-                _rogers_eval(x)
+            _rogers_eval(x, prec)
         except DomainError:
             return None
     return seen[0], "reflected" in seen

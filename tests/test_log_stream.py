@@ -13,14 +13,15 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import chain
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from mpmath import mp
+from mpmath import iv, mp
 
 from dilogid import series
-from dilogid.enclosure import _MAX_EXPONENT, DomainError, PrecisionBudget, PrecisionError, interval_precision
+from dilogid.enclosure import _MAX_EXPONENT, DomainError, PrecisionBudget, PrecisionError
 from dilogid.exactnum import QuadraticElement
 from dilogid.harness import emit_report
 from dilogid.lucas import LucasParams, PreconditionError
@@ -76,23 +77,22 @@ def test_atanh_bounds_contain_the_series(arg, b):
 @pytest.mark.parametrize("digits", [15, 40, 300])
 def test_log_squares_contain_mpmath(digits):
     """The stream's bounds on log m^2 contain mpmath's value at every sampled
-    m up to 10^5 + 1, and stay within 2^-w of it, w the kernel's bits in
-    the driver's precision context, where the stream reads its scale."""
+    m up to 10^5 + 1, and stay within 2^-w of it, w the kernel's bits at
+    the working precision, from which the stream takes its scale."""
     last = 10 ** 5 + 1
     budget = PrecisionBudget(digits)
     w = budget.working_bits + _GUARD_BITS
     rng = random.Random(digits)
     sample = {2, 3, 4, 5, 17, 256, 1000, 65537, last - 1, last} | {rng.randint(2, last) for _ in range(40)}
     checked = 0
-    with interval_precision(budget.working_bits):
-        for m, (one, square, (lo, hi, b)) in enumerate(_richmond_terms(last - 1), start=2):
-            assert (one, square) == (1, m * m)
-            if m in sample:
-                with mp.workprec(3 * b):
-                    exact = mp.log(square) * mp.mpf(2) ** b
-                    assert lo <= exact <= hi
-                assert (hi - lo) << w <= 1 << b
-                checked += 1
+    for m, (one, square, (lo, hi, b)) in enumerate(_richmond_terms(last - 1, budget.working_bits), start=2):
+        assert (one, square) == (1, m * m)
+        if m in sample:
+            with mp.workprec(3 * b):
+                exact = mp.log(square) * mp.mpf(2) ** b
+                assert lo <= exact <= hi
+            assert (hi - lo) << w <= 1 << b
+            checked += 1
     assert checked == len(sample)
 
 
@@ -110,13 +110,35 @@ def _richmond_report(budget, n_terms, terms):
     return emit_report(report), trace
 
 
+def test_stream_scale_does_not_depend_on_where_it_is_advanced():
+    """The stream's scale follows the precision it is given: its first term
+    drawn at mpmath's default interval precision, far below the working
+    precision, and the rest summed by the driver at 100 digits give the
+    catalog's report, a pass.  A scale read from the context of the first
+    draw would carry logs at 92 bits where 407 are needed, and fail."""
+    budget = PrecisionBudget(100)
+    terms = _richmond_terms(2000, budget.working_bits)
+    assert iv.prec < budget.working_bits
+    first = next(terms)
+    report = _evaluate_series_report(
+        "richmond-szekeres",
+        {"terms": "2000"},
+        budget,
+        chain([first], terms),
+        lambda kept: _richmond_tail(kept + 1),
+        lambda: _pi_squared_over(6),
+    )
+    assert report.verdict == "pass"
+    assert emit_report(report) == emit_report(catalog_verify("richmond-szekeres", budget, max_terms=2000))
+
+
 @pytest.mark.parametrize("digits", [15, 40, 100])
 @pytest.mark.parametrize("n_terms", [1, 2, 3, 50, 2000])
 def test_supplied_logs_give_the_bare_pairs_reports(digits, n_terms):
     """The same report bytes and trace rows with the stream's logs as with
     the bare pairs (1, m^2), whose logs the kernel takes with mpf_log."""
     budget = PrecisionBudget(digits)
-    carried = _richmond_report(budget, n_terms, _richmond_terms(n_terms))
+    carried = _richmond_report(budget, n_terms, _richmond_terms(n_terms, budget.working_bits))
     bare = _richmond_report(budget, n_terms, ((1, m * m) for m in range(2, n_terms + 2)))
     assert carried == bare
     assert emit_report(catalog_verify("richmond-szekeres", budget, max_terms=n_terms)) == carried[0]
@@ -144,8 +166,8 @@ def test_supplied_log_above_half_is_refused(x):
     b = 100
     with mp.workprec(3 * b):
         lo = int(mp.floor(mp.log(mp.mpf(q) / p) * mp.mpf(2) ** b))
-    with interval_precision(83), pytest.raises(DomainError, match="supplied log"):
-        _rogers_eval((p, q, (lo, lo + 1, b)))
+    with pytest.raises(DomainError, match="supplied log"):
+        _rogers_eval((p, q, (lo, lo + 1, b)), 83)
 
 
 class TestLucasTailOutOfReach:

@@ -10,11 +10,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import iv, mp
 
-from dilogid.enclosure import DomainError, PrecisionBudget, ScaledInterval, mpf_to_fraction
+from dilogid.enclosure import (
+    DomainError,
+    ErrorBoundedValue,
+    PrecisionBudget,
+    ScaledInterval,
+    interval_precision,
+    mpf_to_fraction,
+)
 from dilogid.exactnum import QuadraticElement
-from dilogid.harness import RunConfig, registry, run_cli, run_identity
+from dilogid.harness import RunConfig, emit_report, exact_decimal, registry, run_cli, run_identity
 from dilogid.lucas import LucasParams, PreconditionError, lucas_uv
-from dilogid.rogers import rogers_l
+from dilogid.rogers import abel_residual, li2, reflection_residual, rogers_l
 from dilogid.series import (
     PellSolution,
     TwoParamInstance,
@@ -67,7 +74,7 @@ class TestSummationDriver:
     def test_lhs_encloses_the_exact_sum(self, monkeypatch):
         s = B40.working_bits + 40
         values = iter([ScaledInterval(1, 1, 10), ScaledInterval((1 << s) - 1, (1 << s) + 1, s)])
-        monkeypatch.setattr("dilogid.series._rogers_eval", lambda term: next(values))
+        monkeypatch.setattr("dilogid.series._rogers_eval", lambda term, prec: next(values))
         zero = mp.mpf(0)
         report = _evaluate_series_report("driver", {}, B40, range(2), lambda kept: zero, lambda: iv.mpf(0))
         lo, hi = report.lhs.endpoints()
@@ -665,6 +672,40 @@ class TestWorkingPrecision:
         report = catalog_verify("sinh-theta", B40, max_terms=2000, theta=Fraction(1, 100000))
         assert report.terms_used == 2000
         assert report.residual.radius <= self.radius_budget(B40)
+
+
+def _enclosure_text(value):
+    return f"{exact_decimal(value.lower)} {exact_decimal(value.upper)}"
+
+
+_NARROW = Fraction(1, 10 ** 60)
+_PAIR = ErrorBoundedValue.from_fraction_pair
+AMBIENT_CASES = {
+    "rogers_l": lambda: _enclosure_text(rogers_l(Fraction(2, 3), B40)),
+    "rogers_l-enclosure": lambda: _enclosure_text(rogers_l(_PAIR(Fraction(1, 4), Fraction(1, 4) + _NARROW), B40)),
+    "li2": lambda: _enclosure_text(li2(Fraction(1, 3), B40)),
+    "li2-enclosure": lambda: _enclosure_text(li2(_PAIR(Fraction(3, 5), Fraction(3, 5) + _NARROW), B40)),
+    "reflection_residual": lambda: _enclosure_text(reflection_residual(Fraction(1, 3), B40)),
+    "abel_residual": lambda: _enclosure_text(abel_residual(Fraction(1, 3), Fraction(2, 7), B40)),
+    "abel_residual-enclosures": lambda: _enclosure_text(abel_residual(
+        _PAIR(Fraction(1, 3), Fraction(1, 3) + _NARROW), _PAIR(Fraction(2, 7), Fraction(2, 7) + _NARROW), B40)),
+    "theorem-main": lambda: emit_report(catalog_verify("theorem-main", B40, a="1/2", b="1/3")),
+    "fib-lucas-neg": lambda: emit_report(catalog_verify("fib-lucas-neg", B40)),
+    "sinh-theta": lambda: emit_report(catalog_verify("sinh-theta", B40, theta=Fraction(1, 10))),
+    "richmond-szekeres": lambda: emit_report(catalog_verify("richmond-szekeres", B40, max_terms=50)),
+}
+
+
+@pytest.mark.parametrize("ambient_bits", [20, 2000])
+@pytest.mark.parametrize("case", sorted(AMBIENT_CASES))
+def test_ambient_interval_precision_changes_nothing(case, ambient_bits):
+    """Every value and report takes its bits from its budget: called where a
+    caller has set mpmath's interval precision far below or above the
+    working precision, it has the bytes of a plain call."""
+    evaluate = AMBIENT_CASES[case]
+    with interval_precision(ambient_bits):
+        ambient = evaluate()
+    assert ambient == evaluate()
 
 
 @settings(max_examples=20, deadline=None)
