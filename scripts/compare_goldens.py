@@ -13,7 +13,10 @@ that differs from its version at REV (default HEAD):
     2^-(G-4) 10^-digits for G guard bits;
   * an enclosure line keeps its label and overlaps the old enclosure, or
     raises the same error type as before;
-  * a trace CSV keeps its rows and every value within 2^-40 relative.
+  * a trace CSV keeps its rows and every value within 2^-40 relative,
+    but for a row's tail_bound, a certified upper bound that may only
+    tighten: 0 <= new <= old, and within 2^-40 relative on the last row,
+    whose tail is the report's.
 
 A golden removed since REV, or new since REV, staged or untracked,
 fails.  It prints one line per changed file and exits with status 1 if a
@@ -88,14 +91,25 @@ def _check_enclosures(new: str, old: str) -> list[str]:
     return problems
 
 
+def _tail_ok(new: str, old: str, last: bool) -> bool:
+    if not (new and old):
+        return new == old
+    a, b = _value(new), _value(old)
+    return _close(a, b) if last else 0 <= a <= b
+
+
 def _check_trace(new: str, old: str) -> list[str]:
     new_rows, old_rows = list(csv.reader(io.StringIO(new))), list(csv.reader(io.StringIO(old)))
     if len(new_rows) != len(old_rows) or new_rows[0] != old_rows[0]:
         return ["rows or header changed"]
     problems = []
-    for new_row, old_row in zip(new_rows[1:], old_rows[1:]):
+    for index, (new_row, old_row) in enumerate(zip(new_rows[1:], old_rows[1:]), 2):
         for name, a, b in zip(new_rows[0], new_row, old_row):
-            if a != b and not (a and b and _close(_value(a), _value(b))):
+            if name == "tail_bound":
+                ok = _tail_ok(a, b, index == len(new_rows))
+            else:
+                ok = a == b or (a and b and _close(_value(a), _value(b)))
+            if not ok:
                 problems.append(f"row {old_row[0]}: {name} moved")
     return problems
 

@@ -67,6 +67,7 @@ TRACE_GOLDENS = (
     "tests/test_golden.py::test_trace_csv_matches_golden",
     "tests/test_golden.py::test_two_parameter_trace_csv_matches_golden",
 )
+UNREACHED_CAP = "tests/test_golden.py::test_trace_csv_does_not_depend_on_an_unreached_cap"
 REDUCED_TRIPLES = "tests/test_exactnum.py::test_reduced_triples_fixed_examples"
 RATIONAL_RADICAND = "tests/test_exactnum.py::test_products_over_a_rational_radicand"
 RATIONAL_LUCAS = "tests/test_lucas.py::test_integer_doubling_matches_naive_at_fixed_parameters"
@@ -219,15 +220,26 @@ MUTANTS = [
         "truncation point one index late", SERIES,
         "return min(hi, max_terms)", "return min(hi + 1, max_terms)", (TRUNCATION_SCAN,),
     ),
-    # one tail function per series: the tail after the first n + 1 terms for
-    # trace row n, after every kept term for the report
+    # one tail evaluation per series, after every kept term; trace row n
+    # adds the kept terms' upper bounds after it, sum_hi - hi_n
     Mutant(
-        "trace row n reads tail_after(n)", SERIES,
-        "running = tail_after(n + 1)", "running = tail_after(n)", TRACE_GOLDENS,
+        "trace row suffix taken one row off", SERIES,
+        "    for n, (term, lo, hi, row_scale) in enumerate(rows):\n"
+        "        suffix = from_man_exp(sum_hi - (hi << (scale - row_scale)), -scale)\n",
+        "    previous = 0, scale\n"
+        "    for n, (term, lo, hi, row_scale) in enumerate(rows):\n"
+        "        suffix = from_man_exp(sum_hi - (previous[0] << (scale - previous[1])), -scale)\n"
+        "        previous = hi, row_scale\n",
+        TRACE_GOLDENS,
     ),
     Mutant(
-        "report reads tail_after(n_terms - 1)", SERIES,
-        "        tail_after(n_terms),\n", "        tail_after(n_terms - 1),\n", (TWO_PARAMETER_GOLDENS,),
+        "final tail read at n_terms - 1", SERIES,
+        "    tail = tail_after(n_terms)\n", "    tail = tail_after(n_terms - 1)\n", (TWO_PARAMETER_GOLDENS,),
+    ),
+    Mutant(
+        "terms' scale sized from the term cap", SERIES,
+        "w = _lambert_scale(form, cap, budget, n_terms)", "w = _lambert_scale(form, cap, budget, max_terms)",
+        (UNREACHED_CAP,),
     ),
     # the search still finds the first index, by bisection, but with more
     # tail bounds than the two around a good estimate

@@ -206,7 +206,7 @@ class PrecisionBudget:
     most 10^-d; that radius is the sum of four parts, bounded in u:
 
       * the series terms' enclosures: under 1 u, since ``_lambert_scale``
-        gives them bits(max_terms) + 2 bits(c) and more beyond p, for a
+        gives them bits(N) + 2 bits(c) and more beyond p, for N terms and a
         ratio cap with 1/(1-cap) <= c;
       * the L kernel's error counts: its sums run 20 bits finer than p,
         relative to the size of t, and L(t) comes out within

@@ -143,13 +143,12 @@ def write_trace_csv(rows: list, path: str, significant: int = 24) -> None:
         writer = csv.writer(handle)
         writer.writerow(["n", "term", "lhs_partial", "tail_bound"])
         for row in rows:
-            tail = row.get("tail_bound")
             writer.writerow(
                 [
                     row["n"],
                     approx_decimal(row["term"], significant),
                     approx_decimal(row["lhs_partial"], significant),
-                    "" if tail is None else approx_decimal(mpf_to_fraction(tail), significant),
+                    approx_decimal(mpf_to_fraction(row["tail_bound"]), significant),
                 ]
             )
 

@@ -47,12 +47,14 @@ geometric sequence t_N rho^j, as for s >= 0
     t_(n+1) / t_n = rho ((1 - s rho^(n+1)) / (1 - s rho^(n+2)))^2 <= rho;
 
 the ratio cap is rho or a certified upper bound on it (``_certified_cap``).
-Each series has one tail function, ``tail_after(n)``, the certified bound
-on the tail after its first n terms, built once per report and cached: for
-a Lambert form, tail_bound(t, cap) for t the upper bound on t_n from its
+Each Lambert series has one tail function, ``tail_after(n)``, the
+certified bound on the tail after its first n terms, built once per report
+and cached: tail_bound(t, cap) for t the upper bound on t_n from its
 formula in interval arithmetic (``_term_upper``), which depends only on
-the form and the cap.  It serves the truncation, the report and every
-``--trace`` row.  The truncation point N is the first n in [1, max_terms]
+the form and the cap.  It serves the truncation and, once, the report's
+tail after N; a ``--trace`` row's tail is read from the sum, the kept
+terms' upper bounds after the row plus that final tail (``_trace_rows``).
+The truncation point N is the first n in [1, max_terms]
 with tail_after(n) at most half the tolerance, else max_terms
 (``_choose_truncation``): a float estimate of N from log K + n log rho and
 two certified evaluations around it, or a bisection when they miss.  Only
@@ -66,8 +68,9 @@ steps as a scaled integer with floors at the lower end of rho's enclosure
 and ceilings at the upper end, and a term's bounds are integer floor and
 ceiling divisions, so they hold by induction with no error term.  Their
 width, under 2^5 (1/(1-rho))^2 units whatever n, sets w
-(``_lambert_scale``).  The tail is not read from them, so it does not
-follow the terms' scale or the term cap.
+(``_lambert_scale``), for the N terms summed.  The report's tail is not
+read from them, so it does not follow the terms' scale, and neither the
+scale nor the tail moves with the term cap unless N reaches it.
 """
 
 from __future__ import annotations
@@ -83,6 +86,7 @@ from math import isqrt, log, log1p, pi
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from mpmath import iv, mp
+from mpmath.libmp import from_man_exp, mpf_add, round_ceiling
 
 from .enclosure import (
     DEFAULT_BUDGET,
@@ -455,7 +459,7 @@ def _lambert_terms(form: LambertForm, w: int) -> Iterator[ScaledInterval]:
         x_hi = -(-x_hi * r_hi >> w)
 
 
-def _lambert_scale(form: LambertForm, cap: Fraction, budget: PrecisionBudget, max_terms: int) -> int:
+def _lambert_scale(form: LambertForm, cap: Fraction, budget: PrecisionBudget, n_terms: int) -> int:
     """Bits w of the scale 2^-w of ``_lambert_terms``.
 
     Widths in units of 2^-w, to first order.  Let c = ceil(1/(1-cap)) >=
@@ -469,14 +473,14 @@ def _lambert_scale(form: LambertForm, cap: Fraction, budget: PrecisionBudget, ma
     sigma x and one per division, a term's bounds lie at most
     2c 5c + 2c (7 + 1) + 3c^2 + 2 <= 31 c^2 < 2^5 c^2 apart, whatever n.
     L'(t) < w on [2^-w, 1 - 2^-w], which holds every enclosure the kernel
-    accepts, so N <= max_terms terms widen the lhs by less than
+    accepts, so the N = ``n_terms`` terms summed widen the lhs by less than
     N w 2^5 c^2 2^-w, below 2^-working_bits at this w.  The first term
     t_0 >= K gets -log2(K) more bits, to stay separated from 0.
     sinh-theta's interval K and rho are enclosed within 1/8 unit as well
     (``_sinh_theta``).
     """
     c = -(-cap.denominator // (cap.denominator - cap.numerator))
-    w = budget.working_bits + max(0, -_log2_floor(form.k)) + max_terms.bit_length() + 2 * c.bit_length() + 5
+    w = budget.working_bits + max(0, -_log2_floor(form.k)) + n_terms.bit_length() + 2 * c.bit_length() + 5
     # 2^bits(2w) > 2w >= the final scale, which bounds L'
     return w + (2 * w).bit_length()
 
@@ -528,23 +532,23 @@ def _evaluate_series_report(
     parameters: dict,
     budget: PrecisionBudget,
     terms: Iterable,
-    tail_after: Callable[[int], object],
+    tail,
     rhs_fn: Callable[[], object],
     trace: Optional[list] = None,
 ) -> IdentityReport:
     """Sum enclosures of L over the kept ``terms`` (scaled intervals or exact
     coprime pairs (p, q), bare or with their logs, which the kernel checks
     to lie in (0, 1)) at the working precision, evaluate the closed form
-    ``rhs_fn()`` and the residual in an interval context at it, and report.
-    The series' one tail function ``tail_after(kept)`` bounds the terms
-    after the first ``kept``: after all of them for the report, after the
-    first n + 1 for trace row n.  ``IdentityReport.build`` fails a residual
-    whose radius misses the tolerance.
+    ``rhs_fn()`` and the residual in an interval context at it, and report
+    with ``tail``, the series' certified bound on the terms after the kept
+    ones.  ``IdentityReport.build`` fails a residual whose radius misses
+    the tolerance.
 
     The kernel's integer bounds on each L are added exactly, at the finest
     scale 2^-scale met so far, so a term far below the working precision
     keeps its size; the lhs is rounded outward to the working precision
-    once, at the end."""
+    once, at the end.  A ``trace`` keeps the running sums of every row,
+    from which ``_trace_rows`` reads each row's tail."""
     prec = budget.working_bits
     rows: list = []
     n_terms = lo = hi = scale = 0
@@ -556,7 +560,7 @@ def _evaluate_series_report(
         hi += t_hi << (scale - t_scale)
         n_terms += 1
         if trace is not None:
-            rows.append((term, _scaled_enclosure(lo, hi, scale, prec)))
+            rows.append((term, lo, hi, scale))
     lhs = _scaled_enclosure(lo, hi, scale, prec)
     with interval_precision(prec):
         rhs_iv = rhs_fn()
@@ -564,30 +568,25 @@ def _evaluate_series_report(
         rhs = ErrorBoundedValue.from_interval(rhs_iv)
         residual = ErrorBoundedValue.from_interval(res_iv)
     if trace is not None:
-        trace.extend(_trace_rows(rows, tail_after))
-    return IdentityReport.build(
-        identity_id,
-        parameters,
-        budget.target_digits,
-        n_terms,
-        lhs,
-        rhs,
-        tail_after(n_terms),
-        residual,
-    )
+        trace.extend(_trace_rows(rows, hi, scale, tail, prec))
+    return IdentityReport.build(identity_id, parameters, budget.target_digits, n_terms, lhs, rhs, tail, residual)
 
 
-def _trace_rows(rows, tail_after):
+def _trace_rows(rows, sum_hi: int, scale: int, tail, prec: int) -> list:
+    """One row per kept term n: the term, the partial sum of the first n + 1
+    and the tail after them, the kept terms' upper bounds after row n,
+    (sum_hi - hi_n) 2^-scale at the sum's final scale, plus the series'
+    ``tail``, added exactly and rounded up once to _TAIL_BITS bits, so the
+    last row's tail is ``tail``, a _TAIL_BITS-bit bound, itself."""
     out = []
-    for n, (term, partial) in enumerate(rows):
-        try:
-            running = tail_after(n + 1)
-        except DomainError:
-            running = None
+    for n, (term, lo, hi, row_scale) in enumerate(rows):
+        suffix = from_man_exp(sum_hi - (hi << (scale - row_scale)), -scale)
+        running = mp.make_mpf(mpf_add(suffix, tail._mpf_, _TAIL_BITS, round_ceiling))
         if isinstance(term, ScaledInterval):
             term = Fraction(term.lo + term.hi, 1 << (term.scale + 1))
         else:
             term = Fraction(term[0], term[1])
+        partial = _scaled_enclosure(lo, hi, row_scale, prec)
         out.append({"n": n, "term": term, "lhs_partial": partial, "tail_bound": running})
     return out
 
@@ -644,7 +643,7 @@ def _lambert_report(identity_id, parameters, form, cap, budget, max_terms, trace
     enclosed once at _CUT_OFF_BITS bits.  The truncation and the final tail
     come first, so a tail out of reach stops before the form check; then
     the first N terms are generated once, at ``_lambert_scale``'s scale
-    2^-w, from the form enclosed at w + 24 bits."""
+    2^-w for N terms, from the form enclosed at w + 24 bits."""
     enclosed = _enclosed_form(form)
 
     @cache
@@ -652,9 +651,8 @@ def _lambert_report(identity_id, parameters, form, cap, budget, max_terms, trace
         return tail_bound(_term_upper(enclosed, n), cap)
 
     n_terms = _choose_truncation(enclosed, cap, budget, max_terms, tail_after)
-    # an uncertifiable final tail raises here, before the form check; the
-    # report's read of it is then a cache hit
-    tail_after(n_terms)
+    # an uncertifiable final tail raises here, before the form check
+    tail = tail_after(n_terms)
     if exact is not None:
         _check_form(form, *exact)
 
@@ -669,11 +667,11 @@ def _lambert_report(identity_id, parameters, form, cap, budget, max_terms, trace
     def rhs_fn():
         return sum(sign * _rogers_interval(argument(x), budget.working_bits) for sign, x in closed_form)
 
-    w = _lambert_scale(form, cap, budget, max_terms)
+    w = _lambert_scale(form, cap, budget, n_terms)
     # the precision of quad_to_real(v, w + 8): within 2^(-w-4) of each of
     # K, rho and s, as they lie below 1
     terms = islice(_lambert_terms(_enclosed_form(form, w + 24), w), n_terms)
-    return _evaluate_series_report(identity_id, parameters, budget, terms, tail_after, rhs_fn, trace)
+    return _evaluate_series_report(identity_id, parameters, budget, terms, tail, rhs_fn, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -1015,13 +1013,11 @@ def _richmond_szekeres(budget: PrecisionBudget, max_terms: int, trace: Optional[
     def rhs_fn():
         return _pi_squared_over(6)
 
-    def tail_after(kept):
-        return _richmond_tail(kept + 1)  # the first ``kept`` terms end at n = kept + 1
-
     # a generator, so that tens of thousands of terms are never held
     terms = _richmond_terms(max_terms, budget.working_bits)
     parameters = {"terms": str(max_terms)}
-    return _evaluate_series_report("richmond-szekeres", parameters, budget, terms, tail_after, rhs_fn, trace)
+    tail = _richmond_tail(max_terms + 1)  # after n = N = max_terms + 1
+    return _evaluate_series_report("richmond-szekeres", parameters, budget, terms, tail, rhs_fn, trace)
 
 
 def _sinh_theta(
@@ -1039,8 +1035,9 @@ def _sinh_theta(
 
     # the cap and the size of K at the tails' precision, as for a Lucas
     # series; then K and rho, below 1 and a few ulps wide at w + 8 bits,
-    # within 1/8 unit of the terms' scale 2^-w, w as the coarse K gives it,
-    # and _CUT_OFF_BITS more, so that ``_term_upper`` reads them as exact
+    # within 1/8 unit of the terms' scale 2^-w, w as the coarse K and
+    # max_terms give it (the N <= max_terms terms summed take no more), and
+    # _CUT_OFF_BITS more, so that ``_term_upper`` reads them as exact
     coarse = form_at(_TAIL_BITS)
     cap = _certified_cap(coarse.rho)
     form = form_at(_lambert_scale(coarse, cap, budget, max_terms) + _CUT_OFF_BITS + 8)

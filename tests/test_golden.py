@@ -52,6 +52,26 @@ def test_trace_csv_matches_golden(tmp_path, stem, args):
     assert trace.read_bytes() == (GOLDEN / f"trace-{stem}-d{digits}.csv").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--identity", "corollary", "--t", "1/3"],
+        ["--identity", "fib-lucas-neg"],
+        ["--identity", "sinh-theta", "--theta", "1/10"],
+    ],
+    ids=["corollary", "fib-lucas-neg", "sinh-theta"],
+)
+def test_trace_csv_does_not_depend_on_an_unreached_cap(tmp_path, args):
+    # the terms' scale is sized from the N terms summed, not from the cap
+    traces = []
+    for max_terms in ("2000", "10000"):
+        trace = tmp_path / f"trace-{max_terms}.csv"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_cli(["verify", *args, "--digits", "30", "--max-terms", max_terms, "--trace", str(trace)]) == 0
+        traces.append(trace.read_bytes())
+    assert traces[0] == traces[1]
+
+
 def test_every_golden_report_is_checked():
     names = {f"{_slug(entry.name)}.json" for entry in registry()}
     for digits in (40, 100, 300):

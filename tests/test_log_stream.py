@@ -21,7 +21,7 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath import iv, mp
 
 from dilogid import series
-from dilogid.enclosure import _MAX_EXPONENT, DomainError, PrecisionBudget, PrecisionError
+from dilogid.enclosure import _MAX_EXPONENT, DomainError, PrecisionBudget, PrecisionError, mpf_to_fraction
 from dilogid.exactnum import QuadraticElement
 from dilogid.harness import emit_report
 from dilogid.lucas import LucasParams, PreconditionError
@@ -103,11 +103,11 @@ def _richmond_report(budget, n_terms, terms):
         {"terms": str(n_terms)},
         budget,
         terms,
-        lambda kept: _richmond_tail(kept + 1),
+        _richmond_tail(n_terms + 1),
         lambda: _pi_squared_over(6),
         trace,
     )
-    return emit_report(report), trace
+    return report, trace
 
 
 def test_stream_scale_does_not_depend_on_where_it_is_advanced():
@@ -125,7 +125,7 @@ def test_stream_scale_does_not_depend_on_where_it_is_advanced():
         {"terms": "2000"},
         budget,
         chain([first], terms),
-        lambda kept: _richmond_tail(kept + 1),
+        _richmond_tail(2001),
         lambda: _pi_squared_over(6),
     )
     assert report.verdict == "pass"
@@ -136,12 +136,23 @@ def test_stream_scale_does_not_depend_on_where_it_is_advanced():
 @pytest.mark.parametrize("n_terms", [1, 2, 3, 50, 2000])
 def test_supplied_logs_give_the_bare_pairs_reports(digits, n_terms):
     """The same report bytes and trace rows with the stream's logs as with
-    the bare pairs (1, m^2), whose logs the kernel takes with mpf_log."""
+    the bare pairs (1, m^2), whose logs the kernel takes with mpf_log, but
+    for the last bits of each row's tail, which adds the kernel's own upper
+    bounds on the terms after the row: the two runs' bounds on one term lie
+    within their widths of each other, so two row tails lie within the two
+    lhs widths, 4 radius, plus their roundings to _TAIL_BITS bits."""
     budget = PrecisionBudget(digits)
-    carried = _richmond_report(budget, n_terms, _richmond_terms(n_terms, budget.working_bits))
-    bare = _richmond_report(budget, n_terms, ((1, m * m) for m in range(2, n_terms + 2)))
-    assert carried == bare
-    assert emit_report(catalog_verify("richmond-szekeres", budget, max_terms=n_terms)) == carried[0]
+    carried, carried_rows = _richmond_report(budget, n_terms, _richmond_terms(n_terms, budget.working_bits))
+    bare, bare_rows = _richmond_report(budget, n_terms, ((1, m * m) for m in range(2, n_terms + 2)))
+    assert emit_report(carried) == emit_report(bare)
+    assert emit_report(catalog_verify("richmond-szekeres", budget, max_terms=n_terms)) == emit_report(carried)
+    assert len(carried_rows) == len(bare_rows) == n_terms
+    for ours, theirs in zip(carried_rows, bare_rows):
+        assert {key: ours[key] for key in ("n", "term", "lhs_partial")} == {
+            key: theirs[key] for key in ("n", "term", "lhs_partial")
+        }
+        tails = [mpf_to_fraction(row["tail_bound"]) for row in (ours, theirs)]
+        assert abs(tails[0] - tails[1]) <= 4 * carried.lhs.radius + max(tails) / (1 << (series._TAIL_BITS - 2))
 
 
 def test_supplied_log_multiplies_s1():

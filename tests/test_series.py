@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import iv, mp
 
+from dilogid import series
 from dilogid.enclosure import (
     DomainError,
     ErrorBoundedValue,
@@ -76,7 +77,7 @@ class TestSummationDriver:
         values = iter([ScaledInterval(1, 1, 10), ScaledInterval((1 << s) - 1, (1 << s) + 1, s)])
         monkeypatch.setattr("dilogid.series._rogers_eval", lambda term, prec: next(values))
         zero = mp.mpf(0)
-        report = _evaluate_series_report("driver", {}, B40, range(2), lambda kept: zero, lambda: iv.mpf(0))
+        report = _evaluate_series_report("driver", {}, B40, range(2), zero, lambda: iv.mpf(0))
         lo, hi = report.lhs.endpoints()
         middle = 1 + Fraction(1, 1 << 10)
         assert lo <= middle - Fraction(1, 1 << s) and middle + Fraction(1, 1 << s) <= hi
@@ -533,7 +534,9 @@ class TestTailBound:
 class TestTraceTails:
     """Every --trace row's tail bounds the rest of the series: it is at least
     the final lhs lower endpoint minus that row's lhs upper endpoint, a lower
-    bound on the true remainder after the row."""
+    bound on the true remainder after the row, and at most the geometric
+    majorant after the row, which the rows read before they took their
+    tails from the sum."""
 
     @pytest.mark.parametrize(
         "name, digits, params",
@@ -550,18 +553,45 @@ class TestTraceTails:
         ],
         ids=lambda value: value if isinstance(value, str) else None,
     )
-    def test_row_tails_are_bounds(self, name, digits, params):
+    def test_row_tails_are_bounds(self, name, digits, params, monkeypatch):
+        forms = []
+        lambert_report = series._lambert_report
+
+        def recording(identity_id, parameters, form, cap, *rest):
+            forms.append((form, cap))
+            return lambert_report(identity_id, parameters, form, cap, *rest)
+
+        monkeypatch.setattr(series, "_lambert_report", recording)
         rows = []
         report = catalog_verify(name, PrecisionBudget(digits), 2000, rows, **params)
         final_lo = report.lhs.endpoints()[0]
         assert len(rows) == report.terms_used
-        short = [
-            row["n"]
-            for row in rows
-            if row["tail_bound"] is not None
-            and mpf_to_fraction(row["tail_bound"]) < final_lo - row["lhs_partial"].endpoints()[1]
-        ]
-        assert short == []
+        if forms:
+            (form, cap), = forms
+            enclosed = series._enclosed_form(form)
+            closed_lo, closed_hi = report.rhs.endpoints()
+        else:
+            closed_lo = closed_hi = pi_squared_over(6)
+
+        def majorant(n):
+            # the tail after row n as the rows read it before: None where the
+            # term after the row exceeds 1/2 and the bound is not defined
+            try:
+                if not forms:
+                    return mpf_to_fraction(series._richmond_tail(n + 2))
+                return mpf_to_fraction(tail_bound(series._term_upper(enclosed, n + 1), cap))
+            except DomainError:
+                return None
+
+        short, negative, loose, outside = [], [], [], []
+        for row in rows:
+            n, tail = row["n"], mpf_to_fraction(row["tail_bound"])
+            partial_lo, partial_hi = row["lhs_partial"].endpoints()
+            short += [n] if tail < final_lo - partial_hi else []
+            negative += [n] if tail < 0 else []
+            loose += [n] if majorant(n) is not None and tail > majorant(n) else []
+            outside += [n] if not partial_lo <= closed_lo <= closed_hi <= partial_hi + tail else []
+        assert (short, negative, loose, outside) == ([], [], [], [])
 
     @pytest.mark.parametrize(
         "name, params, max_terms",
@@ -580,6 +610,38 @@ class TestTraceTails:
         report = catalog_verify(name, PrecisionBudget(20), max_terms, rows, **params)
         assert len(rows) == report.terms_used
         assert rows[-1]["tail_bound"] == report.tail_bound
+
+    @pytest.mark.parametrize(
+        "name, digits, params",
+        [
+            ("corollary", 30, {"t": "1/3"}),
+            ("theorem-main", 40, {"a": "7/9", "b": "10/13"}),
+            ("sinh-theta", 30, {"theta": "1/10"}),
+            ("richmond-szekeres", 15, {}),
+        ],
+        ids=["corollary", "theorem-main", "sinh-theta", "richmond-szekeres"],
+    )
+    def test_trace_evaluates_no_tail(self, name, digits, params, monkeypatch):
+        # the rows read their tails from the sum: a traced run bounds no
+        # more tails than an untraced one
+        calls = {"tail_bound": 0, "_richmond_tail": 0}
+
+        def counting(function):
+            def counted(*args):
+                calls[function.__name__] += 1
+                return function(*args)
+
+            return counted
+
+        for function in calls:
+            monkeypatch.setattr(series, function, counting(getattr(series, function)))
+        counts = []
+        for trace in (None, []):
+            catalog_verify(name, PrecisionBudget(digits), 2000, trace, **params)
+            counts.append(dict(calls))
+            calls.update(dict.fromkeys(calls, 0))
+        assert counts[0] == counts[1]
+        assert sum(counts[0].values()) > 0
 
 
 class TestCatalog:

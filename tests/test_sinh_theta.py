@@ -14,10 +14,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from mpmath import mp
+from mpmath import iv, mp
 
 from dilogid import series
-from dilogid.enclosure import PrecisionBudget, ScaledInterval
+from dilogid.enclosure import PrecisionBudget, ScaledInterval, interval_precision, iv_from_fraction
 from dilogid.harness import run_cli
 from dilogid.series import catalog_verify
 
@@ -51,12 +51,18 @@ def test_theta_one_fifteenth_at_100_digits_runs_once(monkeypatch):
     monkeypatch.setattr(series, "_lambert_terms", recording_terms)
     report = catalog_verify("sinh-theta", budget, theta="1/15")
     assert report.verdict == "pass"
-    # K and rho at w + _CUT_OFF_BITS + 8 bits for the terms' scale 2^-w,
+    # K and rho at w + _CUT_OFF_BITS + 8 bits for the scale 2^-w of the
+    # default term cap, at least as fine as the scale of the terms summed,
     # then the sum; every other context is a 96-bit ratio cap or tail bound
     # or a cut-off term's bound
+    with interval_precision(series._TAIL_BITS):
+        decay = 1 / iv.exp(iv_from_fraction(Fraction(1, 15)))
+        coarse = series._lucas_form(decay * decay)
+    cap = series._certified_cap(coarse.rho)
+    fine = series._lambert_scale(coarse, cap, budget, series.DEFAULT_MAX_TERMS) + series._CUT_OFF_BITS + 8
     skipped = (series._TAIL_BITS, series._CUT_OFF_BITS)
-    assert [bits for bits in opened if bits not in skipped] == [scales[0] + series._CUT_OFF_BITS + 8,
-                                                                budget.working_bits]
+    assert [bits for bits in opened if bits not in skipped] == [fine, budget.working_bits]
+    assert scales[0] + series._CUT_OFF_BITS + 8 <= fine
 
 
 def test_perturbed_term_fails(monkeypatch):
