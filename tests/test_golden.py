@@ -16,8 +16,11 @@ from pathlib import Path
 import pytest
 
 from dilogid.enclosure import ErrorBoundedValue, PrecisionBudget, PrecisionError
+from dilogid.exactnum import QuadraticElement
 from dilogid.harness import RunConfig, emit_report, exact_decimal, registry, run_cli, run_identity
+from dilogid.lucas import LucasParams, PreconditionError
 from dilogid.rogers import abel_residual, li2, reflection_residual, rogers_l
+from dilogid.series import lucas_neg_verify
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -218,8 +221,34 @@ def test_negative_rational_as_separate_argument_matches_golden(monkeypatch, caps
     assert capsys.readouterr().out == (GOLDEN / "lucas" / "lucas-neg-5-3-m1-2-1-d40.json").read_text()
 
 
+# lucas-neg with P = sqrt(5) in Q(sqrt(5)), whose D = 5 - 4Q is a rational
+# square, so that sqrt(D) lies in the ring; no command-line parameter reads
+# a Q(sqrt(D)) value, so these call the verifier.  They were produced by the
+# implementation that checked the Q < 0 form against its own stride-2k
+# stream of (A_n, B_n) pairs.
+SQRT5 = QuadraticElement.sqrt_of(5)
+LUCAS_NEG_QUADRATIC = [
+    ("lucas-neg-sqrt5-m1-1", Fraction(-1), 1),
+    ("lucas-neg-sqrt5-m1-3", Fraction(-1), 3),
+    ("lucas-neg-sqrt5-m11-4-1", Fraction(-11, 4), 1),
+]
+
+
+@pytest.mark.parametrize("stem, q, k", LUCAS_NEG_QUADRATIC, ids=[row[0] for row in LUCAS_NEG_QUADRATIC])
+def test_quadratic_lucas_neg_report_matches_golden(stem, q, k):
+    report = lucas_neg_verify(LucasParams(SQRT5, q), k, PrecisionBudget(40), 2000)
+    assert report.verdict == "pass"
+    assert emit_report(report) == (GOLDEN / "lucas" / f"{stem}-d40.json").read_text()
+
+
+def test_quadratic_lucas_neg_needs_sqrt_d_in_the_ring():
+    # D = (1 + sqrt(5))^2 + 4 = 10 + 2 sqrt(5) has no square root in Q(sqrt(5))
+    with pytest.raises(PreconditionError, match=r"exact closed form requires sqrt\(D\) in the ring"):
+        lucas_neg_verify(LucasParams(1 + SQRT5, -1), 1, PrecisionBudget(40), 2000)
+
+
 def test_every_lucas_golden_is_checked():
-    names = {f"{stem}-d40.json" for stem, _, _ in LUCAS}
+    names = {f"{stem}-d40.json" for stem, _, _ in LUCAS + LUCAS_NEG_QUADRATIC}
     assert {path.name for path in (GOLDEN / "lucas").iterdir()} == names
 
 
