@@ -3,8 +3,9 @@
 its truncation, the rational converter, the Q(sqrt(D)) conversion, the
 working precision's error budget, the logs that exact arguments carry
 (Richmond-Szekeres' atanh stream), and the exact layer: the integer
-Q(sqrt(D)) arithmetic, the Lucas doubling over Z, the stride-k streams of
-the Lucas summands and the form check's unreduced integer triples.
+Q(sqrt(D)) arithmetic, the Lucas doubling over Z, the one stride-k stream
+of the Lucas summands, which the Q < 0 series reads at its reduced
+parameters (sqrt(D), -Q), and the form check's unreduced integer triples.
 
 Each mutant is one textual change to a file under src/ and the tests that
 must catch it.  The script copies src/ to a temporary directory, first runs
@@ -72,7 +73,8 @@ REDUCED_TRIPLES = "tests/test_exactnum.py::test_reduced_triples_fixed_examples"
 RATIONAL_RADICAND = "tests/test_exactnum.py::test_products_over_a_rational_radicand"
 RATIONAL_LUCAS = "tests/test_lucas.py::test_integer_doubling_matches_naive_at_fixed_parameters"
 STRIDE_POS = "tests/test_lucas.py::test_stride_stream_matches_doubling_q_positive"
-STRIDE_NEG = "tests/test_lucas.py::test_stride_stream_matches_doubling_q_negative"
+QUADRATIC_NEG = "tests/test_golden.py::test_quadratic_lucas_neg_report_matches_golden"
+LUCAS_NEG = "tests/test_series.py::TestLucasNeg"
 RADICAL_PARTS = "tests/test_exact_terms.py::test_form_check_compares_the_radical_parts"
 SQUARE_RADICAND = "tests/test_exact_terms.py::test_form_check_folds_a_square_radicand"
 ATANH = "tests/test_log_stream.py::test_atanh_bounds_contain_the_series"
@@ -329,23 +331,26 @@ MUTANTS = [
         "lambda power off by one in lucas_uv", LUCAS,
         "Fraction(u, lam ** max(n - 1, 0))", "Fraction(u, lam ** n)", (RATIONAL_LUCAS,),
     ),
-    # the Lucas summands by the stride recurrences W_(m+k) = V_k W_m -
-    # Q^k W_(m-k), over Z at (lam P, lam^2 Q)
+    # the Lucas summands by the stride recurrence U_(m+k) = V_k U_m -
+    # Q^k U_(m-k) over U_k, over Z at (lam P, lam^2 Q)
     Mutant(
         "Q for Q^k in the stride-k U stream", SERIES,
-        "v_k * u_hi - qk * u_lo", "v_k * u_hi - q * u_lo", (STRIDE_POS,),
+        "v_k * w_hi - qk * w_lo", "v_k * w_hi - q * w_lo", (STRIDE_POS,),
     ),
-    Mutant(
-        "Q^k for Q^2k in the stride-2k V stream", SERIES,
-        "v2k * v_hi - q2k * v_lo", "v2k * v_hi - qk * v_lo", (STRIDE_NEG,),
-    ),
-    # U_k's scale cancels from the Q > 0 terms (U_k / U_k(n+1))^2 Q^(kn),
-    # whose U stream is linear in it, but not from the Q < 0 terms, whose
-    # U_2k = U_k V_k meets V_k squared
     Mutant(
         "lambda power off by one in the integer streams", SERIES,
-        "pair.u.numerator * (lam ** (k - 1) // pair.u.denominator)",
-        "pair.u.numerator * (lam ** k // pair.u.denominator)", (STRIDE_NEG,),
+        "v_k.numerator * (lam ** k // v_k.denominator)",
+        "v_k.numerator * (lam ** (k - 1) // v_k.denominator)", (STRIDE_POS,),
+    ),
+    # the Q < 0 series is the Q > 0 one at (P', Q') = (sqrt(D), -Q)
+    Mutant(
+        "Q' = Q in the (sqrt(D), -Q) reduction", LUCAS,
+        "LucasParams(p_new, -params.q)", "LucasParams(p_new, params.q)", (QUADRATIC_NEG,),
+    ),
+    Mutant(
+        "Q < 0 form checked against the unreduced stream", SERIES,
+        "_lucas_pos_terms(params if positive else transform_params(params), k)",
+        "_lucas_pos_terms(params, k)", (LUCAS_NEG,),
     ),
     # the form check on unreduced triples (A + B sqrt(D)) / C
     Mutant(

@@ -51,6 +51,8 @@ DIGITS_ENV_VAR = "DILOG_DIGITS"
 DEFAULT_DIGITS = DEFAULT_BUDGET.target_digits
 MIN_DIGITS = 10
 DEFAULT_SEED = 987654321
+# significant digits of the --trace CSV's term, partial-sum and tail columns
+TRACE_DIGITS = 24
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +139,7 @@ def parse_report(text: str) -> dict:
     return out
 
 
-def write_trace_csv(rows: list, path: str, significant: int = 24) -> None:
+def write_trace_csv(rows: list, path: str) -> None:
     """CSV of partial sums: one row per term index."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
@@ -146,9 +148,9 @@ def write_trace_csv(rows: list, path: str, significant: int = 24) -> None:
             writer.writerow(
                 [
                     row["n"],
-                    approx_decimal(row["term"], significant),
-                    approx_decimal(row["lhs_partial"], significant),
-                    approx_decimal(mpf_to_fraction(row["tail_bound"]), significant),
+                    approx_decimal(row["term"], TRACE_DIGITS),
+                    approx_decimal(row["lhs_partial"], TRACE_DIGITS),
+                    approx_decimal(mpf_to_fraction(row["tail_bound"]), TRACE_DIGITS),
                 ]
             )
 

@@ -1,9 +1,11 @@
 """Lucas sequences U_n(P,Q), V_n(P,Q) over exact coefficient rings.
 
 Evaluation is by fast doubling, over the integers for rational parameters;
-the plain linear recurrence is retained as a test oracle.  Coefficients may be rationals or quadratic elements over a
-shared radicand, so the parameter transformation P' = sqrt(P^2-4Q),
-Q' = -Q stays inside exact arithmetic.
+the plain linear recurrence is retained as a test oracle.  Coefficients may
+be rationals or quadratic elements over a shared radicand, so the parameter
+transformation P' = sqrt(P^2-4Q), Q' = -Q, the reduction of the Q < 0
+Lucas series to the Q > 0 one, stays inside exact arithmetic whenever
+sqrt(D) lies in the ring.
 
 Standing assumptions (checked on construction): P > 0, Q != 0, and the
 discriminant D = P^2 - 4Q > 0.
@@ -176,12 +178,14 @@ def alpha_power_exact(params: LucasParams, n: int) -> QuadraticElement:
 
 
 def transform_params(params: LucasParams) -> LucasParams:
-    """The reduction (P, Q) -> (P', Q') = (sqrt(P^2-4Q), -Q) over Q(sqrt(D))."""
-    if not params.is_rational:
-        raise PreconditionError("transformation is defined for rational P, Q")
-    p_new = QuadraticElement.sqrt_of(params.d)
-    q_new = QuadraticElement.from_rational(-params.q, params.d)
-    return LucasParams(p_new, q_new)
+    """The reduction (P, Q) -> (P', Q') = (sqrt(D), -Q), D = P^2 - 4Q, whose
+    roots are alpha and -beta: over Q(sqrt(D)) for rational P and Q, and
+    for parameters in a quadratic field in that field, which must hold
+    sqrt(D)."""
+    p_new = params.sqrt_d_exact()
+    if p_new is None:
+        raise PreconditionError("transformation requires sqrt(D) in the ring")
+    return LucasParams(p_new, -params.q)
 
 
 def transform_case_check(params: LucasParams, n: int) -> bool:

@@ -23,23 +23,25 @@ whose closed form is L(rho); each family maps its parameters to rho:
   * Lucas series with Q > 0, from their index 1, by Binet's formula:
     rho = (beta/alpha)^k = (Q/alpha^2)^k, at t = U_k sqrt(D) / V_k; with
     Q < 0, odd k: the parity sub-series interleaved as A_1, B_1, A_2, ...
-    are the Q > 0 series at (sqrt(D), -Q), with roots alpha and -beta, so
-    rho = (|Q|/alpha^2)^k;
+    are the Q > 0 series at (P', Q') = (sqrt(D), -Q), with roots alpha and
+    -beta (``lucas.transform_params``), so rho = (|Q|/alpha^2)^k, and the
+    form is checked against that series' exact terms;
   * Bridgeman's series of a Pell unit u, the k = 1 Lucas series at
     (2a, +-1): rho = 1/u^2;
   * sinh-theta, the Q > 0 form at (2 cosh(theta), 1, 1): rho = e^(-2 theta),
     at t = tanh(theta), whose terms are transcendental and not checked.
 
-The exact Lucas generators step once per term, not k times, by the
-stride-k recurrence W_(m+k) = V_k W_m - Q^k W_(m-k) of both U and V
-(Ribenboim, "My Numbers, My Friends", ch. 1): U at the multiples of k for
-Q > 0; U at the multiples of 2k and V at the odd multiples of k, by the
-stride 2k, for Q < 0.  They start from one ``lucas_uv`` at k and run over Z
-at (lam P, lam^2 Q) for rational parameters, where every summand, of degree
-0, is unchanged (``_lucas_ring``), else over Q(sqrt(D)).  ``_check_form``
-compares them with the form as integer triples (A + B sqrt(D)) / C,
-multiplied through with no gcd between the products, so that at index k it
-costs a few products of integers of O(k) bits.
+The one exact Lucas generator, ``_lucas_pos_terms``, steps U over the
+multiples of k once per term, not k times, by the stride-k recurrence
+U_(m+k) = V_k U_m - Q^k U_(m-k) (Ribenboim, "My Numbers, My Friends",
+ch. 1), divided by U_k, as U_km / U_k = U_m(V_k, Q^k).  It starts from V_k,
+one ``lucas_uv`` at k, and runs over Z at (lam P, lam^2 Q) for rational
+parameters, where every summand, of degree 0, is unchanged
+(``_lucas_ring``), else over Q(sqrt(D)), as at the reduced parameters of
+every Q < 0 series.  ``_check_form`` compares its terms with the form as
+integer triples (A + B sqrt(D)) / C, multiplied through with no gcd between
+the products, so that at index k it costs a few products of integers of
+O(k) bits.
 
 The tails use L(x) <= x (pi^2/6 + log(1/x)) on (0, 1/2] over the
 geometric sequence t_N rho^j, as for s >= 0
@@ -388,9 +390,11 @@ def _check_form(form: LambertForm, exact_terms: Iterable, count: int = 5) -> Non
     (1-rho)^2 rho X / (1 - rho^2 X)^2 for the Lucas terms and Bridgeman's,
     with X = u^(-2n).  Their difference has a numerator of degree at most 4
     in X, which vanishes identically if it vanishes at the five distinct
-    X = 1, rho, ..., rho^4.  The Q < 0 Lucas generator and Bridgeman's for
-    a negative Pell unit interleave two such functions, one per parity of
-    n, so they are checked at five pairs (count = 10).  Each index steps
+    X = 1, rho, ..., rho^4.  The Q < 0 Lucas terms are read from the
+    Q > 0 generator at the reduced parameters (sqrt(D), -Q), one such
+    function; only Bridgeman's generator for a negative Pell unit
+    interleaves two, one per parity of n, so it alone is checked at five
+    pairs (count = 10).  Each index steps
     K X and sigma X = s rho X by one multiplication by rho each and
     compares K X with t_n (1 - sigma X)^2, which is the same test, as s and
     rho lie in (0, 1).  The values are integer triples (A + B sqrt(D)) / C,
@@ -740,63 +744,41 @@ def _coeff_str(value: Coefficient) -> str:
 
 
 def _lucas_ring(params: LucasParams, k: int) -> tuple:
-    """(U_k, V_k, Q, D, quotient) for the streams of the Lucas summands, from
-    one ``lucas_uv``.
+    """(V_k, Q, quotient) for the stream of the Lucas summands, from one
+    ``lucas_uv``.
 
-    Each summand is a quotient of products of U, V, Q and D of degree 0,
-    where U_m has degree m - 1, V_m degree m, and Q and D degree 2.  So for
-    rational parameters it is the same at (lam P, lam^2 Q), whose U_m =
-    lam^(m-1) U_m(P, Q) and V_m = lam^m V_m(P, Q) are integers, as in
-    ``lucas_uv``: the streams run over Z, and each summand is one Fraction.
-    Otherwise they run over Q(sqrt(D)), and each summand is one quotient
-    there."""
-    pair = lucas_uv(params, k)
+    Each summand Q^(kn) / W_(n+1)^2 has degree 0, where Q has degree 2 and
+    W_m = U_km / U_k, a polynomial in V_k and Q^k, degree (m - 1) k, as U_m
+    has degree m - 1 and V_m degree m.  So for rational parameters it is
+    the same at (lam P, lam^2 Q), whose V_k = lam^k V_k(P, Q) is an
+    integer, as in ``lucas_uv``: the stream runs over Z, and each summand
+    is one Fraction.  Otherwise, as at the Q < 0
+    series' reduced parameters (sqrt(D), -Q), it runs over Q(sqrt(D)), and
+    each summand is one quotient there."""
+    v_k = lucas_uv(params, k).v
     if not params.is_rational:
-        return pair.u, pair.v, params.q, params.d, operator.truediv
-    lam, p, q = _integer_parameters(params)
-    # the reduced denominators of U_k and V_k divide lam^(k-1) and lam^k
-    u = pair.u.numerator * (lam ** (k - 1) // pair.u.denominator)
-    v = pair.v.numerator * (lam ** k // pair.v.denominator)
-    return u, v, q, p * p - 4 * q, Fraction
+        return v_k, params.q, operator.truediv
+    lam, _, q = _integer_parameters(params)
+    # the reduced denominator of V_k divides lam^k
+    return v_k.numerator * (lam ** k // v_k.denominator), q, Fraction
 
 
 def _lucas_pos_terms(params: LucasParams, k: int) -> Iterator:
-    """U_k^2 Q^(kn) / U_{k(n+1)}^2 for n >= 1, exactly.  U runs over the
-    multiples of k from U_0 = 0 and U_k, one step per term, by the stride-k
-    recurrence U_(m+k) = V_k U_m - Q^k U_(m-k) (Ribenboim, "My Numbers, My
-    Friends", ch. 1)."""
-    u_k, v_k, q, _, quotient = _lucas_ring(params, k)
+    """U_k^2 Q^(kn) / U_{k(n+1)}^2 for n >= 1, exactly, as Q^(kn) / W_(n+1)^2
+    with W_m = U_km / U_k = U_m(V_k, Q^k), the Lucas sequence at (V_k, Q^k).
+    W runs from W_0 = 0 and W_1 = 1, one step per term, by its recurrence
+    W_(m+1) = V_k W_m - Q^k W_(m-1), the stride-k recurrence
+    U_(m+k) = V_k U_m - Q^k U_(m-k) of U over U_k (Ribenboim, "My Numbers,
+    My Friends", ch. 1), so U_k, whose scale cancels, is never formed."""
+    v_k, q, quotient = _lucas_ring(params, k)
     qk = q ** k
     qpow = qk
-    u_lo, u_hi = 0, u_k
+    w_lo, w_hi = 0, 1
     while True:
-        u_lo, u_hi = u_hi, v_k * u_hi - qk * u_lo
-        # (U_k / U_k(n+1))^2 Q^(kn): one reduction of the unsquared quotient
-        yield quotient(u_k, u_hi) ** 2 * qpow
+        w_lo, w_hi = w_hi, v_k * w_hi - qk * w_lo
+        # Q^(kn) / W_(n+1)^2: one reduction of the unsquared quotient
+        yield quotient(1, w_hi) ** 2 * qpow
         qpow = qpow * qk
-
-
-def _lucas_neg_terms(params: LucasParams, k: int) -> Iterator:
-    """Pairs (A_n, B_n) of the two sub-series for Q < 0, odd k:
-    A_n = -V_k^2 Q^(k(2n-1)) / (D U_2kn^2) and B_n = V_k^2 Q^(2kn) /
-    V_k(2n+1)^2.  U runs over the multiples of 2k from U_0 = 0 and
-    U_2k = U_k V_k, and V over the odd multiples of k from V_k and V_3k,
-    one step of each per pair, by the stride-2k recurrence
-    W_(m+2k) = V_2k W_m - Q^2k W_(m-2k) of both, V_2k = V_k^2 - 2 Q^k."""
-    u_k, v_k, q, d, quotient = _lucas_ring(params, k)
-    qk = q ** k
-    q2k = qk * qk
-    v2k = v_k * v_k - 2 * qk
-    u_lo, u_hi = 0, u_k * v_k
-    # V_3k = V_2k V_k - Q^2k V_-k, with Q^k V_-k = V_k
-    v_lo, v_hi = v_k, v2k * v_k - qk * v_k
-    qpow_a, qpow_b = qk, q2k
-    while True:
-        yield -quotient(v_k, u_hi) ** 2 * qpow_a / d, quotient(v_k, v_hi) ** 2 * qpow_b
-        u_lo, u_hi = u_hi, v2k * u_hi - q2k * u_lo
-        v_lo, v_hi = v_hi, v2k * v_hi - q2k * v_lo
-        qpow_a = qpow_a * q2k
-        qpow_b = qpow_b * q2k
 
 
 def _lucas_rhs_arg(params: LucasParams, k: int):
@@ -813,11 +795,11 @@ def _lucas_rhs_arg(params: LucasParams, k: int):
 def _lucas_verify(params, k, budget, max_terms, trace) -> IdentityReport:
     """By the sign of Q, the Q > 0 series, or the odd-k parity sub-series
     interleaved (A_1, B_1, A_2, ...): that is the Q > 0 series at
-    (sqrt(D), -Q), with the same Lambert form and ratio cap (|Q|/alpha^2)^k."""
-    if _coeff_sign(params.q) > 0:
-        identity_id, exact = "lucas-pos", (_lucas_pos_terms(params, k), 5)
-    else:
-        identity_id, exact = "lucas-neg", (chain.from_iterable(_lucas_neg_terms(params, k)), 10)
+    (P', Q') = (sqrt(D), -Q) (``transform_params``), whose roots are alpha
+    and -beta, so it has the same Lambert form and ratio cap
+    (|Q|/alpha^2)^k, and its U-ratio stream is the exact generator that the
+    form is checked against at five indices."""
+    positive = _coeff_sign(params.q) > 0
     # the interval cap first: it refuses a k too large for the exact power
     cap = _ratio_cap_sup(params, k)
     # the tail after the first term, t_1 = rho^2 (1-rho)^2 / (1-rho^3)^2 <= cap^2, has no exact
@@ -825,8 +807,11 @@ def _lucas_verify(params, k, budget, max_terms, trace) -> IdentityReport:
     if cap.numerator ** 2 << (_MAX_EXPONENT + 1) < cap.denominator ** 2 and params.alpha_exact() is not None:
         raise PrecisionError(_TOO_FAR)
     form = _lucas_form(_lucas_rhs_arg(params, k))
+    # after the closed form's argument, whose precondition is the reduction's: sqrt(D) in the ring
+    exact = _lucas_pos_terms(params if positive else transform_params(params), k), 5
     parameters = {"P": _coeff_str(params.p), "Q": _coeff_str(params.q), "k": str(k)}
-    return _lambert_report(identity_id, parameters, form, cap, budget, max_terms, trace, exact, ((1, form.rho),))
+    return _lambert_report("lucas-pos" if positive else "lucas-neg", parameters, form, cap, budget, max_terms, trace,
+                           exact, ((1, form.rho),))
 
 
 def lucas_pos_verify(

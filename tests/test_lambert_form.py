@@ -10,7 +10,7 @@ shifted summed term must fail the verdict.
 import contextlib
 import io
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import islice
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -28,7 +28,7 @@ from dilogid.enclosure import (
 )
 from dilogid.exactnum import QuadraticElement
 from dilogid.harness import run_cli
-from dilogid.lucas import LucasParams, lucas_uv
+from dilogid.lucas import LucasParams, lucas_uv, transform_params
 from dilogid.series import (
     DEFAULT_MAX_TERMS,
     LambertForm,
@@ -40,7 +40,6 @@ from dilogid.series import (
     _lambert_scale,
     _lambert_terms,
     _lucas_form,
-    _lucas_neg_terms,
     _lucas_pos_terms,
     _lucas_rhs_arg,
     _ratio_cap_sup,
@@ -118,9 +117,8 @@ LUCAS = [
 
 
 def _lucas_exact(params, k):
-    if series._coeff_sign(params.q) > 0:
-        return _lucas_pos_terms(params, k)
-    return chain.from_iterable(_lucas_neg_terms(params, k))
+    # a Q < 0 series is the Q > 0 one at (sqrt(D), -Q)
+    return _lucas_pos_terms(params if series._coeff_sign(params.q) > 0 else transform_params(params), k)
 
 
 @pytest.mark.parametrize("name, params, k", LUCAS, ids=[row[0] for row in LUCAS])
@@ -309,7 +307,7 @@ EXACT_FAMILIES = [
                            (corollary_remark_term(Fraction(1, 3), n + 1) for n in range(10)), 5)),
     ("lucas-pos", lambda: (_lucas_form(_lucas_rhs_arg(LucasParams(5, 6), 1)), _lucas_pos_terms(LucasParams(5, 6), 1), 5)),
     ("lucas-neg", lambda: (_lucas_form(_lucas_rhs_arg(LucasParams(3, -2), 5)),
-                           chain.from_iterable(_lucas_neg_terms(LucasParams(3, -2), 5)), 10)),
+                           _lucas_pos_terms(transform_params(LucasParams(3, -2)), 5), 5)),
     ("sqrt5", lambda: (_lucas_form(_lucas_rhs_arg(LucasParams(QuadraticElement.sqrt_of(5), 1), 3)),
                        _lucas_pos_terms(LucasParams(QuadraticElement.sqrt_of(5), 1), 3), 5)),
 ]
@@ -326,24 +324,24 @@ def test_five_index_check_accepts_the_form_and_rejects_wrong_ones(name, build):
 
 
 def test_q_negative_check_covers_both_parities():
-    # the A terms alone agree, a wrong B_1 is caught among the five pairs
+    # the reduced stream interleaves A_n and B_n: a wrong B_1 is caught
     params = LucasParams(1, -1)
     form = _lucas_form(_lucas_rhs_arg(params, 1))
-    exact = list(islice(chain.from_iterable(_lucas_neg_terms(params, 1)), 10))
+    exact = list(islice(_lucas_pos_terms(transform_params(params), 1), 5))
     exact[1] = exact[1] * PERTURB
     with pytest.raises(AssertionError, match="summand 1"):
-        _check_form(form, iter(exact), 10)
+        _check_form(form, iter(exact), 5)
 
 
-def test_q_negative_verifier_checks_five_pairs(monkeypatch):
-    original = series._lucas_neg_terms
+def test_q_negative_verifier_checks_five_terms_of_the_reduced_stream(monkeypatch):
+    original = series._lucas_pos_terms
 
-    def wrong_b5(params, k):
-        for m, (a_term, b_term) in enumerate(original(params, k)):
-            yield a_term, b_term * PERTURB if m == 4 else b_term
+    def wrong_fifth(params, k):
+        for n, term in enumerate(original(params, k)):
+            yield term * PERTURB if n == 4 else term
 
-    monkeypatch.setattr(series, "_lucas_neg_terms", wrong_b5)
-    with pytest.raises(AssertionError, match="summand 9"):
+    monkeypatch.setattr(series, "_lucas_pos_terms", wrong_fifth)
+    with pytest.raises(AssertionError, match="summand 4"):
         lucas_neg_verify(LucasParams(1, -1), 1, B40)
 
 
@@ -376,7 +374,7 @@ def test_bridgeman_terms_are_the_lucas_terms(monkeypatch, sol):
     monkeypatch.setattr(series, "_check_form", recording)
     assert bridgeman_verify(sol, B40).verdict == "pass"
     params = pell_to_lucas(sol).params
-    lucas = _lucas_pos_terms(params, 1) if sol.sign > 0 else chain.from_iterable(_lucas_neg_terms(params, 1))
+    lucas = _lucas_exact(params, 1)
     assert len(checked) == 1
     assert checked[0] == list(islice(lucas, 20 if sol.sign > 0 else 40))
 

@@ -16,7 +16,7 @@ from dilogid.lucas import (
     transform_case_check,
     transform_params,
 )
-from dilogid.series import _lucas_neg_terms, _lucas_pos_terms
+from dilogid.series import _lucas_pos_terms, neg_from_pos_split_check
 
 CATALOG_PARAMS = [
     LucasParams(3, 1),
@@ -173,6 +173,15 @@ class TestTransformation:
             for n in range(101):
                 assert transform_case_check(params, n)
 
+    def test_quadratic_parameters(self):
+        # (sqrt(5), -1) has D = 9: P' = 3 and Q' = 1, in Q(sqrt(5))
+        transformed = transform_params(LucasParams(QuadraticElement.sqrt_of(5), -1))
+        assert transformed.p == 3 and transformed.q == 1
+        assert transformed.p.radicand == 5
+        # D = (1 + sqrt(5))^2 + 4 = 10 + 2 sqrt(5) has no square root in Q(sqrt(5))
+        with pytest.raises(PreconditionError, match="requires sqrt"):
+            transform_params(LucasParams(1 + QuadraticElement.sqrt_of(5), -1))
+
     def test_case_formula_examples(self):
         # U_2(sqrt(5),1) = sqrt(5), U_3(sqrt(5),1) = 4 = V_3(1,-1)
         transformed = transform_params(LucasParams(1, -1))
@@ -248,15 +257,13 @@ def test_integer_doubling_matches_naive_at_fixed_parameters(p, q):
         assert fast.u == slow.u and fast.v == slow.v, n
 
 
-# The summand streams of the Lucas series step once per term by the stride
-# recurrences W_(m+k) = V_k W_m - Q^k W_(m-k) over Z at (lam P, lam^2 Q), or
-# over Q(sqrt(D)): their terms equal those built from lucas_uv at each index.
+# The summand stream of the Lucas series steps once per term by the stride
+# recurrence U_(m+k) = V_k U_m - Q^k U_(m-k) over Z at (lam P, lam^2 Q), or
+# over Q(sqrt(D)): its terms equal those built from lucas_uv at each index.
 # Every Q^k differs from Q, so that a stride with Q in place of Q^k shows.
 SIXTH = QuadraticElement(Fraction(1, 2), Fraction(1, 3), 7)
 STRIDE_POS = [(LucasParams(3, 2), 2), (LucasParams(3, 2), 3), (LucasParams(Fraction(7, 3), Fraction(1, 2)), 3),
               (transform_params(LucasParams(1, -3)), 2), (LucasParams(SIXTH, Fraction(2, 5)), 3)]
-STRIDE_NEG = [(LucasParams(1, -3), 3), (LucasParams(Fraction(3, 2), Fraction(-5, 7)), 3), (LucasParams(2, -1), 5),
-              (LucasParams(SIXTH, Fraction(-2, 5)), 3)]
 
 
 @pytest.mark.parametrize("params, k", STRIDE_POS, ids=["3-2-k2", "3-2-k3", "7/3-1/2-k3", "sqrt13-3-k2", "quadratic-k3"])
@@ -266,9 +273,11 @@ def test_stride_stream_matches_doubling_q_positive(params, k):
         assert term == first.u ** 2 * q ** (k * n) / lucas_uv(params, k * (n + 1)).u ** 2, n
 
 
-@pytest.mark.parametrize("params, k", STRIDE_NEG, ids=["1-(-3)-k3", "3/2-(-5/7)-k3", "2-(-1)-k5", "quadratic-k3"])
-def test_stride_stream_matches_doubling_q_negative(params, k):
-    q, d, first = params.q, params.d, lucas_uv(params, k)
-    for n, (a_term, b_term) in zip(range(1, 7), _lucas_neg_terms(params, k)):
-        assert a_term == -first.v ** 2 * q ** (k * (2 * n - 1)) / (d * lucas_uv(params, 2 * k * n).u ** 2), n
-        assert b_term == first.v ** 2 * q ** (2 * k * n) / lucas_uv(params, k * (2 * n + 1)).v ** 2, n
+# A Q < 0 series, odd k, is read from the same stream at (sqrt(D), -Q): its
+# terms are A_1, B_1, A_2, ..., built from lucas_uv at (P, Q), also at odd
+# k > 1 and at rationals whose integer form has lam > 1
+@pytest.mark.parametrize("params, k", [(LucasParams(1, -3), 3), (LucasParams(Fraction(3, 2), Fraction(-5, 7)), 3),
+                                       (LucasParams(2, -1), 5)], ids=["1-(-3)-k3", "3/2-(-5/7)-k3", "2-(-1)-k5"])
+def test_reduced_stream_is_the_q_negative_series(params, k):
+    assert neg_from_pos_split_check(params, k, 12)
+

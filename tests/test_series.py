@@ -335,30 +335,32 @@ class TestLucasNeg:
         assert lo - TOL40 <= target <= hi + TOL40
 
     def test_term_structure(self):
-        from dilogid.series import _lucas_neg_terms
+        # A_1, B_1, A_2, ... read from the Q > 0 stream at (sqrt(D), -Q)
+        from dilogid.lucas import transform_params
+        from dilogid.series import _lucas_pos_terms
 
         fib = LucasParams(1, -1)
-        stream = _lucas_neg_terms(fib, 1)
+        stream = _lucas_pos_terms(transform_params(fib), 1)
         for n in range(1, 15):
-            a_term, b_term = next(stream)
+            a_term, b_term = next(stream), next(stream)
             f = lucas_uv(fib, 2 * n).u
             l = lucas_uv(fib, 2 * n + 1).v
             assert a_term == Fraction(1, 5 * f * f)
             assert b_term == Fraction(1, l * l)
 
         pell = LucasParams(2, -1)
-        stream = _lucas_neg_terms(pell, 1)
+        stream = _lucas_pos_terms(transform_params(pell), 1)
         for n in range(1, 10):
-            a_term, b_term = next(stream)
+            a_term, b_term = next(stream), next(stream)
             p = lucas_uv(pell, 2 * n).u
             q = lucas_uv(pell, 2 * n + 1).v
             assert a_term == Fraction(1, 2 * p * p)
             assert b_term == Fraction(4, q * q)
 
         qm3 = LucasParams(1, -3)
-        stream = _lucas_neg_terms(qm3, 1)
+        stream = _lucas_pos_terms(transform_params(qm3), 1)
         for n in range(1, 10):
-            a_term, b_term = next(stream)
+            a_term, b_term = next(stream), next(stream)
             u = lucas_uv(qm3, 2 * n).u
             v = lucas_uv(qm3, 2 * n + 1).v
             assert a_term == Fraction(3 ** (2 * n - 1), 13 * u * u)
@@ -372,13 +374,14 @@ class TestLucasNeg:
     def test_interleaved_stream_has_the_single_cap(self, p, q, k):
         # A_1, B_1, A_2, ... is the Q > 0 series at (sqrt(D), -Q), so each
         # term is at most (|Q|/alpha^2)^k times the one before, exactly
-        from itertools import chain, islice
+        from itertools import islice
 
-        from dilogid.series import _lucas_neg_terms, _ratio_cap_sup
+        from dilogid.lucas import transform_params
+        from dilogid.series import _lucas_pos_terms, _ratio_cap_sup
 
         params = LucasParams(p, q)
         cap = _ratio_cap_sup(params, k)
-        terms = list(islice(chain.from_iterable(_lucas_neg_terms(params, k)), 60))
+        terms = list(islice(_lucas_pos_terms(transform_params(params), k), 60))
         assert all(later <= cap * earlier for earlier, later in zip(terms, terms[1:]))
 
     def test_dropped_term_fails(self, monkeypatch):

@@ -15,8 +15,10 @@ from dilogid.harness import RunConfig, run_identity
 
 TRACER_SOURCE = Path(__file__).resolve().parent.parent / "certbench" / "tracer.py"
 
-# hooks of the two Lucas closed-form helpers that are now one function
-KNOWN_STALE = {"dilogid.series._pos_rhs_arg", "dilogid.series._neg_rhs_arg"}
+# hooks of the two Lucas closed-form helpers that are now one function, and
+# of the Q < 0 pair stream, whose terms are now read from _lucas_pos_terms at
+# the reduced parameters (sqrt(D), -Q) and counted under its hook
+KNOWN_STALE = {"dilogid.series._pos_rhs_arg", "dilogid.series._neg_rhs_arg", "dilogid.series._lucas_neg_terms"}
 
 
 def _load_tracer():
