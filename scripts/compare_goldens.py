@@ -1,16 +1,20 @@
 #!/usr/bin/env python3
 """Check regenerated golden files against the ones at a git revision.
 
-A change of the working precision changes the bytes of every enclosure,
-so its goldens are regenerated; this script checks that each new file
-still says what the old one said.  For every file under tests/golden/
-that differs from its version at REV (default HEAD):
+A change of the report format or of the working precision changes the
+bytes of every enclosure, so its goldens are regenerated; this script
+checks that each new file still says what the old one said.  For every
+file under tests/golden/ that differs from its version at REV (default
+HEAD):
 
   * a JSON report keeps identity_id, parameters, digits, terms_used and
-    verdict; its lhs, rhs and residual overlap the old ones; its
-    tail_bound agrees within 2^-40 relative; and its residual radius is
-    at most 2^4 units of the working precision (``PrecisionBudget``),
-    2^-(G-4) 10^-digits for G guard bits;
+    verdict; each of its balls lhs, rhs and residual contains the old one,
+    checked exactly, with a radius at most 1.02 times the old one; its
+    tail_bound is at least the old one and at most 1.01 times it; and its
+    residual radius is at most 2^4 units of the working precision
+    (``PrecisionBudget``), 2^-(G-4) 10^-digits for G guard bits.  These
+    fit a report that prints the same enclosures rounded outward to three
+    significant digits of the radius (``enclosure.outward_decimal``);
   * an enclosure line keeps its label and overlaps the old enclosure, or
     raises the same error type as before;
   * a trace CSV keeps its rows and every value within 2^-40 relative,
@@ -54,17 +58,24 @@ def _close(new: Fraction, old: Fraction) -> bool:
     return abs(new - old) <= RELATIVE * abs(old)
 
 
-def _overlap(new: dict, old: dict) -> bool:
-    gap = abs(_value(new["midpoint"]) - _value(old["midpoint"]))
-    return gap <= _value(new["radius"]) + _value(old["radius"])
+def _ball_problems(key: str, new: dict, old: dict) -> list[str]:
+    (new_mid, new_rad), (old_mid, old_rad) = ((_value(b["midpoint"]), _value(b["radius"])) for b in (new, old))
+    problems = []
+    if not (new_mid - new_rad <= old_mid - old_rad and old_mid + old_rad <= new_mid + new_rad):
+        problems.append(f"{key} does not contain the old ball")
+    if new_rad > Fraction(102, 100) * old_rad:
+        problems.append(f"{key} radius above 1.02 times the old one")
+    return problems
 
 
 def _check_report(new: str, old: str) -> list[str]:
     new, old = json.loads(new), json.loads(old)
     problems = [key for key in ("identity_id", "parameters", "digits", "terms_used", "verdict") if new[key] != old[key]]
-    problems += [f"{key} disjoint" for key in ("lhs", "rhs", "residual") if not _overlap(new[key], old[key])]
-    if not _close(_value(new["tail_bound"]), _value(old["tail_bound"])):
-        problems.append("tail_bound moved")
+    for key in ("lhs", "rhs", "residual"):
+        problems += _ball_problems(key, new[key], old[key])
+    new_tail, old_tail = _value(new["tail_bound"]), _value(old["tail_bound"])
+    if not old_tail <= new_tail <= Fraction(101, 100) * old_tail:
+        problems.append("tail_bound outside [old, 1.01 old]")
     if _value(new["residual"]["radius"]) > Fraction(16, 1 << PrecisionBudget(new["digits"]).working_bits):
         problems.append("residual radius above 2^4 units of the working precision")
     return problems
