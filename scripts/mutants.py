@@ -7,6 +7,9 @@ Q(sqrt(D)) arithmetic, the Lucas doubling over Z, the one stride-k stream
 of the Lucas summands, which the Q < 0 series reads at its reduced
 parameters (sqrt(D), -Q), and the form check's unreduced integer triples.
 
+The report's printed balls are checked too: each contains the enclosure
+it is written from.
+
 Each mutant is one textual change to a file under src/ and the tests that
 must catch it.  The script copies src/ to a temporary directory, first runs
 every listed test against the unchanged copy (they must pass), then applies
@@ -78,6 +81,10 @@ LUCAS_NEG = "tests/test_series.py::TestLucasNeg"
 RADICAL_PARTS = "tests/test_exact_terms.py::test_form_check_compares_the_radical_parts"
 SQUARE_RADICAND = "tests/test_exact_terms.py::test_form_check_folds_a_square_radicand"
 ATANH = "tests/test_log_stream.py::test_atanh_bounds_contain_the_series"
+PRINTED_BALLS = (
+    "tests/test_harness.py::TestReportSerialization::test_roundtrip_exact",
+    "tests/test_harness.py::TestReportSerialization::test_report_parses_back_to_balls_around_its_enclosures",
+)
 LOG_SQUARES = "tests/test_log_stream.py::test_log_squares_contain_mpmath"
 SUPPLIED_LOGS = "tests/test_log_stream.py::test_supplied_logs_give_the_bare_pairs_reports"
 STREAM_SCALE = "tests/test_log_stream.py::test_stream_scale_does_not_depend_on_where_it_is_advanced"
@@ -100,6 +107,17 @@ class Equivalent(NamedTuple):
 
 
 MUTANTS = [
+    # a report's balls: the radius rounded up after the midpoint's rounding
+    # error is added to it, so the printed ball contains the exact one
+    Mutant(
+        "midpoint rounding not added to the radius", ENCLOSURE,
+        "c = -((-(r_num + error) >> shift) // div)", "c = -((-r_num >> shift) // div)", PRINTED_BALLS,
+    ),
+    Mutant(
+        "radius rounded to nearest, not up", ENCLOSURE,
+        "c = -((-(r_num + error) >> shift) // div)", "c = ((r_num + error << 1) + (div << shift) >> shift + 1) // div",
+        PRINTED_BALLS,
+    ),
     # the exact stream: one power stream of y = p/q and its error count
     Mutant(
         "exact stream without its error count", ROGERS,

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -22,6 +23,7 @@ from mpmath import iv, mp
 from mpmath.libmp import MPZ, fzero, normalize, round_ceiling, round_floor
 
 LOG2_10 = math.log2(10)
+LOG10_2 = math.log10(2)
 # binary exponents beyond +-2^20 have no exact rational here (mpf_to_fraction)
 _MAX_EXPONENT = 1 << 20
 _TOO_FAR = "value too far from 1 for an exact rational (binary exponent beyond +-2^20)"
@@ -105,6 +107,69 @@ def mpf_to_fraction(x) -> Fraction:
     return -v if sign else v
 
 
+def outward_decimal(mid: int, rad: int, scale: int) -> tuple:
+    """The ball mid +- rad, both in units of 2^-scale, rad >= 0, written in
+    decimal as Arb prints a ball (Johansson, IEEE Trans. Computers 66(8),
+    2017): the radius rounded up to three significant digits, its last at
+    10^e; the midpoint rounded to the nearest multiple of 10^e, ties up; and
+    that rounding's error added to the radius before it is rounded up, so
+    the printed ball contains the given one.  A zero radius keeps the
+    midpoint exact.  Returns (midpoint, radius) as Decimals of exponent e,
+    which ``str`` writes with an exponent when they are tiny.
+
+    Integers only: in units of 10^e, a value n 2^-scale is n 5^-e over
+    2^(scale+e) for e <= 0, and n over 5^e 2^(scale+e) for e > 0, so every
+    division is a shift and, for e > 0, a floor division by 5^e.  e starts
+    one below floor(log10 rad) - 2, the float estimate's floor at most one
+    off, and rises until the rounded radius has at most three digits.
+    """
+    if rad == 0:
+        return _exact_decimal(mid, scale), Decimal(0)
+    e = math.floor((rad.bit_length() - 1 - scale) * LOG10_2) - 3
+    while True:
+        fives = 5 ** abs(e)
+        m_num, r_num = (mid * fives, rad * fives) if e < 0 else (mid, rad)
+        shift = scale + e
+        if shift < 0:
+            m_num, r_num, shift = m_num << -shift, r_num << -shift, 0
+        div = 1 if e < 0 else fives
+        # m_num / (div 2^shift) is the midpoint in units of 10^e
+        m = ((m_num << 1) + (div << shift) >> shift + 1) // div
+        error = abs((m * div << shift) - m_num)
+        c = -((-(r_num + error) >> shift) // div)
+        if c < 1000:
+            return _scaled_decimal(m, e), _scaled_decimal(c, e)
+        e += 1
+
+
+def _scaled_decimal(n: int, e: int) -> Decimal:
+    """n 10^e exactly."""
+    _, digits, _ = Decimal(abs(n)).as_tuple()
+    return Decimal((int(n < 0), digits, e))
+
+
+def _exact_decimal(n: int, scale: int) -> Decimal:
+    """n 2^-scale exactly, as n 5^scale 10^-scale once n is odd."""
+    if n == 0:
+        return Decimal(0)
+    zeros = (n & -n).bit_length() - 1
+    n, scale = n >> zeros, scale - zeros
+    return Decimal(n << -scale) if scale <= 0 else _scaled_decimal(n * 5 ** scale, -scale)
+
+
+def decimal_upper(x) -> Decimal:
+    """A nonnegative finite mpf rounded up to three significant digits
+    (``outward_decimal`` of the ball 0 +- x); a binary exponent beyond
+    +-2^20 raises PrecisionError, as in ``mpf_to_fraction``."""
+    sign, man, exp, _ = x._mpf_
+    if sign or (man == 0 and exp != 0):
+        raise ValueError("not a nonnegative finite mpf")
+    if abs(exp) > _MAX_EXPONENT:
+        raise PrecisionError(_TOO_FAR)
+    man = int(man)
+    return outward_decimal(0, man << exp, 0)[1] if exp >= 0 else outward_decimal(0, man, -exp)[1]
+
+
 @dataclass(frozen=True)
 class ErrorBoundedValue:
     """Enclosure [lower, upper] of a real number, endpoints exact mpf values."""
@@ -144,6 +209,12 @@ class ErrorBoundedValue:
         scale = max(0, -e_lo, -e_hi)
         lo, hi = int(m_lo) << (scale + e_lo), int(m_hi) << (scale + e_hi)
         return ScaledInterval(-lo if s_lo else lo, -hi if s_hi else hi, scale)
+
+    def decimal_ball(self) -> tuple:
+        """(midpoint, radius) as Decimals, rounded outward at the radius's
+        third digit (``outward_decimal``): the ball a report prints."""
+        lo, hi, scale = self.scaled()
+        return outward_decimal(lo + hi, hi - lo, scale + 1)
 
     def interval(self):
         """View as an mpmath interval under the current iv context."""

@@ -2,15 +2,16 @@
 
 Subcommands:
 
-  verify          one identity -> JSON report (exact decimal fields)
+  verify          one identity -> JSON report (outward-rounded decimal balls)
   suite           every registry instance at default parameters -> summary
   properties      seeded randomized invariant suites
   special-values  the closed-form table L(0), L(1/2), L(1/phi), L(1/phi^2), L(1)
 
 Exit status: 0 all pass, 1 any verification failure, 2 usage/config error.
 Rationals are entered as "p/q" or decimal strings and parsed exactly; no
-binary floats touch the exact paths.  Reports are deterministic: numeric
-fields are rendered as exact decimal strings of the dyadic endpoints.
+binary floats touch the exact paths.  Reports are deterministic: each
+enclosure is printed as a decimal ball that contains it, the radius rounded
+up to three significant digits, and the tail bound rounded up to three.
 """
 
 from __future__ import annotations
@@ -23,12 +24,20 @@ import random
 import re
 import sys
 from dataclasses import dataclass, field, replace
-from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Optional
 
-from .enclosure import DEFAULT_BUDGET, DomainError, ErrorBoundedValue, PrecisionBudget, PrecisionError, mpf_to_fraction
+from .enclosure import (
+    DEFAULT_BUDGET,
+    DomainError,
+    ErrorBoundedValue,
+    PrecisionBudget,
+    PrecisionError,
+    decimal_upper,
+    mpf_to_fraction,
+)
 from .exactnum import QuadraticElement, quad_to_real
 from .lucas import LucasParams, PreconditionError, lucas_uv, lucas_uv_naive
 from .rogers import abel_residual, reflection_residual, rogers_l
@@ -43,6 +52,7 @@ from .series import (
     d_seq,
     identity_spec,
     parse_decimal,
+    rounded_midpoint,
     tail_bound,
     xy_seq,
 )
@@ -56,36 +66,8 @@ TRACE_DIGITS = 24
 
 
 # ---------------------------------------------------------------------------
-# exact decimal rendering
+# decimal rendering
 # ---------------------------------------------------------------------------
-
-
-def exact_decimal(value) -> str:
-    """Exact decimal string of a dyadic rational (or mpf); never lossy."""
-    if not isinstance(value, Fraction):
-        value = mpf_to_fraction(value)
-    if value == 0:
-        return "0"
-    sign = "-" if value < 0 else ""
-    v = abs(value)
-    den = v.denominator
-    k = den.bit_length() - 1
-    if den != 1 << k:
-        raise ValueError("value is not a dyadic rational")
-    # v = numerator 5^k / 10^k.  Decimal, unlike str, converts ints of any
-    # length (CPython caps str at sys.get_int_max_str_digits() digits), and
-    # its products and powers are subquadratic, where converting the int
-    # numerator 5^k is quadratic in its length.  The context holds every
-    # digit, and a rounding would raise Inexact
-    with localcontext() as ctx:
-        ctx.prec, ctx.Emax = MAX_PREC, MAX_EMAX
-        ctx.traps[Inexact] = True
-        digits = str(Decimal(v.numerator) * Decimal(5) ** k)
-    if k == 0:
-        return sign + digits
-    if len(digits) <= k:
-        digits = "0" * (k - len(digits) + 1) + digits
-    return f"{sign}{digits[:-k]}.{digits[-k:]}"
 
 
 def approx_decimal(value, significant: int = 12) -> str:
@@ -106,28 +88,34 @@ def approx_decimal(value, significant: int = 12) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _ebv_fields(value: ErrorBoundedValue) -> dict:
-    return {"midpoint": exact_decimal(value.midpoint), "radius": exact_decimal(value.radius)}
+def _ball_fields(value: ErrorBoundedValue) -> dict:
+    mid, rad = value.decimal_ball()
+    return {"midpoint": str(mid), "radius": str(rad)}
 
 
 def emit_report(report: IdentityReport) -> str:
-    """Deterministic JSON serialization of one report."""
+    """Deterministic JSON serialization of one report: each enclosure as a
+    decimal ball that contains it, its radius rounded up to three
+    significant digits (``ErrorBoundedValue.decimal_ball``), and the tail
+    bound rounded up to three (``decimal_upper``)."""
     doc = {
         "identity_id": report.identity_id,
         "parameters": dict(sorted(report.parameters.items())),
         "digits": report.digits,
         "terms_used": report.terms_used,
-        "lhs": _ebv_fields(report.lhs),
-        "rhs": _ebv_fields(report.rhs),
-        "tail_bound": exact_decimal(report.tail_bound),
-        "residual": _ebv_fields(report.residual),
+        "lhs": _ball_fields(report.lhs),
+        "rhs": _ball_fields(report.rhs),
+        "tail_bound": str(decimal_upper(report.tail_bound)),
+        "residual": _ball_fields(report.residual),
         "verdict": report.verdict,
     }
     return json.dumps(doc, indent=2) + "\n"
 
 
 def parse_report(text: str) -> dict:
-    """Parse an emitted report back to exact values (round-trip companion)."""
+    """Parse an emitted report back to the exact rationals it prints: each
+    ball contains the enclosure it was written from, and the tail is at
+    least the certified one."""
     doc = json.loads(text)
     out = dict(doc)
     for key in ("lhs", "rhs", "residual"):
@@ -149,7 +137,7 @@ def write_trace_csv(rows: list, path: str) -> None:
                 [
                     row["n"],
                     approx_decimal(row["term"], TRACE_DIGITS),
-                    approx_decimal(row["lhs_partial"], TRACE_DIGITS),
+                    approx_decimal(rounded_midpoint(row["lhs_partial"], row["prec"]), TRACE_DIGITS),
                     approx_decimal(mpf_to_fraction(row["tail_bound"]), TRACE_DIGITS),
                 ]
             )

@@ -6,7 +6,8 @@ over the kept terms and evaluates the closed form as enclosures in one
 pass at the working precision (``_evaluate_series_report``), and returns
 an IdentityReport: pass iff |residual.midpoint| <= residual.radius +
 tail_bound + 10^-digits, and fail when the residual radius misses
-10^-digits.  ``IDENTITIES`` at the end is the one table of identities.
+10^-digits, read on the numbers the report prints (``report_verdict``).
+``IDENTITIES`` at the end is the one table of identities.
 
 Every series but Richmond-Szekeres has summands of one Lambert form,
 t_n = K rho^n / (1 - s rho^(n+1))^2 for n >= 0 (``LambertForm``), and one
@@ -80,7 +81,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass, field, replace
-from decimal import Decimal, InvalidOperation
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Decimal, Inexact, InvalidOperation, localcontext
 from fractions import Fraction
 from functools import cache, partial
 from itertools import chain, count, islice
@@ -99,6 +100,7 @@ from .enclosure import (
     ScaledInterval,
     _MAX_EXPONENT,
     _TOO_FAR,
+    decimal_upper,
     interval_precision,
     iv_from_fraction,
     mpf_to_fraction,
@@ -218,9 +220,7 @@ class IdentityReport:
         tail_bound,
         residual: ErrorBoundedValue,
     ) -> "IdentityReport":
-        tolerance = Fraction(1, 10 ** digits)
-        ok = abs(residual.midpoint) <= residual.radius + mpf_to_fraction(tail_bound) + tolerance
-        verdict = "pass" if ok and residual.radius <= tolerance else "fail"
+        verdict = report_verdict(*residual.decimal_ball(), decimal_upper(tail_bound), digits)
         return cls(
             identity_id,
             dict(parameters),
@@ -232,6 +232,22 @@ class IdentityReport:
             residual,
             verdict,
         )
+
+
+def report_verdict(mid: Decimal, rad: Decimal, tail: Decimal, digits: int) -> str:
+    """The pass rule on a report's printed residual ball mid +- rad and
+    tail bound: pass iff |mid| <= rad + tail + 10^-digits and rad <=
+    10^-digits.  Printed outward, the ball and the tail contain the exact
+    ones, so the rule holds on them wherever it holds on the exact values,
+    and a reader who applies it to the report's fields gets its verdict.
+    Decimal adds them exactly (a rounding would raise Inexact), in time
+    linear in their digits, where Fractions would take gcds of powers of
+    ten."""
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = MAX_PREC, MAX_EMAX, MIN_EMIN
+        ctx.traps[Inexact] = True
+        tolerance = Decimal(1).scaleb(-digits)
+        return "pass" if abs(mid) <= rad + tail + tolerance and rad <= tolerance else "fail"
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +594,8 @@ def _evaluate_series_report(
 
 def _trace_rows(rows, sum_hi: int, scale: int, tail, prec: int) -> list:
     """One row per kept term n: the term, the partial sum of the first n + 1
-    and the tail after them, the kept terms' upper bounds after row n,
+    (its integer bounds, which the CSV rounds to ``prec`` bits when it
+    writes the row, ``rounded_midpoint``) and the tail after them, the kept terms' upper bounds after row n,
     (sum_hi - hi_n) 2^-scale at the sum's final scale, plus the series'
     ``tail``, added exactly and rounded up once to _TAIL_BITS bits, so the
     last row's tail is ``tail``, a _TAIL_BITS-bit bound, itself."""
@@ -590,9 +607,20 @@ def _trace_rows(rows, sum_hi: int, scale: int, tail, prec: int) -> list:
             term = Fraction(term.lo + term.hi, 1 << (term.scale + 1))
         else:
             term = Fraction(term[0], term[1])
-        partial = _scaled_enclosure(lo, hi, row_scale, prec)
-        out.append({"n": n, "term": term, "lhs_partial": partial, "tail_bound": running})
+        partial = ScaledInterval(lo, hi, row_scale)
+        out.append({"n": n, "term": term, "lhs_partial": partial, "prec": prec, "tail_bound": running})
     return out
+
+
+def rounded_midpoint(partial: ScaledInterval, prec: int) -> Fraction:
+    """The midpoint of ``_scaled_enclosure(*partial, prec)``, the partial
+    sum rounded outward to ``prec`` bits, from the rounded endpoints'
+    integers: what a trace row prints, with no enclosure built per row."""
+    (s_lo, m_lo, e_lo, _), (s_hi, m_hi, e_hi, _) = _raw(partial, prec)
+    e = min(e_lo, e_hi)
+    num = (-int(m_lo) if s_lo else int(m_lo)) << (e_lo - e)
+    num += (-int(m_hi) if s_hi else int(m_hi)) << (e_hi - e)
+    return Fraction(num << (e - 1)) if e >= 1 else Fraction(num, 1 << (1 - e))
 
 
 def _choose_truncation(
@@ -1045,9 +1073,12 @@ _DIGITS = r"\d+(?:_\d+)*"  # digit groups as Decimal and Fraction read them
 _RATIONAL_TEXT = re.compile(
     rf"[+-]?(?:{_DIGITS}/{_DIGITS}|(?:{_DIGITS}(?:\.(?:{_DIGITS})?)?|\.{_DIGITS})(?:[eE][+-]?{_DIGITS})?)"
 )
-# Fraction(Decimal) builds 10^|exponent|; beyond this exponent that power has
-# more than 2^20 bits, the scale at which mpf_to_fraction refuses a value
-_MAX_DECIMAL_EXPONENT = _MAX_EXPONENT * 30103 // 100000
+# Fraction(Decimal) builds 10^|exponent|, so the exponent is bounded.  A
+# report prints a radius of 2^-(2^20+1) or more, half the finest unit that
+# mpf_to_fraction accepts, to three digits, at 10^e with e >= -315656
+# (``enclosure.outward_decimal``); beyond e = -315657 the power has more
+# than 2^20 + 10 bits
+_MAX_DECIMAL_EXPONENT = (_MAX_EXPONENT + 1) * 30103 // 100000 + 4
 
 
 def parse_decimal(value) -> Fraction:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 from fractions import Fraction
 
 from mpmath import mp
@@ -19,6 +20,35 @@ from dilogid.enclosure import mpf_to_fraction
 
 REFERENCE_DPS = 80
 REFERENCE_SLACK = Fraction(1, 10 ** 70)
+
+
+def exact_decimal(value) -> str:
+    """Exact decimal string of a dyadic rational (or mpf); never lossy: the
+    form of the enclosure goldens' endpoints."""
+    if not isinstance(value, Fraction):
+        value = mpf_to_fraction(value)
+    if value == 0:
+        return "0"
+    sign = "-" if value < 0 else ""
+    v = abs(value)
+    den = v.denominator
+    k = den.bit_length() - 1
+    if den != 1 << k:
+        raise ValueError("value is not a dyadic rational")
+    # v = numerator 5^k / 10^k.  Decimal, unlike str, converts ints of any
+    # length (CPython caps str at sys.get_int_max_str_digits() digits), and
+    # its products and powers are subquadratic, where converting the int
+    # numerator 5^k is quadratic in its length.  The context holds every
+    # digit, and a rounding would raise Inexact
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax = MAX_PREC, MAX_EMAX
+        ctx.traps[Inexact] = True
+        digits = str(Decimal(v.numerator) * Decimal(5) ** k)
+    if k == 0:
+        return sign + digits
+    if len(digits) <= k:
+        digits = "0" * (k - len(digits) + 1) + digits
+    return f"{sign}{digits[:-k]}.{digits[-k:]}"
 
 
 def sqrt_bracket(n: int, digits: int) -> tuple[Fraction, Fraction]:

@@ -17,10 +17,12 @@ import pytest
 
 from dilogid.enclosure import ErrorBoundedValue, PrecisionBudget, PrecisionError
 from dilogid.exactnum import QuadraticElement
-from dilogid.harness import RunConfig, emit_report, exact_decimal, registry, run_cli, run_identity
+from dilogid.harness import RunConfig, emit_report, parse_report, registry, run_cli, run_identity
 from dilogid.lucas import LucasParams, PreconditionError
 from dilogid.rogers import abel_residual, li2, reflection_residual, rogers_l
 from dilogid.series import lucas_neg_verify
+
+from conftest import exact_decimal
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -35,6 +37,19 @@ def test_registry_report_matches_golden(entry, digits):
     config = RunConfig(entry.config.identity_id, entry.config.parameters, digits, 2000)
     expected = (GOLDEN / f"registry-d{digits}" / f"{_slug(entry.name)}.json").read_text()
     assert emit_report(run_identity(config)) == expected
+
+
+REPORT_GOLDENS = sorted(path.relative_to(GOLDEN).as_posix() for path in GOLDEN.rglob("*.json"))
+
+
+@pytest.mark.parametrize("name", REPORT_GOLDENS)
+def test_report_golden_verdict_follows_from_its_printed_fields(name):
+    # the README's rule, applied to the numbers the report prints
+    report = parse_report((GOLDEN / name).read_text())
+    mid, rad = report["residual"]["midpoint"], report["residual"]["radius"]
+    tolerance = Fraction(1, 10 ** report["digits"])
+    holds = abs(mid) <= rad + report["tail_bound"] + tolerance and rad <= tolerance
+    assert report["verdict"] == ("pass" if holds else "fail")
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,6 @@ from dilogid.harness import (
     RunConfig,
     approx_decimal,
     emit_report,
-    exact_decimal,
     parse_decimal,
     parse_report,
     registry,
@@ -27,10 +26,17 @@ from dilogid.harness import (
     run_suite,
     special_values_table,
 )
-from dilogid.enclosure import MAX_DIGITS, PrecisionBudget
+from dilogid.enclosure import (
+    _MAX_EXPONENT,
+    MAX_DIGITS,
+    ErrorBoundedValue,
+    PrecisionBudget,
+    decimal_upper,
+    mpf_to_fraction,
+)
 from dilogid.series import UsageError, catalog_verify
 
-from conftest import pi_squared_over
+from conftest import exact_decimal, pi_squared_over
 
 
 class TestDecimalRendering:
@@ -77,6 +83,19 @@ class TestDecimalRendering:
         assert approx_decimal(Fraction(0), 10) == "0"
 
 
+def assert_printed_outward(report, parsed):
+    """Each printed ball contains the report's exact enclosure with a radius
+    at most 1.02 times the exact one, and the printed tail lies between the
+    certified tail and 1.01 times it."""
+    for key in ("lhs", "rhs", "residual"):
+        lo, hi = getattr(report, key).endpoints()
+        mid, rad = parsed[key]["midpoint"], parsed[key]["radius"]
+        assert mid - rad <= lo and hi <= mid + rad, key
+        assert rad <= Fraction(102, 100) * (hi - lo) / 2, key
+    tail = mpf_to_fraction(report.tail_bound)
+    assert tail <= parsed["tail_bound"] <= Fraction(101, 100) * tail
+
+
 class TestReportSerialization:
     def test_roundtrip_exact(self):
         config = RunConfig("lucas-neg", {"P": "1", "Q": "-1", "k": "1"}, 40)
@@ -86,12 +105,40 @@ class TestReportSerialization:
         assert parsed["digits"] == 40
         assert parsed["terms_used"] == report.terms_used
         assert parsed["verdict"] == report.verdict
-        for key, side in (("lhs", report.lhs), ("rhs", report.rhs), ("residual", report.residual)):
-            assert parsed[key]["midpoint"] == side.midpoint
-            assert parsed[key]["radius"] == side.radius
-        from dilogid.enclosure import mpf_to_fraction
+        assert_printed_outward(report, parsed)
 
-        assert parsed["tail_bound"] == mpf_to_fraction(report.tail_bound)
+    @pytest.mark.parametrize(
+        "identity_id, parameters, digits",
+        [
+            ("sinh-theta", {"theta": "100000"}, 40),
+            ("corollary", {"t": "1/3"}, 40),
+            ("corollary", {"t": "1/3"}, 100),
+            ("corollary", {"t": "1/3"}, 300),
+        ],
+        ids=["sinh-theta-100000-d40", "corollary-1-3-d40", "corollary-1-3-d100", "corollary-1-3-d300"],
+    )
+    def test_report_parses_back_to_balls_around_its_enclosures(self, identity_id, parameters, digits):
+        # at theta = 100 000 the enclosures' endpoints have denominators up
+        # to 2^577155: their exact decimals ran to 577 156 characters, with
+        # exponents past what parse_decimal reads
+        report = run_identity(RunConfig(identity_id, parameters, digits))
+        text = emit_report(report)
+        parsed = parse_report(text)
+        assert_printed_outward(report, parsed)
+        assert parsed["verdict"] == report.verdict == "pass"
+        assert len(text) < 1200
+
+    @pytest.mark.parametrize("sign", [1, -1], ids=["above", "below"])
+    def test_value_at_the_exponent_limit_prints_a_readable_exponent(self, sign):
+        # endpoints m 2^(+-2^20), the binary exponents mpf_to_fraction
+        # still accepts, and a tail bound there
+        exp = sign * _MAX_EXPONENT
+        value = ErrorBoundedValue(mp.mpf((3, exp)), mp.mpf((5, exp)))
+        mid, rad = (parse_decimal(str(part)) for part in value.decimal_ball())
+        lo, hi = value.endpoints()
+        assert mid - rad <= lo and hi <= mid + rad
+        tail = parse_decimal(str(decimal_upper(mp.mpf((1, exp)))))
+        assert mpf_to_fraction(mp.mpf((1, exp))) <= tail
 
     def test_pass_report_exposes_verdict_inequality(self):
         config = RunConfig("theorem-main", {"a": "1/2", "b": "1/3"}, 40)
@@ -178,13 +225,17 @@ class TestCliVerify:
         assert run_cli(argv) == 2
 
     def test_report_beyond_the_int_string_limit(self, capsys):
-        # at theta = 1500 the exact decimals of the endpoints run past the
-        # 4300 digits CPython converts between int and str by default
+        # at theta = 1500 the exact decimals of the endpoints would run past
+        # the 4300 digits CPython converts between int and str by default:
+        # their binary scale exceeds 4300 bits, and a dyadic with k binary
+        # places has k decimal ones
+        exact = run_identity(RunConfig("sinh-theta", {"theta": "1500"}))
+        assert exact.lhs.scaled().scale > 4300
         code = run_cli(["verify", "--identity", "sinh-theta", "--theta", "1500"])
         text = capsys.readouterr().out
         assert code == 0
-        assert max(map(len, text.splitlines())) > 4300
         report = parse_report(text)
+        assert_printed_outward(exact, report)
         assert report["verdict"] == "pass"
         assert report["residual"]["radius"] <= Fraction(1, 10 ** 40)
 

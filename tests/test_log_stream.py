@@ -147,10 +147,12 @@ def test_supplied_logs_give_the_bare_pairs_reports(digits, n_terms):
     assert emit_report(carried) == emit_report(bare)
     assert emit_report(catalog_verify("richmond-szekeres", budget, max_terms=n_terms)) == emit_report(carried)
     assert len(carried_rows) == len(bare_rows) == n_terms
+    def shown(row):
+        # the row's partial sum as the CSV reads it, rounded outward to its bits
+        return row["n"], row["term"], series._scaled_enclosure(*row["lhs_partial"], row["prec"])
+
     for ours, theirs in zip(carried_rows, bare_rows):
-        assert {key: ours[key] for key in ("n", "term", "lhs_partial")} == {
-            key: theirs[key] for key in ("n", "term", "lhs_partial")
-        }
+        assert shown(ours) == shown(theirs)
         tails = [mpf_to_fraction(row["tail_bound"]) for row in (ours, theirs)]
         assert abs(tails[0] - tails[1]) <= 4 * carried.lhs.radius + max(tails) / (1 << (series._TAIL_BITS - 2))
 

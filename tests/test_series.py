@@ -20,7 +20,7 @@ from dilogid.enclosure import (
     mpf_to_fraction,
 )
 from dilogid.exactnum import QuadraticElement
-from dilogid.harness import RunConfig, emit_report, exact_decimal, registry, run_cli, run_identity
+from dilogid.harness import RunConfig, emit_report, registry, run_cli, run_identity
 from dilogid.lucas import LucasParams, PreconditionError, lucas_uv
 from dilogid.rogers import abel_residual, li2, reflection_residual, rogers_l
 from dilogid.series import (
@@ -46,6 +46,7 @@ from dilogid.series import (
 )
 
 from conftest import (
+    exact_decimal,
     pi_squared_over,
     random_unit_fraction,
     rogers_reference,
@@ -589,7 +590,7 @@ class TestTraceTails:
         short, negative, loose, outside = [], [], [], []
         for row in rows:
             n, tail = row["n"], mpf_to_fraction(row["tail_bound"])
-            partial_lo, partial_hi = row["lhs_partial"].endpoints()
+            partial_lo, partial_hi = series._scaled_enclosure(*row["lhs_partial"], row["prec"]).endpoints()
             short += [n] if tail < final_lo - partial_hi else []
             negative += [n] if tail < 0 else []
             loose += [n] if majorant(n) is not None and tail > majorant(n) else []
@@ -645,6 +646,17 @@ class TestTraceTails:
             calls.update(dict.fromkeys(calls, 0))
         assert counts[0] == counts[1]
         assert sum(counts[0].values()) > 0
+
+    def test_row_midpoint_is_that_of_the_rounded_enclosure(self):
+        # a row keeps its integers; the CSV prints the midpoint of their
+        # outward rounding, as an enclosure of the row would give it
+        rng = random.Random(5)
+        for _ in range(400):
+            scale, prec = rng.randint(0, 600), rng.randint(20, 300)
+            lo = rng.randint(-(1 << rng.randint(1, 700)), 1 << rng.randint(1, 700))
+            hi = lo + rng.randint(0, 1 << rng.randint(0, 400))
+            partial = ScaledInterval(lo, hi, scale)
+            assert series.rounded_midpoint(partial, prec) == series._scaled_enclosure(lo, hi, scale, prec).midpoint
 
 
 class TestCatalog:
