@@ -166,8 +166,7 @@ def decimal_upper(x) -> Decimal:
         raise ValueError("not a nonnegative finite mpf")
     if abs(exp) > _MAX_EXPONENT:
         raise PrecisionError(_TOO_FAR)
-    man = int(man)
-    return outward_decimal(0, man << exp, 0)[1] if exp >= 0 else outward_decimal(0, man, -exp)[1]
+    return outward_decimal(0, int(man), -exp)[1]
 
 
 @dataclass(frozen=True)
