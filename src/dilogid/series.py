@@ -238,8 +238,10 @@ def report_verdict(mid: Decimal, rad: Decimal, tail: Decimal, digits: int) -> st
     """The pass rule on a report's printed residual ball mid +- rad and
     tail bound: pass iff |mid| <= rad + tail + 10^-digits and rad <=
     10^-digits.  Printed outward, the ball and the tail contain the exact
-    ones, so the rule holds on them wherever it holds on the exact values,
-    and a reader who applies it to the report's fields gets its verdict.
+    ones, so the first inequality holds on them wherever it holds on the
+    exact values; the printed radius exceeds the exact one by under 2%,
+    which the working precision's guard bits keep far below 10^-digits.
+    A reader who applies the rule to the report's fields gets its verdict.
     Decimal adds them exactly (a rounding would raise Inexact), in time
     linear in their digits, where Fractions would take gcds of powers of
     ten."""
@@ -595,7 +597,8 @@ def _evaluate_series_report(
 def _trace_rows(rows, sum_hi: int, scale: int, tail, prec: int) -> list:
     """One row per kept term n: the term, the partial sum of the first n + 1
     (its integer bounds, which the CSV rounds to ``prec`` bits when it
-    writes the row, ``rounded_midpoint``) and the tail after them, the kept terms' upper bounds after row n,
+    writes the row, ``rounded_midpoint``) and the tail after them, the
+    kept terms' upper bounds after row n,
     (sum_hi - hi_n) 2^-scale at the sum's final scale, plus the series'
     ``tail``, added exactly and rounded up once to _TAIL_BITS bits, so the
     last row's tail is ``tail``, a _TAIL_BITS-bit bound, itself."""
