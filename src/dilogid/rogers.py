@@ -38,8 +38,11 @@ log(x) log(1-x) = |log y| S1.
     stream steps X_n = floor(X_(n-1) m / 2^k) at the lower endpoint, whose
     sums are the lower bounds; the upper bounds add the error count and the
     rise across the interval, y_hi - y_lo times each series' slope at
-    y_hi, which bounds it on the interval, rounded up; one interval log
-    encloses |log y|.
+    y_hi, which bounds it on the interval, rounded up; one point log of
+    y_lo, rounded down and widened by one ulp, bounds log(x) log(1-x) over
+    the whole interval, as that product is symmetric about 1/2 and
+    increases below it (``_log_product_raw``).  So every L takes at most
+    one log.
 
 The kernel tells the kinds apart by isinstance(x, ScaledInterval), and its
 helpers tell an exact y = (p, q) from a raw interval pair of mpf tuples by
@@ -64,7 +67,6 @@ from typing import Union
 
 from mpmath import iv
 from mpmath.libmp import MPZ, from_man_exp, mpf_log, mpf_pi, normalize, round_ceiling, round_floor
-from mpmath.libmp.libmpi import mpi_log
 
 from .enclosure import (
     DEFAULT_BUDGET,
@@ -261,8 +263,28 @@ def _log_product_raw(y, s1_lo: int, s1_hi: int, prec: int) -> tuple:
     """Integer bounds on log(x) log(1-x) = |log y| S1 >= 0, y = x or 1-x,
     at the scale of the bounds s1_lo <= S1 <= s1_hi on S1 = -log(1-y),
     from one log at ``prec`` bits; y is an exact p/q <= 1/2, the pair
-    (p, q), or a dyadic interval inside (0, 1); an exact y that carries
-    its log, (p, q, (lo, hi, b)), takes S1 times those bounds, over 2^b."""
+    (p, q), or a dyadic interval inside (0, 1) (below); an exact y that
+    carries its log, (p, q, (lo, hi, b)), takes S1 times those bounds, over
+    2^b.
+
+    An interval y_raw = [y_lo, y_hi] is the outward rounding of the true
+    enclosure [a, b] of y, whose branch ``_rogers_eval`` chose by its
+    unrounded midpoint: a + b <= 1.  Its bounds s1_lo <= -log(1-y_lo) and
+    -log(1-y_hi) <= s1_hi are those of ``_li2_series_raw``.  The product
+    P(y) = |log y| (-log(1-y)) is symmetric, P(y) = P(1-y), and increases
+    on (0, 1/2] (Zagier, "The dilogarithm function", 2007): P'(y) has the
+    sign of
+      g(y) = y ln(1/y) - (1-y) ln(1/(1-y)),
+    as P'(y) = g(y) / (y (1-y)), and g is concave on (0, 1/2), where
+    g''(y) = (2y - 1) / (y (1-y)) < 0, and vanishes at both ends, so it is
+    positive between them.  Hence on [a, b] P(y) >= P(a): at or below 1/2
+    P increases from a, and above it P(y) = P(1-y) with a <= 1-b <= 1-y <
+    1/2.  As y_lo <= a <= 1/2, P(a) >= P(y_lo) >= |log y_lo| s1_lo.  From
+    above, |log y| <= |log y_lo| and -log(1-y) <= -log(1-y_hi) <= s1_hi on
+    the whole interval, whether or not it straddles 1/2: no width term
+    and no straddle case are needed.  One log of y_lo rounded down is
+    l = -m 2^e, m < 2^prec, with l <= log y_lo < l + 2^e, so
+    (m - 1) 2^e < |log y_lo| <= m 2^e."""
     if isinstance(y[0], int):
         if len(y) > 2:
             lo, hi, b = y[2]
@@ -278,13 +300,11 @@ def _log_product_raw(y, s1_lo: int, s1_hi: int, prec: int) -> tuple:
         k = 0 if p == 1 else prec
         _, man, exp, _ = mpf_log(from_man_exp((q << k) // p, -k), prec, round_floor)
         lo, hi = man * s1_lo, (man + 1 + (p > 1)) * s1_hi
-        # times 2^exp, the lower bound floored and the upper one ceiled
-        return (lo << exp, hi << exp) if exp >= 0 else (lo >> -exp, -(-hi >> -exp))
-    # both logs are negative, so |log y| lies in [-log_hi, -log_lo]
-    (_, man_lo, exp_lo, _), (_, man_hi, exp_hi, _) = mpi_log(y, prec)
-    lo, hi = man_hi * s1_lo, man_lo * s1_hi
-    return (lo << exp_hi if exp_hi >= 0 else lo >> -exp_hi,
-            hi << exp_lo if exp_lo >= 0 else -(-hi >> -exp_lo))
+    else:
+        _, man, exp, _ = mpf_log(y[0], prec, round_floor)
+        lo, hi = (man - 1) * s1_lo, man * s1_hi
+    # times 2^exp, the lower bound floored and the upper one ceiled
+    return (lo << exp, hi << exp) if exp >= 0 else (lo >> -exp, -(-hi >> -exp))
 
 
 @lru_cache(maxsize=None)

@@ -15,10 +15,17 @@ from dilogid.harness import RunConfig, run_identity
 
 TRACER_SOURCE = Path(__file__).resolve().parent.parent / "certbench" / "tracer.py"
 
-# hooks of the two Lucas closed-form helpers that are now one function, and
-# of the Q < 0 pair stream, whose terms are now read from _lucas_pos_terms at
-# the reduced parameters (sqrt(D), -Q) and counted under its hook
-KNOWN_STALE = {"dilogid.series._pos_rhs_arg", "dilogid.series._neg_rhs_arg", "dilogid.series._lucas_neg_terms"}
+# hooks of the two Lucas closed-form helpers that are now one function, of
+# the Q < 0 pair stream, whose terms are now read from _lucas_pos_terms at
+# the reduced parameters (sqrt(D), -Q) and counted under its hook, and of the
+# interval log, which _log_product_raw replaced by one point log of the lower
+# end: its time stays in the _log_product_raw span, its count reads 0
+KNOWN_STALE = {
+    "dilogid.series._pos_rhs_arg",
+    "dilogid.series._neg_rhs_arg",
+    "dilogid.series._lucas_neg_terms",
+    "dilogid.rogers.mpi_log",
+}
 
 
 def _load_tracer():
@@ -49,3 +56,5 @@ def test_tracer_hooks_are_present_and_counted():
     assert tracer.counts["rogers.li2_terms"] > interval_counts["rogers.li2_terms"]
     for count in ("series.sum_passes", "rogers.eval_calls", "rogers.li2_terms", "enclosure.convert_calls"):
         assert tracer.counts[count] > 0, count
+    # the log of every interval and exact L is timed inside its product
+    assert tracer.self_ns["rogers.log"] > 0
