@@ -47,6 +47,8 @@ EXACT_SUMS = "tests/test_rogers.py::test_exact_stream_sums_bound_the_series"
 INTERVAL_SUMS = "tests/test_rogers.py::test_fixed_point_sums_bound_the_series"
 WIDE_SUMS = "tests/test_rogers.py::test_fixed_point_sums_bound_a_wide_interval"
 EXACT_LOG = "tests/test_rogers.py::test_exact_log_product_bounds"
+INTERVAL_LOG = "tests/test_rogers.py::test_interval_log_product_bounds"
+LOW_PRECISION = "tests/test_rogers.py::test_low_precision_kernel_contains_polylog"
 KERNEL = "tests/test_rogers.py::test_kernel_contains_polylog[146]"
 DRIVER = "tests/test_series.py::TestSummationDriver"
 CONVERTER = "tests/test_exact_terms.py::test_converter_matches_from_rational"
@@ -148,6 +150,19 @@ MUTANTS = [
     Mutant(
         "exact log without its ulp", ROGERS,
         "(man + 1 + (p > 1)) * s1_hi", "(man + (p > 1)) * s1_hi", (EXACT_LOG,),
+    ),
+    # one point log of an interval's lower end bounds log(x) log(1-x) over
+    # the whole interval.  The L-level sweep does not see the log taken at
+    # y_hi: the rise that S1's upper bound adds across a straddling interval
+    # covers P(1/2) - P(y_hi) on every interval it draws, so the
+    # integer-scale test must
+    Mutant(
+        "log taken at y_hi", ROGERS,
+        "mpf_log(y[0], prec, round_floor)", "mpf_log(y[1], prec, round_floor)", (INTERVAL_LOG, LOW_PRECISION),
+    ),
+    Mutant(
+        "lower log bound without its ulp", ROGERS,
+        "lo, hi = (man - 1) * s1_lo, man * s1_hi", "lo, hi = man * s1_lo, man * s1_hi", (INTERVAL_LOG, LOW_PRECISION),
     ),
     # the driver's exact integer sum and its one outward rounding
     Mutant(
@@ -424,14 +439,6 @@ EQUIVALENT = [
         "_error_count(n_terms, 2, x)", "_error_count(n_terms, 1, x)",
         "it drops at most 2 + 2 bits(N) units from a count whose N units for the floors exceed their "
         "actual loss, about N/2, by far more: no longer proved, but no input comes near the difference",
-    ),
-    Equivalent(
-        "interval log endpoints swapped", ROGERS,
-        "(_, man_lo, exp_lo, _), (_, man_hi, exp_hi, _) = mpi_log(y, prec)",
-        "(_, man_hi, exp_hi, _), (_, man_lo, exp_lo, _) = mpi_log(y, prec)",
-        "each bound then takes every factor at one end of y's enclosure, which bounds L(y) and "
-        "Li2(y) + log(y) log(1-y) = pi^2/6 - Li2(1-y) there, and both increase with y; only the "
-        "byte goldens under tests/golden/enclosures/ see the changed last bits",
     ),
 ]
 

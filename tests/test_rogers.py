@@ -12,6 +12,7 @@ from dilogid.enclosure import (
     DomainError,
     ErrorBoundedValue,
     PrecisionBudget,
+    ScaledInterval,
     mpf_to_fraction,
     rational_bounds,
 )
@@ -333,6 +334,57 @@ def test_kernel_contains_polylog(bits, y, reflected, interval):
         assert (upper - lower) * 2 ** bits <= (INTERVAL_ULPS if interval else POINT_ULPS)
 
 
+def _sweep_arguments(count: int = 200, seed: int = 31) -> list:
+    """Fixed-seed ScaledInterval arguments inside (0, 1), each with a working
+    precision from 1 to 200 bits, where the kernel's scale is as coarse as
+    21 bits and an undercounted unit would show: the wide [1/4, 1/3] and
+    [3/5, 2/3], then in turn intervals straddling 1/2 (a third of them),
+    points of zero width from 2^-299 to 1 - 2^-299, and intervals on
+    either side of 1/2 up to a quarter wide, at scales of 8 to 300 bits."""
+    pair = ErrorBoundedValue.from_fraction_pair
+    rng = random.Random(seed)
+    args = [pair(Fraction(1, 4), Fraction(1, 3)).scaled(), pair(Fraction(3, 5), Fraction(2, 3)).scaled()]
+    while len(args) < count:
+        s = rng.randint(8, 300)
+        one, margin = 1 << s, 1 << (s - 6)
+        kind = len(args) % 3
+        if kind == 0:
+            lo, hi = rng.randint(margin, one // 2 - 1), rng.randint(one // 2 + 1, one - margin)
+        elif kind == 1:
+            lo = hi = rng.randint(1, 1 << rng.randint(1, s - 1))
+            if rng.random() < 0.5:
+                lo = hi = one - lo
+        else:
+            lo = rng.randint(margin, one - 2 * margin)
+            hi = min(lo + rng.randint(0, one // 4), one // 2 - 1 if lo < one // 2 else one - margin)
+        args.append(ScaledInterval(lo, hi, s))
+    return [(arg, rng.randint(1, 200)) for arg in args]
+
+
+def _sweep_reference(end: Fraction, bits: int) -> tuple:
+    """Li2 and L at a dyadic point, at ``bits`` bits."""
+    with mp.workprec(bits):
+        x = mp.mpf(end.numerator) / end.denominator
+        value = mp.polylog(2, x)
+        return mpf_to_fraction(value), mpf_to_fraction(value + mp.log(x) * mp.log(1 - x) / 2)
+
+
+def test_low_precision_kernel_contains_polylog():
+    """The kernel's integer bounds on Li2 and L of an interval contain
+    mpmath's polylog at both ends, 128 bits past the kernel's scale, before
+    any rounding to the working precision could hide a missing unit: each
+    function increases on (0, 1), so its image lies between those values.
+    Wide and straddling intervals bound log(x) log(1-x) from one log of
+    y's lower end (``_log_product_raw``)."""
+    for x, prec in _sweep_arguments():
+        bounds = [_rogers_eval(x, prec, rogers) for rogers in (False, True)]
+        bits = max(bounds[0].scale, x.scale) + 128
+        references = [_sweep_reference(Fraction(end, 1 << x.scale), bits) for end in {x.lo, x.hi}]
+        for rogers, (lo, hi, scale) in enumerate(bounds):
+            values = [reference[rogers] for reference in references]
+            assert Fraction(lo, 1 << scale) <= min(values) and max(values) <= Fraction(hi, 1 << scale), (x, prec)
+
+
 @pytest.mark.parametrize("n_terms", [None, 1, 4])
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(y=_rationals_up_to(Fraction(3, 5)), bits=st.sampled_from(KERNEL_BITS))
@@ -439,3 +491,29 @@ def test_exact_log_product_bounds(prec, y, s1):
     with mp.workprec(2 * prec + 1300):
         exact = -mp.log(mp.mpf(y.numerator) / y.denominator) * s1
         assert p_lo <= exact <= p_hi
+
+
+@pytest.mark.parametrize("prec", KERNEL_BITS)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(a=_rationals_up_to(), width=st.fractions(min_value=0, max_value=1, max_denominator=1000))
+@example(a=Fraction(1, 4), width=Fraction(1, 6))
+@example(a=Fraction(1, 3), width=Fraction(1))
+@example(a=Fraction(2, 5), width=Fraction(3, 4))
+@example(a=Fraction(49, 100), width=Fraction(1, 2))
+@example(a=Fraction(1, 10 ** 40), width=Fraction(1))
+def test_interval_log_product_bounds(prec, a, width):
+    """One log of y_lo bounds |log y| S1 over a dyadic interval [y_lo, y_hi]
+    with y_lo + y_hi <= 1, straddling 1/2 or not, from bounds on S1 at its
+    two ends: at the integer scale 2^1200, before any rounding could hide a
+    missing ulp, the lower bound lies below P(y_lo), the least value of P on
+    the interval, and the upper one above P at min(y_hi, 1/2), its greatest."""
+    b = a + width * (1 - 2 * a)
+    y_raw = tuple(rational_bounds(end.numerator, end.denominator, prec)[0] for end in (a, b))
+    with mp.workprec(2 * prec + 1300):
+        lo, hi = (mp.make_mpf(end) for end in y_raw)
+        scale = mp.mpf(2) ** 1200
+        s1_lo, s1_hi = int(mp.floor(-mp.log(1 - lo) * scale)), int(mp.ceil(-mp.log(1 - hi) * scale))
+        p_lo, p_hi = _log_product_raw(y_raw, s1_lo, s1_hi, prec)
+        top = min(hi, mp.mpf(0.5))
+        assert p_lo <= mp.log(lo) * mp.log(1 - lo) * scale
+        assert mp.log(top) * mp.log(1 - top) * scale <= p_hi
