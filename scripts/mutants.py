@@ -154,8 +154,8 @@ MUTANTS = [
     # one point log of an interval's lower end bounds log(x) log(1-x) over
     # the whole interval.  The L-level sweep does not see the log taken at
     # y_hi: the rise that S1's upper bound adds across a straddling interval
-    # covers P(1/2) - P(y_hi) on every interval it draws, so the
-    # integer-scale test must
+    # covers P(1/2) - P(y_hi) on every interval it draws; the integer-scale
+    # test, whose S1 bounds are tight, kills it
     Mutant(
         "log taken at y_hi", ROGERS,
         "mpf_log(y[0], prec, round_floor)", "mpf_log(y[1], prec, round_floor)", (INTERVAL_LOG, LOW_PRECISION),
