@@ -58,6 +58,7 @@ NEAR_CANCELLATION = "tests/test_exactnum.py::test_quad_to_real_one_pass_near_can
 TRUNCATION_SCAN = "tests/test_exact_terms.py::test_truncation_search_matches_a_scan"
 TAIL_CALLS = "tests/test_exact_terms.py::test_truncation_certifies_few_terms"
 SCALED = "tests/test_exact_terms.py::test_scaled_enclosures_keep_their_endpoints"
+NON_FINITE = "tests/test_exact_terms.py::test_enclosure_refuses_an_infinite_endpoint"
 BUDGET = "tests/test_series.py::TestWorkingPrecision"
 SMALL_THETA_RADIUS = f"{BUDGET}::test_small_theta_residual_within_the_radius_budget"
 TAIL_BITS_INVARIANT = f"{BUDGET}::test_no_working_precision_is_the_tail_bits"
@@ -164,7 +165,8 @@ MUTANTS = [
         "lower log bound without its ulp", ROGERS,
         "lo, hi = (man - 1) * s1_lo, man * s1_hi", "lo, hi = man * s1_lo, man * s1_hi", (INTERVAL_LOG, LOW_PRECISION),
     ),
-    # the driver's exact integer sum and its one outward rounding
+    # the driver's exact integer sum and its one outward rounding, the
+    # enclosure's own, which the kernel's results and the trace rows share
     Mutant(
         "upper sum left at the coarser scale", SERIES,
         "lo << (t_scale - scale), hi << (t_scale - scale), t_scale",
@@ -172,11 +174,11 @@ MUTANTS = [
         (DRIVER,),
     ),
     Mutant(
-        "accumulated upper bound rounded down", ROGERS,
+        "accumulated upper bound rounded down", ENCLOSURE,
         "hi.bit_length(), prec, round_ceiling)", "hi.bit_length(), prec, round_floor)", (DRIVER,),
     ),
     Mutant(
-        "final outward rounding reversed", ROGERS,
+        "final outward rounding reversed", ENCLOSURE,
         "lo.bit_length(), prec, round_floor),\n"
         "                normalize(int(hi < 0), MPZ(abs(hi)), -scale, hi.bit_length(), prec, round_ceiling)",
         "lo.bit_length(), prec, round_ceiling),\n"
@@ -319,11 +321,16 @@ MUTANTS = [
         "        if p == q:\n            return _pi_squared_over(6)\n", "",
         ("tests/test_rogers.py::TestRogersL::test_boundary_values",),
     ),
-    # an enclosure's endpoints read as integers at one scale, where it
-    # enters the kernel
+    # an interval's endpoints read as integers at one scale, and checked,
+    # where it becomes an enclosure
     Mutant(
         "enclosure scale from the lower endpoint only", ENCLOSURE,
         "scale = max(0, -e_lo, -e_hi)", "scale = max(0, -e_lo)", (SCALED,),
+    ),
+    Mutant(
+        "non-finite endpoint accepted", ENCLOSURE,
+        "        if not man and exp:\n            raise PrecisionError(\"enclosure has a non-finite endpoint\")\n", "",
+        (NON_FINITE,),
     ),
     # the working precision's guard bits, and sinh-theta's K and rho at the
     # terms' scale: the residual radius stays within 2^4 units of the working

@@ -1,13 +1,14 @@
-"""Midpoint-radius enclosures backed by mpmath's interval arithmetic.
+"""Integer-ball enclosures, precision budgeting and exact conversions.
 
-Every transcendental quantity in this package is returned as an
-ErrorBoundedValue: a pair of exact binary-float endpoints guaranteed to
-bracket the true real number.  mpmath's interval context (``mpmath.iv``)
-supplies the directed-rounding primitives; this module adds exact endpoint
-bookkeeping, precision budgeting, and conversions from exact rationals.
-ErrorBoundedValue has no arithmetic of its own: sums run in the L kernel's
-integer bounds or in ``mpmath.iv``, and each result becomes an enclosure
-once.
+Every transcendental quantity in this package is enclosed by one type,
+ErrorBoundedValue: integer endpoints lo and hi at one scale 2^-scale,
+guaranteed to bracket the true real number.  The L kernel returns it, the
+series terms are it, the series driver adds its integers exactly, and a
+report prints it; one method rounds it outward to a working precision.
+mpmath's interval context (``mpmath.iv``) supplies the directed-rounding
+primitives for the closed forms and residuals, whose intervals become
+enclosures once (``ErrorBoundedValue.from_interval``); ErrorBoundedValue
+has no arithmetic of its own.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import NamedTuple
 
-from mpmath import iv, mp
-from mpmath.libmp import MPZ, fzero, normalize, round_ceiling, round_floor
+from mpmath import iv
+from mpmath.libmp import MPZ, from_man_exp, fzero, normalize, round_ceiling, round_floor
 
 LOG2_10 = math.log2(10)
 LOG10_2 = math.log10(2)
@@ -48,15 +49,6 @@ def interval_precision(bits: int):
         yield iv
     finally:
         iv.prec = saved
-
-
-class ScaledInterval(NamedTuple):
-    """The interval [lo 2^-scale, hi 2^-scale] with integer endpoints: a
-    geometric series term, which the L kernel reads without conversion."""
-
-    lo: int
-    hi: int
-    scale: int
 
 
 def rational_bounds(p: int, q: int, prec: int) -> tuple:
@@ -169,66 +161,83 @@ def decimal_upper(x) -> Decimal:
     return outward_decimal(0, int(man), -exp)[1]
 
 
-@dataclass(frozen=True)
-class ErrorBoundedValue:
-    """Enclosure [lower, upper] of a real number, endpoints exact mpf values."""
+class ErrorBoundedValue(NamedTuple):
+    """The enclosure [lo 2^-scale, hi 2^-scale] of a real number, integer
+    endpoints at one scale: what the L kernel returns and reads, the series
+    driver adds and a report prints.
 
-    lower: object
-    upper: object
+    Direct construction checks nothing, as the kernel builds one per term;
+    the constructors from an interval or from rationals check their input.
+    A NamedTuple compares its integers, so one value held at two scales
+    compares unequal: compare ``endpoints()``."""
 
-    def __post_init__(self):
-        if not (mp.isfinite(self.lower) and mp.isfinite(self.upper)):
-            raise PrecisionError("enclosure has a non-finite endpoint")
-        if self.lower > self.upper:
-            raise ValueError("lower endpoint exceeds upper endpoint")
+    lo: int
+    hi: int
+    scale: int
+
+    # a tuple's concatenation and repetition are no arithmetic of enclosures
+    __add__ = __mul__ = __rmul__ = lambda self, other: NotImplemented
 
     @classmethod
     def from_interval(cls, x) -> "ErrorBoundedValue":
-        lo, hi = x._mpi_
-        return cls(mp.make_mpf(lo), mp.make_mpf(hi))
+        """An mpmath interval's endpoints, exactly."""
+        return _checked_ball(*x._mpi_)
 
     @classmethod
     def from_fraction(cls, value) -> "ErrorBoundedValue":
         """Enclosure of a rational, endpoints rounded outward to 256 bits."""
         value = Fraction(value)
-        lo, hi = rational_bounds(value.numerator, value.denominator, 256)
-        return cls(mp.make_mpf(lo), mp.make_mpf(hi))
+        return _checked_ball(*rational_bounds(value.numerator, value.denominator, 256))
+
+    @classmethod
+    def from_fraction_pair(cls, lo: Fraction, hi: Fraction) -> "ErrorBoundedValue":
+        """Enclosure of [lo, hi]; endpoints rounded outward if not dyadic."""
+        if lo > hi:
+            raise ValueError("lower endpoint exceeds upper endpoint")
+        bits = max(lo.numerator.bit_length(), hi.numerator.bit_length(), 64) + 8
+        lo_m = rational_bounds(lo.numerator, lo.denominator, bits)[0]
+        hi_m = rational_bounds(hi.numerator, hi.denominator, bits)[1]
+        return _checked_ball(lo_m, hi_m)
 
     @classmethod
     def zero(cls) -> "ErrorBoundedValue":
-        return cls(mp.zero, mp.zero)
+        return cls(0, 0, 0)
 
-    def scaled(self) -> ScaledInterval:
-        """The endpoints exactly, as integers at one scale 2^-scale, scale
-        >= 0; a binary exponent beyond +-2^20 raises PrecisionError, as in
-        ``mpf_to_fraction``."""
-        (s_lo, m_lo, e_lo, _), (s_hi, m_hi, e_hi, _) = self.lower._mpf_, self.upper._mpf_
-        if max(abs(e_lo), abs(e_hi)) > _MAX_EXPONENT:
-            raise PrecisionError(_TOO_FAR)
-        scale = max(0, -e_lo, -e_hi)
-        lo, hi = int(m_lo) << (scale + e_lo), int(m_hi) << (scale + e_hi)
-        return ScaledInterval(-lo if s_lo else lo, -hi if s_hi else hi, scale)
+    def mpf_bounds(self, prec: int) -> tuple:
+        """The endpoints rounded outward to ``prec`` bits, as raw mpf values:
+        the one rounding of an enclosure, which the kernel reads and
+        ``rounded`` returns.  from_man_exp(lo, -scale, prec, round_floor)
+        and its hi twin, normalized without its generic argument handling."""
+        lo, hi, scale = self
+        return (normalize(int(lo < 0), MPZ(abs(lo)), -scale, lo.bit_length(), prec, round_floor),
+                normalize(int(hi < 0), MPZ(abs(hi)), -scale, hi.bit_length(), prec, round_ceiling))
+
+    def rounded(self, prec: int) -> "ErrorBoundedValue":
+        """The enclosure rounded outward to ``prec`` bits; rounding cannot
+        take an endpoint out of range, so nothing is checked."""
+        return _ball(*self.mpf_bounds(prec))
 
     def decimal_ball(self) -> tuple:
         """(midpoint, radius) as Decimals, rounded outward at the radius's
         third digit (``outward_decimal``): the ball a report prints."""
-        lo, hi, scale = self.scaled()
+        lo, hi, scale = self
         return outward_decimal(lo + hi, hi - lo, scale + 1)
 
     def interval(self):
-        """View as an mpmath interval under the current iv context."""
-        return iv.make_mpf((self.lower._mpf_, self.upper._mpf_))
+        """The endpoints exactly, as an mpmath interval."""
+        lo, hi, scale = self
+        return iv.make_mpf((from_man_exp(lo, -scale), from_man_exp(hi, -scale)))
 
     @property
     def midpoint(self) -> Fraction:
-        return (mpf_to_fraction(self.lower) + mpf_to_fraction(self.upper)) / 2
+        return Fraction(self.lo + self.hi, 1 << (self.scale + 1))
 
     @property
     def radius(self) -> Fraction:
-        return (mpf_to_fraction(self.upper) - mpf_to_fraction(self.lower)) / 2
+        return Fraction(self.hi - self.lo, 1 << (self.scale + 1))
 
     def endpoints(self) -> tuple[Fraction, Fraction]:
-        return mpf_to_fraction(self.lower), mpf_to_fraction(self.upper)
+        return Fraction(self.lo, 1 << self.scale), Fraction(self.hi, 1 << self.scale)
 
     def contains(self, value) -> bool:
         lo, hi = self.endpoints()
@@ -254,16 +263,30 @@ class ErrorBoundedValue:
         lo, hi = self.endpoints()
         return ErrorBoundedValue.from_fraction_pair(lo - s, hi + s)
 
-    @classmethod
-    def from_fraction_pair(cls, lo: Fraction, hi: Fraction) -> "ErrorBoundedValue":
-        """Enclosure of [lo, hi]; endpoints rounded outward if not dyadic."""
-        bits = max(lo.numerator.bit_length(), hi.numerator.bit_length(), 64) + 8
-        lo_m = rational_bounds(lo.numerator, lo.denominator, bits)[0]
-        hi_m = rational_bounds(hi.numerator, hi.denominator, bits)[1]
-        return cls(mp.make_mpf(lo_m), mp.make_mpf(hi_m))
-
     def __repr__(self):
-        return f"ErrorBoundedValue({mp.nstr(self.lower, 20)}, {mp.nstr(self.upper, 20)})"
+        mid, rad = self.decimal_ball()
+        return f"ErrorBoundedValue({mid} +- {rad})"
+
+
+def _ball(lo: tuple, hi: tuple) -> ErrorBoundedValue:
+    """Two finite raw mpf endpoints exactly, as integers at the least scale
+    2^-scale, scale >= 0, that holds both."""
+    (s_lo, m_lo, e_lo, _), (s_hi, m_hi, e_hi, _) = lo, hi
+    scale = max(0, -e_lo, -e_hi)
+    lo, hi = int(m_lo) << (scale + e_lo), int(m_hi) << (scale + e_hi)
+    return ErrorBoundedValue(-lo if s_lo else lo, -hi if s_hi else hi, scale)
+
+
+def _checked_ball(lo: tuple, hi: tuple) -> ErrorBoundedValue:
+    """``_ball`` of raw mpf endpoints from outside the kernel: a non-finite
+    endpoint, or a binary exponent beyond +-2^20, raises PrecisionError, as
+    in ``mpf_to_fraction``."""
+    for _, man, exp, _ in (lo, hi):
+        if not man and exp:
+            raise PrecisionError("enclosure has a non-finite endpoint")
+        if abs(exp) > _MAX_EXPONENT:
+            raise PrecisionError(_TOO_FAR)
+    return _ball(lo, hi)
 
 
 @dataclass(frozen=True)
@@ -306,7 +329,7 @@ class PrecisionBudget:
     enclosed at p bits, as exact rationals (``mpf_to_fraction``), and the
     endpoints of a p-bit enclosure of a value near 0 or 1 have binary
     exponents near -p or below.  Past p = 2^20 they lie beyond the +-2^20
-    that ``mpf_to_fraction`` and ``ErrorBoundedValue.scaled`` accept, so no
+    that ``mpf_to_fraction`` and ``ErrorBoundedValue.from_interval`` accept, so no
     run could produce a report: a larger target raises ValueError at once,
     not after a run that cannot end in one.
     """

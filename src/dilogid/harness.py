@@ -52,7 +52,6 @@ from .series import (
     d_seq,
     identity_spec,
     parse_decimal,
-    rounded_midpoint,
     tail_bound,
     xy_seq,
 )
@@ -137,7 +136,7 @@ def write_trace_csv(rows: list, path: str) -> None:
                 [
                     row["n"],
                     approx_decimal(row["term"], TRACE_DIGITS),
-                    approx_decimal(rounded_midpoint(row["lhs_partial"], row["prec"]), TRACE_DIGITS),
+                    approx_decimal(row["lhs_partial"].rounded(row["prec"]), TRACE_DIGITS),
                     approx_decimal(mpf_to_fraction(row["tail_bound"]), TRACE_DIGITS),
                 ]
             )

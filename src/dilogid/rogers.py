@@ -12,8 +12,9 @@ precision; a radius above 10^(-target_digits), which only a wide input
 enclosure causes, raises PrecisionError.
 
 The kernel sums Python integers at a fixed scale 2^-s and returns integer
-bounds at that scale (a ScaledInterval), which the series driver adds as
-they are and the entry points round outward to the working precision.
+bounds at that scale, an ErrorBoundedValue, which the series driver adds as
+it is and the entry points round outward to the working precision
+(``ErrorBoundedValue.mpf_bounds``).
 The series argument y = x or 1-x is at most about 1/2; the powers
 X_n = floor(X_(n-1) y), X_0 = 2^s, give the sums S2 = sum floor(X_n/n^2)
 and S1 = sum floor(X_n/n) of 2^s Li2(y) and -2^s log(1-y), for as many
@@ -32,20 +33,19 @@ log(x) log(1-x) = |log y| S1.
     A pair at most 1/2 may carry integer bounds on its log(q/p) at 2^-b,
     (p, q, (lo, hi, b)), for the log (``_atanh_raw`` steps Richmond-Szekeres'
     at b = ``_carried_log_bits``); above, it is refused.
-  * An interval argument is a ScaledInterval; an ErrorBoundedValue enters
-    as one, its endpoints read exactly (``ErrorBoundedValue.scaled``).  Its
-    y is rounded outward to dyadic endpoints m 2^-k of w bits (below): one
-    stream steps X_n = floor(X_(n-1) m / 2^k) at the lower endpoint, whose
-    sums are the lower bounds; the upper bounds add the error count and the
-    rise across the interval, y_hi - y_lo times each series' slope at
-    y_hi, which bounds it on the interval, rounded up; one point log of
-    y_lo, rounded down and widened by one ulp, bounds log(x) log(1-x) over
-    the whole interval, as that product is symmetric about 1/2 and
-    increases below it (``_log_product_raw``).  So every L takes at most
-    one log.
+  * An interval argument is an ErrorBoundedValue, whose integers the
+    kernel reads as they are.  Its y is rounded outward to dyadic endpoints
+    m 2^-k of w bits (below): one stream steps X_n = floor(X_(n-1) m / 2^k)
+    at the lower endpoint, whose sums are the lower bounds; the upper
+    bounds add the error count and the rise across the interval,
+    y_hi - y_lo times each series' slope at y_hi, which bounds it on the
+    interval, rounded up; one point log of y_lo, rounded down and widened
+    by one ulp, bounds log(x) log(1-x) over the whole interval, as that
+    product is symmetric about 1/2 and increases below it
+    (``_log_product_raw``).  So every L takes at most one log.
 
-The kernel tells the kinds apart by isinstance(x, ScaledInterval), and its
-helpers tell an exact y = (p, q) from a raw interval pair of mpf tuples by
+The kernel tells the kinds apart by isinstance(x, ErrorBoundedValue), and
+its helpers tell an exact y = (p, q) from a raw interval pair of mpf tuples by
 isinstance(y[0], int): both checks run in C, where a miss of
 isinstance(x, Fraction), whose class is an ABC, would run
 ABCMeta.__instancecheck__ on every interval term.
@@ -66,7 +66,7 @@ from functools import lru_cache
 from typing import Union
 
 from mpmath import iv
-from mpmath.libmp import MPZ, from_man_exp, mpf_log, mpf_pi, normalize, round_ceiling, round_floor
+from mpmath.libmp import from_man_exp, mpf_log, mpf_pi, round_ceiling, round_floor
 
 from .enclosure import (
     DEFAULT_BUDGET,
@@ -74,7 +74,6 @@ from .enclosure import (
     ErrorBoundedValue,
     PrecisionBudget,
     PrecisionError,
-    ScaledInterval,
     interval_precision,
     rational_bounds,
 )
@@ -87,11 +86,9 @@ _GUARD_BITS = 20
 
 
 def _validate_unit_arg(x: Argument, open_interval: bool = False):
-    """Return the coprime pair (p, q), q > 0, of an exact x = p/q, or a
-    ScaledInterval, confined to [0, 1]; an enclosure's endpoints are read
-    exactly, once."""
+    """Return the coprime pair (p, q), q > 0, of an exact x = p/q, or an
+    enclosure, confined to [0, 1]."""
     if isinstance(x, ErrorBoundedValue):
-        x = x.scaled()
         if x.lo != x.hi:
             # genuine intervals must be separated from both boundary points
             if not (0 < x.lo and x.hi < 1 << x.scale):
@@ -125,12 +122,8 @@ def _coprime(p: int, q: int) -> tuple:
 
 
 def _raw(x, prec: int):
-    if isinstance(x, ScaledInterval):
-        # from_man_exp(lo, -scale, prec, round_floor) and its hi twin,
-        # normalized without its generic argument handling
-        lo, hi, scale = x
-        return (normalize(int(lo < 0), MPZ(abs(lo)), -scale, lo.bit_length(), prec, round_floor),
-                normalize(int(hi < 0), MPZ(abs(hi)), -scale, hi.bit_length(), prec, round_ceiling))
+    if isinstance(x, ErrorBoundedValue):
+        return x.mpf_bounds(prec)
     return _raw_from_fraction(x, prec)
 
 
@@ -319,18 +312,18 @@ def _pi_squared_over(divisor: int):
 
 
 def _one_minus(x):
-    if isinstance(x, ScaledInterval):
+    if isinstance(x, ErrorBoundedValue):
         one = 1 << x.scale
-        return ScaledInterval(one - x.hi, one - x.lo, x.scale)
+        return ErrorBoundedValue(one - x.hi, one - x.lo, x.scale)
     p, q = x
     return q - p, q
 
 
-def _rogers_eval(x, prec: int, rogers: bool = True) -> ScaledInterval:
+def _rogers_eval(x, prec: int, rogers: bool = True) -> ErrorBoundedValue:
     """Integer bounds on L(x), or on Li2(x) when not ``rogers``, at the
     kernel's scale for the working precision ``prec``; x inside (0, 1): an
     exact coprime pair (p, q), at most 1/2 also with bounds on its log
-    (``_log_product_raw``), or a ScaledInterval, whose branch test and
+    (``_log_product_raw``), or an enclosure, whose branch test and
     1 - x are integer operations and whose (0, 1) check reads the integers'
     signs.
 
@@ -340,7 +333,7 @@ def _rogers_eval(x, prec: int, rogers: bool = True) -> ScaledInterval:
     Li2(x) = pi^2/6 - Li2(y) - P.
     """
     w = prec + _GUARD_BITS
-    if isinstance(x, ScaledInterval):
+    if isinstance(x, ErrorBoundedValue):
         # the branch follows the midpoint
         low = x.lo + x.hi <= 1 << x.scale
         y = _raw(x if low else _one_minus(x), w)
@@ -373,14 +366,14 @@ def _rogers_eval(x, prec: int, rogers: bool = True) -> ScaledInterval:
         z_lo, z_hi = _zeta2_fixed(w)
         lo, hi = z_lo - hi, z_hi - lo
     # the tuple itself, without the named tuple's Python-level __new__
-    return tuple.__new__(ScaledInterval, (lo, hi, scale))
+    return tuple.__new__(ErrorBoundedValue, (lo, hi, scale))
 
 
 def _rogers_interval(x, prec: int, rogers: bool = True):
     """Interval L, or Li2 when not ``rogers``, at ``prec`` bits at a
     validated argument in [0, 1]: the boundary points 0 and 1 take their
     closed values, pi^2/6 in the current interval context."""
-    if not isinstance(x, ScaledInterval):
+    if not isinstance(x, ErrorBoundedValue):
         p, q = x
         if p == 0:
             return iv.mpf(0)
@@ -438,7 +431,7 @@ def abel_residual(x: Argument, y: Argument, budget: PrecisionBudget = DEFAULT_BU
     def evaluate(prec):
         # the three five-term arguments: exact pairs for rational x and y,
         # else enclosures checked on their integers to lie inside (0, 1)
-        if not isinstance(x, ScaledInterval) and not isinstance(y, ScaledInterval):
+        if not isinstance(x, ErrorBoundedValue) and not isinstance(y, ErrorBoundedValue):
             # xy, x(1-y)/(1-xy) and y(1-x)/(1-xy) over the common denominators
             (px, qx), (py, qy) = x, y
             den = qx * qy - px * py
@@ -448,7 +441,7 @@ def abel_residual(x: Argument, y: Argument, budget: PrecisionBudget = DEFAULT_BU
             xy = xi * yi
             denom = 1 - xy
             args = [xy, xi * (1 - yi) / denom, yi * (1 - xi) / denom]
-            args = [ErrorBoundedValue.from_interval(a).scaled() for a in args]
+            args = [ErrorBoundedValue.from_interval(a) for a in args]
             if not all(0 < a.lo and a.hi < 1 << a.scale for a in args):
                 raise DomainError("five-term argument not separated inside (0, 1)")
         total = _rogers_interval(x, prec) + _rogers_interval(y, prec)

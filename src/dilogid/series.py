@@ -97,7 +97,6 @@ from .enclosure import (
     ErrorBoundedValue,
     PrecisionBudget,
     PrecisionError,
-    ScaledInterval,
     _MAX_EXPONENT,
     _TOO_FAR,
     decimal_upper,
@@ -125,7 +124,7 @@ from .lucas import (
     lucas_uv,
     transform_params,
 )
-from .rogers import _atanh_raw, _carried_log_bits, _pi_squared_over, _raw, _rogers_eval, _rogers_interval, _shift, rogers_l
+from .rogers import _atanh_raw, _carried_log_bits, _pi_squared_over, _rogers_eval, _rogers_interval, _shift, rogers_l
 
 DEFAULT_MAX_TERMS = 10000
 # precision of tail bounds and ratio caps.  Invariant: no working precision
@@ -456,7 +455,7 @@ def _scaled_bounds(value, w: int) -> tuple[int, int]:
     return _shift(-m_lo if s_lo else m_lo, e_lo + w), _shift(-m_hi if s_hi else m_hi, e_hi + w, up=True)
 
 
-def _lambert_terms(form: LambertForm, w: int) -> Iterator[ScaledInterval]:
+def _lambert_terms(form: LambertForm, w: int) -> Iterator[ErrorBoundedValue]:
     """Enclosures at scale 2^-w of t = K x / (1 - sigma x)^2, x = rho^n, for
     n >= 0, from a form of intervals (``_enclosed_form``), whose endpoints
     are floored and ceiled at 2^-w: x starts at 2^w and steps with floors by
@@ -476,7 +475,7 @@ def _lambert_terms(form: LambertForm, w: int) -> Iterator[ScaledInterval]:
         d_hi = one - (g_lo * x_lo >> w)
         if d_lo <= 0:
             raise PrecisionError("could not separate 1 - s rho^(n+1) from 0")
-        yield ScaledInterval((k_lo * x_lo << w) // (d_hi * d_hi), -(-(k_hi * x_hi << w) // (d_lo * d_lo)), w)
+        yield ErrorBoundedValue((k_lo * x_lo << w) // (d_hi * d_hi), -(-(k_hi * x_hi << w) // (d_lo * d_lo)), w)
         x_lo = x_lo * r_lo >> w
         x_hi = -(-x_hi * r_hi >> w)
 
@@ -544,11 +543,6 @@ def _term_upper(enclosed: LambertForm, n: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _scaled_enclosure(lo: int, hi: int, scale: int, prec: int) -> ErrorBoundedValue:
-    """[lo 2^-scale, hi 2^-scale] rounded outward to ``prec`` bits."""
-    return ErrorBoundedValue(*(mp.make_mpf(end) for end in _raw(ScaledInterval(lo, hi, scale), prec)))
-
-
 def _evaluate_series_report(
     identity_id: str,
     parameters: dict,
@@ -558,7 +552,7 @@ def _evaluate_series_report(
     rhs_fn: Callable[[], object],
     trace: Optional[list] = None,
 ) -> IdentityReport:
-    """Sum enclosures of L over the kept ``terms`` (scaled intervals or exact
+    """Sum enclosures of L over the kept ``terms`` (enclosures or exact
     coprime pairs (p, q), bare or with their logs, which the kernel checks
     to lie in (0, 1)) at the working precision, evaluate the closed form
     ``rhs_fn()`` and the residual in an interval context at it, and report
@@ -583,7 +577,7 @@ def _evaluate_series_report(
         n_terms += 1
         if trace is not None:
             rows.append((term, lo, hi, scale))
-    lhs = _scaled_enclosure(lo, hi, scale, prec)
+    lhs = ErrorBoundedValue(lo, hi, scale).rounded(prec)
     with interval_precision(prec):
         rhs_iv = rhs_fn()
         res_iv = lhs.interval() - rhs_iv
@@ -597,7 +591,7 @@ def _evaluate_series_report(
 def _trace_rows(rows, sum_hi: int, scale: int, tail, prec: int) -> list:
     """One row per kept term n: the term, the partial sum of the first n + 1
     (its integer bounds, which the CSV rounds to ``prec`` bits when it
-    writes the row, ``rounded_midpoint``) and the tail after them, the
+    writes the row) and the tail after them, the
     kept terms' upper bounds after row n,
     (sum_hi - hi_n) 2^-scale at the sum's final scale, plus the series'
     ``tail``, added exactly and rounded up once to _TAIL_BITS bits, so the
@@ -606,24 +600,10 @@ def _trace_rows(rows, sum_hi: int, scale: int, tail, prec: int) -> list:
     for n, (term, lo, hi, row_scale) in enumerate(rows):
         suffix = from_man_exp(sum_hi - (hi << (scale - row_scale)), -scale)
         running = mp.make_mpf(mpf_add(suffix, tail._mpf_, _TAIL_BITS, round_ceiling))
-        if isinstance(term, ScaledInterval):
-            term = Fraction(term.lo + term.hi, 1 << (term.scale + 1))
-        else:
-            term = Fraction(term[0], term[1])
-        partial = ScaledInterval(lo, hi, row_scale)
+        term = term.midpoint if isinstance(term, ErrorBoundedValue) else Fraction(term[0], term[1])
+        partial = ErrorBoundedValue(lo, hi, row_scale)
         out.append({"n": n, "term": term, "lhs_partial": partial, "prec": prec, "tail_bound": running})
     return out
-
-
-def rounded_midpoint(partial: ScaledInterval, prec: int) -> Fraction:
-    """The midpoint of ``_scaled_enclosure(*partial, prec)``, the partial
-    sum rounded outward to ``prec`` bits, from the rounded endpoints'
-    integers: what a trace row prints, with no enclosure built per row."""
-    (s_lo, m_lo, e_lo, _), (s_hi, m_hi, e_hi, _) = _raw(partial, prec)
-    e = min(e_lo, e_hi)
-    num = (-int(m_lo) if s_lo else int(m_lo)) << (e_lo - e)
-    num += (-int(m_hi) if s_hi else int(m_hi)) << (e_hi - e)
-    return Fraction(num << (e - 1)) if e >= 1 else Fraction(num, 1 << (1 - e))
 
 
 def _choose_truncation(
@@ -696,8 +676,8 @@ def _lambert_report(identity_id, parameters, form, cap, budget, max_terms, trace
         if isinstance(x, Fraction):
             return x.numerator, x.denominator
         if isinstance(x, QuadraticElement):
-            return quad_to_real(x, budget.working_bits).scaled()
-        return ErrorBoundedValue.from_interval(x).scaled()
+            return quad_to_real(x, budget.working_bits)
+        return ErrorBoundedValue.from_interval(x)
 
     def rhs_fn():
         return sum(sign * _rogers_interval(argument(x), budget.working_bits) for sign, x in closed_form)

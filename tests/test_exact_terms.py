@@ -18,7 +18,6 @@ from dilogid.enclosure import (
     ErrorBoundedValue,
     PrecisionBudget,
     PrecisionError,
-    ScaledInterval,
     interval_precision,
     iv_from_fraction,
     mpf_to_fraction,
@@ -102,13 +101,13 @@ UNIT = st.integers(2, 10 ** 6).flatmap(lambda q: st.tuples(st.integers(1, q - 1)
 SCALES = st.integers(1, 400)
 
 
-def _scaled(p: int, q: int, scale: int) -> ScaledInterval:
+def _scaled(p: int, q: int, scale: int) -> ErrorBoundedValue:
     """The integer enclosure of p/q at scale 2^-scale."""
     num = p << scale
-    return ScaledInterval(num // q, -(-num // q), scale)
+    return ErrorBoundedValue(num // q, -(-num // q), scale)
 
 
-def _midpoint(pair: ScaledInterval) -> Fraction:
+def _midpoint(pair: ErrorBoundedValue) -> Fraction:
     return Fraction(pair.lo + pair.hi, 1 << (pair.scale + 1))
 
 
@@ -162,7 +161,7 @@ def test_scaled_intervals_convert_like_their_fractions(lo, width, scale, prec):
     hi = lo + width
     lower = rational_bounds(lo, 1 << scale, prec)[0]
     upper = rational_bounds(hi, 1 << scale, prec)[1]
-    assert _raw(ScaledInterval(lo, hi, scale), prec) == (lower, upper)
+    assert _raw(ErrorBoundedValue(lo, hi, scale), prec) == (lower, upper)
 
 
 @pytest.mark.parametrize("lo, hi", [(-5, -3), (-5, 0), (0, 0), (0, 7), (-(1 << 300) - 1, 1 << 300)])
@@ -170,7 +169,7 @@ def test_scaled_intervals_of_any_sign_convert_like_their_fractions(lo, hi):
     for scale, prec in ((1, 53), (300, 60), (2, 400)):
         lower = rational_bounds(lo, 1 << scale, prec)[0]
         upper = rational_bounds(hi, 1 << scale, prec)[1]
-        assert _raw(ScaledInterval(lo, hi, scale), prec) == (lower, upper)
+        assert _raw(ErrorBoundedValue(lo, hi, scale), prec) == (lower, upper)
 
 
 MANTISSAS = st.integers(-(1 << 300), 1 << 300)
@@ -185,16 +184,26 @@ def test_scaled_enclosures_keep_their_endpoints(m_a, e_a, m_b, e_b):
     # the endpoints of an enclosure, read as integers at one scale, are its
     # endpoints exactly, whichever of them has the finer exponent
     lower, upper = sorted(mp.make_mpf(from_man_exp(m, e)) for m, e in ((m_a, e_a), (m_b, e_b)))
-    pair = ErrorBoundedValue(lower, upper).scaled()
+    pair = ErrorBoundedValue.from_interval(iv.make_mpf((lower._mpf_, upper._mpf_)))
     assert pair.scale >= 0
     assert Fraction(pair.lo, 1 << pair.scale) == mpf_to_fraction(lower)
     assert Fraction(pair.hi, 1 << pair.scale) == mpf_to_fraction(upper)
 
 
 def test_scaled_enclosure_refuses_far_exponents():
-    tiny = mp.make_mpf(from_man_exp(1, -(1 << 21)))
+    tiny = from_man_exp(1, -(1 << 21))
     with pytest.raises(PrecisionError):
-        ErrorBoundedValue(tiny, mp.mpf(0.5)).scaled()
+        ErrorBoundedValue.from_interval(iv.make_mpf((tiny, mp.mpf(0.5)._mpf_)))
+
+
+def test_enclosure_refuses_an_infinite_endpoint():
+    with pytest.raises(PrecisionError, match="non-finite"):
+        ErrorBoundedValue.from_interval(iv.mpf([1, mp.inf]))
+
+
+def test_enclosure_refuses_reversed_rational_endpoints():
+    with pytest.raises(ValueError, match="exceeds upper"):
+        ErrorBoundedValue.from_fraction_pair(Fraction(1, 3), Fraction(1, 4))
 
 
 # caps near 1 and, as for Lucas series of large k, near 0
@@ -370,7 +379,7 @@ def test_corollary_rejects_a_perturbed_streamed_term(monkeypatch):
     def raise_term_7(stream):
         for n, term in enumerate(stream):
             # 2^-60 relative, far above the lhs radius
-            yield ScaledInterval(term.lo + (term.lo >> 60), term.hi + (term.hi >> 60), term.scale) if n == 7 else term
+            yield ErrorBoundedValue(term.lo + (term.lo >> 60), term.hi + (term.hi >> 60), term.scale) if n == 7 else term
 
     assert corollary_verify(Fraction(1, 3), B40).verdict == "pass"
     _perturbed_terms(monkeypatch, raise_term_7)
@@ -383,7 +392,7 @@ def test_scaled_pairs_give_the_same_reports(monkeypatch):
     t, inst = Fraction(1, 3), TwoParamInstance(Fraction(2, 3), Fraction(1, 3))
     plain = emit_report(corollary_verify(t, B40)), emit_report(theorem_main_verify(inst, B40))
     _perturbed_terms(
-        monkeypatch, lambda stream: (ScaledInterval(x.lo << 6, x.hi << 6, x.scale + 6) for x in stream)
+        monkeypatch, lambda stream: (ErrorBoundedValue(x.lo << 6, x.hi << 6, x.scale + 6) for x in stream)
     )
     assert (emit_report(corollary_verify(t, B40)), emit_report(theorem_main_verify(inst, B40))) == plain
 

@@ -162,7 +162,8 @@ def _enclosure_line(label, evaluate):
         value = evaluate()
     except PrecisionError as exc:  # the raised error is part of the golden
         return f"{label} {type(exc).__name__}: {exc}\n"
-    return f"{label} {exact_decimal(value.lower)} {exact_decimal(value.upper)}\n"
+    lo, hi = value.endpoints()
+    return f"{label} {exact_decimal(lo)} {exact_decimal(hi)}\n"
 
 
 def enclosure_golden_text(function: str, digits: int) -> str:

@@ -11,7 +11,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from mpmath import mp
+from mpmath import iv, mp
+from mpmath.libmp import from_man_exp
 
 from dilogid.harness import (
     RunConfig,
@@ -133,7 +134,7 @@ class TestReportSerialization:
         # endpoints m 2^(+-2^20), the binary exponents mpf_to_fraction
         # still accepts, and a tail bound there
         exp = sign * _MAX_EXPONENT
-        value = ErrorBoundedValue(mp.mpf((3, exp)), mp.mpf((5, exp)))
+        value = ErrorBoundedValue.from_interval(iv.make_mpf((from_man_exp(3, exp), from_man_exp(5, exp))))
         mid, rad = (parse_decimal(str(part)) for part in value.decimal_ball())
         lo, hi = value.endpoints()
         assert mid - rad <= lo and hi <= mid + rad
@@ -230,7 +231,7 @@ class TestCliVerify:
         # their binary scale exceeds 4300 bits, and a dyadic with k binary
         # places has k decimal ones
         exact = run_identity(RunConfig("sinh-theta", {"theta": "1500"}))
-        assert exact.lhs.scaled().scale > 4300
+        assert exact.lhs.scale > 4300
         code = run_cli(["verify", "--identity", "sinh-theta", "--theta", "1500"])
         text = capsys.readouterr().out
         assert code == 0
@@ -556,3 +557,25 @@ def test_readme_library_use_runs():
     section = readme.split("## Library use", 1)[1]
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(code, "README.md", "exec"), {})
+
+
+# A term cap that binds before the geometric tail bound fits, or the
+# Richmond-Szekeres bracket, still reads "pass" when |mid| <= rad + tail +
+# 10^-d, however large the tail: the false passes of ROADMAP item 1b, which
+# must drop this marker when its verdict switch lands.
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="false pass on an unfitted tail (ROADMAP item 1b)")
+@pytest.mark.parametrize(
+    "config",
+    [
+        RunConfig("sinh-theta", {"theta": "0.0001"}, 40, 20),
+        RunConfig("corollary", {"t": "1/3"}, 40, 5),
+        RunConfig("richmond-szekeres", {}, 40, 100),
+        RunConfig("corollary", {"t": "1/100000"}, 40),
+        RunConfig("sinh-theta", {"theta": "1/100000"}, 40),
+        RunConfig("theorem-main", {"a": "7/9", "b": "10/13"}, 300),
+    ],
+    ids=["sinh-theta-0.0001-max20", "corollary-1-3-max5", "richmond-szekeres-max100",
+         "corollary-1-100000", "sinh-theta-1-100000", "theorem-main-7-9-10-13-d300"],
+)
+def test_a_tail_above_the_tolerance_does_not_pass(config):
+    assert run_identity(config).verdict != "pass"

@@ -22,7 +22,6 @@ from dilogid.enclosure import (
     ErrorBoundedValue,
     PrecisionBudget,
     PrecisionError,
-    ScaledInterval,
     interval_precision,
     iv_from_fraction,
 )

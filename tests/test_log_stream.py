@@ -149,7 +149,7 @@ def test_supplied_logs_give_the_bare_pairs_reports(digits, n_terms):
     assert len(carried_rows) == len(bare_rows) == n_terms
     def shown(row):
         # the row's partial sum as the CSV reads it, rounded outward to its bits
-        return row["n"], row["term"], series._scaled_enclosure(*row["lhs_partial"], row["prec"])
+        return row["n"], row["term"], row["lhs_partial"].rounded(row["prec"]).endpoints()
 
     for ours, theirs in zip(carried_rows, bare_rows):
         assert shown(ours) == shown(theirs)

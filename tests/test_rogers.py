@@ -6,13 +6,12 @@ from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from mpmath import mp
+from mpmath import iv, mp
 
 from dilogid.enclosure import (
     DomainError,
     ErrorBoundedValue,
     PrecisionBudget,
-    ScaledInterval,
     mpf_to_fraction,
     rational_bounds,
 )
@@ -176,7 +175,7 @@ class TestAbel:
 
 
 class TestEnclosureArguments:
-    """An enclosure enters the kernel once, as a ScaledInterval."""
+    """An enclosure enters the kernel as it is, its integers read directly."""
 
     def test_abel_with_one_exact_and_one_enclosure_argument(self):
         # the exact argument is converted to an interval for the five-term
@@ -191,8 +190,8 @@ class TestEnclosureArguments:
         # endpoints of 4x the working bits, past the kernel's scale of
         # working bits + 20, are rounded outward to it: still an enclosure
         bits = 4 * B50.working_bits
-        arg = ErrorBoundedValue(*(mp.make_mpf(end) for end in rational_bounds(x.numerator, x.denominator, bits)))
-        assert arg.scaled().scale >= bits
+        arg = ErrorBoundedValue.from_interval(iv.make_mpf(rational_bounds(x.numerator, x.denominator, bits)))
+        assert arg.scale >= bits
         for value, reference in ((li2(arg, B50), li2_reference(x)), (rogers_l(arg, B50), rogers_reference(x))):
             assert_encloses(value, reference)
             assert value.radius <= TOL50
@@ -206,8 +205,7 @@ class TestEnclosureArguments:
         assert exact == (x.numerator, x.denominator)
         for evaluate in (li2, rogers_l, reflection_residual):
             from_point, from_fraction = evaluate(point, B50), evaluate(x, B50)
-            assert from_point.lower._mpf_ == from_fraction.lower._mpf_
-            assert from_point.upper._mpf_ == from_fraction.upper._mpf_
+            assert from_point.endpoints() == from_fraction.endpoints()
 
 
 class TestEnclosureDiscipline:
@@ -251,6 +249,8 @@ class TestEnclosureDiscipline:
         value = rogers_l(Fraction(1, 2), PrecisionBudget.for_digits(300))
         for combine in (
             lambda: value + Fraction(1, 3),
+            lambda: value + value,
+            lambda: 2 * value,
             lambda: Fraction(1, 3) + value,
             lambda: value - value,
             lambda: 1 - value,
@@ -325,7 +325,7 @@ def test_kernel_contains_polylog(bits, y, reflected, interval):
         ends = (1 - y,) if reflected else (y,)
         x = ends[0]
     for rogers in (False, True):
-        ends_raw = _raw(_rogers_eval(x.scaled() if interval else (x.numerator, x.denominator), bits, rogers), bits)
+        ends_raw = _raw(_rogers_eval(x if interval else (x.numerator, x.denominator), bits, rogers), bits)
         lower, upper = (mpf_to_fraction(mp.make_mpf(end)) for end in ends_raw)
         # L and Li2 increase on (0, 1), so the image of an interval lies
         # between the values at its ends
@@ -335,7 +335,7 @@ def test_kernel_contains_polylog(bits, y, reflected, interval):
 
 
 def _sweep_arguments(count: int = 200, seed: int = 31) -> list:
-    """Fixed-seed ScaledInterval arguments inside (0, 1), each with a working
+    """Fixed-seed enclosure arguments inside (0, 1), each with a working
     precision from 1 to 200 bits, where the kernel's scale is as coarse as
     21 bits and an undercounted unit would show: the wide [1/4, 1/3] and
     [3/5, 2/3], then in turn intervals straddling 1/2 (a third of them),
@@ -343,7 +343,7 @@ def _sweep_arguments(count: int = 200, seed: int = 31) -> list:
     either side of 1/2 up to a quarter wide, at scales of 8 to 300 bits."""
     pair = ErrorBoundedValue.from_fraction_pair
     rng = random.Random(seed)
-    args = [pair(Fraction(1, 4), Fraction(1, 3)).scaled(), pair(Fraction(3, 5), Fraction(2, 3)).scaled()]
+    args = [pair(Fraction(1, 4), Fraction(1, 3)), pair(Fraction(3, 5), Fraction(2, 3))]
     while len(args) < count:
         s = rng.randint(8, 300)
         one, margin = 1 << s, 1 << (s - 6)
@@ -357,7 +357,7 @@ def _sweep_arguments(count: int = 200, seed: int = 31) -> list:
         else:
             lo = rng.randint(margin, one - 2 * margin)
             hi = min(lo + rng.randint(0, one // 4), one // 2 - 1 if lo < one // 2 else one - margin)
-        args.append(ScaledInterval(lo, hi, s))
+        args.append(ErrorBoundedValue(lo, hi, s))
     return [(arg, rng.randint(1, 200)) for arg in args]
 
 

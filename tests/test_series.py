@@ -15,9 +15,9 @@ from dilogid.enclosure import (
     DomainError,
     ErrorBoundedValue,
     PrecisionBudget,
-    ScaledInterval,
     interval_precision,
     mpf_to_fraction,
+    rational_bounds,
 )
 from dilogid.exactnum import QuadraticElement
 from dilogid.harness import RunConfig, emit_report, registry, run_cli, run_identity
@@ -75,7 +75,7 @@ class TestSummationDriver:
 
     def test_lhs_encloses_the_exact_sum(self, monkeypatch):
         s = B40.working_bits + 40
-        values = iter([ScaledInterval(1, 1, 10), ScaledInterval((1 << s) - 1, (1 << s) + 1, s)])
+        values = iter([ErrorBoundedValue(1, 1, 10), ErrorBoundedValue((1 << s) - 1, (1 << s) + 1, s)])
         monkeypatch.setattr("dilogid.series._rogers_eval", lambda term, prec: next(values))
         zero = mp.mpf(0)
         report = _evaluate_series_report("driver", {}, B40, range(2), zero, lambda: iv.mpf(0))
@@ -590,7 +590,7 @@ class TestTraceTails:
         short, negative, loose, outside = [], [], [], []
         for row in rows:
             n, tail = row["n"], mpf_to_fraction(row["tail_bound"])
-            partial_lo, partial_hi = series._scaled_enclosure(*row["lhs_partial"], row["prec"]).endpoints()
+            partial_lo, partial_hi = row["lhs_partial"].rounded(row["prec"]).endpoints()
             short += [n] if tail < final_lo - partial_hi else []
             negative += [n] if tail < 0 else []
             loose += [n] if majorant(n) is not None and tail > majorant(n) else []
@@ -649,14 +649,17 @@ class TestTraceTails:
 
     def test_row_midpoint_is_that_of_the_rounded_enclosure(self):
         # a row keeps its integers; the CSV prints the midpoint of their
-        # outward rounding, as an enclosure of the row would give it
+        # outward rounding, each endpoint rounded as its rational would be
         rng = random.Random(5)
         for _ in range(400):
             scale, prec = rng.randint(0, 600), rng.randint(20, 300)
             lo = rng.randint(-(1 << rng.randint(1, 700)), 1 << rng.randint(1, 700))
             hi = lo + rng.randint(0, 1 << rng.randint(0, 400))
-            partial = ScaledInterval(lo, hi, scale)
-            assert series.rounded_midpoint(partial, prec) == series._scaled_enclosure(lo, hi, scale, prec).midpoint
+            rounded = ErrorBoundedValue(lo, hi, scale).rounded(prec)
+            lower = mpf_to_fraction(mp.make_mpf(rational_bounds(lo, 1 << scale, prec)[0]))
+            upper = mpf_to_fraction(mp.make_mpf(rational_bounds(hi, 1 << scale, prec)[1]))
+            assert rounded.endpoints() == (lower, upper)
+            assert rounded.midpoint == (lower + upper) / 2
 
 
 class TestCatalog:
@@ -752,7 +755,8 @@ class TestWorkingPrecision:
 
 
 def _enclosure_text(value):
-    return f"{exact_decimal(value.lower)} {exact_decimal(value.upper)}"
+    lo, hi = value.endpoints()
+    return f"{exact_decimal(lo)} {exact_decimal(hi)}"
 
 
 _NARROW = Fraction(1, 10 ** 60)

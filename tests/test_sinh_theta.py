@@ -17,7 +17,7 @@ import pytest
 from mpmath import iv, mp
 
 from dilogid import series
-from dilogid.enclosure import PrecisionBudget, ScaledInterval, interval_precision, iv_from_fraction
+from dilogid.enclosure import ErrorBoundedValue, PrecisionBudget, interval_precision, iv_from_fraction
 from dilogid.harness import run_cli
 from dilogid.series import catalog_verify
 
@@ -72,7 +72,7 @@ def test_perturbed_term_fails(monkeypatch):
         terms = original(form, w)
         first = next(terms)
         # 1 + 10^-30 times the first term
-        yield ScaledInterval(first.lo + first.lo // 10 ** 30, first.hi + first.hi // 10 ** 30, w)
+        yield ErrorBoundedValue(first.lo + first.lo // 10 ** 30, first.hi + first.hi // 10 ** 30, w)
         yield from terms
 
     monkeypatch.setattr(series, "_lambert_terms", perturbed)
